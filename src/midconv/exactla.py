@@ -1,10 +1,15 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are immutable, every entry is a `fractions.Fraction`, and no
-floating point appears anywhere.  Echelon forms are computed by
-fraction-free (Bareiss) elimination on denominator-cleared integer rows,
-which keeps intermediate entries at determinant-minor size; final results
-are reduced back to canonical fractions.
+floating point appears anywhere.  All elimination runs on integers: one
+kernel, `_echelon`, clears each row of denominators and runs a single
+fraction-free (Bareiss) forward pass, which keeps intermediate entries at
+determinant-minor size.  `rank` and `det` read its output directly;
+reduced echelon forms (`inverse`, `rref_nullspace`,
+`Subspace.from_spanning`) back-substitute on its integer rows, and
+`IncrementalSpan` reduces each new vector against stored integer rows,
+both with one primitive integer row step.  `Fraction`s are built only
+for the returned results.
 
 Subspaces are stored in column-reduced echelon form with leftmost pivots.
 This representative is unique, so two subspaces are equal iff their basis
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -235,110 +240,88 @@ def kron(a: Mat, b: Mat) -> Mat:
 # Fraction-free elimination
 # ---------------------------------------------------------------------
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves the row space)."""
-    out = []
+def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The row times the lcm of its denominators, and that lcm."""
+    den = lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
+def _echelon(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[int]], list[int], Fraction]:
+    """The one elimination kernel: Bareiss forward elimination (Math. Comp.
+    1968) of the rows, each first cleared of denominators.
+
+    Returns the integer echelon rows (pivot rows only), their pivot columns,
+    and the determinant scale: the row-swap sign over the product of the
+    cleared denominators.  For a square matrix of full rank the determinant
+    is that scale times the last pivot.
+    """
+    scale = _ONE
+    ints = []
     for row in rows:
-        den = 1
-        for x in row:
-            d = x.denominator
-            den = den // gcd(den, d) * d
-        out.append([int(x.numerator * (den // x.denominator)) for x in row])
-    return out
-
-
-def _bareiss_forward(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """One-step fraction-free forward elimination; returns echelon rows
-    (pivot rows only) and the pivot column indices."""
-    rows = [r[:] for r in rows]
-    nrows = len(rows)
+        den, r = _integer_row(row)
+        scale /= den
+        ints.append(r)
+    nrows = len(ints)
     piv_cols: list[int] = []
     prev = 1
     pr = 0
     for pc in range(ncols):
-        sel = None
-        for i in range(pr, nrows):
-            if rows[i][pc]:
-                sel = i
-                break
+        if pr == nrows:
+            break
+        sel = next((i for i in range(pr, nrows) if ints[i][pc]), None)
         if sel is None:
             continue
         if sel != pr:
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-        p = rows[pr][pc]
-        prow = rows[pr]
+            ints[pr], ints[sel] = ints[sel], ints[pr]
+            scale = -scale
+        prow = ints[pr]
+        p = prow[pc]
         for i in range(pr + 1, nrows):
-            ri = rows[i]
+            ri = ints[i]
             f = ri[pc]
             for j in range(pc, ncols):
                 ri[j] = (p * ri[j] - f * prow[j]) // prev
         prev = p
         piv_cols.append(pc)
         pr += 1
-        if pr == nrows:
-            break
-    return rows[:pr], piv_cols
+    return ints[:pr], piv_cols, scale
+
+
+def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
+    """p*v - v[pc]*row for the pivot p = row[pc], divided by its content,
+    so that column pc of the result is zero."""
+    p, f = row[pc], v[pc]
+    w = [p * a - f * b for a, b in zip(v, row)]
+    g = gcd(*w)
+    return [a // g for a in w] if g > 1 else w
 
 
 def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of the given spanning rows (unique)."""
-    int_rows = _integer_rows(rows)
-    ech, piv_cols = _bareiss_forward(int_rows, ncols)
-    rref = [[Fraction(x) for x in row] for row in ech]
+    ech, piv_cols, _ = _echelon(rows, ncols)
     for i in reversed(range(len(piv_cols))):
         pc = piv_cols[i]
-        p = rref[i][pc]
-        if p != 1:
-            rref[i] = [x / p for x in rref[i]]
         for k in range(i):
-            f = rref[k][pc]
-            if f:
-                rref[k] = [a - f * b for a, b in zip(rref[k], rref[i])]
+            if ech[k][pc]:
+                ech[k] = _eliminate(ech[k], ech[i], pc)
+    rref = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(ech, piv_cols)]
     return rref, piv_cols
 
 
 def rank(m: Mat) -> int:
-    _, piv = _bareiss_forward(_integer_rows(m.data), m.cols)
-    return len(piv)
+    return len(_echelon(m.data, m.cols)[1])
 
 
 def det(m: Mat) -> Fraction:
     """Exact determinant via Bareiss elimination."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return _ONE
-    rows = []
-    scale = _ONE
-    for row in m.data:
-        den = 1
-        for x in row:
-            d = x.denominator
-            den = den // gcd(den, d) * d
-        scale /= den
-        rows.append([int(x.numerator * (den // x.denominator)) for x in row])
-    sign = 1
-    prev = 1
-    for pc in range(n):
-        sel = None
-        for i in range(pc, n):
-            if rows[i][pc]:
-                sel = i
-                break
-        if sel is None:
-            return _ZERO
-        if sel != pc:
-            rows[pc], rows[sel] = rows[sel], rows[pc]
-            sign = -sign
-        p = rows[pc][pc]
-        for i in range(pc + 1, n):
-            ri = rows[i]
-            f = ri[pc]
-            for j in range(pc, n):
-                ri[j] = (p * ri[j] - f * rows[pc][j]) // prev
-        prev = p
-    return sign * scale * prev
+    ech, piv, scale = _echelon(m.data, m.cols)
+    if len(piv) < m.rows:
+        return _ZERO
+    return scale * ech[-1][-1]
 
 
 def inverse(m: Mat) -> Mat:
@@ -381,8 +364,6 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
-        if not vecs:
-            return Subspace.zero(ambient_dim)
         rref, piv = _rref_rows(vecs, ambient_dim)
         if not piv:
             return Subspace.zero(ambient_dim)
@@ -450,7 +431,7 @@ class Subspace:
 
 def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
     """Rank and canonical right nullspace of m."""
-    rref, piv = _rref_rows(m.data, m.cols) if m.rows else ([], [])
+    rref, piv = _rref_rows(m.data, m.cols)
     piv_set = set(piv)
     free = [j for j in range(m.cols) if j not in piv_set]
     vecs = []
@@ -463,39 +444,46 @@ def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
     return len(piv), Subspace.from_spanning(vecs, m.cols)
 
 
+def diagonal_blocks(spaces: Sequence[Subspace], *mats: Mat) -> list[tuple[Mat, ...]]:
+    """Write each matrix in the basis that concatenates the bases of
+    `spaces` (together a basis of the ambient space) and cut out its
+    diagonal blocks: one tuple per subspace, one block per matrix."""
+    p = hstack([s.basis for s in spaces])
+    pinv = inverse(p)
+    conj = [pinv * a * p for a in mats]
+    out = []
+    off = 0
+    for s in spaces:
+        idx = range(off, off + s.dim)
+        out.append(tuple(b.submatrix(idx, idx) for b in conj))
+        off += s.dim
+    return out
+
+
 class IncrementalSpan:
     """Mutable echelon accumulator for growing a span vector by vector."""
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self._rows: list[tuple[int, list[Fraction]]] = []  # (pivot, row), pivots increasing
+        # (pivot, primitive integer row) in insertion order: each row is zero
+        # at the pivots of the rows before it, so one pass in this order
+        # reduces a vector; rows are never back-reduced
+        self._rows: list[tuple[int, list[int]]] = []
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def residue(self, vec: Sequence) -> list[Fraction]:
-        v = [as_scalar(x) for x in vec]
-        for p, row in self._rows:
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
     def add(self, vec: Sequence) -> bool:
         """Insert vec; returns True iff it enlarged the span."""
-        v = self.residue(vec)
+        _, v = _integer_row([as_scalar(x) for x in vec])
+        for pc, row in self._rows:
+            if v[pc]:
+                v = _eliminate(v, row, pc)
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        inv = _ONE / v[piv]
-        v = [x * inv for x in v]
-        for p, row in self._rows:
-            c = row[piv]
-            if c:
-                row[:] = [a - c * b for a, b in zip(row, v)]
         self._rows.append((piv, v))
-        self._rows.sort(key=lambda t: t[0])
         return True
 
 
@@ -763,15 +751,16 @@ def primary_components(m: Mat) -> list[tuple[Fraction | None, Subspace]]:
     n = m.rows
     spec, full = rational_spectrum(m)
     comps: list[tuple[Fraction | None, Subspace]] = []
-    residual = charpoly(m)
     for lam, mult in spec:
         shifted = m - Mat.diagonal([lam] * n)
         _, ker = rref_nullspace(shifted ** mult)
         comps.append((lam, ker))
-        for _ in range(mult):
-            residual, r = residual.divmod(Poly([-lam, _ONE]))
-            assert r.is_zero()
     if not full:
+        residual = charpoly(m)
+        for lam, mult in spec:
+            for _ in range(mult):
+                residual, r = residual.divmod(Poly([-lam, _ONE]))
+                assert r.is_zero()
         _, ker = rref_nullspace(residual.of_matrix(m))
         comps.append((None, ker))
     assert sum(c[1].dim for c in comps) == n

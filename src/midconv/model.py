@@ -25,7 +25,7 @@ from .exactla import (
     Mat,
     as_scalar,
     conjugate_partition,
-    hstack,
+    diagonal_blocks,
     inverse,
     is_semisimple,
     jordan_partition,
@@ -410,22 +410,15 @@ def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
             f"point {i}: leading coefficient spectrum is not fully rational"
         )
     spec = sorted(spec, key=lambda v: v[0])
-    bases = []
+    spaces = []
     for d, mult in spec:
         _, ker = rref_nullspace(a1 - Mat.diagonal([d] * n))
         assert ker.dim == mult, "semisimple eigenspace must match multiplicity"
-        bases.append((d, mult, ker))
-    pmat = hstack([Mat.from_columns(b.basis_columns(), n) for _, _, b in bases])
-    compressed = inverse(pmat) * a0 * pmat
-    blocks = []
-    offset = 0
-    for d, mult, _ in bases:
-        idx = range(offset, offset + mult)
-        sub = compressed.submatrix(idx, idx)
-        blocks.append(
-            SpectralBlock(d, mult, _eigendata_of(sub, f"point {i}, block at {d}"))
-        )
-        offset += mult
+        spaces.append(ker)
+    blocks = [
+        SpectralBlock(d, mult, _eigendata_of(sub, f"point {i}, block at {d}"))
+        for (d, mult), (sub,) in zip(spec, diagonal_blocks(spaces, a0))
+    ]
     blocks.sort(
         key=lambda b: (-b.size, tuple(-q for q in b.parts()), b.eigenvalue)
     )

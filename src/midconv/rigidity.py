@@ -19,11 +19,11 @@ from .exactla import (
     Mat,
     as_scalar,
     det,
-    hstack,
-    inverse,
+    diagonal_blocks,
     is_semisimple,
     kron,
     primary_components,
+    rank,
     rational_spectrum,
     rref_nullspace,
 )
@@ -40,8 +40,7 @@ def _ad(a: Mat) -> Mat:
 
 
 def _nullity(m: Mat) -> int:
-    r, _ = rref_nullspace(m)
-    return m.cols - r
+    return m.cols - rank(m)
 
 
 def centralizer_dim(a: Mat) -> int:
@@ -52,25 +51,27 @@ def centralizer_dim(a: Mat) -> int:
         if a.scalar_multiple_of_identity() is not None:
             return n * n
         return _nullity(_ad(a))
-    p = hstack([Mat.from_columns(s.basis_columns(), n) for _, s in comps])
-    b = inverse(p) * a * p
-    total = 0
-    off = 0
-    for _, s in comps:
-        idx = range(off, off + s.dim)
-        total += centralizer_dim(b.submatrix(idx, idx))
-        off += s.dim
-    return total
+    return sum(
+        centralizer_dim(b) for (b,) in diagonal_blocks([s for _, s in comps], a)
+    )
 
 
-def _pair_commutant_dense(a1: Mat, a0: Mat) -> int:
-    """Nullity of {(C1, C0) : [a1,C1] = 0, [a1,C0] + [a0,C1] = 0}."""
-    n = a1.rows
-    ad1 = _ad(a1)
-    ad0 = _ad(a0)
-    z = Mat.zeros(n * n, n * n)
-    big = Mat.block([[ad1, z], [ad0, ad1]])
-    return _nullity(big)
+def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
+    """Nullity of the block grid of commutator relations that defines
+    `commutant_dim`, for coeffs = [A_m, ..., A_0]; at m = 1 it is
+    [[ad A_1, 0], [ad A_0, ad A_1]]."""
+    m = len(coeffs) - 1
+    nn = coeffs[0].rows ** 2
+    z = Mat.zeros(nn, nn)
+    ads = [_ad(a) for a in coeffs]  # ads[idx] = ad of A_{m-idx}
+    grid = []
+    for k in range(m + 1):
+        row = []
+        for s_idx in range(m + 1):  # column block: unknown C_{m - s_idx}
+            jj = k - s_idx  # pairs C_{m-k+j} with A_{m-j} at j = k - s_idx
+            row.append(ads[jj] if jj >= 0 else z)
+        grid.append(row)
+    return _nullity(Mat.block(grid))
 
 
 def _pair_commutant_dim(a1: Mat, a0: Mat) -> int:
@@ -84,18 +85,11 @@ def _pair_commutant_dim(a1: Mat, a0: Mat) -> int:
         return n * n + centralizer_dim(a0)
     comps = primary_components(a1)
     if len(comps) == 1:
-        return _pair_commutant_dense(a1, a0)
-    p = hstack([Mat.from_columns(s.basis_columns(), n) for _, s in comps])
-    pinv = inverse(p)
-    b1 = pinv * a1 * p
-    b0 = pinv * a0 * p
-    total = 0
-    off = 0
-    for _, s in comps:
-        idx = range(off, off + s.dim)
-        total += _pair_commutant_dim(b1.submatrix(idx, idx), b0.submatrix(idx, idx))
-        off += s.dim
-    return total
+        return _toeplitz_commutant_dim([a1, a0])
+    return sum(
+        _pair_commutant_dim(b1, b0)
+        for b1, b0 in diagonal_blocks([s for _, s in comps], a1, a0)
+    )
 
 
 def commutant_dim(t: MatrixTuple, i: int) -> int:
@@ -108,22 +102,11 @@ def commutant_dim(t: MatrixTuple, i: int) -> int:
     validate(t)
     coeffs = t.point_coeffs_with_residue(i)  # A_m, ..., A_0
     m = len(coeffs) - 1
-    n = t.size
     if m == 0:
         return centralizer_dim(coeffs[0])
     if m == 1:
         return _pair_commutant_dim(coeffs[0], coeffs[1])
-    nn = n * n
-    z = Mat.zeros(nn, nn)
-    ads = [_ad(a) for a in coeffs]  # ads[idx] = ad of A_{m-idx}
-    grid = []
-    for k in range(m + 1):
-        row = []
-        for s_idx in range(m + 1):  # column block: unknown C_{m - s_idx}
-            jj = k - s_idx  # pairs C_{m-k+j} with A_{m-j} at j = k - s_idx
-            row.append(ads[jj] if jj >= 0 else z)
-        grid.append(row)
-    return _nullity(Mat.block(grid))
+    return _toeplitz_commutant_dim(coeffs)
 
 
 @dataclass(frozen=True)
@@ -191,22 +174,15 @@ def okubo_index(t_mat: Mat, a_mat: Mat) -> int:
     if not is_semisimple(a_mat):
         raise PreconditionError("A is not semisimple")
     n = t_mat.rows
-    spec = sorted(spec, key=lambda v: v[0])
-    bases = []
-    for d, mult in spec:
-        _, ker = rref_nullspace(t_mat - Mat.diagonal([d] * n))
-        bases.append((mult, ker))
-    p = hstack([Mat.from_columns(s.basis_columns(), n) for _, s in bases])
-    b = inverse(p) * a_mat * p
+    spaces = [
+        rref_nullspace(t_mat - Mat.diagonal([d] * n))[1]
+        for d, _ in sorted(spec, key=lambda v: v[0])
+    ]
     total = centralizer_dim(a_mat) - n * n
-    off = 0
-    for mult, _ in bases:
-        idx = range(off, off + mult)
-        blk = b.submatrix(idx, idx)
+    for (blk,) in diagonal_blocks(spaces, a_mat):
         if not is_semisimple(blk):
             raise PreconditionError("a diagonal block of A is not semisimple")
-        total += mult * mult + centralizer_dim(blk)
-        off += mult
+        total += blk.rows * blk.rows + centralizer_dim(blk)
     return total
 
 
