@@ -15,6 +15,7 @@ from .exactla import (
 )
 from .errors import (
     AssumptionViolated,
+    InternalError,
     MidconvError,
     PreconditionError,
     ValidationError,

@@ -14,7 +14,8 @@ Subcommands operate on tuple files (see tuplefile for the format):
     fixtures NAME [--params CSV] [-o OUT]
 
 Exit codes: 0 success, 1 usage error, 2 validation error (malformed
-files/values), 3 violated mathematical precondition.  `--format machine`
+files/values), 3 violated mathematical precondition, 4 internal error (a
+failed consistency check: a bug in midconv).  `--format machine`
 prints one JSON object with sorted keys; its bytes are stable across runs
 on identical input.
 """
@@ -27,7 +28,7 @@ import sys
 from fractions import Fraction
 
 from . import convolution, model, reduction, rigidity, tuplefile
-from .errors import PreconditionError, ValidationError
+from .errors import InternalError, PreconditionError, ValidationError
 
 
 class _UsageError(Exception):
@@ -371,6 +372,9 @@ def main(argv=None) -> int:
     except PreconditionError as e:
         print(f"precondition violated: {e}", file=sys.stderr)
         return 3
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     if args.format == "machine":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:

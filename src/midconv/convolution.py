@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .exactla import Mat, Subspace, as_scalar, rref_nullspace
-from .model import MatrixTuple, SingularPoint, validate
+from .model import MatrixTuple, SingularPoint
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -63,7 +63,6 @@ def convolution_matrices(t: MatrixTuple, mu) -> ConvolvedTuple:
     when i != 0), a band of mu*I blocks at rows (i, j') for j' > j in
     columns (i, j'-j), and zeros elsewhere.
     """
-    validate(t)
     mu = as_scalar(mu)
     n = t.size
     slots = t.slots()
@@ -123,7 +122,6 @@ def subspace_K(t: MatrixTuple) -> tuple[list[Subspace], Subspace]:
     """Per-point kernels of the block-Toeplitz principal parts, embedded in
     V'; the point at infinity contributes the zero space.  Returns the list
     (indexed by point) and their direct sum."""
-    validate(t)
     n = t.size
     nm = n * t.slot_count
     offs = _slot_offsets(t)
@@ -151,7 +149,6 @@ def subspace_Lprime(t: MatrixTuple, mu) -> Subspace:
     slot: the kernel of the infinity block-Toeplitz system whose corner is
     the derived residue minus mu*I, embedded with v_0^{(i)} = -ell at every
     finite point."""
-    validate(t)
     mu = as_scalar(mu)
     n = t.size
     nm = n * t.slot_count
@@ -182,7 +179,6 @@ def subspace_L(t: MatrixTuple, mu) -> Subspace:
     mu = as_scalar(mu)
     if mu != 0:
         return subspace_Lprime(t, mu)
-    validate(t)
     row = Mat.block([[t.coeff(i, j) for (i, j) in t.slots()]])
     _, ker = rref_nullspace(row)
     return ker
@@ -207,14 +203,19 @@ def middle_convolution(t: MatrixTuple, mu, pivot_side: str = "left") -> MCOutcom
     `pivot_side` selects leftmost (default) or rightmost pivot rows, which
     changes the result only by simultaneous similarity.
     """
+    per_point, big_k = subspace_K(t)
+    return quotient(t, mu, per_point, big_k, subspace_L(t, mu), pivot_side)
+
+
+def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
+             big_L: Subspace, pivot_side: str = "left") -> MCOutcome:
+    """The middle convolution quotient for subspaces already built:
+    `per_point_K` and `big_K` as returned by `subspace_K(t)`, and `big_L`
+    equal to `subspace_L(t, mu)`."""
     if pivot_side not in ("left", "right"):
         raise ValueError("pivot_side must be 'left' or 'right'")
-    validate(t)
-    mu = as_scalar(mu)
     conv = convolution_matrices(t, mu)
-    per_point, big_k = subspace_K(t)
-    big_l = subspace_L(t, mu)
-    w = big_k.sum(big_l)
+    w = big_K.sum(big_L)
     nm = t.size * t.slot_count
     new_size = nm - w.dim
     if new_size == 0:
@@ -274,8 +275,8 @@ def middle_convolution(t: MatrixTuple, mu, pivot_side: str = "left") -> MCOutcom
 
     return MCOutcome(
         result=result,
-        dim_K=tuple(s.dim for s in per_point),
-        dim_L=big_l.dim,
+        dim_K=tuple(s.dim for s in per_point_K),
+        dim_L=big_L.dim,
         projection=projection,
         section=section,
     )
@@ -299,7 +300,6 @@ class InvarianceReport:
 def check_invariance(t: MatrixTuple, mu) -> InvarianceReport:
     """Verify the invariance of K, L(mu) and L'(mu) under every
     convolution matrix by exact membership tests."""
-    validate(t)
     mu = as_scalar(mu)
     conv = convolution_matrices(t, mu)
     _, big_k = subspace_K(t)

@@ -20,3 +20,8 @@ class AssumptionViolated(MidconvError):
     """The reduction algorithm hit an input outside its hypotheses
     (non-semisimple leading coefficient, irrational spectrum, forced
     zero convolution parameter, reducible module)."""
+
+
+class InternalError(MidconvError):
+    """An internal consistency check failed: a bug in this package, not
+    a fault of the input."""

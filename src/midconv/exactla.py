@@ -24,6 +24,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .errors import InternalError
+
 Scalar = Fraction
 
 _ZERO = Fraction(0)
@@ -572,7 +574,8 @@ class Poly:
             return self.monic()
         g = Poly.gcd(self, self.derivative())
         q, r = self.divmod(g)
-        assert r.is_zero()
+        if not r.is_zero():
+            raise InternalError("gcd(p, p') does not divide p")
         return q.monic()
 
     def __call__(self, x) -> Fraction:
@@ -760,8 +763,10 @@ def primary_components(m: Mat) -> list[tuple[Fraction | None, Subspace]]:
         for lam, mult in spec:
             for _ in range(mult):
                 residual, r = residual.divmod(Poly([-lam, _ONE]))
-                assert r.is_zero()
+                if not r.is_zero():
+                    raise InternalError(f"x - {lam} does not divide the charpoly")
         _, ker = rref_nullspace(residual.of_matrix(m))
         comps.append((None, ker))
-    assert sum(c[1].dim for c in comps) == n
+    if sum(c[1].dim for c in comps) != n:
+        raise InternalError("primary components do not span the whole space")
     return comps

@@ -12,6 +12,9 @@ never stored, which enforces the global trace condition on inputs.
 
 Locations t_i are carried as metadata only; no operation in this package
 depends on their values, just on their distinctness.
+
+A MatrixTuple is checked by `validate` when it is built, so every tuple
+that exists is well formed and no operation re-checks its input.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PreconditionError, ValidationError
+from .errors import InternalError, PreconditionError, ValidationError
 from .exactla import (
     Mat,
     as_scalar,
@@ -63,11 +66,15 @@ class SingularPoint:
 
 @dataclass(frozen=True)
 class MatrixTuple:
-    """The full tuple of coefficient matrices of one system."""
+    """The full tuple of coefficient matrices of one system; building one
+    raises ValidationError unless it is well formed."""
 
     size: int
     infinity: SingularPoint
     finite: tuple[SingularPoint, ...]
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def num_finite(self) -> int:
@@ -132,9 +139,7 @@ def infinity_point(poincare_rank: int, coeffs: Sequence[Mat]) -> SingularPoint:
 
 def make_tuple(size: int, infinity: SingularPoint,
                finite: Sequence[SingularPoint]) -> MatrixTuple:
-    t = MatrixTuple(size, infinity, tuple(finite))
-    validate(t)
-    return t
+    return MatrixTuple(size, infinity, tuple(finite))
 
 
 def validate(t: MatrixTuple) -> None:
@@ -186,7 +191,6 @@ def addition(t: MatrixTuple, shifts: Sequence) -> MatrixTuple:
     `shifts` lists one scalar per slot, in slot order; its length must be
     the tuple's slot count M.
     """
-    validate(t)
     vals = [as_scalar(x) for x in shifts]
     if len(vals) != t.slot_count:
         raise ValidationError(
@@ -216,7 +220,6 @@ def pad_point(t: MatrixTuple, i: int) -> MatrixTuple:
     The underlying system is unchanged; this realizes the identification
     of the regular-singular case with the rank-one case.
     """
-    validate(t)
     p = t.point(i)
     if p.poincare_rank != 0:
         raise PreconditionError(f"point {i} already has Poincare rank {p.poincare_rank}")
@@ -232,7 +235,6 @@ def pad_point(t: MatrixTuple, i: int) -> MatrixTuple:
 def strip_trivial(t: MatrixTuple) -> MatrixTuple:
     """Drop zero leading coefficients (lowering ranks) and finite points
     whose coefficients are all zero.  Explicit, never done silently."""
-    validate(t)
 
     def lowered(p: SingularPoint) -> SingularPoint:
         coeffs = list(p.coeffs)
@@ -249,16 +251,12 @@ def strip_trivial(t: MatrixTuple) -> MatrixTuple:
         if q.poincare_rank == 0 and q.coeffs[0].is_zero():
             continue
         fin.append(q)
-    out = MatrixTuple(t.size, inf, tuple(fin))
-    if out.slot_count < 1:
-        raise ValidationError("stripping would leave a tuple with no slots")
-    return out
+    return MatrixTuple(t.size, inf, tuple(fin))
 
 
 def removable_points(t: MatrixTuple) -> tuple[int, ...]:
     """Point indices whose stored coefficients are all scalar multiples of
     the identity; such points can be zeroed by addition and omitted."""
-    validate(t)
     out = []
     if t.infinity.poincare_rank >= 1 and all(
         a.scalar_multiple_of_identity() is not None for a in t.infinity.coeffs
@@ -291,7 +289,6 @@ def remove_point(t: MatrixTuple, i: int) -> tuple[MatrixTuple, list[Fraction]]:
 
 def conjugated(t: MatrixTuple, p: Mat) -> MatrixTuple:
     """Simultaneous conjugation A -> P^{-1} A P of every coefficient."""
-    validate(t)
     pinv = inverse(p)
 
     def conj_point(pt: SingularPoint) -> SingularPoint:
@@ -389,7 +386,6 @@ def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
     """Multiplicity pattern of point i (0 = infinity, using the derived
     residue there).  Requires Poincare rank at most 1, a semisimple leading
     coefficient and fully rational spectra."""
-    validate(t)
     p = t.point(i)
     if p.poincare_rank > 1:
         raise PreconditionError(
@@ -413,7 +409,8 @@ def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
     spaces = []
     for d, mult in spec:
         _, ker = rref_nullspace(a1 - Mat.diagonal([d] * n))
-        assert ker.dim == mult, "semisimple eigenspace must match multiplicity"
+        if ker.dim != mult:
+            raise InternalError(f"point {i}: dim of eigenspace at {d} is not {mult}")
         spaces.append(ker)
     blocks = [
         SpectralBlock(d, mult, _eigendata_of(sub, f"point {i}, block at {d}"))

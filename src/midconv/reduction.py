@@ -20,12 +20,13 @@ stops at one of the catalog patterns below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
-from .errors import AssumptionViolated, PreconditionError
-from .convolution import middle_convolution, subspace_K, subspace_Lprime
+from .errors import AssumptionViolated, InternalError, PreconditionError
+from .convolution import middle_convolution, quotient, subspace_K, subspace_Lprime
+from .exactla import Subspace
 from .model import (
     EigenData,
     MatrixTuple,
@@ -37,7 +38,6 @@ from .model import (
     removable_points,
     spectral_type,
     strip_trivial,
-    validate,
 )
 from .rigidity import index, is_irreducible
 
@@ -118,7 +118,6 @@ def choose_pivot(t: MatrixTuple) -> list[PivotChoice]:
     maximizes (n_l^2 + sum_j n_{l,j}^2)/n_l; ties go to the larger
     n_l + n_{l,1}, then to the earlier block in canonical order.
     """
-    validate(t)
     for i in range(t.num_points):
         if t.point(i).poincare_rank != 1:
             raise AssumptionViolated(
@@ -154,10 +153,10 @@ def _reduction_shift(t: MatrixTuple, pivots: list[PivotChoice]) -> list[Fraction
     return shift
 
 
-def _choose_mu(shifted: MatrixTuple) -> Fraction:
+def _choose_mu(shifted: MatrixTuple) -> tuple[Fraction, Subspace]:
     """Scan the eigenvalues of the compressed block at infinity belonging
     to the (now zero) pivot eigenvalue and maximize dim L'(mu); ties break
-    to the smaller value."""
+    to the smaller value.  Returns mu with its L'(mu)."""
     st0 = spectral_type(shifted, 0)
     zero_block = next(
         (b for b in st0.blocks if b.eigenvalue == 0), None
@@ -166,12 +165,9 @@ def _choose_mu(shifted: MatrixTuple) -> Fraction:
         raise AssumptionViolated(
             "shifted leading coefficient at infinity has no zero eigenvalue"
         )
-    best = None
-    for cand in sorted(e.value for e in zero_block.inner):
-        d = subspace_Lprime(shifted, cand).dim
-        if best is None or d > best[0]:
-            best = (d, cand)
-    return best[1]
+    cands = sorted(e.value for e in zero_block.inner)
+    return max(((mu, subspace_Lprime(shifted, mu)) for mu in cands),
+               key=lambda c: c[1].dim)
 
 
 def reduce_step(t: MatrixTuple) -> tuple[MatrixTuple | None, ReductionStep]:
@@ -182,7 +178,6 @@ def reduce_step(t: MatrixTuple) -> tuple[MatrixTuple | None, ReductionStep]:
     outside the algorithm's hypotheses, including the forced mu = 0 case,
     which contradicts irreducibility whenever the size would drop.
     """
-    validate(t)
     padded = t
     for i in range(t.num_points):
         if padded.point(i).poincare_rank == 0:
@@ -192,11 +187,10 @@ def reduce_step(t: MatrixTuple) -> tuple[MatrixTuple | None, ReductionStep]:
     pivots = choose_pivot(padded)
     shift = _reduction_shift(padded, pivots)
     shifted = addition(padded, shift)
-    mu = _choose_mu(shifted)
+    mu, lprime = _choose_mu(shifted)
     n = padded.size
-    nm = n * padded.slot_count
-    _, big_k = subspace_K(shifted)
-    new_size = nm - big_k.dim - subspace_Lprime(shifted, mu).dim
+    per_point, big_k = subspace_K(shifted)
+    new_size = n * padded.slot_count - big_k.dim - lprime.dim
     step = ReductionStep(
         pivots=tuple(pivots),
         shift=tuple(shift),
@@ -211,9 +205,11 @@ def reduce_step(t: MatrixTuple) -> tuple[MatrixTuple | None, ReductionStep]:
             "convolution parameter would be 0 while the size decreases; "
             "this contradicts irreducibility"
         )
-    outcome = middle_convolution(shifted, mu)
-    assert outcome.result.size == new_size
-    out = strip_trivial(outcome.result)
+    # For mu != 0, L(mu) = L'(mu) and the sum K + L'(mu) is direct.
+    result = quotient(shifted, mu, per_point, big_k, lprime).result
+    if result.size != new_size:
+        raise InternalError(f"quotient has size {result.size}, predicted {new_size}")
+    out = strip_trivial(result)
     removed = []
     if out.size > 1:
         while True:
@@ -231,18 +227,13 @@ def reduce_step(t: MatrixTuple) -> tuple[MatrixTuple | None, ReductionStep]:
             out, _ = remove_point(out, 0)
             removed.append(0)
     if removed:
-        step = ReductionStep(
-            pivots=step.pivots, shift=step.shift, mu=step.mu,
-            size_before=step.size_before, size_after=step.size_after,
-            removed_points=tuple(removed),
-        )
+        step = replace(step, removed_points=tuple(removed))
     return out, step
 
 
 def reduce(t: MatrixTuple) -> ReductionTrace:
     """Iterate reduce_step until rank one, a terminal pattern, or an
     assumption failure; sizes strictly decrease along the trace."""
-    validate(t)
     steps: list[ReductionStep] = []
     cur = t
     while True:
@@ -264,7 +255,8 @@ def reduce(t: MatrixTuple) -> ReductionTrace:
                     tuple(steps), cur, AssumptionViolation(str(e))
                 )
             return ReductionTrace(tuple(steps), cur, Terminal(label, pattern))
-        assert nxt.size < cur.size, "reduction step must strictly decrease size"
+        if nxt.size >= cur.size:
+            raise InternalError(f"reduction step did not decrease the size {cur.size}")
         steps.append(step)
         cur = nxt
 
@@ -328,7 +320,6 @@ def make_terminal_pattern(point_patterns: list[PointPattern]) -> TerminalPattern
 
 def terminal_pattern(t: MatrixTuple) -> TerminalPattern:
     """Pattern of a tuple all of whose points have rank <= 1."""
-    validate(t)
     pats = [spectral_type(t, i).pattern() for i in range(t.num_points)]
     return make_terminal_pattern(pats)
 

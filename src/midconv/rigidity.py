@@ -27,7 +27,7 @@ from .exactla import (
     rational_spectrum,
     rref_nullspace,
 )
-from .model import MatrixTuple, SpectralType, strip_trivial, validate
+from .model import MatrixTuple, SpectralType, strip_trivial
 
 _ZERO = Fraction(0)
 
@@ -99,7 +99,6 @@ def commutant_dim(t: MatrixTuple, i: int) -> int:
 
     For i = 0 the relations include the derived residue.
     """
-    validate(t)
     coeffs = t.point_coeffs_with_residue(i)  # A_m, ..., A_0
     m = len(coeffs) - 1
     if m == 0:
@@ -124,14 +123,12 @@ class RigidityReport:
 
 def local_index(t: MatrixTuple, i: int) -> int:
     """dim C^(i) - (m_i + 1) n^2."""
-    validate(t)
     m_i = t.point(i).poincare_rank
     return commutant_dim(t, i) - (m_i + 1) * t.size * t.size
 
 
 def index(t: MatrixTuple) -> RigidityReport:
     """Global index of rigidity with its per-point breakdown."""
-    validate(t)
     n = t.size
     dims = tuple(commutant_dim(t, i) for i in range(t.num_points))
     locs = tuple(
@@ -190,7 +187,6 @@ def is_irreducible(t: MatrixTuple) -> bool:
     """Absolute irreducibility by the Burnside criterion: the unital
     algebra generated by all coefficients (including the derived residue)
     has dimension n^2."""
-    validate(t)
     n = t.size
     if n == 1:
         return True

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactla import Mat
-from .model import MatrixTuple, SingularPoint, validate
+from .model import MatrixTuple, SingularPoint
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
@@ -38,6 +38,8 @@ def parse_rational(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValidationError(f"zero denominator in rational literal: {s!r}")
+    except ValueError as e:  # more digits than int() converts
+        raise ValidationError(f"too many digits in rational literal {s[:20]}...") from e
 
 
 def format_rational(x: Fraction) -> str:
@@ -71,7 +73,6 @@ def _point_to_doc(p: SingularPoint) -> dict:
 
 
 def tuple_to_doc(t: MatrixTuple) -> dict:
-    validate(t)
     return {
         "n": t.size,
         "infinity": _point_to_doc(t.infinity),
@@ -83,7 +84,7 @@ def _point_from_doc(doc, n: int, at_infinity: bool, where: str) -> SingularPoint
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: expected an object")
     m = doc.get("m")
-    if not isinstance(m, int) or m < 0:
+    if type(m) is not int or m < 0:  # JSON true/false parse to bool, an int subclass
         raise ValidationError(f"{where}: 'm' must be a non-negative integer")
     coeffs_doc = doc.get("coeffs")
     if not isinstance(coeffs_doc, dict):
@@ -108,7 +109,7 @@ def doc_to_tuple(doc) -> MatrixTuple:
     if not isinstance(doc, dict):
         raise ValidationError("tuple file must contain a JSON object")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValidationError("'n' must be a positive integer")
     if "infinity" not in doc:
         raise ValidationError("missing 'infinity' entry")
@@ -120,9 +121,7 @@ def doc_to_tuple(doc) -> MatrixTuple:
         _point_from_doc(d, n, False, f"finite point {k}")
         for k, d in enumerate(fin_doc)
     )
-    t = MatrixTuple(n, inf, fin)
-    validate(t)
-    return t
+    return MatrixTuple(n, inf, fin)
 
 
 def dumps_tuple(t: MatrixTuple) -> str:
@@ -132,7 +131,7 @@ def dumps_tuple(t: MatrixTuple) -> str:
 def loads_tuple(text: str) -> MatrixTuple:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer with too many digits
         raise ValidationError(f"invalid JSON: {e}") from e
     return doc_to_tuple(doc)
 

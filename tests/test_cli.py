@@ -33,7 +33,8 @@ def test_parse_rational_canonical():
     assert format_rational(F(5, 1)) == "5"
 
 
-@pytest.mark.parametrize("bad", ["1/0", "1.5", "1e3", "--3", "3/-2", "", "a"])
+@pytest.mark.parametrize("bad", ["1/0", "1.5", "1e3", "--3", "3/-2", "", "a",
+                                 pytest.param("1" * 5000, id="5000-digits")])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValidationError):
         parse_rational(bad)
@@ -187,6 +188,48 @@ def test_cli_validation_error_exit_2(tmp_path, capsys):
                    '[{"t": "0", "m": 0, "coeffs": {"0": [["1/0", "0"], ["0", "1"]]}}]}')
     assert main(["idx", str(bad)]) == 2
     assert main(["idx", str(tmp_path / "missing.json")]) == 2
+
+
+def _bool_n():
+    return {"n": True, "infinity": {"m": 0, "coeffs": {}},
+            "finite": [{"t": "0", "m": 0, "coeffs": {"0": [["1"]]}}]}
+
+
+def _bool_m(where):
+    doc = json.loads(dumps_tuple(HYP))  # infinity m = 1, finite m = 0
+    point = doc["infinity"] if where == "infinity" else doc["finite"][0]
+    point["m"] = bool(point["m"])
+    return doc
+
+
+@pytest.mark.parametrize("doc", [_bool_n(), _bool_m("infinity"), _bool_m("finite")],
+                         ids=["n", "infinity-m", "finite-m"])
+def test_cli_rejects_json_booleans_as_integers(doc, tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["idx", str(path)]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
+def test_cli_overlong_numbers_exit_2(tmp_path, capsys):
+    doc = json.loads(dumps_tuple(HYP))
+    doc["finite"][0]["t"] = "1" * 5000
+    long_t = json.dumps(doc)
+    long_n = long_t.replace('"n": 2', '"n": 1' + "0" * 5000)
+    for text in (long_t, long_n):
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        assert main(["idx", str(path)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exit_4(hyp_file, monkeypatch, capsys):
+    import midconv.reduction
+
+    # a step that does not shrink the tuple breaks the reduction invariant
+    monkeypatch.setattr(midconv.reduction, "reduce_step", lambda t: (t, None))
+    assert main(["reduce", hyp_file]) == 4
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_cli_machine_output_byte_stable(hyp_file, capsys):

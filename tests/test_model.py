@@ -50,13 +50,13 @@ def test_validate_duplicate_locations():
 def test_validate_dimension_mismatch():
     bad = SingularPoint(F(0), 0, (Mat.zeros(2, 3),))
     with pytest.raises(ValidationError, match="shape"):
-        validate(MatrixTuple(2, infinity_point(1, [Mat.identity(2)]), (bad,)))
+        MatrixTuple(2, infinity_point(1, [Mat.identity(2)]), (bad,))
 
 
 def test_validate_wrong_coefficient_count():
     bad = SingularPoint(F(0), 1, (Mat.identity(2),))
     with pytest.raises(ValidationError, match="coefficients"):
-        validate(MatrixTuple(2, infinity_point(0, []), (bad,)))
+        MatrixTuple(2, infinity_point(0, []), (bad,))
 
 
 # ---------------------------------------------------------------------

@@ -118,6 +118,37 @@ def test_reduce_step_hypergeometric_one_step():
     assert step.mu != 0
 
 
+def test_reduce_step_builds_K_and_Lprime_once(monkeypatch):
+    import midconv.convolution
+    import midconv.reduction
+
+    k_calls, lprime_mus = [], []
+    orig_k = midconv.convolution.subspace_K
+    orig_lprime = midconv.convolution.subspace_Lprime
+
+    def counted_k(t):
+        k_calls.append(t)
+        return orig_k(t)
+
+    def counted_lprime(t, mu):
+        lprime_mus.append(mu)
+        return orig_lprime(t, mu)
+
+    for mod in (midconv.convolution, midconv.reduction):
+        monkeypatch.setattr(mod, "subspace_K", counted_k)
+        monkeypatch.setattr(mod, "subspace_Lprime", counted_lprime)
+    big = max(support.forward_idx2_instances(99, want=4), key=lambda t: t.size)
+    for t in (HYP, big):
+        k_calls.clear()
+        lprime_mus.clear()
+        nxt, step = reduce_step(t)
+        assert nxt is not None and nxt.size < t.size
+        assert len(k_calls) == 1
+        # one L'(mu) per candidate mu, the chosen one included
+        assert step.mu in lprime_mus
+        assert len(set(lprime_mus)) == len(lprime_mus)
+
+
 def test_reduce_step_bessel_assumption_violated():
     with pytest.raises(AssumptionViolated, match="semisimple"):
         reduce_step(bessel_example(1, 0, 1, 1))
