@@ -98,41 +98,39 @@ def _rat_list(s: str) -> list[Fraction]:
     return [tuplefile.parse_rational(x.strip()) for x in s.split(",")]
 
 
-def _matrix_doc(m) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.data]
-
-
-def _fmt_matrix(m, indent="  ") -> list[str]:
-    widths = [max(len(str(m.data[i][j])) for i in range(m.rows)) if m.rows else 0
-              for j in range(m.cols)]
+def _fmt_matrix(rows: list[list[str]], indent="  ") -> list[str]:
+    widths = [max(map(len, col)) for col in zip(*rows)]
     return [
-        indent + "[ " + "  ".join(str(x).rjust(w) for x, w in zip(row, widths)) + " ]"
-        for row in m.data
+        indent + "[ " + "  ".join(x.rjust(w) for x, w in zip(row, widths)) + " ]"
+        for row in rows
     ]
 
 
-def _tuple_lines(t) -> list[str]:
-    lines = [f"n = {t.size}, r = {t.num_finite}, M = {t.slot_count}"]
-    for i in range(t.num_points):
-        p = t.point(i)
-        where = "infinity" if p.is_infinity else f"t = {p.location}"
-        lines.append(f"point {i} ({where}), m = {p.poincare_rank}:")
-        for k, a in enumerate(p.coeffs):
-            lines.append(f"  A_{p.poincare_rank - k}:")
-            lines.extend(_fmt_matrix(a, "    "))
+def _tuple_lines(doc: dict) -> list[str]:
+    """Human rendering of a document made by tuplefile.tuple_to_doc."""
+    points = [doc["infinity"]] + doc["finite"]
+    slot_count = sum(len(p["coeffs"]) for p in points)
+    lines = [f"n = {doc['n']}, r = {len(doc['finite'])}, M = {slot_count}"]
+    for i, p in enumerate(points):
+        where = "infinity" if i == 0 else f"t = {p['t']}"
+        lines.append(f"point {i} ({where}), m = {p['m']}:")
+        for j in range(p["m"], 0 if i == 0 else -1, -1):
+            lines.append(f"  A_{j}:")
+            lines.extend(_fmt_matrix(p["coeffs"][str(j)], "    "))
     return lines
 
 
 def _spectral_doc(st) -> dict:
+    fmt = tuplefile.format_rational
     return {
         "pattern": st.pattern_str(),
         "blocks": [
             {
-                "eigenvalue": str(b.eigenvalue),
+                "eigenvalue": fmt(b.eigenvalue),
                 "size": b.size,
                 "inner": [
                     {
-                        "value": str(e.value),
+                        "value": fmt(e.value),
                         "multiplicity": e.multiplicity,
                         "jordan": list(e.jordan),
                     }
@@ -145,46 +143,52 @@ def _spectral_doc(st) -> dict:
 
 
 def _cmd_idx(args):
-    t = tuplefile.read_tuple(args.file)
-    rep = rigidity.index(t)
-    payload = {
+    rep = rigidity.index(tuplefile.read_tuple(args.file))
+    return {
         "command": "idx",
         "n": rep.n, "r": rep.r, "M": rep.M,
         "commutant_dims": list(rep.commutant_dims),
         "local_indices": list(rep.local_indices),
         "index": rep.index,
     }
-    lines = [f"n = {rep.n}, r = {rep.r}, M = {rep.M}"]
-    for i, (d, li) in enumerate(zip(rep.commutant_dims, rep.local_indices)):
+
+
+def _idx_lines(doc, args):
+    lines = [f"n = {doc['n']}, r = {doc['r']}, M = {doc['M']}"]
+    for i, (d, li) in enumerate(zip(doc["commutant_dims"], doc["local_indices"])):
         lines.append(f"point {i}: dim commutant = {d}, local index = {li}")
-    lines.append(f"index of rigidity = {rep.index}")
-    return payload, lines
+    lines.append(f"index of rigidity = {doc['index']}")
+    return lines
 
 
 def _cmd_conv(args):
     t = tuplefile.read_tuple(args.file)
     conv = convolution.convolution_matrices(t, _rat(args.mu))
-    payload = {
+    return {
         "command": "conv",
-        "mu": str(conv.mu),
+        "mu": tuplefile.format_rational(conv.mu),
         "size": conv.base.size,
         "slots": [list(s) for s in conv.block_index],
         "matrices": [
-            {"slot": [i, j], "rows": _matrix_doc(conv.base.coeff(i, j))}
+            {"slot": [i, j], "rows": tuplefile.format_matrix(conv.base.coeff(i, j))}
             for (i, j) in conv.block_index
         ],
     }
-    lines = [f"convolution matrices, mu = {conv.mu}, size = {conv.base.size}"]
-    for (i, j) in conv.block_index:
+
+
+def _conv_lines(doc, args):
+    lines = [f"convolution matrices, mu = {doc['mu']}, size = {doc['size']}"]
+    for m in doc["matrices"]:
+        i, j = m["slot"]
         lines.append(f"slot ({i},{j}):")
-        lines.extend(_fmt_matrix(conv.base.coeff(i, j)))
-    return payload, lines
+        lines.extend(_fmt_matrix(m["rows"]))
+    return lines
 
 
 def _cmd_mc(args):
     t = tuplefile.read_tuple(args.file)
     out = convolution.middle_convolution(t, _rat(args.mu))
-    payload = {
+    return {
         "command": "mc",
         "mu": args.mu,
         "size": out.result.size,
@@ -192,47 +196,44 @@ def _cmd_mc(args):
         "dim_L": out.dim_L,
         "result": tuplefile.tuple_to_doc(out.result),
     }
-    lines = [
-        f"middle convolution with mu = {args.mu}",
-        f"dim K per point = {list(out.dim_K)}, dim L = {out.dim_L}",
-        f"result size = {out.result.size}",
-    ]
-    lines.extend(_tuple_lines(out.result))
-    if args.output:
-        tuplefile.write_tuple(args.output, out.result)
-        lines.append(f"wrote {args.output}")
-    return payload, lines
+
+
+def _mc_lines(doc, args):
+    return [
+        f"middle convolution with mu = {doc['mu']}",
+        f"dim K per point = {doc['dim_K']}, dim L = {doc['dim_L']}",
+        f"result size = {doc['size']}",
+    ] + _tuple_lines(doc["result"])
 
 
 def _cmd_add(args):
     t = tuplefile.read_tuple(args.file)
     out = model.addition(t, _rat_list(args.shift))
-    payload = {"command": "add", "result": tuplefile.tuple_to_doc(out)}
-    lines = _tuple_lines(out)
-    if args.output:
-        tuplefile.write_tuple(args.output, out)
-        lines.append(f"wrote {args.output}")
-    return payload, lines
+    return {"command": "add", "result": tuplefile.tuple_to_doc(out)}
+
+
+def _add_lines(doc, args):
+    return _tuple_lines(doc["result"])
 
 
 def _cmd_irred(args):
-    t = tuplefile.read_tuple(args.file)
-    flag = rigidity.is_irreducible(t)
-    return (
-        {"command": "irred", "irreducible": flag},
-        [f"irreducible: {'yes' if flag else 'no'}"],
-    )
+    flag = rigidity.is_irreducible(tuplefile.read_tuple(args.file))
+    return {"command": "irred", "irreducible": flag}
+
+
+def _irred_lines(doc, args):
+    return [f"irreducible: {'yes' if doc['irreducible'] else 'no'}"]
 
 
 def _cmd_spectral(args):
     t = tuplefile.read_tuple(args.file)
-    docs = []
-    lines = []
-    for i in range(t.num_points):
-        st = model.spectral_type(t, i)
-        docs.append({"point": i, **_spectral_doc(st)})
-        lines.append(f"point {i}: {st.pattern_str()}")
-    return {"command": "spectral", "points": docs}, lines
+    docs = [{"point": i, **_spectral_doc(model.spectral_type(t, i))}
+            for i in range(t.num_points)]
+    return {"command": "spectral", "points": docs}
+
+
+def _spectral_lines(doc, args):
+    return [f"point {p['point']}: {p['pattern']}" for p in doc["points"]]
 
 
 def _cmd_similar(args):
@@ -240,19 +241,23 @@ def _cmd_similar(args):
     b = tuplefile.read_tuple(args.file_b)
     s = rigidity.are_similar(a, b)
     if s is None:
-        return {"command": "similar", "similar": False}, ["not similar"]
-    payload = {"command": "similar", "similar": True, "intertwiner": _matrix_doc(s)}
-    return payload, ["similar; intertwiner S with S A = B S:"] + _fmt_matrix(s)
+        return {"command": "similar", "similar": False}
+    return {"command": "similar", "similar": True,
+            "intertwiner": tuplefile.format_matrix(s)}
+
+
+def _similar_lines(doc, args):
+    if not doc["similar"]:
+        return ["not similar"]
+    return ["similar; intertwiner S with S A = B S:"] + _fmt_matrix(doc["intertwiner"])
 
 
 def _cmd_reduce(args):
     t = tuplefile.read_tuple(args.file)
     trace = reduction.reduce(t)
-    sizes = [t.size] + [s.size_after for s in trace.steps]
     verdict = trace.verdict
     if isinstance(verdict, reduction.ReducedToRankOne):
         vdoc = {"kind": "rank_one"}
-        vline = "reduced to rank one"
     elif isinstance(verdict, reduction.Terminal):
         vdoc = {
             "kind": "terminal",
@@ -260,57 +265,71 @@ def _cmd_reduce(args):
             "pattern": verdict.pattern.pattern_str(),
             "d": verdict.pattern.d,
         }
-        vline = f"terminal: {verdict.pattern.pattern_str()} -> {verdict.label}"
     else:
         vdoc = {"kind": "assumption_violated", "reason": verdict.reason}
-        vline = f"assumption violated: {verdict.reason}"
     payload = {
         "command": "reduce",
-        "sizes": sizes,
+        "sizes": [t.size] + [s.size_after for s in trace.steps],
         "verdict": vdoc,
         "terminal": tuplefile.tuple_to_doc(trace.terminal),
     }
-    lines = [f"sizes: {' -> '.join(str(s) for s in sizes)}", vline]
     if args.trace:
+        fmt = tuplefile.format_rational
         payload["steps"] = [
             {
-                "mu": str(s.mu),
-                "shift": [str(x) for x in s.shift],
+                "mu": fmt(s.mu),
+                "shift": [fmt(x) for x in s.shift],
                 "size_before": s.size_before,
                 "size_after": s.size_after,
                 "removed_points": list(s.removed_points),
             }
             for s in trace.steps
         ]
-        for k, s in enumerate(trace.steps):
-            lines.append(
-                f"step {k}: shift = ({', '.join(str(x) for x in s.shift)}), "
-                f"mu = {s.mu}, size {s.size_before} -> {s.size_after}"
-                + (f", removed points {list(s.removed_points)}"
-                   if s.removed_points else "")
-            )
-    return payload, lines
+    return payload
+
+
+def _reduce_lines(doc, args):
+    v = doc["verdict"]
+    if v["kind"] == "rank_one":
+        vline = "reduced to rank one"
+    elif v["kind"] == "terminal":
+        vline = f"terminal: {v['pattern']} -> {v['label']}"
+    else:
+        vline = f"assumption violated: {v['reason']}"
+    lines = [f"sizes: {' -> '.join(str(s) for s in doc['sizes'])}", vline]
+    for k, s in enumerate(doc.get("steps", [])):
+        lines.append(
+            f"step {k}: shift = ({', '.join(s['shift'])}), "
+            f"mu = {s['mu']}, size {s['size_before']} -> {s['size_after']}"
+            + (f", removed points {s['removed_points']}"
+               if s["removed_points"] else "")
+        )
+    return lines
 
 
 def _cmd_enumerate(args):
-    pats = reduction.enumerate_terminals(args.r, args.nmax)
     docs = []
-    lines = [f"{len(pats)} terminal pattern(s) for r = {args.r}, n <= {args.nmax}"]
-    for tp in pats:
-        name = reduction.classify_terminal(tp)
-        n = tp.d * sum(nl for nl, _ in tp.points[0])
+    for tp in reduction.enumerate_terminals(args.r, args.nmax):
         docs.append(
             {
                 "points": tp.pattern_str(),
                 "d": tp.d,
-                "n": n,
-                "catalog": name,
+                "n": tp.d * sum(nl for nl, _ in tp.points[0]),
+                "catalog": reduction.classify_terminal(tp),
                 "realizability": tp.realizability,
             }
         )
-        lines.append(f"n = {n:2d}, d = {tp.d}: {tp.pattern_str()}"
+    return {"command": "enumerate", "patterns": docs}
+
+
+def _enumerate_lines(doc, args):
+    pats = doc["patterns"]
+    lines = [f"{len(pats)} terminal pattern(s) for r = {args.r}, n <= {args.nmax}"]
+    for p in pats:
+        name = p["catalog"]
+        lines.append(f"n = {p['n']:2d}, d = {p['d']}: {p['points']}"
                      + (f"  [{name}]" if name else "  [uncataloged]"))
-    return {"command": "enumerate", "patterns": docs}, lines
+    return lines
 
 
 _FIXTURE_DEFAULTS = {
@@ -335,34 +354,40 @@ def _cmd_fixtures(args):
         t = model.bessel_example(*vals)
     else:
         t = model.inverse_laplace_example(*vals)
-    payload = {"command": "fixtures", "name": args.name,
-               "tuple": tuplefile.tuple_to_doc(t)}
-    lines = _tuple_lines(t)
-    if args.output:
-        tuplefile.write_tuple(args.output, t)
-        lines.append(f"wrote {args.output}")
-    return payload, lines
+    return {"command": "fixtures", "name": args.name,
+            "tuple": tuplefile.tuple_to_doc(t)}
 
 
+def _fixtures_lines(doc, args):
+    return _tuple_lines(doc["tuple"])
+
+
+# command -> (payload builder, human lines from the payload)
 _DISPATCH = {
-    "idx": _cmd_idx,
-    "conv": _cmd_conv,
-    "mc": _cmd_mc,
-    "add": _cmd_add,
-    "irred": _cmd_irred,
-    "spectral": _cmd_spectral,
-    "similar": _cmd_similar,
-    "reduce": _cmd_reduce,
-    "enumerate": _cmd_enumerate,
-    "fixtures": _cmd_fixtures,
+    "idx": (_cmd_idx, _idx_lines),
+    "conv": (_cmd_conv, _conv_lines),
+    "mc": (_cmd_mc, _mc_lines),
+    "add": (_cmd_add, _add_lines),
+    "irred": (_cmd_irred, _irred_lines),
+    "spectral": (_cmd_spectral, _spectral_lines),
+    "similar": (_cmd_similar, _similar_lines),
+    "reduce": (_cmd_reduce, _reduce_lines),
+    "enumerate": (_cmd_enumerate, _enumerate_lines),
+    "fixtures": (_cmd_fixtures, _fixtures_lines),
 }
+# the payload key of the tuple document that -o writes
+_WRITTEN = {"mc": "result", "add": "result", "fixtures": "tuple"}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, lines = _DISPATCH[args.command](args)
+        build, render = _DISPATCH[args.command]
+        payload = build(args)
+        output = getattr(args, "output", None)
+        if output:
+            tuplefile.write_tuple(output, payload[_WRITTEN[args.command]])
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
@@ -377,9 +402,12 @@ def main(argv=None) -> int:
         return 4
     if args.format == "machine":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in lines:
-            print(line)
+        return 0
+    lines = render(payload, args)
+    if output:
+        lines.append(f"wrote {output}")
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -3,8 +3,17 @@
 The convolution of an n-dimensional tuple lives on V' = V^{oplus M} with
 M the slot count.  Middle convolution with parameter mu is the induced
 action on the quotient V'/(K + L(mu)); the quotient is realized on the
-coordinate complement of the non-pivot rows of the canonical echelon basis
-of K + L(mu), which makes the output fully deterministic.
+coordinate complement `comp` of the pivot rows of the canonical echelon
+basis of K + L(mu), which makes the output fully deterministic.
+
+Each basis vector b_p of that echelon basis is 1 at its pivot row p and 0
+at every other pivot row, so each convolution matrix G induces
+
+    Q = G[comp, comp] - sum over pivots p of b_p[comp] (x) G[p, comp]
+
+on the quotient: only the pivot rows of G and the entries of b_p on the
+complement enter.  dim(K + L(mu)) is usually small against nM, so this
+costs far less than reducing every column of G against the basis.
 """
 
 from __future__ import annotations
@@ -69,26 +78,15 @@ def convolution_matrices(t: MatrixTuple, mu) -> ConvolvedTuple:
     m_total = len(slots)
     pos = {s: k for k, s in enumerate(slots)}
     nm = n * m_total
+    dense_rows = Mat.block([[t.coeff(i, j) for (i, j) in slots]]).data
 
     def build(i: int, j: int) -> Mat:
         rows = [[_ZERO] * nm for _ in range(nm)]
-
-        def write(block_row: int, block_col: int, mat: Mat, add: bool = False):
-            r0, c0 = block_row * n, block_col * n
-            for a in range(n):
-                row = rows[r0 + a]
-                for b in range(n):
-                    v = mat.data[a][b]
-                    if add:
-                        row[c0 + b] += v
-                    else:
-                        row[c0 + b] = v
-
-        dense = pos[(i, j)]
-        for (ii, jj) in slots:
-            write(dense, pos[(ii, jj)], t.coeff(ii, jj))
+        r0 = pos[(i, j)] * n
+        for a in range(n):
+            rows[r0 + a] = list(dense_rows[a])
         if i != 0:
-            r0, c0 = dense * n, pos[(i, 0)] * n
+            c0 = pos[(i, 0)] * n
             for a in range(n):
                 rows[r0 + a][c0 + a] += mu
         m_i = t.point(i).poincare_rank
@@ -96,7 +94,7 @@ def convolution_matrices(t: MatrixTuple, mu) -> ConvolvedTuple:
             r0, c0 = pos[(i, jp)] * n, pos[(i, jp - j)] * n
             for a in range(n):
                 rows[r0 + a][c0 + a] = mu
-        return Mat(rows)
+        return Mat._trusted(tuple(map(tuple, rows)), nm)
 
     inf = SingularPoint(
         None, t.infinity.poincare_rank,
@@ -235,20 +233,25 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
         ]
     pivot_set = {p for p, _ in reducer}
     comp = [c for c in range(nm) if c not in pivot_set]
-
-    def reduce_vec(v: list[Fraction]) -> list[Fraction]:
-        for p, b in reducer:
-            c = v[p]
-            if c:
-                v = [a - c * x for a, x in zip(v, b)]
-        return v
+    # the nonzero entries of each b_p on the complement, by result row
+    b_support = [
+        (p, [(i, b[c]) for i, c in enumerate(comp) if b[c]]) for p, b in reducer
+    ]
 
     def quotient_matrix(big: Mat) -> Mat:
-        cols = []
-        for c in comp:
-            img = reduce_vec(list(big.col(c)))
-            cols.append([img[x] for x in comp])
-        return Mat([[cols[j][i] for j in range(new_size)] for i in range(new_size)])
+        """G[comp, comp] - sum over pivots p of b_p[comp] (x) G[p, comp]."""
+        data = big.data
+        rows = [[data[r][c] for c in comp] for r in comp]
+        for p, b_comp in b_support:
+            if not b_comp:
+                continue
+            g = data[p]
+            g_comp = [(j, x) for j, c in enumerate(comp) if (x := g[c])]
+            for i, coef in b_comp:
+                row = rows[i]
+                for j, x in g_comp:
+                    row[j] -= coef * x
+        return Mat._trusted(tuple(map(tuple, rows)), new_size)
 
     def quotient_point(p: SingularPoint) -> SingularPoint:
         return SingularPoint(
@@ -268,10 +271,13 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
         row[c] = _ONE
         for p, b in reducer:
             row[p] -= b[c]
-        proj_rows.append(row)
-    projection = Mat(proj_rows)
-    section = Mat([[_ONE if (comp[j] == i) else _ZERO for j in range(new_size)]
-                   for i in range(nm)])
+        proj_rows.append(tuple(row))
+    projection = Mat._trusted(tuple(proj_rows), nm)
+    section = Mat._trusted(
+        tuple(tuple(_ONE if comp[j] == i else _ZERO for j in range(new_size))
+              for i in range(nm)),
+        new_size,
+    )
 
     return MCOutcome(
         result=result,

@@ -60,11 +60,17 @@ class Mat:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "Mat":
+    def _trusted(data: tuple[tuple[Fraction, ...], ...], cols: int) -> "Mat":
+        """Wrap rows that are already equal-length tuples of Fractions,
+        skipping the per-entry coercion and shape checks of __init__."""
         m = object.__new__(Mat)
-        m.data = tuple((_ZERO,) * cols for _ in range(rows))
-        m.rows, m.cols = rows, cols
+        m.data = data
+        m.rows, m.cols = len(data), cols
         return m
+
+    @staticmethod
+    def zeros(rows: int, cols: int) -> "Mat":
+        return Mat._trusted(tuple((_ZERO,) * cols for _ in range(rows)), cols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -103,11 +109,7 @@ class Mat:
                 for b in block_row:
                     row.extend(b.data[i])
                 out_rows.append(tuple(row))
-        m = object.__new__(Mat)
-        m.data = tuple(out_rows)
-        m.rows = len(out_rows)
-        m.cols = len(out_rows[0]) if out_rows else 0
-        return m
+        return Mat._trusted(tuple(out_rows), len(out_rows[0]) if out_rows else 0)
 
     # -- access -------------------------------------------------------
 

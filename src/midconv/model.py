@@ -398,18 +398,23 @@ def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
         a1, a0 = pair[0], pair[1]
     else:
         a1, a0 = Mat.zeros(n, n), pair[0]
-    if not is_semisimple(a1):
-        raise PreconditionError(f"point {i}: leading coefficient is not semisimple")
+    not_semisimple = f"point {i}: leading coefficient is not semisimple"
     spec, full = rational_spectrum(a1)
     if not full:
+        if not is_semisimple(a1):
+            raise PreconditionError(not_semisimple)
         raise PreconditionError(
             f"point {i}: leading coefficient spectrum is not fully rational"
         )
+    # with every eigenvalue rational, a1 is semisimple iff each eigenspace
+    # has dimension equal to the eigenvalue's multiplicity
     spec = sorted(spec, key=lambda v: v[0])
     spaces = []
     for d, mult in spec:
         _, ker = rref_nullspace(a1 - Mat.diagonal([d] * n))
-        if ker.dim != mult:
+        if ker.dim < mult:
+            raise PreconditionError(not_semisimple)
+        if ker.dim > mult:
             raise InternalError(f"point {i}: dim of eigenspace at {d} is not {mult}")
         spaces.append(ker)
     blocks = [

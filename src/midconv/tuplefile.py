@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -42,12 +43,26 @@ def parse_rational(s: str) -> Fraction:
         raise ValidationError(f"too many digits in rational literal {s[:20]}...") from e
 
 
+def _too_long() -> ValidationError:
+    limit = sys.get_int_max_str_digits()
+    return ValidationError(f"result entry too long to write: over {limit} digits")
+
+
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """The canonical literal of x.  More digits than int() converts to a
+    string (4300 by default) is a ValidationError, as when reading."""
+    try:
+        return str(x)
+    except ValueError as e:
+        raise _too_long() from e
 
 
-def _matrix_to_rows(m: Mat) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.data]
+def format_matrix(m: Mat) -> list[list[str]]:
+    """The rows of m as canonical literals (see format_rational)."""
+    try:
+        return [list(map(str, row)) for row in m.data]
+    except ValueError as e:
+        raise _too_long() from e
 
 
 def _rows_to_matrix(rows, n: int, where: str) -> Mat:
@@ -63,7 +78,7 @@ def _rows_to_matrix(rows, n: int, where: str) -> Mat:
 
 def _point_to_doc(p: SingularPoint) -> dict:
     coeffs = {
-        str(p.poincare_rank - k): _matrix_to_rows(a)
+        str(p.poincare_rank - k): format_matrix(a)
         for k, a in enumerate(p.coeffs)
     }
     doc = {"m": p.poincare_rank, "coeffs": coeffs}
@@ -89,7 +104,14 @@ def _point_from_doc(doc, n: int, at_infinity: bool, where: str) -> SingularPoint
     coeffs_doc = doc.get("coeffs")
     if not isinstance(coeffs_doc, dict):
         raise ValidationError(f"{where}: 'coeffs' must be an object")
-    js = list(range(m, 0, -1)) if at_infinity else list(range(m, -1, -1))
+    # compared before anything is sized by m, which may be huge
+    lowest = 1 if at_infinity else 0
+    if len(coeffs_doc) != m + 1 - lowest:
+        raise ValidationError(
+            f"{where}: {len(coeffs_doc)} coefficient keys, but 'm' needs "
+            + ("m" if at_infinity else "m + 1")
+        )
+    js = list(range(m, lowest - 1, -1))
     if sorted(coeffs_doc.keys()) != sorted(str(j) for j in js):
         raise ValidationError(
             f"{where}: coefficient keys must be exactly {[str(j) for j in js]}"
@@ -124,8 +146,10 @@ def doc_to_tuple(doc) -> MatrixTuple:
     return MatrixTuple(n, inf, fin)
 
 
-def dumps_tuple(t: MatrixTuple) -> str:
-    return json.dumps(tuple_to_doc(t), indent=2, sort_keys=True) + "\n"
+def dumps_tuple(t: MatrixTuple | dict) -> str:
+    """The file text of a tuple, or of the document tuple_to_doc made of it."""
+    doc = t if isinstance(t, dict) else tuple_to_doc(t)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def loads_tuple(text: str) -> MatrixTuple:
@@ -136,7 +160,8 @@ def loads_tuple(text: str) -> MatrixTuple:
     return doc_to_tuple(doc)
 
 
-def write_tuple(path, t: MatrixTuple) -> None:
+def write_tuple(path, t: MatrixTuple | dict) -> None:
+    """Write a tuple, or the document tuple_to_doc made of it, to path."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_tuple(t))
 

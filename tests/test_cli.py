@@ -223,6 +223,34 @@ def test_cli_overlong_numbers_exit_2(tmp_path, capsys):
         assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["infinity", "finite"])
+def test_cli_huge_poincare_rank_exit_2(where, tmp_path, capsys):
+    # the key count is checked before anything is sized by m
+    doc = json.loads(dumps_tuple(HYP))
+    point = doc["infinity"] if where == "infinity" else doc["finite"][0]
+    point["m"] = 10**9
+    path = tmp_path / "huge_m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["idx", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "coefficient keys" in err and len(err) < 200
+
+
+def test_cli_overlong_result_entry_exit_2(tmp_path, capsys):
+    nines = "9" * 4300
+    path = tmp_path / "nines.json"
+    path.write_text(json.dumps({"n": 1, "infinity": {"m": 0, "coeffs": {}},
+                                "finite": [{"t": "0", "m": 0, "coeffs": {"0": [[nines]]}}]}))
+    out_path = tmp_path / "out.json"
+    for fmt in ("human", "machine"):
+        assert main(["--format", fmt, "add", str(path), "--shift", nines,
+                     "-o", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error" in captured.err and "digits" in captured.err
+    assert not out_path.exists()
+
+
 def test_cli_internal_error_exit_4(hyp_file, monkeypatch, capsys):
     import midconv.reduction
 
@@ -275,3 +303,91 @@ def test_cli_similar_not_similar(tmp_path, capsys):
 
 def test_cli_fixtures_wrong_param_count(capsys):
     assert main(["fixtures", "bessel", "--params", "1,2"]) == 2
+
+
+_HUMAN_GOLDEN = {
+    "mc": """\
+middle convolution with mu = 1/3
+dim K per point = [0, 1], dim L = 2
+result size = 1
+n = 1, r = 1, M = 2
+point 0 (infinity), m = 1:
+  A_1:
+    [ -1 ]
+point 1 (t = 0), m = 0:
+  A_0:
+    [ -1/6 ]
+wrote <tmp>/out.json
+""",
+    "conv": """\
+convolution matrices, mu = 1/3, size = 4
+slot (0,1):
+  [ 0   0  -1/3     1 ]
+  [ 0  -1  1/18  -1/6 ]
+  [ 0   0     0     0 ]
+  [ 0   0     0     0 ]
+slot (1,0):
+  [ 0   0     0    0 ]
+  [ 0   0     0    0 ]
+  [ 0   0     0    1 ]
+  [ 0  -1  1/18  1/6 ]
+""",
+    "add": """\
+n = 2, r = 1, M = 2
+point 0 (infinity), m = 1:
+  A_1:
+    [ 1  0 ]
+    [ 0  0 ]
+point 1 (t = 0), m = 0:
+  A_0:
+    [ -5/6     1 ]
+    [ 1/18  -2/3 ]
+wrote <tmp>/out.json
+""",
+    "fixtures": """\
+n = 2, r = 1, M = 2
+point 0 (infinity), m = 1:
+  A_1:
+    [ 0   0 ]
+    [ 0  -1 ]
+point 1 (t = 0), m = 0:
+  A_0:
+    [ -1/3     1 ]
+    [ 1/18  -1/6 ]
+wrote <tmp>/out.json
+""",
+    "similar": """\
+similar; intertwiner S with S A = B S:
+  [ 1  -1 ]
+  [ 0   1 ]
+""",
+    "reduce": """\
+sizes: 2 -> 1
+reduced to rank one
+step 0: shift = (1, 0, 1/2), mu = -1/3, size 2 -> 1
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HUMAN_GOLDEN))
+def test_cli_human_output_golden(command, hyp_file, tmp_path, capsys):
+    from midconv.model import conjugated
+
+    out_path = str(tmp_path / "out.json")
+    conj = str(tmp_path / "conj.json")
+    write_tuple(conj, conjugated(HYP, Mat([[1, 1], [0, 1]])))
+    argv = {
+        "mc": ["mc", hyp_file, "--mu", "1/3", "-o", out_path],
+        "conv": ["conv", hyp_file, "--mu", "1/3"],
+        "add": ["add", hyp_file, "--shift", "1,-1/2", "-o", out_path],
+        "fixtures": ["fixtures", "hypergeometric", "-o", out_path],
+        "similar": ["similar", hyp_file, conj],
+        "reduce": ["reduce", hyp_file, "--trace"],
+    }[command]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    assert out == _HUMAN_GOLDEN[command]
+    if "-o" in argv:
+        with open(out_path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == dumps_tuple(loads_tuple(text))

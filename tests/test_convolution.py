@@ -290,14 +290,35 @@ def test_invariance_vacuous_when_trivial():
     assert rep.all_pass
 
 
+_CONTRACT_TUPLES = {
+    "hypergeometric": HYP,
+    "random-n3": support.rand_tuple(support.rng(81), 3, 2, [1, 0, 1]),
+    "rank2-infinity": support.rand_tuple(support.rng(82), 2, 2, [2, 1, 0]),
+    # like the benchmark's convolve inputs: rank 1 at all three points
+    "rank1-n8": support.rand_semisimple_tuple(support.rng(83), 8, 2, [1, 1, 1]),
+}
+
+
 def test_mc_outcome_projection_contract():
-    # result coefficients literally equal projection * conv_matrix * section
-    mu = F(1, 3)
-    out = middle_convolution(HYP, mu)
-    conv = convolution_matrices(HYP, mu)
-    for (i, j) in HYP.slots():
-        assert out.result.coeff(i, j) == out.projection * conv.base.coeff(i, j) * out.section
-    assert out.projection * out.section == Mat.identity(out.result.size)
+    # projection kills K + L(mu), projection * section is the identity, and
+    # every result coefficient equals projection * conv_matrix * section;
+    # both pivot sides, mu = 0 (where L(0) may differ from L'(0)) and mu != 0
+    for name, t in _CONTRACT_TUPLES.items():
+        for mu in (F(0), F(1, 3)):
+            conv = convolution_matrices(t, mu)
+            _, big_k = subspace_K(t)
+            w = big_k.sum(subspace_L(t, mu))
+            for side in ("left", "right"):
+                out = middle_convolution(t, mu, pivot_side=side)
+                for col in w.basis_columns():
+                    assert not any(out.projection.apply(col)), (name, mu, side)
+                assert out.projection * out.section == Mat.identity(out.result.size)
+                for (i, j) in t.slots():
+                    assert (out.result.coeff(i, j)
+                            == out.projection * conv.base.coeff(i, j) * out.section), \
+                        (name, mu, side, (i, j))
+    assert any(subspace_L(t, 0) != subspace_Lprime(t, 0)
+               for t in _CONTRACT_TUPLES.values())
 
 
 def test_mc_rejects_bad_pivot_side():

@@ -219,6 +219,45 @@ def test_spectral_type_rejects_nonsemisimple():
         spectral_type(b, 0)
 
 
+_JORDAN = [[1, 1], [0, 1]]          # rational spectrum, not semisimple
+_SQRT2 = [[0, 2], [1, 0]]           # semisimple, eigenvalues +-sqrt(2)
+_SQRT2_JORDAN = [[0, 0, 0, -4], [1, 0, 0, 0], [0, 1, 0, 4], [0, 0, 1, 0]]  # (x^2 - 2)^2
+
+
+def _block_diag(a, b):
+    n, m = len(a), len(b)
+    return [row + [0] * m for row in a] + [[0] * n + row for row in b]
+
+
+@pytest.mark.parametrize("lead, message", [
+    (_JORDAN, "point 0: leading coefficient is not semisimple"),
+    (_SQRT2_JORDAN, "point 0: leading coefficient is not semisimple"),
+    (_block_diag(_JORDAN, _SQRT2), "point 0: leading coefficient is not semisimple"),
+    (_SQRT2, "point 0: leading coefficient spectrum is not fully rational"),
+], ids=["jordan", "irrational-jordan", "jordan-plus-irrational", "irrational"])
+def test_spectral_type_leading_coefficient_messages(lead, message):
+    n = len(lead)
+    t = make_tuple(
+        n, infinity_point(1, [Mat(lead)]),
+        [finite_point(0, 0, [Mat.diagonal(range(n))])],
+    )
+    with pytest.raises(PreconditionError) as info:
+        spectral_type(t, 0)
+    assert str(info.value) == message
+
+
+def test_spectral_type_one_charpoly_of_the_leading_coefficient(monkeypatch):
+    import midconv.exactla
+
+    calls = []
+    real = midconv.exactla.charpoly
+    monkeypatch.setattr(midconv.exactla, "charpoly",
+                        lambda m: calls.append(m.rows) or real(m))
+    st0 = spectral_type(HYP, 0)
+    # one for the leading coefficient, one per diagonal block of the residue
+    assert len(calls) == 1 + len(st0.blocks)
+
+
 def test_spectral_type_rejects_rank_two():
     t = make_tuple(
         1, infinity_point(2, [Mat([[1]]), Mat([[2]])]),
