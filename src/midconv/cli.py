@@ -14,10 +14,10 @@ Subcommands operate on tuple files (see tuplefile for the format):
     fixtures NAME [--params CSV] [-o OUT]
 
 Exit codes: 0 success, 1 usage error, 2 validation error (malformed
-files/values), 3 violated mathematical precondition, 4 internal error (a
-failed consistency check: a bug in midconv).  `--format machine`
-prints one JSON object with sorted keys; its bytes are stable across runs
-on identical input.
+files/values, a file that cannot be read or written), 3 violated
+mathematical precondition, 4 internal error (a failed consistency check:
+a bug in midconv).  `--format machine` prints one JSON object with sorted
+keys; its bytes are stable across runs on identical input.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ reduced echelon forms (`inverse`, `rref_nullspace`,
 both with one primitive integer row step.  `Fraction`s are built only
 for the returned results.
 
+Jordan data and primary components share one kernel chain: the kernels of
+(A - lam)^k for k = 1, 2, ... until they stop growing (`_kernel_chain`).
+
 Subspaces are stored in column-reduced echelon form with leftmost pivots.
 This representative is unique, so two subspaces are equal iff their basis
 matrices are identical, and all downstream tie-breaking (quotient
@@ -168,14 +171,6 @@ class Mat:
     def scaled(self, s: Fraction) -> "Mat":
         return Mat([[s * x for x in row] for row in self.data])
 
-    def __pow__(self, k: int) -> "Mat":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        acc = Mat.identity(self.rows)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
     def transpose(self) -> "Mat":
         return Mat(list(zip(*self.data))) if self.data else Mat.zeros(self.cols, 0)
 
@@ -221,10 +216,6 @@ class Mat:
 
 def hstack(blocks: Sequence[Mat]) -> Mat:
     return Mat.block([list(blocks)])
-
-
-def vstack(blocks: Sequence[Mat]) -> Mat:
-    return Mat.block([[b] for b in blocks])
 
 
 def kron(a: Mat, b: Mat) -> Mat:
@@ -715,25 +706,29 @@ def is_semisimple(m: Mat) -> bool:
     return charpoly(m).squarefree_part().of_matrix(m).is_zero()
 
 
+def _kernel_chain(m: Mat, lam: Fraction, stop: int) -> tuple[list[int], Subspace]:
+    """Nullities of (m-lam)^k for k = 1, 2, ..., ending when they stop
+    growing or reach `stop`, and the kernel of the last power (for
+    stop = the multiplicity of lam: its generalized eigenspace)."""
+    shifted = m - Mat.diagonal([lam] * m.rows)
+    power = shifted
+    nullities = [0]
+    while True:
+        r, ker = rref_nullspace(power)
+        nullities.append(m.cols - r)
+        if nullities[-1] in (stop, nullities[-2]):
+            return nullities[1:], ker
+        power = power * shifted
+
+
 def jordan_partition(m: Mat, lam) -> tuple[int, ...]:
     """Jordan block sizes of eigenvalue lam, descending; empty if lam is
     not an eigenvalue.  Computed from the nullity sequence of (m-lam)^k."""
     if not m.is_square():
         raise ValueError("jordan partition of a non-square matrix")
-    lam = as_scalar(lam)
-    n = m.rows
-    shifted = m - Mat.diagonal([lam] * n)
-    nullities = [0]
-    power = Mat.identity(n)
-    for _ in range(n):
-        power = power * shifted
-        nullities.append(n - rank(power))
-        if nullities[-1] == nullities[-2]:
-            break
+    nullities, _ = _kernel_chain(m, as_scalar(lam), m.rows)
     # blocks of size >= k: nullities[k] - nullities[k-1]
-    geq = [nullities[k] - nullities[k - 1] for k in range(1, len(nullities))]
-    geq = [g for g in geq if g > 0]
-    return conjugate_partition(tuple(geq))
+    return conjugate_partition([b - a for a, b in zip([0] + nullities, nullities)])
 
 
 def conjugate_partition(p: Sequence[int]) -> tuple[int, ...]:
@@ -750,25 +745,21 @@ def conjugate_partition(p: Sequence[int]) -> tuple[int, ...]:
 def primary_components(m: Mat) -> list[tuple[Fraction | None, Subspace]]:
     """Split Q^n into the generalized eigenspaces of the rational
     eigenvalues, plus one residual invariant component spanning the
-    non-rational part of the spectrum (None tag) if there is one."""
+    non-rational part of the spectrum (None tag) if there is one: the
+    common null space of the rational generalized eigenvectors of m^T,
+    as the left generalized eigenspace of lam annihilates all but lam's."""
     if not m.is_square():
         raise ValueError("primary components of a non-square matrix")
     n = m.rows
     spec, full = rational_spectrum(m)
-    comps: list[tuple[Fraction | None, Subspace]] = []
-    for lam, mult in spec:
-        shifted = m - Mat.diagonal([lam] * n)
-        _, ker = rref_nullspace(shifted ** mult)
-        comps.append((lam, ker))
+    comps: list[tuple[Fraction | None, Subspace]] = [
+        (lam, _kernel_chain(m, lam, mult)[1]) for lam, mult in spec
+    ]
     if not full:
-        residual = charpoly(m)
-        for lam, mult in spec:
-            for _ in range(mult):
-                residual, r = residual.divmod(Poly([-lam, _ONE]))
-                if not r.is_zero():
-                    raise InternalError(f"x - {lam} does not divide the charpoly")
-        _, ker = rref_nullspace(residual.of_matrix(m))
-        comps.append((None, ker))
+        mt = m.transpose()
+        left = tuple(tuple(v) for lam, mult in spec
+                     for v in _kernel_chain(mt, lam, mult)[1].basis_columns())
+        comps.append((None, rref_nullspace(Mat._trusted(left, n))[1]))
     if sum(c[1].dim for c in comps) != n:
         raise InternalError("primary components do not span the whole space")
     return comps

@@ -3,9 +3,16 @@
 The index of a tuple is  sum_i dim C^(i) - (M-1) n^2  where C^(i) is the
 space of block-Toeplitz matrices commuting with the point's block-Toeplitz
 coefficient matrix (the derived residue enters at infinity).  Commutant
-dimensions are always obtained from exact nullspaces; the closed formula
-in terms of multiplicity patterns is only used as a cross-check because it
-carries semisimplicity hypotheses that the nullspace does not.
+dimensions are exact nullspaces; the closed formula in terms of
+multiplicity patterns is only a cross-check, as it assumes semisimplicity.
+
+One recursion on [A_m, ..., A_0] computes them.  A scalar A_m drops out:
+n^2 plus the dimension for [A_{m-1}, ..., A_0].  For m <= 1 a leading
+coefficient with several primary components makes it a sum over the
+diagonal blocks, whose leading coefficients are primary already.  Else it
+is the nullity of the coupled relations.  m >= 2 is not split: the
+off-diagonal blocks of C_{m-1} need not vanish, and A_{m-1} multiplies
+them into the diagonal blocks of the relation for k = 2.
 """
 
 from __future__ import annotations
@@ -29,31 +36,12 @@ from .exactla import (
 )
 from .model import MatrixTuple, SpectralType, strip_trivial
 
-_ZERO = Fraction(0)
-
 
 def _ad(a: Mat) -> Mat:
     """Matrix of X -> aX - Xa on row-major vectorized X."""
     n = a.rows
     i_n = Mat.identity(n)
     return kron(a, i_n) - kron(i_n, a.transpose())
-
-
-def _nullity(m: Mat) -> int:
-    return m.cols - rank(m)
-
-
-def centralizer_dim(a: Mat) -> int:
-    """dim{X : Xa = aX}, via primary decomposition plus exact nullspaces."""
-    n = a.rows
-    comps = primary_components(a)
-    if len(comps) == 1:
-        if a.scalar_multiple_of_identity() is not None:
-            return n * n
-        return _nullity(_ad(a))
-    return sum(
-        centralizer_dim(b) for (b,) in diagonal_blocks([s for _, s in comps], a)
-    )
 
 
 def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
@@ -71,25 +59,29 @@ def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
             jj = k - s_idx  # pairs C_{m-k+j} with A_{m-j} at j = k - s_idx
             row.append(ads[jj] if jj >= 0 else z)
         grid.append(row)
-    return _nullity(Mat.block(grid))
+    relations = Mat.block(grid)
+    return relations.cols - rank(relations)
 
 
-def _pair_commutant_dim(a1: Mat, a0: Mat) -> int:
-    """Commutant dimension of a rank-one point, split along the primary
-    components of the leading coefficient: blocks with disjoint spectra
-    determine the off-diagonal parts uniquely, so only the diagonal blocks
-    contribute equations or parameters."""
-    n = a1.rows
-    c = a1.scalar_multiple_of_identity()
-    if c is not None:
-        return n * n + centralizer_dim(a0)
-    comps = primary_components(a1)
-    if len(comps) == 1:
-        return _toeplitz_commutant_dim([a1, a0])
-    return sum(
-        _pair_commutant_dim(b1, b0)
-        for b1, b0 in diagonal_blocks([s for _, s in comps], a1, a0)
-    )
+def _commutant_dim(coeffs: list[Mat]) -> int:
+    """Commutant dimension of [A_m, ..., A_0] (see the module docstring)."""
+    if not coeffs:
+        return 0
+    lead = coeffs[0]
+    if lead.scalar_multiple_of_identity() is not None:
+        return lead.rows ** 2 + _commutant_dim(coeffs[1:])
+    if len(coeffs) <= 2:
+        spaces = [s for _, s in primary_components(lead)]
+        if len(spaces) > 1:  # each block's leading coefficient is primary
+            blocks = [list(b) for b in diagonal_blocks(spaces, *coeffs)]
+            return sum(_commutant_dim(b) if b[0].scalar_multiple_of_identity() is not None
+                       else _toeplitz_commutant_dim(b) for b in blocks)
+    return _toeplitz_commutant_dim(coeffs)
+
+
+def centralizer_dim(a: Mat) -> int:
+    """dim{X : Xa = aX}."""
+    return _commutant_dim([a])
 
 
 def commutant_dim(t: MatrixTuple, i: int) -> int:
@@ -99,13 +91,7 @@ def commutant_dim(t: MatrixTuple, i: int) -> int:
 
     For i = 0 the relations include the derived residue.
     """
-    coeffs = t.point_coeffs_with_residue(i)  # A_m, ..., A_0
-    m = len(coeffs) - 1
-    if m == 0:
-        return centralizer_dim(coeffs[0])
-    if m == 1:
-        return _pair_commutant_dim(coeffs[0], coeffs[1])
-    return _toeplitz_commutant_dim(coeffs)
+    return _commutant_dim(t.point_coeffs_with_residue(i))  # A_m, ..., A_0
 
 
 @dataclass(frozen=True)

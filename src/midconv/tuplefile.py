@@ -162,8 +162,12 @@ def loads_tuple(text: str) -> MatrixTuple:
 
 def write_tuple(path, t: MatrixTuple | dict) -> None:
     """Write a tuple, or the document tuple_to_doc made of it, to path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_tuple(t))
+    text = dumps_tuple(t)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from e
 
 
 def read_tuple(path) -> MatrixTuple:

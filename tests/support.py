@@ -203,6 +203,17 @@ def unimodular(r: random.Random, n: int) -> Mat:
     return Mat(m)
 
 
+def direct_sum(*blocks) -> Mat:
+    """Block-diagonal matrix of square blocks, each a Mat or a list of rows."""
+    blocks = [b if isinstance(b, Mat) else Mat(b) for b in blocks]
+    n = sum(b.rows for b in blocks)
+    rows, off = [], 0
+    for b in blocks:
+        rows += [[F(0)] * off + list(r) + [F(0)] * (n - off - b.rows) for r in b.data]
+        off += b.rows
+    return Mat(rows)
+
+
 def semisimple_rational(r: random.Random, n: int, pool=(-1, 0, 1, 2)) -> Mat:
     """P D P^{-1} with diagonal rational D and unimodular P."""
     p = unimodular(r, n)

@@ -190,6 +190,21 @@ def test_cli_validation_error_exit_2(tmp_path, capsys):
     assert main(["idx", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["fixtures", "hypergeometric"],
+    ["mc", "{file}", "--mu", "1/3"],
+    ["add", "{file}", "--shift", "1,-1/2"],
+], ids=["fixtures", "mc", "add"])
+def test_cli_unwritable_output_exit_2(command, hyp_file, tmp_path, capsys):
+    out_path = tmp_path / "missing-dir" / "x.json"
+    argv = [a.format(file=hyp_file) for a in command] + ["-o", str(out_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error: cannot write" in captured.err
+    assert not out_path.exists()
+
+
 def _bool_n():
     return {"n": True, "infinity": {"m": 0, "coeffs": {}},
             "finite": [{"t": "0", "m": 0, "coeffs": {"0": [["1"]]}}]}

@@ -1,10 +1,16 @@
-"""Differential test of the exactla elimination kernel against sympy.
+"""Differential test of exactla against sympy.
 
 `rank`, `det`, `inverse`, the canonical echelon bases behind
 `Subspace.from_spanning` and `rref_nullspace`, and `IncrementalSpan` are
 compared with `sympy.Matrix` on small rational matrices chosen to hit the
 kernel's edge cases: zero and repeated rows, rank deficiency, 1x1 and
 0-row shapes, negative entries and large denominators.
+
+`charpoly`, `rational_spectrum`, `jordan_partition` and
+`primary_components` are compared with sympy's characteristic polynomial,
+factorization over Q and Jordan form on square matrices with repeated
+semisimple eigenvalues, Jordan blocks, +-sqrt(2) blocks, no rational
+eigenvalue at all, 1x1 and zero shapes, and unimodular conjugates of each.
 """
 
 from fractions import Fraction as F
@@ -15,9 +21,13 @@ from midconv.exactla import (
     IncrementalSpan,
     Mat,
     Subspace,
+    charpoly,
     det,
     inverse,
+    jordan_partition,
+    primary_components,
     rank,
+    rational_spectrum,
     rref_nullspace,
 )
 import support
@@ -138,3 +148,123 @@ def test_incremental_span_tracks_rank(rows, ncols):
         assert span.add(v) == (r > prev)
         assert span.dim == r
         prev = r
+
+
+# ---------------------------------------------------------------------
+# spectra
+# ---------------------------------------------------------------------
+
+def _jordan(lam, k) -> list[list[F]]:
+    return [[F(lam) if i == j else F(int(j == i + 1)) for j in range(k)] for i in range(k)]
+
+
+SQRT2 = [[0, 2], [1, 0]]   # x^2 - 2
+I_ROT = [[0, -1], [1, 0]]  # x^2 + 1
+
+
+def spectral_cases():
+    """(id, square matrix) pairs, each also conjugated by a unimodular matrix."""
+    base = [
+        ("semisimple-2-2-1", support.direct_sum([[2]], [[2]], [[-1]])),
+        ("semisimple-half-x3", support.direct_sum([[F(1, 2)]], [[F(1, 2)]], [[F(1, 2)]], [[3]])),
+        ("jordan-3", support.direct_sum(_jordan(1, 3))),
+        ("jordan-2-1-nilpotent", support.direct_sum(_jordan(0, 2), _jordan(0, 1))),
+        ("jordan-2-2-third", support.direct_sum(_jordan(F(1, 3), 2), _jordan(F(1, 3), 2), [[-2]])),
+        ("sqrt2-1-1", support.direct_sum(SQRT2, [[1]], [[1]])),
+        ("sqrt2-jordan", support.direct_sum(SQRT2, _jordan(-1, 2))),
+        ("sqrt2-sqrt2-3", support.direct_sum(SQRT2, SQRT2, [[3]])),
+        ("no-rational-sqrt2", support.direct_sum(SQRT2)),
+        ("no-rational-i-sqrt2", support.direct_sum(I_ROT, SQRT2)),
+        ("no-rational-cbrt2", support.direct_sum([[0, 0, 2], [1, 0, 0], [0, 1, 0]])),
+        ("1x1", Mat([[F(-7, 3)]])),
+        ("zero-1x1", Mat([[0]])),
+        ("zero-3x3", Mat.zeros(3, 3)),
+    ]
+    r = support.rng(77)
+    out = []
+    for name, m in base:
+        p = support.unimodular(r, m.rows)
+        out.append(pytest.param(m, id=name))
+        out.append(pytest.param(p * m * inverse(p), id=name + "-conj"))
+    return out
+
+
+def _sym(m: Mat):
+    return to_sympy(m.data, m.cols)
+
+
+def _rational_roots(m: Mat) -> tuple[dict, object]:
+    """Rational eigenvalues with multiplicities, and the non-rational
+    factor of the characteristic polynomial, from sympy's factorization."""
+    x = sympy.Symbol("x")
+    cp = _sym(m).charpoly(x).as_expr()
+    roots, rest = {}, sympy.Integer(1)
+    for fac, mult in sympy.factor_list(cp, x)[1]:
+        fp = sympy.Poly(fac, x)
+        if fp.degree() == 1:
+            a, b = fp.all_coeffs()
+            roots[to_fraction(sympy.Rational(-b, a))] = mult
+        else:
+            rest *= fac ** mult
+    return roots, sympy.Poly(rest, x)
+
+
+def _sym_null_rows(s) -> list[list[F]]:
+    null = s.nullspace()
+    return canonical_rows(sympy.Matrix.hstack(*null).T) if null else []
+
+
+@pytest.mark.parametrize("m", spectral_cases())
+def test_charpoly_matches_sympy(m):
+    x = sympy.Symbol("x")
+    expected = [to_fraction(c) for c in _sym(m).charpoly(x).all_coeffs()]
+    assert list(charpoly(m).coeffs) == expected[::-1]
+
+
+@pytest.mark.parametrize("m", spectral_cases())
+def test_rational_spectrum_matches_sympy(m):
+    roots, _ = _rational_roots(m)
+    pairs, full = rational_spectrum(m)
+    assert pairs == sorted(roots.items(), key=lambda t: (-t[1], t[0]))
+    assert full == (sum(roots.values()) == m.rows)
+
+
+@pytest.mark.parametrize("m", spectral_cases())
+def test_jordan_partition_matches_sympy(m):
+    _, j = _sym(m).jordan_form()
+    sizes: dict = {}
+    i = 0
+    while i < m.rows:
+        k = i
+        while k + 1 < m.rows and j[k, k + 1] == 1:
+            k += 1
+        sizes.setdefault(j[i, i], []).append(k - i + 1)
+        i = k + 1
+    roots, _ = _rational_roots(m)
+    for lam in roots:
+        expected = tuple(sorted(sizes[sympy.Rational(lam.numerator, lam.denominator)],
+                                reverse=True))
+        assert jordan_partition(m, lam) == expected
+    not_eigen = max(roots, default=F(0)) + 1
+    assert jordan_partition(m, not_eigen) == ()
+
+
+@pytest.mark.parametrize("m", spectral_cases())
+def test_primary_components_match_sympy(m):
+    roots, rest = _rational_roots(m)
+    s = _sym(m)
+    n = m.rows
+    comps = primary_components(m)
+    expected_tags = [lam for lam, _ in sorted(roots.items(), key=lambda t: (-t[1], t[0]))]
+    if rest.degree() > 0:
+        expected_tags.append(None)
+    assert [lam for lam, _ in comps] == expected_tags
+    for lam, space in comps:
+        if lam is None:
+            # the non-rational factor of the characteristic polynomial at m
+            target = sympy.zeros(n, n)
+            for c in rest.all_coeffs():
+                target = target * s + c * sympy.eye(n)
+        else:
+            target = (s - sympy.Rational(lam.numerator, lam.denominator) * sympy.eye(n)) ** n
+        assert space.basis_columns() == _sym_null_rows(target)

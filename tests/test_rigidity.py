@@ -58,6 +58,49 @@ def test_commutant_all_scalar_point():
     assert commutant_dim(t2, 1) == 2 * 4
 
 
+def _split_path_points(rng):
+    """[A_m, ..., A_0] of points whose leading coefficients have rational
+    eigenvalues (random ones almost never do), so that the commutant is
+    split along primary components or a scalar coefficient drops out.
+    Structured coefficients are conjugated by a unimodular matrix."""
+    def conj(*mats: Mat) -> list[Mat]:
+        p = support.unimodular(rng, mats[0].rows)
+        p_inv = inverse(p)
+        return [p * a * p_inv for a in mats]
+
+    def rand(n: int) -> Mat:
+        return support.rand_matrix(rng, n)
+
+    sqrt2 = Mat([[0, 2], [1, 0]])  # eigenvalues +-sqrt(2)
+    direct_sum = support.direct_sum
+    leads = [
+        Mat.diagonal([1, 1, 2]),                            # semisimple, repeated
+        Mat.diagonal([-1, 2, 2, -1]),
+        build_L([2, 1], [1, 1]),                            # Jordan blocks (2, 1)
+        direct_sum(build_L([1, 1], [2, 2]), [[-1]]),        # J_2(2) + (-1)
+        direct_sum(build_L([2, 1], [0, 0]), [[1]]),
+        direct_sum(sqrt2, [[1]]),                           # +-sqrt(2) and 1
+        direct_sum(sqrt2, Mat.diagonal([1, 1])),
+        direct_sum(sqrt2, build_L([1, 1], [0, 0])),
+    ]
+    points = [conj(a) + [rand(a.rows)] for a in leads]
+    points += [                                             # scalar A_1
+        [Mat.diagonal([2, 2, 2]), rand(3)],
+        [Mat.diagonal([2, 2, 2])] + conj(Mat.diagonal([1, 1, 3])),
+        [Mat.diagonal([-1] * 4)] + conj(direct_sum(sqrt2, Mat.diagonal([1, 1]))),
+    ]
+    points += [                                             # m = 2, scalar A_2
+        [Mat.diagonal([3, 3, 3])] + conj(Mat.diagonal([1, 1, 2])) + [rand(3)],
+        [Mat.diagonal([3, 3, 3])] + conj(direct_sum(sqrt2, [[1]])) + [rand(3)],
+        [Mat.diagonal([1, 1, 1]), Mat.diagonal([2, 2, 2]), rand(3)],
+    ]
+    # m = 2 with a split leading coefficient: the off-diagonal blocks of A_1
+    # change the commutant of the diagonal blocks (13 here, 15 if split)
+    points.append(conj(Mat.diagonal([0, 0, 1]), Mat([[0, 0, 1], [0, 0, 0], [0, 1, 0]]),
+                       Mat.zeros(3, 3)))
+    return points
+
+
 def test_commutant_matches_dense_oracle():
     rng = support.rng(13)
     for _ in range(12):
@@ -65,6 +108,14 @@ def test_commutant_matches_dense_oracle():
         t = support.rand_tuple(rng, rng.choice([2, 3]), 2, ranks)
         for i in range(t.num_points):
             assert commutant_dim(t, i) == support.commutant_dim_dense(t, i), (i, ranks)
+    for coeffs in _split_path_points(rng):
+        n = coeffs[0].rows
+        t = make_tuple(n, infinity_point(0, []),
+                       [finite_point(0, len(coeffs) - 1, coeffs)])
+        for i in range(t.num_points):
+            assert commutant_dim(t, i) == support.commutant_dim_dense(t, i), (i, coeffs)
+        for a in coeffs:
+            assert centralizer_dim(a) == support.centralizer_dim_dense(a), a
 
 
 def test_commutant_closed_formula_on_L_blocks():
