@@ -11,8 +11,18 @@ reduced echelon forms (`inverse`, `rref_nullspace`,
 both with one primitive integer row step.  `Fraction`s are built only
 for the returned results.
 
-Jordan data and primary components share one kernel chain: the kernels of
-(A - lam)^k for k = 1, 2, ... until they stop growing (`_kernel_chain`).
+`charpoly` is multi-modular and certified.  With d_i the lcm of the
+denominators of row i of A, B = diag(d) A is integral and, for D = prod d_i,
+each D e_k(A) = sum_{|S|=k} prod_{i not in S} d_i det B_S is an integer.
+Hadamard's bound on each det B_S, summed over S, gives |D e_k(A)| <=
+prod_i (rho_i + d_i) with rho_i = isqrt(|row_i B|^2) + 1.  So det(xI - A)
+is computed mod primes below 2^62 dividing no d_i (Hessenberg form), D
+times it is combined by CRT until the modulus exceeds twice that bound,
+and the symmetric lift is divided by D.  The x^(n-1) coefficient is then
+checked exactly against -trace(A).
+
+Jordan data and primary components share one kernel chain: the nullities
+of (A - lam)^k for k = 1, 2, ... until they stop growing (`_kernel_chain`).
 
 Subspaces are stored in column-reduced echelon form with leftmost pivots.
 This representative is unique, so two subspaces are equal iff their basis
@@ -24,7 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from itertools import count
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import InternalError
@@ -216,19 +228,6 @@ class Mat:
 
 def hstack(blocks: Sequence[Mat]) -> Mat:
     return Mat.block([list(blocks)])
-
-
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product with (X⊗Y)[a*n+c, b*m+d] = X[a,b]·Y[c,d]."""
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                aij = a.data[i][j]
-                row.extend(aij * y for y in b.data[k])
-            out.append(row)
-    return Mat(out)
 
 
 # ---------------------------------------------------------------------
@@ -445,12 +444,13 @@ def diagonal_blocks(spaces: Sequence[Subspace], *mats: Mat) -> list[tuple[Mat, .
     diagonal blocks: one tuple per subspace, one block per matrix."""
     p = hstack([s.basis for s in spaces])
     pinv = inverse(p)
-    conj = [pinv * a * p for a in mats]
+    products = [a * p for a in mats]
     out = []
     off = 0
     for s in spaces:
         idx = range(off, off + s.dim)
-        out.append(tuple(b.submatrix(idx, idx) for b in conj))
+        rows = pinv.submatrix(idx, range(p.rows))  # only this block's rows of pinv * a * p
+        out.append(tuple(rows * ap.submatrix(range(p.rows), idx) for ap in products))
         off += s.dim
     return out
 
@@ -589,25 +589,83 @@ class Poly:
 # Characteristic polynomial and spectra
 # ---------------------------------------------------------------------
 
+@cache
+def _prime(k: int) -> int:
+    """The k-th prime below 2^62, counting down from k = 0.  Miller-Rabin
+    with the twelve primes up to 37 as bases is exact below 3.3 * 10^24."""
+    q = _prime(k - 1) if k else (1 << 62) + 1
+    while True:
+        q -= 2
+        s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s d with d odd
+        for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            ys = [pow(b, (q - 1) >> r, q) for r in range(s, 0, -1)]  # b^d, b^2d, ...
+            if ys[0] != 1 and q - 1 not in ys:
+                break  # b witnesses that q is composite
+        else:
+            return q
+
+
+def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
+    """Coefficients (lowest first) of det(xI - a) mod p: reduction to upper
+    Hessenberg form by similarity, then the Hessenberg recurrence (Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 2.2.9)."""
+    n = len(a)
+    h = [row[:] for row in a]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        h[i], h[m] = h[m], h[i]
+        for r in h:
+            r[i], r[m] = r[m], r[i]
+        hm, inv = h[m], pow(h[m][m - 1], -1, p)
+        us = [(i, u) for i in range(m + 1, n) if (u := h[i][m - 1] * inv % p)]
+        for i, u in us:
+            h[i] = [(x - u * y) % p for x, y in zip(h[i], hm)]
+        for r in h:  # the inverse column operations
+            r[m] = (r[m] + sum(u * r[i] for i, u in us)) % p
+    polys = [[1]]  # polys[k]: det(xI - the leading k x k block of h)
+    for k in range(n):
+        new, t = [0] + polys[k], 1
+        for i in range(k, -1, -1):  # t = h[i+1][i] ... h[k][k-1]
+            c = h[i][k] * t % p
+            for j, x in enumerate(polys[i]):
+                new[j] -= c * x
+            t = t * h[i][i - 1] % p
+        polys.append([x % p for x in new])
+    return polys[n]
+
+
+def _coefficient_bound(dens: Sequence[int], rows: Sequence[Sequence[int]]) -> int:
+    """Twice the module docstring's bound on |D e_k(A)|, A = diag(dens)^-1 rows."""
+    return 2 * prod(isqrt(sum(x * x for x in r)) + 1 + d for d, r in zip(dens, rows))
+
+
 def charpoly(m: Mat) -> Poly:
-    """Monic characteristic polynomial det(xI - m), by Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(xI - m), multi-modular with a
+    certified bound (see the module docstring)."""
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    coeffs = [_ZERO] * n + [_ONE]  # x^n + c_{n-1} x^{n-1} + ... + c_0
-    mk = Mat.identity(n)
-    for k in range(1, n + 1):
-        mk = m * mk
-        ck = -mk.trace() / k
-        coeffs[n - k] = ck
-        if k < n:
-            mk = mk + Mat.diagonal([ck] * n)
+    dens, rows = zip(*map(_integer_row, m.data)) if n else ((), ())
+    delta = prod(dens)
+    bound = _coefficient_bound(dens, rows)
+    modulus, res = 1, [0] * (n + 1)
+    for p in map(_prime, count()):
+        if any(d % p == 0 for d in dens):
+            continue
+        a = [[x * di % p for x in r] for di, r in zip([pow(d, -1, p) for d in dens], rows)]
+        dp, inv = delta % p, pow(modulus, -1, p)
+        res = [x + modulus * ((c * dp - x) * inv % p)
+               for x, c in zip(res, _charpoly_mod(a, p))]
+        modulus *= p
+        if modulus > bound:
+            break
+    half = modulus // 2
+    coeffs = [Fraction(x - modulus if x > half else x, delta) for x in res]
+    if n and coeffs[n - 1] != -m.trace():
+        raise InternalError("multi-modular characteristic polynomial fails the trace check")
     return Poly(coeffs)
-
-
-def _variations(values: list[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _integer_roots_monic(q: Poly) -> list[int]:
@@ -625,18 +683,29 @@ def _integer_roots_monic(q: Poly) -> list[int]:
         if r.is_zero():
             break
         chain.append(-r)
+    ints = []  # each member times a positive rational: primitive, integer
+    for _, c in (_integer_row(p.coeffs) for p in chain):
+        g = gcd(*c)
+        ints.append([x // g for x in c])
+
+    def value(p: list[int], a: int, b: int = 1) -> int:
+        """b^deg(p) p(a/b) by homogeneous Horner; for b > 0, p(a/b)'s sign."""
+        acc, bk = 0, 1
+        for c in reversed(p):
+            acc = acc * a + c * bk
+            bk *= b
+        return acc
 
     def var_at(x: Fraction) -> int:
-        return _variations([p(x) for p in chain])
-
-    def count(a: Fraction, b: Fraction) -> int:
-        return var_at(a) - var_at(b)
+        """Sign variations of the chain at x."""
+        signs = [v > 0 for v in (value(p, x.numerator, x.denominator) for p in ints) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
     bound = 1 + max(abs(c) for c in sf.coeffs[:-1])
     b0 = Fraction(int(bound) + 1)
     lo, hi = -b0 - Fraction(1, 2), b0 + Fraction(1, 2)
     roots: set[int] = set()
-    stack = [(lo, hi, count(lo, hi))]
+    stack = [(lo, hi, var_at(lo) - var_at(hi))]
     while stack:
         a, b, cnt = stack.pop()
         if cnt <= 0:
@@ -644,17 +713,17 @@ def _integer_roots_monic(q: Poly) -> list[int]:
         width = b - a
         if cnt == 1 and width < 1:
             # at most one integer in (a, b]
-            c = int(b) if b.denominator == 1 else (b.numerator // b.denominator)
-            if a < c <= b and q(Fraction(c)) == 0:
+            c = b.numerator // b.denominator
+            if a < c <= b and value(ints[0], c) == 0:
                 roots.add(c)
             continue
         mid = (a + b) / 2
         if mid.denominator == 1:
-            if sf(mid) == 0:
+            if value(ints[0], mid.numerator) == 0:
                 roots.add(int(mid))
             # move the split point off the grid of candidate roots
             mid = mid + width / 4
-        cl = count(a, mid)
+        cl = var_at(a) - var_at(mid)
         stack.append((a, mid, cl))
         stack.append((mid, b, cnt - cl))
     return sorted(roots)
@@ -706,18 +775,19 @@ def is_semisimple(m: Mat) -> bool:
     return charpoly(m).squarefree_part().of_matrix(m).is_zero()
 
 
-def _kernel_chain(m: Mat, lam: Fraction, stop: int) -> tuple[list[int], Subspace]:
+def _kernel_chain(m: Mat, lam: Fraction, stop: int, step) -> tuple[list[int], object]:
     """Nullities of (m-lam)^k for k = 1, 2, ..., ending when they stop
-    growing or reach `stop`, and the kernel of the last power (for
-    stop = the multiplicity of lam: its generalized eigenspace)."""
+    growing or reach `stop`, and the result of `step(power) = (rank,
+    result)` for the last power (for `rref_nullspace` and stop = the
+    multiplicity of lam: the generalized eigenspace)."""
     shifted = m - Mat.diagonal([lam] * m.rows)
     power = shifted
     nullities = [0]
     while True:
-        r, ker = rref_nullspace(power)
+        r, result = step(power)
         nullities.append(m.cols - r)
         if nullities[-1] in (stop, nullities[-2]):
-            return nullities[1:], ker
+            return nullities[1:], result
         power = power * shifted
 
 
@@ -726,7 +796,7 @@ def jordan_partition(m: Mat, lam) -> tuple[int, ...]:
     not an eigenvalue.  Computed from the nullity sequence of (m-lam)^k."""
     if not m.is_square():
         raise ValueError("jordan partition of a non-square matrix")
-    nullities, _ = _kernel_chain(m, as_scalar(lam), m.rows)
+    nullities, _ = _kernel_chain(m, as_scalar(lam), m.rows, lambda p: (rank(p), None))
     # blocks of size >= k: nullities[k] - nullities[k-1]
     return conjugate_partition([b - a for a, b in zip([0] + nullities, nullities)])
 
@@ -753,12 +823,12 @@ def primary_components(m: Mat) -> list[tuple[Fraction | None, Subspace]]:
     n = m.rows
     spec, full = rational_spectrum(m)
     comps: list[tuple[Fraction | None, Subspace]] = [
-        (lam, _kernel_chain(m, lam, mult)[1]) for lam, mult in spec
+        (lam, _kernel_chain(m, lam, mult, rref_nullspace)[1]) for lam, mult in spec
     ]
     if not full:
         mt = m.transpose()
         left = tuple(tuple(v) for lam, mult in spec
-                     for v in _kernel_chain(mt, lam, mult)[1].basis_columns())
+                     for v in _kernel_chain(mt, lam, mult, rref_nullspace)[1].basis_columns())
         comps.append((None, rref_nullspace(Mat._trusted(left, n))[1]))
     if sum(c[1].dim for c in comps) != n:
         raise InternalError("primary components do not span the whole space")

@@ -13,6 +13,10 @@ diagonal blocks, whose leading coefficients are primary already.  Else it
 is the nullity of the coupled relations.  m >= 2 is not split: the
 off-diagonal blocks of C_{m-1} need not vanish, and A_{m-1} multiplies
 them into the diagonal blocks of the relation for k = 2.
+
+Every relation is a Sylvester operator X -> aX - Xb on row-major X
+(`_sylvester`, 2n - 1 nonzeros per row, built entry by entry): ad A for
+commutants and B S - S A for intertwiners in `are_similar`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .exactla import (
     det,
     diagonal_blocks,
     is_semisimple,
-    kron,
     primary_components,
     rank,
     rational_spectrum,
@@ -37,11 +40,20 @@ from .exactla import (
 from .model import MatrixTuple, SpectralType, strip_trivial
 
 
-def _ad(a: Mat) -> Mat:
-    """Matrix of X -> aX - Xa on row-major vectorized X."""
+def _sylvester(a: Mat, b: Mat) -> Mat:
+    """Matrix of X -> aX - Xb on row-major vectorized n x n X, built entry
+    by entry: row i*n+j holds a[i, k] at k*n+j and -b[k, j] at i*n+k."""
     n = a.rows
-    i_n = Mat.identity(n)
-    return kron(a, i_n) - kron(i_n, a.transpose())
+    zero, bt = Fraction(0), list(zip(*b.data))
+    rows = []
+    for i, ai in enumerate(a.data):
+        for j, bj in enumerate(bt):
+            row = [zero] * (n * n)
+            row[i * n:(i + 1) * n] = [-x for x in bj]
+            row[j::n] = ai
+            row[i * n + j] = ai[i] - bj[j]
+            rows.append(tuple(row))
+    return Mat._trusted(tuple(rows), n * n)
 
 
 def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
@@ -51,7 +63,7 @@ def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
     m = len(coeffs) - 1
     nn = coeffs[0].rows ** 2
     z = Mat.zeros(nn, nn)
-    ads = [_ad(a) for a in coeffs]  # ads[idx] = ad of A_{m-idx}
+    ads = [_sylvester(a, a) for a in coeffs]  # ads[idx] = ad of A_{m-idx}
     grid = []
     for k in range(m + 1):
         row = []
@@ -235,12 +247,9 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     n = a.size
     if a == b:
         return Mat.identity(n)
-    i_n = Mat.identity(n)
-    rows = []
-    for (i, j) in a.slots():
-        block = kron(i_n, a.coeff(i, j).transpose()) - kron(b.coeff(i, j), i_n)
-        rows.append(block)
-    _, space = rref_nullspace(Mat.block([[r] for r in rows]))
+    # S A = B S for row-major S: the kernel of S -> B S - S A
+    rows = [[_sylvester(b.coeff(i, j), a.coeff(i, j))] for (i, j) in a.slots()]
+    _, space = rref_nullspace(Mat.block(rows))
     d = space.dim
     if d == 0:
         return None

@@ -112,6 +112,19 @@ def charpoly_cofactor(m: Mat) -> list[F]:
     return poly
 
 
+def kron(a: Mat, b: Mat) -> Mat:
+    """Kronecker product with (X⊗Y)[a*n+c, b*m+d] = X[a,b]·Y[c,d]."""
+    out = []
+    for i in range(a.rows):
+        for k in range(b.rows):
+            row = []
+            for j in range(a.cols):
+                aij = a.data[i][j]
+                row.extend(aij * y for y in b.data[k])
+            out.append(row)
+    return Mat(out)
+
+
 def centralizer_dim_dense(a: Mat) -> int:
     """dim{X : XA = AX} by direct entrywise assembly and naive rank."""
     n = a.rows

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from midconv.errors import InternalError
 from midconv.exactla import (
     Mat,
     Poly,
@@ -12,6 +13,7 @@ from midconv.exactla import (
     charpoly,
     conjugate_partition,
     det,
+    diagonal_blocks,
     inverse,
     is_semisimple,
     jordan_partition,
@@ -286,6 +288,35 @@ def test_charpoly_requires_square():
         charpoly(Mat.zeros(2, 3))
 
 
+def test_charpoly_undersized_bound_raises(monkeypatch):
+    import midconv.exactla as exactla
+
+    big = 10 ** 100
+    m = Mat([[big + 7, 1, 0], [2, big, -3], [0, 5, F(1, 3)]])
+    assert charpoly(m) == Poly(support.charpoly_cofactor(m))
+    # one prime and a wrong symmetric lift: the exact trace check must catch it
+    monkeypatch.setattr(exactla, "_coefficient_bound", lambda dens, rows: 1)
+    with pytest.raises(InternalError):
+        charpoly(m)
+
+
+def test_diagonal_blocks_match_full_conjugation():
+    rng = support.rng(31)
+    for n in (2, 3, 5):
+        p = support.unimodular(rng, n)
+        cols = [list(p.col(j)) for j in range(n)]
+        cut = rng.randint(1, n - 1)
+        spaces = [Subspace.from_spanning(cols[:cut], n), Subspace.from_spanning(cols[cut:], n)]
+        mats = [support.rand_matrix(rng, n, pool=(-2, 0, 1, F(1, 2))) for _ in range(2)]
+        basis = Mat([[x for s in spaces for x in s.basis.data[i]] for i in range(n)])
+        conj = [inverse(basis) * a * basis for a in mats]
+        off = 0
+        for s, blocks in zip(spaces, diagonal_blocks(spaces, *mats)):
+            idx = range(off, off + s.dim)
+            assert blocks == tuple(c.submatrix(idx, idx) for c in conj)
+            off += s.dim
+
+
 def test_integer_root_isolation_stress():
     from midconv.exactla import Poly, _integer_roots_monic
 
@@ -307,10 +338,23 @@ def test_integer_root_isolation_stress():
         [7, 7, -2],                  # repeated plus simple
         [123456, 123457],            # large adjacent
         [0, 1, -1, 2, -2, 3],
+        # on the integer midpoint 0 of the first split; for even polynomials
+        # the derivative vanishes there too
+        [0, 0, 5],
+        [-1, 0, 1],
+        [-4, 4],
+        [-4, 0, 0, 4],
+        # 10^6-size roots: single, adjacent, repeated, symmetric about 0
+        [10 ** 6],
+        [-10 ** 6, 10 ** 6],
+        [999999, 10 ** 6, 10 ** 6 + 1],
+        [10 ** 6, 10 ** 6, -3],
+        [-10 ** 6, 0, 10 ** 6],
     ]
     for roots in cases:
-        p = poly_from_roots(roots)
-        assert _integer_roots_monic(p) == sorted(set(roots)), roots
+        for extra in (True, False):
+            p = poly_from_roots(roots, extra)
+            assert _integer_roots_monic(p) == sorted(set(roots)), roots
     # irrational-only polynomial: (y^2 - 2)(y^2 - 3)
     assert _integer_roots_monic(Poly([6, 0, -5, 0, 1])) == []
 

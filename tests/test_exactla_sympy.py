@@ -11,6 +11,10 @@ kernel's edge cases: zero and repeated rows, rank deficiency, 1x1 and
 factorization over Q and Jordan form on square matrices with repeated
 semisimple eigenvalues, Jordan blocks, +-sqrt(2) blocks, no rational
 eigenvalue at all, 1x1 and zero shapes, and unimodular conjugates of each.
+`charpoly` is also compared on inputs aimed at its multi-modular
+certificate: 100-digit entries and 10^30 denominators (a wrong bound or
+a missing prime fails them), a denominator equal to the first prime, and
+Hessenberg columns without a pivot.
 """
 
 from fractions import Fraction as F
@@ -19,6 +23,7 @@ import pytest
 
 from midconv.exactla import (
     IncrementalSpan,
+    _prime,
     Mat,
     Subspace,
     charpoly,
@@ -216,6 +221,38 @@ def _sym_null_rows(s) -> list[list[F]]:
 
 @pytest.mark.parametrize("m", spectral_cases())
 def test_charpoly_matches_sympy(m):
+    x = sympy.Symbol("x")
+    expected = [to_fraction(c) for c in _sym(m).charpoly(x).all_coeffs()]
+    assert list(charpoly(m).coeffs) == expected[::-1]
+
+
+def charpoly_cases():
+    """Inputs for the multi-modular `charpoly`: heights that need many
+    primes, a denominator that is the first prime (skipped), Hessenberg
+    columns without a pivot or with a row swap, 0x0 and 12x12."""
+    r = support.rng(606)
+    p0 = _prime(0)
+
+    def rand(n, gen):
+        return Mat([[gen() for _ in range(n)] for _ in range(n)])
+
+    return [
+        pytest.param(rand(5, lambda: F(r.randint(-10 ** 100, 10 ** 100))), id="100-digit"),
+        pytest.param(rand(5, lambda: F(r.randint(-9, 9), r.randint(1, 10 ** 30))),
+                     id="1e30-denominators"),
+        pytest.param(Mat([[F(3, p0), F(1), F(-2)], [F(1, 2), F(0), F(5)],
+                          [F(4), F(-1, p0), F(p0)]]), id="denominator-first-prime"),
+        pytest.param(Mat([[1, 2, 5, -1], [3, 4, 0, 2], [0, 0, F(-2, 3), 1], [0, 0, 7, 3]]),
+                     id="block-triangular-no-pivot"),
+        pytest.param(Mat([[1, 2, 3], [0, 1, 1], [4, 0, 2]]), id="hessenberg-row-swap"),
+        pytest.param(Mat.zeros(0, 0), id="0x0"),
+        pytest.param(support.rand_matrix(r, 12, pool=(-3, -1, 0, 1, 2, F(1, 2), F(-5, 3))),
+                     id="random-12x12"),
+    ]
+
+
+@pytest.mark.parametrize("m", charpoly_cases())
+def test_charpoly_multimodular_matches_sympy(m):
     x = sympy.Symbol("x")
     expected = [to_fraction(c) for c in _sym(m).charpoly(x).all_coeffs()]
     assert list(charpoly(m).coeffs) == expected[::-1]

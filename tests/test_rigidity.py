@@ -21,6 +21,7 @@ from midconv.model import (
     spectral_type,
 )
 from midconv.rigidity import (
+    _sylvester,
     are_similar,
     centralizer_dim,
     commutant_dim,
@@ -347,3 +348,16 @@ def test_similar_strips_padding_first():
     padded = pad_point(HYP, 1)
     assert are_similar(padded, HYP) == Mat.identity(2)
     assert are_similar(HYP, padded) == Mat.identity(2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sylvester_matches_kron_oracle(n):
+    # X -> aX - Xb on row-major X is kron(a, I) - kron(I, b^T)
+    rng = support.rng(600 + n)
+    eye, zero = Mat.identity(n), Mat.zeros(n, n)
+    pool = (-2, -1, 0, 1, F(1, 2), F(-7, 3))
+    mats = [zero, eye, F(5, 2) * eye] + [support.rand_matrix(rng, n, pool) for _ in range(3)]
+    for a in mats:
+        for b in mats:
+            expected = support.kron(a, eye) - support.kron(eye, b.transpose())
+            assert _sylvester(a, b) == expected
