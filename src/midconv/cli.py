@@ -15,9 +15,10 @@ Subcommands operate on tuple files (see tuplefile for the format):
 
 Exit codes: 0 success, 1 usage error, 2 validation error (malformed
 files/values, a file that cannot be read or written), 3 violated
-mathematical precondition, 4 internal error (a failed consistency check:
-a bug in midconv).  `--format machine` prints one JSON object with sorted
-keys; its bytes are stable across runs on identical input.
+mathematical precondition, 4 internal error (a failed consistency check
+or any other exception, reported on one line: a bug in midconv).
+`--format machine` prints one JSON object with sorted keys; its bytes
+are stable across runs on identical input.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def _cmd_enumerate(args):
                 "d": tp.d,
                 "n": tp.d * sum(nl for nl, _ in tp.points[0]),
                 "catalog": reduction.classify_terminal(tp),
-                "realizability": tp.realizability,
+                "realizability": "unknown",
             }
         )
     return {"command": "enumerate", "patterns": docs}
@@ -399,6 +400,9 @@ def main(argv=None) -> int:
         return 3
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return 4
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
     if args.format == "machine":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))

@@ -21,6 +21,16 @@ times it is combined by CRT until the modulus exceeds twice that bound,
 and the symmetric lift is divided by D.  The x^(n-1) coefficient is then
 checked exactly against -trace(A).
 
+Spectra run on one integer polynomial: q(y) = d^n det(y/d - A), with d
+the lcm of the denominators of det(x - A), is the characteristic
+polynomial of dA, monic and integral, so its rational roots are integers.
+Its primitive Sturm remainder sequence (q, q' and each -rem, times
+positive integers, made primitive) ends in gcd(q, q') up to a constant.
+At a point that is not a root of q, dividing the sequence by the gcd
+changes no sign variation and leaves the Sturm chain of the square-free
+part, so roots are isolated with no square-free part computed.  A is
+semisimple iff q / gcd(q, q') annihilates dA.
+
 Jordan data and primary components share one kernel chain: the nullities
 of (A - lam)^k for k = 1, 2, ... until they stop growing (`_kernel_chain`).
 
@@ -98,17 +108,6 @@ class Mat:
         return Mat(
             [[vals[i] if i == j else _ZERO for j in range(n)] for i in range(n)]
         )
-
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence], rows: int | None = None) -> "Mat":
-        cols = [list(c) for c in cols]
-        if rows is None:
-            if not cols:
-                raise ValueError("need explicit row count for empty column list")
-            rows = len(cols[0])
-        if not cols:
-            return Mat.zeros(rows, 0)
-        return Mat([[cols[j][i] for j in range(len(cols))] for i in range(rows)])
 
     @staticmethod
     def block(grid: Sequence[Sequence["Mat"]]) -> "Mat":
@@ -224,10 +223,6 @@ class Mat:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Mat[{self.rows}x{self.cols}: {body}]"
-
-
-def hstack(blocks: Sequence[Mat]) -> Mat:
-    return Mat.block([list(blocks)])
 
 
 # ---------------------------------------------------------------------
@@ -442,7 +437,7 @@ def diagonal_blocks(spaces: Sequence[Subspace], *mats: Mat) -> list[tuple[Mat, .
     """Write each matrix in the basis that concatenates the bases of
     `spaces` (together a basis of the ambient space) and cut out its
     diagonal blocks: one tuple per subspace, one block per matrix."""
-    p = hstack([s.basis for s in spaces])
+    p = Mat.block([[s.basis for s in spaces]])
     pinv = inverse(p)
     products = [a * p for a in mats]
     out = []
@@ -483,12 +478,13 @@ class IncrementalSpan:
 
 
 # ---------------------------------------------------------------------
-# Polynomials
+# Characteristic polynomial and spectra
 # ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Poly:
-    """Univariate polynomial over Q, coefficients lowest degree first."""
+    """Univariate polynomial over Q, coefficients lowest degree first and
+    trailing zeros dropped: the value `charpoly` returns."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -498,96 +494,6 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # zero polynomial has degree -1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [_ZERO] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [_ZERO] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [_ZERO] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.coeffs
-        lead = d[-1]
-        while len(rem) >= len(d) and any(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            k = len(rem) - len(d)
-            c = rem[-1] / lead
-            q[k] = c
-            for i, dc in enumerate(d):
-                rem[k + i] -= c * dc
-            rem.pop()
-        return Poly(q), Poly(rem)
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
-
-    @staticmethod
-    def gcd(a: "Poly", b: "Poly") -> "Poly":
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        return a.monic()
-
-    def squarefree_part(self) -> "Poly":
-        if self.degree <= 0:
-            return self.monic()
-        g = Poly.gcd(self, self.derivative())
-        q, r = self.divmod(g)
-        if not r.is_zero():
-            raise InternalError("gcd(p, p') does not divide p")
-        return q.monic()
-
-    def __call__(self, x) -> Fraction:
-        x = as_scalar(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def of_matrix(self, m: Mat) -> Mat:
-        acc = Mat.zeros(m.rows, m.cols)
-        for c in reversed(self.coeffs):
-            acc = acc * m + Mat.diagonal([c] * m.rows)
-        return acc
-
-
-# ---------------------------------------------------------------------
-# Characteristic polynomial and spectra
-# ---------------------------------------------------------------------
 
 @cache
 def _prime(k: int) -> int:
@@ -668,65 +574,113 @@ def charpoly(m: Mat) -> Poly:
     return Poly(coeffs)
 
 
-def _integer_roots_monic(q: Poly) -> list[int]:
-    """All integer roots of a monic polynomial with integer coefficients,
-    by Sturm isolation and exact verification (no integer factorization)."""
-    sf = q.squarefree_part()
-    if sf.degree <= 0:
-        return []
-    if sf.degree == 1:
-        r = -sf.coeffs[0] / sf.coeffs[1]
-        return [int(r)] if r.denominator == 1 and q(r) == 0 else []
-    chain = [sf, sf.derivative()]
-    while chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
-            break
-        chain.append(-r)
-    ints = []  # each member times a positive rational: primitive, integer
-    for _, c in (_integer_row(p.coeffs) for p in chain):
-        g = gcd(*c)
-        ints.append([x // g for x in c])
+def _monic_integer_form(m: Mat) -> tuple[int, list[int]]:
+    """d and q(y) = d^n det(y/d - m), the characteristic polynomial of d m,
+    coefficients lowest first: monic and integral for d the lcm of the
+    denominators of det(x - m)."""
+    p = charpoly(m).coeffs
+    n = len(p) - 1
+    d = lcm(*(c.denominator for c in p))
+    return d, [c.numerator * d ** (n - i) // c.denominator for i, c in enumerate(p)]
 
-    def value(p: list[int], a: int, b: int = 1) -> int:
-        """b^deg(p) p(a/b) by homogeneous Horner; for b > 0, p(a/b)'s sign."""
-        acc, bk = 0, 1
-        for c in reversed(p):
-            acc = acc * a + c * bk
-            bk *= b
-        return acc
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content (a positive integer)."""
+    g = gcd(*p)
+    return [x // g for x in p] if g > 1 else p
+
+
+def _neg_rem(a: list[int], b: list[int]) -> list[int]:
+    """-(c a mod b) for a positive integer c, made primitive; [] if b
+    divides a.  Each step scales the remainder by a positive integer and
+    cancels its leading term."""
+    r, lb = a[:], b[-1]
+    while len(r) >= len(b):
+        f = r[-1]
+        if f:
+            g = gcd(f, lb)
+            s, t = abs(lb) // g, f // g if lb > 0 else -f // g  # s f = t lb
+            k = len(r) - len(b)
+            r = [s * x for x in r]
+            for i, c in enumerate(b):
+                r[k + i] -= t * c
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    return _primitive([-x for x in r])
+
+
+def _sturm_chain(q: list[int]) -> list[list[int]]:
+    """The primitive Sturm remainder sequence of q (degree >= 1): q, q'
+    made primitive, then each `_neg_rem` of the last two members until one
+    vanishes.  The last member is gcd(q, q') up to a constant factor."""
+    chain = [q, _primitive([i * c for i, c in enumerate(q)][1:])]
+    while len(chain[-1]) > 1:
+        r = _neg_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(r)
+    return chain
+
+
+def _value(p: list[int], a: int, b: int = 1) -> int:
+    """b^deg(p) p(a/b) by homogeneous Horner; for b > 0, p(a/b)'s sign."""
+    acc, bk = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc
+
+
+def _integer_roots(chain: list[list[int]]) -> list[int]:
+    """The integer roots of the monic integer polynomial chain[0], by
+    bisection on the sign variations of its Sturm chain and exact
+    verification (no integer factorization)."""
+    q = chain[0]
+    if len(q) == 2:
+        return [-q[0]]
 
     def var_at(x: Fraction) -> int:
-        """Sign variations of the chain at x."""
-        signs = [v > 0 for v in (value(p, x.numerator, x.denominator) for p in ints) if v]
+        signs = [v > 0 for v in (_value(p, x.numerator, x.denominator) for p in chain) if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    bound = 1 + max(abs(c) for c in sf.coeffs[:-1])
-    b0 = Fraction(int(bound) + 1)
-    lo, hi = -b0 - Fraction(1, 2), b0 + Fraction(1, 2)
-    roots: set[int] = set()
-    stack = [(lo, hi, var_at(lo) - var_at(hi))]
+    # Fujiwara: every root has |y| <= 2 max_k |q_(n-k)|^(1/k) < bound
+    bound = 2 << max(-(-abs(c).bit_length() // k) for k, c in enumerate(reversed(q[:-1]), 1))
+    # Split points start at +-(bound + 1/2) and an integer midpoint moves by
+    # width/4, so none is an integer, hence none is a root of q; there the
+    # chain of a q with repeated roots counts each distinct root once.
+    lo, hi = -bound - Fraction(1, 2), bound + Fraction(1, 2)
+    roots = []
+    stack = [(lo, var_at(lo), hi, var_at(hi))]
     while stack:
-        a, b, cnt = stack.pop()
-        if cnt <= 0:
+        a, va, b, vb = stack.pop()
+        if va == vb:
             continue
-        width = b - a
-        if cnt == 1 and width < 1:
-            # at most one integer in (a, b]
-            c = b.numerator // b.denominator
-            if a < c <= b and value(ints[0], c) == 0:
-                roots.add(c)
+        if va - vb == 1 and b - a < 1:
+            c = b.numerator // b.denominator  # the one integer candidate in (a, b)
+            if a < c and _value(q, c) == 0:
+                roots.append(c)
             continue
         mid = (a + b) / 2
         if mid.denominator == 1:
-            if value(ints[0], mid.numerator) == 0:
-                roots.add(int(mid))
-            # move the split point off the grid of candidate roots
-            mid = mid + width / 4
-        cl = var_at(a) - var_at(mid)
-        stack.append((a, mid, cl))
-        stack.append((mid, b, cnt - cl))
+            mid += (b - a) / 4
+        vm = var_at(mid)
+        stack.append((a, va, mid, vm))
+        stack.append((mid, vm, b, vb))
     return sorted(roots)
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials (lowest first); InternalError unless exact."""
+    r, quo = a[:], []
+    for k in range(len(a) - len(b), -1, -1):
+        f = r[k + len(b) - 1] // b[-1]
+        quo.append(f)
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+    if any(r):
+        raise InternalError("gcd(q, q') does not divide q")
+    return quo[::-1]
 
 
 def rational_spectrum(m: Mat) -> tuple[list[tuple[Fraction, int]], bool]:
@@ -736,43 +690,41 @@ def rational_spectrum(m: Mat) -> tuple[list[tuple[Fraction, int]], bool]:
     multiplicity, then ascending eigenvalue; fully_rational is True iff
     the multiplicities sum to the matrix size.
     """
-    p = charpoly(m)
+    d, q = _monic_integer_form(m)
     n = m.rows
     if n == 0:
         return [], True
-    # substitute x = y/D to get a monic integer polynomial in y
-    d = 1
-    for c in p.coeffs:
-        q = c.denominator
-        d = d // gcd(d, q) * q
-    q_coeffs = [c * d ** (n - i) for i, c in enumerate(p.coeffs)]
-    q_poly = Poly(q_coeffs)
     eigs = []
-    total = 0
-    for y in _integer_roots_monic(q_poly):
-        lam = Fraction(y, d)
+    for y in _integer_roots(_sturm_chain(q)):
         mult = 0
-        rem = p
-        while True:
-            quo, r = rem.divmod(Poly([-lam, _ONE]))
-            if not r.is_zero():
+        while True:  # synthetic division by (x - y) while q(y) = 0
+            acc, quo = 0, []
+            for c in reversed(q):
+                acc = acc * y + c
+                quo.append(acc)
+            if quo.pop():
                 break
-            mult += 1
-            rem = quo
-        eigs.append((lam, mult))
-        total += mult
+            q, mult = quo[::-1], mult + 1
+        eigs.append((Fraction(y, d), mult))
     eigs.sort(key=lambda t: (-t[1], t[0]))
-    return eigs, total == n
+    return eigs, sum(k for _, k in eigs) == n
 
 
 def is_semisimple(m: Mat) -> bool:
     """True iff m is diagonalizable over the complex numbers, i.e. the
-    squarefree part of the characteristic polynomial annihilates m."""
+    square-free part s = q / gcd(q, q') of the characteristic polynomial q
+    of d m (`_monic_integer_form`) annihilates d m."""
     if not m.is_square():
         raise ValueError("semisimplicity of a non-square matrix")
-    if m.rows == 0:
+    n = m.rows
+    if n == 0:
         return True
-    return charpoly(m).squarefree_part().of_matrix(m).is_zero()
+    d, q = _monic_integer_form(m)
+    dm = m.scaled(Fraction(d))
+    acc = Mat.zeros(n, n)
+    for c in reversed(_exact_quotient(q, _sturm_chain(q)[-1])):  # Horner
+        acc = acc * dm + Mat.diagonal([c] * n)
+    return acc.is_zero()
 
 
 def _kernel_chain(m: Mat, lam: Fraction, stop: int, step) -> tuple[list[int], object]:

@@ -26,6 +26,7 @@ from typing import Sequence
 from .errors import InternalError, PreconditionError, ValidationError
 from .exactla import (
     Mat,
+    Subspace,
     as_scalar,
     conjugate_partition,
     diagonal_blocks,
@@ -382,6 +383,27 @@ def _eigendata_of(block: Mat, where: str) -> tuple[EigenData, ...]:
     return tuple(data)
 
 
+def semisimple_eigenspaces(a: Mat, not_semisimple: str, not_rational: str
+                           ) -> list[tuple[Fraction, int, Subspace]]:
+    """(eigenvalue, multiplicity, eigenspace) of a semisimple a with a fully
+    rational spectrum, sorted by eigenvalue; PreconditionError with the
+    given messages otherwise.  With every eigenvalue rational, a is
+    semisimple iff each eigenspace has the eigenvalue's multiplicity as its
+    dimension, so `is_semisimple` runs only for a spectrum that is not."""
+    spec, full = rational_spectrum(a)
+    if not full:
+        raise PreconditionError(not_rational if is_semisimple(a) else not_semisimple)
+    out = []
+    for d, mult in sorted(spec):
+        _, ker = rref_nullspace(a - Mat.diagonal([d] * a.rows))
+        if ker.dim < mult:
+            raise PreconditionError(not_semisimple)
+        if ker.dim > mult:
+            raise InternalError(f"dim of eigenspace at {d} is not {mult}")
+        out.append((d, mult, ker))
+    return out
+
+
 def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
     """Multiplicity pattern of point i (0 = infinity, using the derived
     residue there).  Requires Poincare rank at most 1, a semisimple leading
@@ -398,28 +420,12 @@ def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
         a1, a0 = pair[0], pair[1]
     else:
         a1, a0 = Mat.zeros(n, n), pair[0]
-    not_semisimple = f"point {i}: leading coefficient is not semisimple"
-    spec, full = rational_spectrum(a1)
-    if not full:
-        if not is_semisimple(a1):
-            raise PreconditionError(not_semisimple)
-        raise PreconditionError(
-            f"point {i}: leading coefficient spectrum is not fully rational"
-        )
-    # with every eigenvalue rational, a1 is semisimple iff each eigenspace
-    # has dimension equal to the eigenvalue's multiplicity
-    spec = sorted(spec, key=lambda v: v[0])
-    spaces = []
-    for d, mult in spec:
-        _, ker = rref_nullspace(a1 - Mat.diagonal([d] * n))
-        if ker.dim < mult:
-            raise PreconditionError(not_semisimple)
-        if ker.dim > mult:
-            raise InternalError(f"point {i}: dim of eigenspace at {d} is not {mult}")
-        spaces.append(ker)
+    eig = semisimple_eigenspaces(
+        a1, f"point {i}: leading coefficient is not semisimple",
+        f"point {i}: leading coefficient spectrum is not fully rational")
     blocks = [
         SpectralBlock(d, mult, _eigendata_of(sub, f"point {i}, block at {d}"))
-        for (d, mult), (sub,) in zip(spec, diagonal_blocks(spaces, a0))
+        for (d, mult, _), (sub,) in zip(eig, diagonal_blocks([s for *_, s in eig], a0))
     ]
     blocks.sort(
         key=lambda b: (-b.size, tuple(-q for q in b.parts()), b.eigenvalue)
@@ -496,11 +502,8 @@ def from_okubo(t_mat: Mat, a_mat: Mat) -> MatrixTuple:
     """
     if not t_mat.is_square() or not a_mat.is_square() or t_mat.rows != a_mat.rows:
         raise ValidationError("T and A must be square of equal size")
-    if not is_semisimple(t_mat):
-        raise PreconditionError("T is not semisimple (generalized Okubo form is unsupported)")
-    _, full = rational_spectrum(t_mat)
-    if not full:
-        raise PreconditionError("T does not have a fully rational spectrum")
+    semisimple_eigenspaces(t_mat, "T is not semisimple (generalized Okubo form is unsupported)",
+                           "T does not have a fully rational spectrum")
     n = t_mat.rows
     a0 = -(a_mat + Mat.identity(n))
     return make_tuple(

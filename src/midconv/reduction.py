@@ -20,7 +20,7 @@ stops at one of the catalog patterns below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -293,7 +293,6 @@ class TerminalPattern:
 
     points: tuple[PointPattern, ...]
     d: int
-    realizability: str = field(default="unknown")
 
     def pattern_str(self) -> str:
         return "{" + ", ".join(format_pattern(p) for p in self.points) + "}"

@@ -34,10 +34,9 @@ from .exactla import (
     is_semisimple,
     primary_components,
     rank,
-    rational_spectrum,
     rref_nullspace,
 )
-from .model import MatrixTuple, SpectralType, strip_trivial
+from .model import MatrixTuple, SpectralType, semisimple_eigenspaces, strip_trivial
 
 
 def _sylvester(a: Mat, b: Mat) -> Mat:
@@ -161,20 +160,13 @@ def okubo_index(t_mat: Mat, a_mat: Mat) -> int:
     dimensions computed as exact nullspaces."""
     if not t_mat.is_square() or not a_mat.is_square() or t_mat.rows != a_mat.rows:
         raise PreconditionError("T and A must be square of equal size")
-    if not is_semisimple(t_mat):
-        raise PreconditionError("T is not semisimple")
-    spec, full = rational_spectrum(t_mat)
-    if not full:
-        raise PreconditionError("T does not have a fully rational spectrum")
+    eig = semisimple_eigenspaces(t_mat, "T is not semisimple",
+                                 "T does not have a fully rational spectrum")
     if not is_semisimple(a_mat):
         raise PreconditionError("A is not semisimple")
     n = t_mat.rows
-    spaces = [
-        rref_nullspace(t_mat - Mat.diagonal([d] * n))[1]
-        for d, _ in sorted(spec, key=lambda v: v[0])
-    ]
     total = centralizer_dim(a_mat) - n * n
-    for (blk,) in diagonal_blocks(spaces, a_mat):
+    for (blk,) in diagonal_blocks([s for *_, s in eig], a_mat):
         if not is_semisimple(blk):
             raise PreconditionError("a diagonal block of A is not semisimple")
         total += blk.rows * blk.rows + centralizer_dim(blk)

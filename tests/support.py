@@ -216,6 +216,11 @@ def unimodular(r: random.Random, n: int) -> Mat:
     return Mat(m)
 
 
+def from_columns(cols, rows: int) -> Mat:
+    """The rows x len(cols) matrix with the given columns."""
+    return Mat([[c[i] for c in cols] for i in range(rows)]) if cols else Mat.zeros(rows, 0)
+
+
 def direct_sum(*blocks) -> Mat:
     """Block-diagonal matrix of square blocks, each a Mat or a list of rows."""
     blocks = [b if isinstance(b, Mat) else Mat(b) for b in blocks]
@@ -428,7 +433,7 @@ def prop43_instances(seed: int, want: int, max_tries: int = 300):
                 zero_pos = pos
             cols.extend(ker.basis_columns())
             pos += mult
-        basis = Mat.from_columns(cols, n)
+        basis = from_columns(cols, n)
         compressed = inverse(basis) * t.residue_at_infinity() * basis
         coincident = compressed[zero_pos, zero_pos]
         mus = [coincident]

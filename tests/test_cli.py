@@ -275,6 +275,19 @@ def test_cli_internal_error_exit_4(hyp_file, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_cli_unexpected_exception_exit_4(hyp_file, monkeypatch, capsys):
+    import midconv.rigidity
+
+    def broken(t):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(midconv.rigidity, "index", broken)
+    assert main(["idx", hyp_file]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: ValueError: boom\n"
+    assert "Traceback" not in err
+
+
 def test_cli_machine_output_byte_stable(hyp_file, capsys):
     assert main(["--format", "machine", "idx", hyp_file]) == 0
     first = capsys.readouterr().out

@@ -257,7 +257,7 @@ def test_primary_components_with_residual():
 
 
 # ---------------------------------------------------------------------
-# misc: rank/det/inverse/Poly
+# misc: rank/det/inverse/polynomials
 # ---------------------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)
@@ -277,10 +277,16 @@ def test_det_and_inverse():
 
 
 def test_poly_gcd_and_squarefree():
-    x = Poly([0, 1])
-    p = (x - Poly([1])) * (x - Poly([1])) * (x + Poly([2]))
-    sf = p.squarefree_part()
-    assert sf == ((x - Poly([1])) * (x + Poly([2]))).monic()
+    from midconv.exactla import _exact_quotient, _sturm_chain
+
+    q = [2, -3, 0, 1]  # (y-1)^2 (y+2), lowest coefficient first
+    chain = _sturm_chain(q)
+    # q, q' = 3(y^2 - 1) made primitive, then -rem made primitive
+    assert chain == [q, [-1, 0, 1], [-1, 1]]
+    assert chain[-1] in ([-1, 1], [1, -1])  # +-(y - 1) = gcd(q, q')
+    assert _exact_quotient(q, chain[-1]) in ([-2, 1, 1], [2, -1, -1])  # (y-1)(y+2)
+    with pytest.raises(InternalError):
+        _exact_quotient(q, [1, 1])  # y + 1 does not divide q
 
 
 def test_charpoly_requires_square():
@@ -317,15 +323,24 @@ def test_diagonal_blocks_match_full_conjugation():
             off += s.dim
 
 
+def _poly_times(p, f):
+    """Product of integer coefficient lists, lowest degree first."""
+    out = [0] * (len(p) + len(f) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(f):
+            out[i + j] += a * b
+    return out
+
+
 def test_integer_root_isolation_stress():
-    from midconv.exactla import Poly, _integer_roots_monic
+    from midconv.exactla import _integer_roots, _sturm_chain
 
     def poly_from_roots(int_roots, extra_irreducible=True):
-        p = Poly([1])
+        p = [1]
         for r0 in int_roots:
-            p = p * Poly([-r0, 1])
+            p = _poly_times(p, [-r0, 1])
         if extra_irreducible:
-            p = p * Poly([2, 0, 1])  # y^2 + 2, no real roots
+            p = _poly_times(p, [2, 0, 1])  # y^2 + 2, no real roots
         return p
 
     cases = [
@@ -350,13 +365,21 @@ def test_integer_root_isolation_stress():
         [999999, 10 ** 6, 10 ** 6 + 1],
         [10 ** 6, 10 ** 6, -3],
         [-10 ** 6, 0, 10 ** 6],
+        # high multiplicity: the chain ends in a gcd of degree 8 and 11
+        [3] * 9,
+        [0] * 12,
     ]
     for roots in cases:
         for extra in (True, False):
             p = poly_from_roots(roots, extra)
-            assert _integer_roots_monic(p) == sorted(set(roots)), roots
+            if len(p) == 1:
+                continue  # the constant 1 has no chain
+            assert _integer_roots(_sturm_chain(p)) == sorted(set(roots)), roots
     # irrational-only polynomial: (y^2 - 2)(y^2 - 3)
-    assert _integer_roots_monic(Poly([6, 0, -5, 0, 1])) == []
+    assert _integer_roots(_sturm_chain([6, 0, -5, 0, 1])) == []
+    # a repeated irrational pair next to an integer root: (y^2 - 2)^2 (y - 5)
+    p = _poly_times(_poly_times([-2, 0, 1], [-2, 0, 1]), [-5, 1])
+    assert _integer_roots(_sturm_chain(p)) == [5]
 
 
 def test_rank_matches_naive_on_rank_deficient():

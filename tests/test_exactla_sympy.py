@@ -9,8 +9,10 @@ kernel's edge cases: zero and repeated rows, rank deficiency, 1x1 and
 `charpoly`, `rational_spectrum`, `jordan_partition` and
 `primary_components` are compared with sympy's characteristic polynomial,
 factorization over Q and Jordan form on square matrices with repeated
-semisimple eigenvalues, Jordan blocks, +-sqrt(2) blocks, no rational
-eigenvalue at all, 1x1 and zero shapes, and unimodular conjugates of each.
+semisimple eigenvalues, Jordan blocks, +-sqrt(2) blocks, a repeated
+irreducible factor, no rational eigenvalue at all, 1x1 and zero shapes,
+and unimodular conjugates of each.  `is_semisimple` is compared with
+sympy's `is_diagonalizable` on a similar set.
 `charpoly` is also compared on inputs aimed at its multi-modular
 certificate: 100-digit entries and 10^30 denominators (a wrong bound or
 a missing prime fails them), a denominator equal to the first prime, and
@@ -29,6 +31,7 @@ from midconv.exactla import (
     charpoly,
     det,
     inverse,
+    is_semisimple,
     jordan_partition,
     primary_components,
     rank,
@@ -163,6 +166,12 @@ def _jordan(lam, k) -> list[list[F]]:
     return [[F(lam) if i == j else F(int(j == i + 1)) for j in range(k)] for i in range(k)]
 
 
+def _companion(low) -> Mat:
+    """Companion matrix of the monic x^k + low[k-1] x^(k-1) + ... + low[0]."""
+    k = len(low)
+    return Mat([[F(int(i == j + 1)) for j in range(k - 1)] + [-F(low[i])] for i in range(k)])
+
+
 SQRT2 = [[0, 2], [1, 0]]   # x^2 - 2
 I_ROT = [[0, -1], [1, 0]]  # x^2 + 1
 
@@ -184,6 +193,9 @@ def spectral_cases():
         ("1x1", Mat([[F(-7, 3)]])),
         ("zero-1x1", Mat([[0]])),
         ("zero-3x3", Mat.zeros(3, 3)),
+        ("third-x8", Mat.diagonal([F(1, 3)] * 8)),
+        # (x^2 - 2)^2 (x - 1/2): d = 2 and q(y) = (y^2 - 8)^2 (y - 1)
+        ("sqrt2-squared-half", _companion([-2, 4, 2, -4, F(-1, 2)])),
     ]
     r = support.rng(77)
     out = []
@@ -264,6 +276,35 @@ def test_rational_spectrum_matches_sympy(m):
     pairs, full = rational_spectrum(m)
     assert pairs == sorted(roots.items(), key=lambda t: (-t[1], t[0]))
     assert full == (sum(roots.values()) == m.rows)
+
+
+def semisimple_cases():
+    """`is_semisimple` inputs, each also conjugated by a unimodular matrix:
+    a repeated irreducible factor with and without a Jordan block, a cubic
+    irrationality, rational Jordan blocks, d = 3 and trivial shapes."""
+    base = [
+        ("companion-sqrt2-squared", _companion([4, 0, -4, 0])),
+        ("sqrt2-sqrt2", support.direct_sum(SQRT2, SQRT2)),
+        ("cbrt2", _companion([-2, 0, 0])),
+        ("jordan-2-half-1", support.direct_sum(_jordan(F(1, 2), 2), [[3]])),
+        ("jordan-3-minus-two-thirds", support.direct_sum(_jordan(F(-2, 3), 3))),
+        ("third-x8", Mat.diagonal([F(1, 3)] * 8)),
+        ("1x1", Mat([[F(-7, 3)]])),
+        ("zero-1x1", Mat([[0]])),
+        ("zero-3x3", Mat.zeros(3, 3)),
+    ]
+    r = support.rng(707)
+    out = []
+    for name, m in base:
+        p = support.unimodular(r, m.rows)
+        out.append(pytest.param(m, id=name))
+        out.append(pytest.param(p * m * inverse(p), id=name + "-conj"))
+    return out
+
+
+@pytest.mark.parametrize("m", semisimple_cases())
+def test_is_semisimple_matches_sympy(m):
+    assert is_semisimple(m) == _sym(m).is_diagonalizable()
 
 
 @pytest.mark.parametrize("m", spectral_cases())

@@ -306,7 +306,6 @@ def test_classify_invariant_under_permutation_and_scaling():
 def test_terminal_pattern_from_tuple():
     tp = terminal_pattern(_four_point_fuchsian())
     assert tp.points == (((2, (1, 1)),),) * 4
-    assert tp.realizability == "unknown"
 
 
 # ---------------------------------------------------------------------
