@@ -34,7 +34,6 @@ from .model import (
     validate,
 )
 from .convolution import (
-    ConvolvedTuple,
     MCOutcome,
     check_invariance,
     convolution_matrices,

@@ -164,15 +164,17 @@ def _idx_lines(doc, args):
 
 def _cmd_conv(args):
     t = tuplefile.read_tuple(args.file)
-    conv = convolution.convolution_matrices(t, _rat(args.mu))
+    mu = _rat(args.mu)
+    conv = convolution.convolution_matrices(t, mu)
+    slots = conv.slots()
     return {
         "command": "conv",
-        "mu": tuplefile.format_rational(conv.mu),
-        "size": conv.base.size,
-        "slots": [list(s) for s in conv.block_index],
+        "mu": tuplefile.format_rational(mu),
+        "size": conv.size,
+        "slots": [list(s) for s in slots],
         "matrices": [
-            {"slot": [i, j], "rows": tuplefile.format_matrix(conv.base.coeff(i, j))}
-            for (i, j) in conv.block_index
+            {"slot": [i, j], "rows": tuplefile.format_matrix(conv.coeff(i, j))}
+            for (i, j) in slots
         ],
     }
 
@@ -188,10 +190,11 @@ def _conv_lines(doc, args):
 
 def _cmd_mc(args):
     t = tuplefile.read_tuple(args.file)
-    out = convolution.middle_convolution(t, _rat(args.mu))
+    mu = _rat(args.mu)
+    out = convolution.middle_convolution(t, mu)
     return {
         "command": "mc",
-        "mu": args.mu,
+        "mu": tuplefile.format_rational(mu),
         "size": out.result.size,
         "dim_K": list(out.dim_K),
         "dim_L": out.dim_L,

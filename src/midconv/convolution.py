@@ -14,6 +14,11 @@ at every other pivot row, so each convolution matrix G induces
 on the quotient: only the pivot rows of G and the entries of b_p on the
 complement enter.  dim(K + L(mu)) is usually small against nM, so this
 costs far less than reducing every column of G against the basis.
+
+K is assembled canonically with no elimination of its own: each point's
+Toeplitz kernel comes out of `rref_nullspace` in reduced echelon form, and
+shifting those kernels to their consecutive slots and concatenating them in
+point order keeps that form (`subspace_K`).
 """
 
 from __future__ import annotations
@@ -27,16 +32,6 @@ from .model import MatrixTuple, SingularPoint
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class ConvolvedTuple:
-    """The size-nM tuple of convolution matrices, with the slot layout of
-    the direct sum V' recorded in block_index."""
-
-    base: MatrixTuple
-    mu: Fraction
-    block_index: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,9 @@ def _block_upper_toeplitz(coeffs: list[Mat]) -> Mat:
     return Mat.block(grid)
 
 
-def convolution_matrices(t: MatrixTuple, mu) -> ConvolvedTuple:
-    """Build the convolution matrices of the tuple for parameter mu.
+def convolution_matrices(t: MatrixTuple, mu) -> MatrixTuple:
+    """The size-nM tuple of convolution matrices for parameter mu; its
+    `slots()` are those of t and give the slot layout of V'.
 
     For each slot (i, j) the matrix has one dense block row at slot (i, j)
     containing the full coefficient row (with mu*I added in column (i, 0)
@@ -108,8 +104,7 @@ def convolution_matrices(t: MatrixTuple, mu) -> ConvolvedTuple:
                 tuple(build(i, j) for j in range(p.poincare_rank, -1, -1)),
             )
         )
-    base = MatrixTuple(nm, inf, tuple(fin))
-    return ConvolvedTuple(base, mu, tuple(slots))
+    return MatrixTuple(nm, inf, tuple(fin))
 
 
 def _slot_offsets(t: MatrixTuple) -> dict[tuple[int, int], int]:
@@ -119,25 +114,28 @@ def _slot_offsets(t: MatrixTuple) -> dict[tuple[int, int], int]:
 def subspace_K(t: MatrixTuple) -> tuple[list[Subspace], Subspace]:
     """Per-point kernels of the block-Toeplitz principal parts, embedded in
     V'; the point at infinity contributes the zero space.  Returns the list
-    (indexed by point) and their direct sum."""
-    n = t.size
-    nm = n * t.slot_count
+    (indexed by point) and their direct sum.
+
+    The Toeplitz columns of point i are its slots (i, m_i), ..., (i, 0),
+    which are consecutive in V', so each canonical kernel is embedded by
+    shifting it, vectors and pivots alike, to the offset of (i, m_i).  The
+    shifted kernels sit on disjoint blocks in point order, so their
+    concatenation is the canonical basis of the sum: nothing is
+    re-eliminated."""
+    nm = t.size * t.slot_count
     offs = _slot_offsets(t)
     per_point: list[Subspace] = [Subspace.zero(nm)]
     for i, p in enumerate(t.finite, start=1):
-        toep = _block_upper_toeplitz(list(p.coeffs))
-        _, ker = rref_nullspace(toep)
-        vecs = []
-        for col in ker.basis_columns():
-            v = [_ZERO] * nm
-            for idx, j in enumerate(range(p.poincare_rank, -1, -1)):
-                base = offs[(i, j)]
-                for a in range(n):
-                    v[base + a] = col[idx * n + a]
-            vecs.append(v)
-        per_point.append(Subspace.from_spanning(vecs, nm))
-    combined = Subspace.from_spanning(
-        [c for s in per_point for c in s.basis_columns()], nm
+        _, ker = rref_nullspace(_block_upper_toeplitz(list(p.coeffs)))
+        off = offs[(i, p.poincare_rank)]
+        left, right = (_ZERO,) * off, (_ZERO,) * (nm - off - ker.ambient_dim)
+        per_point.append(Subspace(
+            nm, tuple(left + v + right for v in ker.vectors),
+            tuple(off + q for q in ker.pivot_rows),
+        ))
+    combined = Subspace(
+        nm, tuple(v for s in per_point for v in s.vectors),
+        tuple(q for s in per_point for q in s.pivot_rows),
     )
     return per_point, combined
 
@@ -156,7 +154,7 @@ def subspace_Lprime(t: MatrixTuple, mu) -> Subspace:
     toep = _block_upper_toeplitz(list(t.infinity.coeffs) + [corner])
     _, ker = rref_nullspace(toep)
     vecs = []
-    for col in ker.basis_columns():
+    for col in ker.vectors:
         v = [_ZERO] * nm
         for idx, j in enumerate(range(m0, 0, -1)):
             base = offs[(0, j)]
@@ -193,25 +191,23 @@ def predicted_size(t: MatrixTuple, mu) -> int:
     return nm - big_k.sum(subspace_L(t, 0)).dim
 
 
-def middle_convolution(t: MatrixTuple, mu, pivot_side: str = "left") -> MCOutcome:
+def middle_convolution(t: MatrixTuple, mu) -> MCOutcome:
     """Middle convolution with parameter mu.
 
     The quotient V'/(K + L(mu)) is realized on the coordinate subspace
-    complementary to the pivot rows of the canonical basis of K + L(mu);
-    `pivot_side` selects leftmost (default) or rightmost pivot rows, which
-    changes the result only by simultaneous similarity.
+    complementary to the (leftmost) pivot rows of the canonical basis of
+    K + L(mu).  Any other complement changes the result only by
+    simultaneous similarity.
     """
     per_point, big_k = subspace_K(t)
-    return quotient(t, mu, per_point, big_k, subspace_L(t, mu), pivot_side)
+    return quotient(t, mu, per_point, big_k, subspace_L(t, mu))
 
 
 def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
-             big_L: Subspace, pivot_side: str = "left") -> MCOutcome:
+             big_L: Subspace) -> MCOutcome:
     """The middle convolution quotient for subspaces already built:
     `per_point_K` and `big_K` as returned by `subspace_K(t)`, and `big_L`
     equal to `subspace_L(t, mu)`."""
-    if pivot_side not in ("left", "right"):
-        raise ValueError("pivot_side must be 'left' or 'right'")
     conv = convolution_matrices(t, mu)
     w = big_K.sum(big_L)
     nm = t.size * t.slot_count
@@ -221,17 +217,8 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
             "middle convolution quotient is zero-dimensional (degenerate input)"
         )
 
-    if pivot_side == "left":
-        reducer = list(zip(w.pivot_rows, w.basis_columns()))
-    else:
-        rev = Subspace.from_spanning(
-            [list(reversed(c)) for c in w.basis_columns()], nm
-        )
-        reducer = [
-            (nm - 1 - p, list(reversed(c)))
-            for p, c in zip(rev.pivot_rows, rev.basis_columns())
-        ]
-    pivot_set = {p for p, _ in reducer}
+    reducer = list(zip(w.pivot_rows, w.vectors))
+    pivot_set = set(w.pivot_rows)
     comp = [c for c in range(nm) if c not in pivot_set]
     # the nonzero entries of each b_p on the complement, by result row
     b_support = [
@@ -261,8 +248,8 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
 
     result = MatrixTuple(
         new_size,
-        quotient_point(conv.base.infinity),
-        tuple(quotient_point(p) for p in conv.base.finite),
+        quotient_point(conv.infinity),
+        tuple(quotient_point(p) for p in conv.finite),
     )
 
     proj_rows = []
@@ -311,16 +298,14 @@ def check_invariance(t: MatrixTuple, mu) -> InvarianceReport:
     _, big_k = subspace_K(t)
     big_l = subspace_L(t, mu)
     big_lp = subspace_Lprime(t, mu)
-    slots = conv.block_index
+    slots = conv.slots()
 
     def stable(space: Subspace, big: Mat) -> bool:
-        return all(
-            space.contains_vector(big.apply(col)) for col in space.basis_columns()
-        )
+        return all(space.contains_vector(big.apply(v)) for v in space.vectors)
 
-    mats = [conv.base.coeff(i, j) for (i, j) in slots]
+    mats = [conv.coeff(i, j) for (i, j) in slots]
     return InvarianceReport(
-        slots=slots,
+        slots=tuple(slots),
         k_ok=tuple(stable(big_k, m) for m in mats),
         l_ok=tuple(stable(big_l, m) for m in mats),
         lprime_ok=tuple(stable(big_lp, m) for m in mats),

@@ -34,10 +34,18 @@ semisimple iff q / gcd(q, q') annihilates dA.
 Jordan data and primary components share one kernel chain: the nullities
 of (A - lam)^k for k = 1, 2, ... until they stop growing (`_kernel_chain`).
 
-Subspaces are stored in column-reduced echelon form with leftmost pivots.
-This representative is unique, so two subspaces are equal iff their basis
-matrices are identical, and all downstream tie-breaking (quotient
-complements, canonical kernels) is deterministic.
+A `Subspace` is its reduced row echelon basis: the rows `vectors` with
+leftmost pivots `pivot_rows`.  This representative is unique, so two
+subspaces are equal iff their fields are, and all downstream tie-breaking
+(quotient complements, canonical kernels) is deterministic.
+
+`rref_nullspace` builds that basis of a kernel from one elimination.  It
+row-reduces the columns of m in reverse order.  In that reversed RREF a
+pivot row is nonzero at a free column f only if f lies left of the row's
+pivot p in the original order.  So the kernel vector v_f (1 at f, minus
+that row entry at each pivot p) is 0 at every other free column and
+nonzero only at pivots right of f: f is its leftmost nonzero.  Taken in
+order of f, these vectors are the kernel's RREF, which is unique.
 """
 
 from __future__ import annotations
@@ -285,7 +293,7 @@ def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
     return [a // g for a in w] if g > 1 else w
 
 
-def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
     """Reduced row echelon form of the given spanning rows (unique)."""
     ech, piv_cols, _ = _echelon(rows, ncols)
     for i in reversed(range(len(piv_cols))):
@@ -293,7 +301,7 @@ def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[lis
         for k in range(i):
             if ech[k][pc]:
                 ech[k] = _eliminate(ech[k], ech[i], pc)
-    rref = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(ech, piv_cols)]
+    rref = [tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(ech, piv_cols)]
     return rref, piv_cols
 
 
@@ -332,20 +340,21 @@ def inverse(m: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient_dim in canonical column-echelon form.
+    """A subspace of Q^ambient_dim as its reduced row echelon basis.
 
-    `basis` has the basis vectors as columns; column i has a 1 in row
-    pivot_rows[i] and zeros in every other pivot row.  The representative
-    is unique, so equality of subspaces is equality of these fields.
+    `vectors[i]` has a 1 at `pivot_rows[i]` and zeros at every other pivot
+    and everywhere left of its own pivot; the pivots increase.  The
+    representative is unique, so equality of subspaces is equality of
+    these fields.
     """
 
     ambient_dim: int
-    basis: Mat
+    vectors: tuple[tuple[Fraction, ...], ...]
     pivot_rows: tuple[int, ...]
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat.zeros(ambient_dim, 0), ())
+        return Subspace(ambient_dim, (), ())
 
     @staticmethod
     def from_spanning(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
@@ -354,90 +363,57 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
         rref, piv = _rref_rows(vecs, ambient_dim)
-        if not piv:
-            return Subspace.zero(ambient_dim)
-        basis = Mat([[rref[j][i] for j in range(len(piv))] for i in range(ambient_dim)])
-        return Subspace(ambient_dim, basis, tuple(piv))
+        return Subspace(ambient_dim, tuple(rref), tuple(piv))
 
     @property
     def dim(self) -> int:
         return len(self.pivot_rows)
 
-    def basis_columns(self) -> list[list[Fraction]]:
-        return [list(self.basis.col(j)) for j in range(self.dim)]
-
-    def reduce_vector(self, vec: Sequence) -> list[Fraction]:
-        """Residue of vec modulo the subspace: kill all pivot rows."""
+    def contains_vector(self, vec: Sequence) -> bool:
+        """True iff vec reduces to zero against the basis: subtracting
+        v[p] times the vector with pivot p, for each pivot p in turn."""
         v = [as_scalar(x) for x in vec]
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong length")
-        for j, p in enumerate(self.pivot_rows):
+        for p, b in zip(self.pivot_rows, self.vectors):
             c = v[p]
             if c:
-                col = self.basis.col(j)
-                v = [a - c * b for a, b in zip(v, col)]
-        return v
-
-    def contains_vector(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce_vector(vec))
-
-    def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(c) for c in other.basis_columns())
+                v = [a - c * x for a, x in zip(v, b)]
+        return not any(v)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return Subspace.from_spanning(
-            self.basis_columns() + other.basis_columns(), self.ambient_dim
-        )
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # Solve A x = B y: kernel of [A | -B] projected through A.
-        a_cols = self.basis_columns()
-        b_cols = other.basis_columns()
-        stacked = Mat(
-            [
-                [a_cols[j][i] for j in range(len(a_cols))]
-                + [-b_cols[j][i] for j in range(len(b_cols))]
-                for i in range(self.ambient_dim)
-            ]
-        )
-        _, ker = rref_nullspace(stacked)
-        vecs = []
-        for kcol in ker.basis_columns():
-            x = kcol[: len(a_cols)]
-            vec = [
-                sum((a_cols[j][i] * x[j] for j in range(len(a_cols))), _ZERO)
-                for i in range(self.ambient_dim)
-            ]
-            vecs.append(vec)
-        return Subspace.from_spanning(vecs, self.ambient_dim)
+        return Subspace.from_spanning(self.vectors + other.vectors, self.ambient_dim)
 
 
 def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
-    """Rank and canonical right nullspace of m."""
-    rref, piv = _rref_rows(m.data, m.cols)
-    piv_set = set(piv)
-    free = [j for j in range(m.cols) if j not in piv_set]
+    """Rank and canonical right nullspace of m, from one elimination of the
+    columns of m in reverse order (see the module docstring)."""
+    c = m.cols
+    rref, piv = _rref_rows([row[::-1] for row in m.data], c)
+    # row i of rref, read in the original column order, has its pivot at
+    # c - 1 - piv[i] and is zero right of it
+    pivots = [(c - 1 - p, row) for p, row in zip(piv, rref)]
+    piv_set = {p for p, _ in pivots}
+    free = tuple(f for f in range(c) if f not in piv_set)
     vecs = []
     for f in free:
-        v = [_ZERO] * m.cols
+        v = [_ZERO] * c
         v[f] = _ONE
-        for i, p in enumerate(piv):
-            v[p] = -rref[i][f]
-        vecs.append(v)
-    return len(piv), Subspace.from_spanning(vecs, m.cols)
+        for p, row in pivots:
+            if x := row[c - 1 - f]:
+                v[p] = -x
+        vecs.append(tuple(v))
+    return len(piv), Subspace(c, tuple(vecs), free)
 
 
 def diagonal_blocks(spaces: Sequence[Subspace], *mats: Mat) -> list[tuple[Mat, ...]]:
     """Write each matrix in the basis that concatenates the bases of
     `spaces` (together a basis of the ambient space) and cut out its
     diagonal blocks: one tuple per subspace, one block per matrix."""
-    p = Mat.block([[s.basis for s in spaces]])
+    vecs = [v for s in spaces for v in s.vectors]
+    p = Mat._trusted(tuple(zip(*vecs)), len(vecs))
     pinv = inverse(p)
     products = [a * p for a in mats]
     out = []
@@ -780,7 +756,7 @@ def primary_components(m: Mat) -> list[tuple[Fraction | None, Subspace]]:
     if not full:
         mt = m.transpose()
         left = tuple(tuple(v) for lam, mult in spec
-                     for v in _kernel_chain(mt, lam, mult, rref_nullspace)[1].basis_columns())
+                     for v in _kernel_chain(mt, lam, mult, rref_nullspace)[1].vectors)
         comps.append((None, rref_nullspace(Mat._trusted(left, n))[1]))
     if sum(c[1].dim for c in comps) != n:
         raise InternalError("primary components do not span the whole space")

@@ -247,7 +247,7 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
         return None
     basis = [
         Mat([col[k * n:(k + 1) * n] for k in range(n)])
-        for col in space.basis_columns()
+        for col in space.vectors
     ]
     for coeffs in _weighted_grid(d, n):
         s = Mat.zeros(n, n)

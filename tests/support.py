@@ -221,6 +221,17 @@ def from_columns(cols, rows: int) -> Mat:
     return Mat([[c[i] for c in cols] for i in range(rows)]) if cols else Mat.zeros(rows, 0)
 
 
+def conjugated(t: MatrixTuple, p: Mat) -> MatrixTuple:
+    """The tuple with every coefficient A replaced by p A p^-1."""
+    pinv = inverse(p)
+
+    def conj(pt: SingularPoint) -> SingularPoint:
+        return SingularPoint(pt.location, pt.poincare_rank,
+                             tuple(p * a * pinv for a in pt.coeffs))
+
+    return make_tuple(t.size, conj(t.infinity), [conj(pt) for pt in t.finite])
+
+
 def direct_sum(*blocks) -> Mat:
     """Block-diagonal matrix of square blocks, each a Mat or a list of rows."""
     blocks = [b if isinstance(b, Mat) else Mat(b) for b in blocks]
@@ -431,7 +442,7 @@ def prop43_instances(seed: int, want: int, max_tries: int = 300):
             _, ker = rref_nullspace(a1_inf - Mat.diagonal([lam] * n))
             if lam == 0:
                 zero_pos = pos
-            cols.extend(ker.basis_columns())
+            cols.extend(ker.vectors)
             pos += mult
         basis = from_columns(cols, n)
         compressed = inverse(basis) * t.residue_at_infinity() * basis

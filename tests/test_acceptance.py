@@ -128,11 +128,12 @@ def test_criterion_3_subspace_property_suite():
             assert check_invariance(t, 0).all_pass
 
             _, big_k = subspace_K(t)
-            assert big_k.intersect(subspace_L(t, mu)).dim == 0
+            big_l = subspace_L(t, mu)
+            assert big_k.sum(big_l).dim == big_k.dim + big_l.dim
 
             l0 = subspace_L(t, 0)
             lp0 = subspace_Lprime(t, 0)
-            assert l0.contains(big_k.sum(lp0))
+            assert l0.sum(big_k.sum(lp0)) == l0
 
             rep = index(t)
             assert rep.index == sum(rep.local_indices) + 2 * n * n

@@ -305,6 +305,17 @@ def test_cli_mc_report_fields(hyp_file, capsys):
     assert doc["size"] == 1
 
 
+@pytest.mark.parametrize("raw,canonical", [("2/6", "1/3"), ("+1/3", "1/3"), ("-0", "0")])
+def test_cli_mc_echoes_canonical_mu(hyp_file, capsys, raw, canonical):
+    # mc reports mu as conv does: the canonical literal, not the raw argument
+    assert main(["--format", "machine", "mc", hyp_file, "--mu", raw]) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == canonical
+    assert main(["--format", "machine", "conv", hyp_file, "--mu", raw]) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == canonical
+    assert main(["mc", hyp_file, "--mu", raw]) == 0
+    assert f"middle convolution with mu = {canonical}\n" in capsys.readouterr().out
+
+
 def test_cli_conv_machine_byte_stable(hyp_file, capsys):
     outs = []
     for _ in range(2):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from midconv.errors import PreconditionError
-from midconv.exactla import Mat, rref_nullspace
+from midconv.exactla import Mat, Subspace, rref_nullspace
 from midconv.convolution import (
     check_invariance,
     convolution_matrices,
@@ -42,16 +42,16 @@ def test_conv_matrices_hypergeometric_blocks():
     a1, a0 = HYP.infinity.coeffs[0], HYP.finite[0].coeffs[0]
     z = Mat.zeros(2, 2)
     eye = Mat.identity(2)
-    assert conv.base.coeff(0, 1) == Mat.block([[a1, a0], [z, z]])
-    assert conv.base.coeff(1, 0) == Mat.block([[z, z], [a1, a0 + mu * eye]])
-    assert conv.block_index == ((0, 1), (1, 0))
+    assert conv.coeff(0, 1) == Mat.block([[a1, a0], [z, z]])
+    assert conv.coeff(1, 0) == Mat.block([[z, z], [a1, a0 + mu * eye]])
+    assert conv.slots() == [(0, 1), (1, 0)]
 
 
 def test_conv_matrices_single_slot():
     t = make_tuple(1, infinity_point(0, []), [finite_point(0, 0, [Mat([[5]])])])
     conv = convolution_matrices(t, F(2))
-    assert conv.base.size == 1
-    assert conv.base.coeff(1, 0) == Mat([[7]])  # A + mu
+    assert conv.size == 1
+    assert conv.coeff(1, 0) == Mat([[7]])  # A + mu
 
 
 def test_conv_matrices_vs_definition_oracle():
@@ -62,7 +62,7 @@ def test_conv_matrices_vs_definition_oracle():
         conv = convolution_matrices(t, mu)
         oracle = support.convolution_oracle(t, mu)
         for (i, j) in t.slots():
-            assert conv.base.coeff(i, j) == oracle[(i, j)], (i, j)
+            assert conv.coeff(i, j) == oracle[(i, j)], (i, j)
 
 
 def test_conv_matrices_mu_band():
@@ -73,7 +73,7 @@ def test_conv_matrices_mu_band():
     conv = convolution_matrices(t, mu)
     oracle = support.convolution_oracle(t, mu)
     for (i, j) in t.slots():
-        assert conv.base.coeff(i, j) == oracle[(i, j)]
+        assert conv.coeff(i, j) == oracle[(i, j)]
 
 
 # ---------------------------------------------------------------------
@@ -118,6 +118,36 @@ def test_K_padded_point_formula():
         assert per[1].dim == 6 - r
 
 
+def test_K_is_canonical_without_re_elimination():
+    # finite points of Poincare rank 0, 1 and 2, a zero coefficient, r = 0:
+    # each shifted per-point kernel and their concatenation are already the
+    # reduced echelon bases that a fresh elimination of their vectors gives
+    rng = support.rng(78)
+    z = Mat.zeros(2, 2)
+    sing = Mat([[1, 1], [1, 1]])
+    tuples = [
+        make_tuple(2, infinity_point(1, [Mat.diagonal([1, 2])]), []),
+        make_tuple(
+            2, infinity_point(1, [support.rand_matrix(rng, 2)]),
+            [finite_point(0, 0, [sing]),
+             finite_point(1, 1, [sing, z]),
+             finite_point(2, 2, [z, sing, support.rand_matrix(rng, 2)])],
+        ),
+        make_tuple(
+            2, infinity_point(0, []),
+            [finite_point(0, 2, [sing, z, z]), finite_point(1, 0, [z])],
+        ),
+    ]
+    for _ in range(4):
+        tuples.append(support.rand_tuple(rng, 2, 3, [1, 2, 0, 1], pool=(0, 0, 1, -1)))
+    for t in tuples:
+        per, big = subspace_K(t)
+        for s in per + [big]:
+            assert s == Subspace.from_spanning(s.vectors, s.ambient_dim)
+        assert big.dim == sum(s.dim for s in per)
+    assert any(subspace_K(t)[1].dim > 2 for t in tuples)
+
+
 def test_Lprime_hypergeometric_at_alpha():
     lp = subspace_Lprime(HYP, ALPHA)
     assert lp.dim == 2
@@ -157,7 +187,7 @@ def test_K_plus_Lprime0_inside_L0():
         t = support.rand_tuple(rng, 2, 1, [rng.choice([0, 1]), rng.choice([0, 1])])
         _, big_k = subspace_K(t)
         l0 = subspace_L(t, 0)
-        assert l0.contains(big_k.sum(subspace_Lprime(t, 0)))
+        assert l0.sum(big_k.sum(subspace_Lprime(t, 0))) == l0
 
 
 # ---------------------------------------------------------------------
@@ -239,15 +269,21 @@ def test_padding_equivalence_strip_and_similarity():
 
 
 def test_complement_independence():
+    # a conjugated input has other canonical bases of K and L(mu), hence
+    # another coordinate complement, and the result changes only by similarity
     rng = support.rng(21)
+    checked = 0
     for _ in range(5):
         t = support.rand_tuple(rng, 2, 1, [1, 0])
         if not is_irreducible(t):
             continue
         mu = F(rng.choice([1, -1]), rng.choice([1, 2]))
-        left = middle_convolution(t, mu, pivot_side="left").result
-        right = middle_convolution(t, mu, pivot_side="right").result
-        assert are_similar(left, right) is not None
+        p = support.unimodular(rng, 2)
+        plain = middle_convolution(t, mu).result
+        conj = middle_convolution(support.conjugated(t, p), mu).result
+        assert are_similar(plain, conj) is not None
+        checked += 1
+    assert checked
 
 
 def test_involution_on_hypergeometric():
@@ -302,28 +338,22 @@ _CONTRACT_TUPLES = {
 def test_mc_outcome_projection_contract():
     # projection kills K + L(mu), projection * section is the identity, and
     # every result coefficient equals projection * conv_matrix * section;
-    # both pivot sides, mu = 0 (where L(0) may differ from L'(0)) and mu != 0
+    # mu = 0 (where L(0) may differ from L'(0)) and mu != 0
     for name, t in _CONTRACT_TUPLES.items():
         for mu in (F(0), F(1, 3)):
             conv = convolution_matrices(t, mu)
             _, big_k = subspace_K(t)
             w = big_k.sum(subspace_L(t, mu))
-            for side in ("left", "right"):
-                out = middle_convolution(t, mu, pivot_side=side)
-                for col in w.basis_columns():
-                    assert not any(out.projection.apply(col)), (name, mu, side)
-                assert out.projection * out.section == Mat.identity(out.result.size)
-                for (i, j) in t.slots():
-                    assert (out.result.coeff(i, j)
-                            == out.projection * conv.base.coeff(i, j) * out.section), \
-                        (name, mu, side, (i, j))
+            out = middle_convolution(t, mu)
+            for v in w.vectors:
+                assert not any(out.projection.apply(v)), (name, mu)
+            assert out.projection * out.section == Mat.identity(out.result.size)
+            for (i, j) in t.slots():
+                assert (out.result.coeff(i, j)
+                        == out.projection * conv.coeff(i, j) * out.section), \
+                    (name, mu, (i, j))
     assert any(subspace_L(t, 0) != subspace_Lprime(t, 0)
                for t in _CONTRACT_TUPLES.values())
-
-
-def test_mc_rejects_bad_pivot_side():
-    with pytest.raises(ValueError):
-        middle_convolution(HYP, F(1, 3), pivot_side="top")
 
 
 def test_mc_on_okubo_style_tuple_without_infinity_part():

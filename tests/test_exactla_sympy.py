@@ -3,8 +3,8 @@
 `rank`, `det`, `inverse`, the canonical echelon bases behind
 `Subspace.from_spanning` and `rref_nullspace`, and `IncrementalSpan` are
 compared with `sympy.Matrix` on small rational matrices chosen to hit the
-kernel's edge cases: zero and repeated rows, rank deficiency, 1x1 and
-0-row shapes, negative entries and large denominators.
+kernel's edge cases: zero and repeated rows, rank deficiency, 1x1,
+0-row and 0-column shapes, negative entries and large denominators.
 
 `charpoly`, `rational_spectrum`, `jordan_partition` and
 `primary_components` are compared with sympy's characteristic polynomial,
@@ -132,19 +132,25 @@ def test_from_spanning_is_sympy_rref(rows, ncols):
     s = to_sympy(rows, ncols)
     expected = canonical_rows(s)
     assert span.pivot_rows == s.rref()[1]
-    assert span.basis_columns() == expected
+    assert [list(v) for v in span.vectors] == expected
 
 
-@pytest.mark.parametrize("rows,ncols", cases())
+# 0 x c, c x 0 and zero matrices, whose kernels are everything or nothing
+_NULLSPACE_EDGES = [
+    ([], 1), ([], 5), ([[]], 0), ([[]] * 3, 0),
+    ([[F(0)] * 5], 5), ([[F(0)] * 2] * 4, 2), ([[F(0)]] * 2, 1),
+]
+
+
+@pytest.mark.parametrize("rows,ncols", cases() + _NULLSPACE_EDGES)
 def test_rref_nullspace_matches_sympy(rows, ncols):
     r, ker = rref_nullspace(as_mat(rows, ncols))
     s = to_sympy(rows, ncols)
     assert r == s.rank()
-    null = s.nullspace()
-    assert ker.dim == len(null)
-    if null:
-        expected = canonical_rows(sympy.Matrix.hstack(*null).T)
-        assert ker.basis_columns() == expected
+    expected = _sym_null_rows(s)
+    assert ker.ambient_dim == ncols
+    assert [list(v) for v in ker.vectors] == expected
+    assert ker == Subspace.from_spanning(ker.vectors, ncols)
 
 
 @pytest.mark.parametrize("rows,ncols", cases())
@@ -345,4 +351,4 @@ def test_primary_components_match_sympy(m):
                 target = target * s + c * sympy.eye(n)
         else:
             target = (s - sympy.Rational(lam.numerator, lam.denominator) * sympy.eye(n)) ** n
-        assert space.basis_columns() == _sym_null_rows(target)
+        assert [list(v) for v in space.vectors] == _sym_null_rows(target)
