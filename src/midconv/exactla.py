@@ -139,12 +139,6 @@ class Mat:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
         return Mat([[self.data[i][j] for j in col_idx] for i in row_idx])
 
@@ -170,9 +164,9 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            bt = list(zip(*other.data)) if other.data else []
-            if other.cols == 0 or self.rows == 0:
+            if 0 in (self.rows, self.cols, other.cols):
                 return Mat.zeros(self.rows, other.cols)
+            bt = list(zip(*other.data))
             return Mat(
                 [
                     [
@@ -487,6 +481,19 @@ def _prime(k: int) -> int:
             return q
 
 
+def _rows_mod(dens: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """The integer rows over their denominators dens (prime to p), mod p."""
+    return [[x * di % p for x in r] for di, r in zip([pow(d, -1, p) for d in dens], rows)]
+
+
+def reduce_mod_prime(mats: Sequence[Mat]) -> tuple[int, list[list[list[int]]]]:
+    """The first prime `_prime(k)` dividing no denominator of any entry of
+    mats, and the rows of each matrix mod that prime."""
+    ints = [list(zip(*map(_integer_row, m.data))) for m in mats]
+    p = next(p for p in map(_prime, count()) if all(d % p for dens, _ in ints for d in dens))
+    return p, [_rows_mod(dens, rows, p) for dens, rows in ints]
+
+
 def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
     """Coefficients (lowest first) of det(xI - a) mod p: reduction to upper
     Hessenberg form by similarity, then the Hessenberg recurrence (Cohen,
@@ -536,7 +543,7 @@ def charpoly(m: Mat) -> Poly:
     for p in map(_prime, count()):
         if any(d % p == 0 for d in dens):
             continue
-        a = [[x * di % p for x in r] for di, r in zip([pow(d, -1, p) for d in dens], rows)]
+        a = _rows_mod(dens, rows, p)
         dp, inv = delta % p, pow(modulus, -1, p)
         res = [x + modulus * ((c * dp - x) * inv % p)
                for x, c in zip(res, _charpoly_mod(a, p))]

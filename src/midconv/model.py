@@ -30,7 +30,6 @@ from .exactla import (
     as_scalar,
     conjugate_partition,
     diagonal_blocks,
-    inverse,
     is_semisimple,
     jordan_partition,
     rational_spectrum,
@@ -286,21 +285,6 @@ def remove_point(t: MatrixTuple, i: int) -> tuple[MatrixTuple, list[Fraction]]:
         else:
             shift.append(Fraction(0))
     return strip_trivial(addition(t, shift)), shift
-
-
-def conjugated(t: MatrixTuple, p: Mat) -> MatrixTuple:
-    """Simultaneous conjugation A -> P^{-1} A P of every coefficient."""
-    pinv = inverse(p)
-
-    def conj_point(pt: SingularPoint) -> SingularPoint:
-        return SingularPoint(
-            pt.location, pt.poincare_rank,
-            tuple(pinv * a * p for a in pt.coeffs),
-        )
-
-    return MatrixTuple(
-        t.size, conj_point(t.infinity), tuple(conj_point(q) for q in t.finite)
-    )
 
 
 # ---------------------------------------------------------------------

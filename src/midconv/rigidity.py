@@ -17,10 +17,19 @@ them into the diagonal blocks of the relation for k = 2.
 Every relation is a Sylvester operator X -> aX - Xb on row-major X
 (`_sylvester`, 2n - 1 nonzeros per row, built entry by entry): ad A for
 commutants and B S - S A for intertwiners in `are_similar`.
+
+`is_irreducible` first runs the Burnside word search mod p, the first
+`_prime(k)` dividing no denominator of a generator: every word is then
+p-integral.  n^2 words independent mod p are independent over Q, since a
+Q-relation scaled to p-integral coefficients, one a p-unit, would reduce
+to a relation mod p.  So a full span mod p certifies "yes".  A short one
+proves nothing (diag(0, 1) and [[0, p], [1, 0]] generate M_2(Q) but are
+triangular mod p), so then the exact search over Q decides.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +43,7 @@ from .exactla import (
     is_semisimple,
     primary_components,
     rank,
+    reduce_mod_prime,
     rref_nullspace,
 )
 from .model import MatrixTuple, SpectralType, semisimple_eigenspaces, strip_trivial
@@ -173,33 +183,57 @@ def okubo_index(t_mat: Mat, a_mat: Mat) -> int:
     return total
 
 
+def _words_span(start: list, gens: list, mul, add, target: int) -> bool:
+    """Whether the words span `target` dimensions: `start`, then depth first
+    mul(x, g) for each g in `gens` and each word x that `add` took in."""
+    work = [m for m in start if add(m)]
+    dim = len(work)
+    while work and dim < target:
+        x = work.pop()
+        for g in gens:
+            if dim < target and add(y := mul(x, g)):
+                work.append(y)
+                dim += 1
+    return dim == target
+
+
+def _spans_mod_p(gens: list[Mat], n: int) -> bool:
+    """Whether the words in gens span n^2 dimensions mod p (module docstring)."""
+    p, mods = reduce_mod_prime(gens)
+    rows = []  # (pivot, row): 1 there and 0 at the pivots of earlier rows
+
+    def add(w: list[list[int]]) -> bool:
+        v = [x for r in w for x in r]
+        for pc, r in rows:
+            if c := v[pc] % p:
+                v = [a - c * b for a, b in zip(v, r)]
+        v = [a % p for a in v]
+        if (piv := next((i for i, x in enumerate(v) if x), None)) is not None:
+            inv = pow(v[piv], -1, p)
+            rows.append((piv, [x * inv % p for x in v]))
+        return piv is not None
+
+    def mul(x: list[list[int]], cols: list[tuple[int, ...]]) -> list[list[int]]:
+        return [[sum(map(operator.mul, xr, c)) % p for c in cols] for xr in x]
+
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    return _words_span([eye] + mods, [list(zip(*g)) for g in mods], mul, add, n * n)
+
+
 def is_irreducible(t: MatrixTuple) -> bool:
     """Absolute irreducibility by the Burnside criterion: the unital
     algebra generated by all coefficients (including the derived residue)
-    has dimension n^2."""
+    has dimension n^2.  A full span mod p certifies "yes"; every other
+    answer is the exact span's (see the module docstring)."""
     n = t.size
     if n == 1:
         return True
     gens = t.all_coeffs_with_residue()
+    if _spans_mod_p(gens, n):
+        return True
     span = IncrementalSpan(n * n)
-
-    def flat(m: Mat) -> list[Fraction]:
-        return [x for row in m.data for x in row]
-
-    work: list[Mat] = []
-    for m in [Mat.identity(n)] + gens:
-        if span.add(flat(m)):
-            work.append(m)
-    target = n * n
-    while work and span.dim < target:
-        x = work.pop()
-        for g in gens:
-            y = x * g
-            if span.add(flat(y)):
-                work.append(y)
-                if span.dim == target:
-                    break
-    return span.dim == target
+    return _words_span([Mat.identity(n)] + gens, gens, Mat.__mul__,
+                       lambda m: span.add([x for row in m.data for x in row]), n * n)
 
 
 def _weighted_grid(dim: int, top: int):

@@ -28,6 +28,7 @@ from .errors import ValidationError
 from .exactla import Mat
 from .model import MatrixTuple, SingularPoint
 
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
@@ -146,10 +147,24 @@ def doc_to_tuple(doc) -> MatrixTuple:
     return MatrixTuple(n, inf, fin)
 
 
+def _indented(x, ind: str = "") -> str:
+    """json.dumps(x, indent=2, sort_keys=True) of a tuple document without
+    json's pure-Python encoder: a list of strings (a matrix row) is one join."""
+    inner = ind + "  "
+    if isinstance(x, dict) and x:
+        ends, items = "{}", (f"{_encode_str(k)}: {_indented(v, inner)}" for k, v in sorted(x.items()))
+    elif isinstance(x, list) and x:
+        ends, items = "[]", (map(_encode_str, x) if set(map(type, x)) == {str}
+                             else (_indented(v, inner) for v in x))
+    else:
+        return json.dumps(x)
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{ind}{ends[1]}"
+
+
 def dumps_tuple(t: MatrixTuple | dict) -> str:
     """The file text of a tuple, or of the document tuple_to_doc made of it."""
     doc = t if isinstance(t, dict) else tuple_to_doc(t)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _indented(doc) + "\n"
 
 
 def loads_tuple(text: str) -> MatrixTuple:

@@ -112,6 +112,35 @@ def charpoly_cofactor(m: Mat) -> list[F]:
     return poly
 
 
+def burnside_dim_naive(gens: list[Mat], n: int) -> int:
+    """Dimension of the unital algebra generated by gens: words are grown
+    breadth first with plain Fraction products on nested lists, a word is
+    kept iff division-based elimination against the kept ones leaves a
+    remainder, and naive_rank confirms the kept words are independent."""
+    def prod(x, y):
+        return [[sum((x[i][k] * y[k][j] for k in range(n)), F(0)) for j in range(n)]
+                for i in range(n)]
+
+    gens = [[list(r) for r in g.data] for g in gens]
+    kept, echelon = [], []  # echelon: (pivot, remainder scaled to 1 there)
+    frontier = [[[F(int(i == j)) for j in range(n)] for i in range(n)]] + gens
+    while frontier:
+        grown = []
+        for w in frontier:
+            v = sum(w, [])
+            for pc, e in echelon:
+                if c := v[pc]:
+                    v = [a - c * b for a, b in zip(v, e)]
+            pc = next((i for i, x in enumerate(v) if x), None)
+            if pc is not None:
+                echelon.append((pc, [x / v[pc] for x in v]))
+                kept.append(w)
+                grown.append(w)
+        frontier = [prod(w, g) for w in grown for g in gens]
+    assert naive_rank([sum(w, []) for w in kept]) == len(kept)
+    return len(kept)
+
+
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product with (X⊗Y)[a*n+c, b*m+d] = X[a,b]·Y[c,d]."""
     out = []
@@ -263,6 +292,21 @@ def rand_tuple(r: random.Random, n: int, num_finite: int, ranks: list[int],
                           tuple(rand_matrix(r, n, pool) for _ in range(m + 1)))
         )
     return make_tuple(n, inf, fins)
+
+
+def rand_reducible_tuple(r: random.Random, n: int, num_finite: int,
+                         pool=(-2, -1, 0, 1, 2)) -> MatrixTuple:
+    """Random tuple (Poincare rank 1 at infinity, residues at the finite
+    points) whose coefficients are block upper triangular for one split
+    k + (n - k), so the span of e_1..e_k is invariant."""
+    k = r.randint(1, n - 1)
+
+    def tri() -> Mat:
+        return Mat([[F(0) if i >= k > j else F(r.choice(pool)) for j in range(n)]
+                    for i in range(n)])
+
+    return make_tuple(n, SingularPoint(None, 1, (tri(),)),
+                      [SingularPoint(F(i), 0, (tri(),)) for i in range(num_finite)])
 
 
 def rand_semisimple_tuple(r: random.Random, n: int, num_finite: int,

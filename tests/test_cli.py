@@ -8,13 +8,14 @@ import pytest
 from midconv.cli import main
 from midconv.errors import ValidationError
 from midconv.exactla import Mat
-from midconv.model import bessel_example, hypergeometric_example
+from midconv.model import bessel_example, hypergeometric_example, inverse_laplace_example
 from midconv.tuplefile import (
     dumps_tuple,
     format_rational,
     loads_tuple,
     parse_rational,
     read_tuple,
+    tuple_to_doc,
     write_tuple,
 )
 import support
@@ -47,6 +48,29 @@ def test_round_trip_identity():
         t = support.rand_tuple(rng, rng.choice([1, 2, 3]), 2, ranks,
                                pool=(-2, -1, 0, 1, F(1, 2), F(-2, 3)))
         assert loads_tuple(dumps_tuple(t)) == t
+
+
+def _json_indent(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_matches_json_indent_encoder():
+    rng = support.rng(72)
+    big = F(10 ** 99 + 7, 3 * 10 ** 99 + 1)  # 100-digit numerator and denominator
+    docs = [tuple_to_doc(hypergeometric_example(1, F(1, 2), F(1, 3), 1)),
+            tuple_to_doc(bessel_example(1, 0, 1, 1)),
+            tuple_to_doc(inverse_laplace_example(1, 0, 1, 1)),
+            tuple_to_doc(support.rand_tuple(rng, 2, 2, [0, 1, 0], pool=(big, -big, 0))),
+            tuple_to_doc(support.rand_tuple(rng, 1, 0, [3])),  # no finite points
+            {"n": 1, "infinity": {"coeffs": {}, "m": 0}, "finite": []}]
+    for _ in range(6):
+        ranks = [rng.randint(0, 11)] + [rng.randint(0, 11) for _ in range(2)]
+        docs.append(tuple_to_doc(support.rand_tuple(rng, rng.choice([1, 2, 3]), 2, ranks,
+                                                    pool=(-2, 0, 1, F(-5, 7), F(1, 2)))))
+    assert any("10" in d["infinity"]["coeffs"] for d in docs)  # "10" sorts before "2"
+    for doc in docs:
+        assert dumps_tuple(doc) == _json_indent(doc)
+    assert dumps_tuple(HYP) == _json_indent(tuple_to_doc(HYP))
 
 
 def test_round_trip_file(tmp_path):
@@ -138,9 +162,7 @@ def test_cli_spectral_precondition_exit_3(bessel_file, capsys):
 
 def test_cli_similar(hyp_file, tmp_path, capsys):
     other = str(tmp_path / "conj.json")
-    from midconv.model import conjugated
-
-    write_tuple(other, conjugated(HYP, Mat([[1, 1], [0, 1]])))
+    write_tuple(other, support.conjugated(HYP, Mat([[1, -1], [0, 1]])))
     assert main(["similar", hyp_file, other]) == 0
     assert "similar" in capsys.readouterr().out
 
@@ -410,11 +432,9 @@ step 0: shift = (1, 0, 1/2), mu = -1/3, size 2 -> 1
 
 @pytest.mark.parametrize("command", sorted(_HUMAN_GOLDEN))
 def test_cli_human_output_golden(command, hyp_file, tmp_path, capsys):
-    from midconv.model import conjugated
-
     out_path = str(tmp_path / "out.json")
     conj = str(tmp_path / "conj.json")
-    write_tuple(conj, conjugated(HYP, Mat([[1, 1], [0, 1]])))
+    write_tuple(conj, support.conjugated(HYP, Mat([[1, -1], [0, 1]])))
     argv = {
         "mc": ["mc", hyp_file, "--mu", "1/3", "-o", out_path],
         "conv": ["conv", hyp_file, "--mu", "1/3"],

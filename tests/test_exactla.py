@@ -10,6 +10,7 @@ from midconv.exactla import (
     Mat,
     Poly,
     Subspace,
+    _prime,
     charpoly,
     conjugate_partition,
     det,
@@ -20,6 +21,7 @@ from midconv.exactla import (
     primary_components,
     rank,
     rational_spectrum,
+    reduce_mod_prime,
     rref_nullspace,
 )
 import support
@@ -34,6 +36,26 @@ def small_matrix(rows, cols):
         st.lists(fractions, min_size=cols, max_size=cols),
         min_size=rows, max_size=rows,
     ).map(Mat)
+
+
+# ---------------------------------------------------------------------
+# products and reduction mod p
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("left, right", [((3, 0), (0, 2)), ((0, 3), (3, 2)),
+                                         ((2, 3), (3, 0)), ((0, 0), (0, 4))])
+def test_product_with_an_empty_dimension_is_zero(left, right):
+    out = Mat.zeros(*left) * Mat.zeros(*right)
+    assert (out.rows, out.cols) == (left[0], right[1])
+    assert out == Mat.zeros(left[0], right[1])
+
+
+def test_reduce_mod_prime_skips_primes_dividing_a_denominator():
+    p0, p1 = _prime(0), _prime(1)
+    p, (a, b) = reduce_mod_prime([Mat([[F(1, 2), -1]]), Mat([[F(3, p0), p0]])])
+    assert p == p1
+    assert a == [[(p1 + 1) // 2, p1 - 1]] and b == [[3 * pow(p0, -1, p1) % p1, p0 % p1]]
+    assert reduce_mod_prime([Mat([[F(-1, 3)]])]) == (p0, [[[-pow(3, -1, p0) % p0]]])
 
 
 # ---------------------------------------------------------------------
@@ -311,7 +333,7 @@ def test_diagonal_blocks_match_full_conjugation():
     rng = support.rng(31)
     for n in (2, 3, 5):
         p = support.unimodular(rng, n)
-        cols = [list(p.col(j)) for j in range(n)]
+        cols = [list(c) for c in zip(*p.data)]
         cut = rng.randint(1, n - 1)
         spaces = [Subspace.from_spanning(cols[:cut], n), Subspace.from_spanning(cols[cut:], n)]
         mats = [support.rand_matrix(rng, n, pool=(-2, 0, 1, F(1, 2))) for _ in range(2)]

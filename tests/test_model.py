@@ -13,7 +13,6 @@ from midconv.model import (
     addition,
     bessel_example,
     build_L,
-    conjugated,
     finite_point,
     from_okubo,
     hypergeometric_example,
@@ -209,7 +208,7 @@ def test_spectral_type_conjugation_invariant():
     p = support.unimodular(rng, 2)
     for i in (0, 1):
         a = spectral_type(t, i).pattern()
-        b = spectral_type(conjugated(t, p), i).pattern()
+        b = spectral_type(support.conjugated(t, inverse(p)), i).pattern()
         assert a == b
 
 

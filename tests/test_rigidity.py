@@ -1,17 +1,18 @@
 """Commutant dimensions, rigidity indices, irreducibility, similarity."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from midconv.errors import PreconditionError
-from midconv.exactla import Mat, inverse
+from midconv import rigidity
+from midconv.exactla import Mat, _prime, inverse, reduce_mod_prime
 from midconv.convolution import middle_convolution
 from midconv.model import (
     addition,
     bessel_example,
     build_L,
-    conjugated,
     finite_point,
     from_okubo,
     hypergeometric_example,
@@ -289,8 +290,77 @@ def test_irreducibility_conjugation_invariant():
     for _ in range(6):
         t = support.rand_tuple(rng, 2, 1, [1, 0])
         p = support.unimodular(rng, 2)
-        assert is_irreducible(t) == is_irreducible(conjugated(t, p))
-        assert index(t).index == index(conjugated(t, p)).index
+        assert is_irreducible(t) == is_irreducible(support.conjugated(t, inverse(p)))
+        assert index(t).index == index(support.conjugated(t, inverse(p))).index
+
+
+P0 = _prime(0)
+
+
+def _two_residues(a, b):
+    return make_tuple(2, infinity_point(0, []),
+                      [finite_point(0, 0, [Mat(a)]), finite_point(1, 0, [Mat(b)])])
+
+
+class _NoExactSpan:
+    def __init__(self, *args):
+        raise AssertionError("the exact word search ran")
+
+
+def test_irreducible_unlucky_prime_falls_back_to_exact():
+    # lower triangular mod P0, but A B = E21 and B A = P0 E12 span M_2(Q)
+    t = _two_residues([[0, 0], [0, 1]], [[0, P0], [1, 0]])
+    gens = t.all_coeffs_with_residue()
+    assert reduce_mod_prime(gens)[0] == P0
+    assert not rigidity._spans_mod_p(gens, 2)
+    assert support.burnside_dim_naive(gens, 2) == 4
+    assert is_irreducible(t)
+
+
+def test_irreducible_skips_prime_dividing_a_denominator(monkeypatch):
+    t = _two_residues([[0, 0], [0, 1]], [[0, F(1, P0)], [1, 0]])
+    assert reduce_mod_prime(t.all_coeffs_with_residue())[0] == _prime(1)
+    monkeypatch.setattr(rigidity, "IncrementalSpan", _NoExactSpan)
+    assert is_irreducible(t)
+
+
+def test_irreducible_over_q_but_not_absolutely():
+    # the rotation generates Q(i), of dimension 2 < 4
+    t = make_tuple(2, infinity_point(0, []), [finite_point(0, 0, [Mat([[0, -1], [1, 0]])])])
+    assert support.burnside_dim_naive(t.all_coeffs_with_residue(), 2) == 2
+    assert not is_irreducible(t)
+
+
+def test_irreducible_never_enters_exact_search(monkeypatch):
+    monkeypatch.setattr(rigidity, "IncrementalSpan", _NoExactSpan)
+    rng = support.rng(91)
+    assert is_irreducible(HYP)
+    for n in (2, 3, 4, 5):
+        assert is_irreducible(support.rand_tuple(rng, n, 2, [1, 0, 0]))
+    with pytest.raises(AssertionError, match="exact word search"):
+        is_irreducible(support.rand_reducible_tuple(rng, 3, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_irreducible_matches_naive_burnside_oracle(n):
+    rng = support.rng(300 + n)
+    pool = (-2, -1, 0, 1, 2, F(1, 2), F(-2, 3))
+    cases = [support.rand_tuple(rng, n, 1, [1, 0], pool=pool),
+             support.rand_reducible_tuple(rng, n, 2)]
+    for t in cases + [support.conjugated(t, support.unimodular(rng, n)) for t in cases]:
+        full = support.burnside_dim_naive(t.all_coeffs_with_residue(), n) == n * n
+        assert is_irreducible(t) == full
+    assert is_irreducible(cases[0]) and not is_irreducible(cases[1])
+
+
+def test_irreducible_n12_within_budget(monkeypatch):
+    # the exact word search takes about 29 s at n=12 on a 2-vCPU x86-64 VM,
+    # the mod-p one under 1 s
+    monkeypatch.setattr(rigidity, "IncrementalSpan", _NoExactSpan)
+    t = support.rand_tuple(support.rng(12), 12, 2, [1, 0, 0])
+    start = time.perf_counter()
+    assert is_irreducible(t)
+    assert time.perf_counter() - start < 20
 
 
 # ---------------------------------------------------------------------
@@ -306,10 +376,10 @@ def test_similar_recovers_conjugation():
     for _ in range(6):
         t = support.rand_tuple(rng, rng.choice([2, 3]), 1, [1, 0])
         p = support.unimodular(rng, t.size)
-        s = are_similar(t, conjugated(t, p))
+        s = are_similar(t, support.conjugated(t, inverse(p)))
         assert s is not None
         for (i, j) in t.slots():
-            assert s * t.coeff(i, j) == conjugated(t, p).coeff(i, j) * s
+            assert s * t.coeff(i, j) == support.conjugated(t, inverse(p)).coeff(i, j) * s
 
 
 def test_similar_absent():
