@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from functools import cache
 
 from . import convolution, model, reduction, rigidity, tuplefile
 from .errors import InternalError, PreconditionError, ValidationError
@@ -41,6 +41,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache  # built once per process: building costs more than a small command
 def _build_parser() -> _Parser:
     p = _Parser(prog="midconv", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -89,14 +90,6 @@ def _build_parser() -> _Parser:
     fix.add_argument("-o", "--output")
 
     return p
-
-
-def _rat(s: str) -> Fraction:
-    return tuplefile.parse_rational(s)
-
-
-def _rat_list(s: str) -> list[Fraction]:
-    return [tuplefile.parse_rational(x.strip()) for x in s.split(",")]
 
 
 def _fmt_matrix(rows: list[list[str]], indent="  ") -> list[str]:
@@ -164,7 +157,7 @@ def _idx_lines(doc, args):
 
 def _cmd_conv(args):
     t = tuplefile.read_tuple(args.file)
-    mu = _rat(args.mu)
+    mu = tuplefile.parse_rational(args.mu)
     conv = convolution.convolution_matrices(t, mu)
     slots = conv.slots()
     return {
@@ -190,7 +183,7 @@ def _conv_lines(doc, args):
 
 def _cmd_mc(args):
     t = tuplefile.read_tuple(args.file)
-    mu = _rat(args.mu)
+    mu = tuplefile.parse_rational(args.mu)
     out = convolution.middle_convolution(t, mu)
     return {
         "command": "mc",
@@ -212,7 +205,7 @@ def _mc_lines(doc, args):
 
 def _cmd_add(args):
     t = tuplefile.read_tuple(args.file)
-    out = model.addition(t, _rat_list(args.shift))
+    out = model.addition(t, [tuplefile.parse_rational(x.strip()) for x in args.shift.split(",")])
     return {"command": "add", "result": tuplefile.tuple_to_doc(out)}
 
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PreconditionError
 from .exactla import Mat, Subspace, as_scalar, rref_nullspace
 from .model import MatrixTuple, SingularPoint
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -74,23 +74,25 @@ def convolution_matrices(t: MatrixTuple, mu) -> MatrixTuple:
     m_total = len(slots)
     pos = {s: k for k, s in enumerate(slots)}
     nm = n * m_total
-    dense_rows = Mat.block([[t.coeff(i, j) for (i, j) in slots]]).data
+    dense = Mat.block([[t.coeff(i, j) for (i, j) in slots]])
+    den = lcm(dense.den, mu.denominator)
+    dense_rows = [[x * (den // dense.den) for x in row] for row in dense.num]
+    nu, zero_row = mu.numerator * (den // mu.denominator), (0,) * nm
 
     def build(i: int, j: int) -> Mat:
-        rows = [[_ZERO] * nm for _ in range(nm)]
+        rows = [zero_row] * nm
         r0 = pos[(i, j)] * n
         for a in range(n):
-            rows[r0 + a] = list(dense_rows[a])
-        if i != 0:
-            c0 = pos[(i, 0)] * n
-            for a in range(n):
-                rows[r0 + a][c0 + a] += mu
+            rows[r0 + a] = row = dense_rows[a][:]
+            if i != 0:
+                row[pos[(i, 0)] * n + a] += nu
         m_i = t.point(i).poincare_rank
         for jp in range(j + 1, m_i + 1):
             r0, c0 = pos[(i, jp)] * n, pos[(i, jp - j)] * n
             for a in range(n):
-                rows[r0 + a][c0 + a] = mu
-        return Mat._trusted(tuple(map(tuple, rows)), nm)
+                rows[r0 + a] = row = [0] * nm
+                row[c0 + a] = nu
+        return Mat.from_integers(rows, den, nm)
 
     inf = SingularPoint(
         None, t.infinity.poincare_rank,
@@ -144,29 +146,30 @@ def subspace_Lprime(t: MatrixTuple, mu) -> Subspace:
     """Solutions supported on the infinity slots and the common residue
     slot: the kernel of the infinity block-Toeplitz system whose corner is
     the derived residue minus mu*I, embedded with v_0^{(i)} = -ell at every
-    finite point."""
+    finite point.  The infinity slots come first in V', so the embedding
+    keeps the kernel's reduced echelon form once each vector with its pivot
+    in the ell block is negated and that pivot moved to the same place in
+    slot (1, 0) (r = 0 drops those vectors): nothing is re-eliminated."""
     mu = as_scalar(mu)
     n = t.size
     nm = n * t.slot_count
     offs = _slot_offsets(t)
-    m0 = t.infinity.poincare_rank
+    cut = t.infinity.poincare_rank * n  # the infinity slots are 0..cut-1 of V'
     corner = t.residue_at_infinity() - Mat.diagonal([mu] * n)
-    toep = _block_upper_toeplitz(list(t.infinity.coeffs) + [corner])
-    _, ker = rref_nullspace(toep)
-    vecs = []
-    for col in ker.vectors:
-        v = [_ZERO] * nm
-        for idx, j in enumerate(range(m0, 0, -1)):
-            base = offs[(0, j)]
-            for a in range(n):
-                v[base + a] = col[idx * n + a]
-        ell = col[m0 * n:(m0 + 1) * n]
+    _, ker = rref_nullspace(_block_upper_toeplitz(list(t.infinity.coeffs) + [corner]))
+    vecs, pivots = [], []
+    for q, col in zip(ker.pivot_rows, ker.vectors):
+        if q >= cut and not t.finite:
+            continue
+        v = list(col[:cut]) + [_ZERO] * (nm - cut)
+        ell = [-x for x in col[cut:]]
         for i in range(1, t.num_finite + 1):
-            base = offs[(i, 0)]
-            for a in range(n):
-                v[base + a] = -ell[a]
-        vecs.append(v)
-    return Subspace.from_spanning(vecs, nm)
+            v[offs[(i, 0)]:offs[(i, 0)] + n] = ell
+        if q >= cut:
+            v, q = [-x for x in v], offs[(1, 0)] + q - cut
+        vecs.append(tuple(v))
+        pivots.append(q)
+    return Subspace(nm, tuple(vecs), tuple(pivots))
 
 
 def subspace_L(t: MatrixTuple, mu) -> Subspace:
@@ -217,28 +220,30 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
             "middle convolution quotient is zero-dimensional (degenerate input)"
         )
 
-    reducer = list(zip(w.pivot_rows, w.vectors))
     pivot_set = set(w.pivot_rows)
     comp = [c for c in range(nm) if c not in pivot_set]
-    # the nonzero entries of each b_p on the complement, by result row
-    b_support = [
-        (p, [(i, b[c]) for i, c in enumerate(comp) if b[c]]) for p, b in reducer
-    ]
+    # each b_p on the complement times e, the lcm of all their denominators
+    e = lcm(*(b[c].denominator for b in w.vectors for c in comp))
+    b_comp = [(p, [b[c].numerator * (e // b[c].denominator) for c in comp])
+              for p, b in zip(w.pivot_rows, w.vectors)]
+    # the nonzero entries of each e b_p[comp], by result row
+    b_support = [(p, [(i, x) for i, x in enumerate(b) if x]) for p, b in b_comp]
 
     def quotient_matrix(big: Mat) -> Mat:
-        """G[comp, comp] - sum over pivots p of b_p[comp] (x) G[p, comp]."""
-        data = big.data
-        rows = [[data[r][c] for c in comp] for r in comp]
-        for p, b_comp in b_support:
-            if not b_comp:
+        """G[comp, comp] - sum over pivots p of b_p[comp] (x) G[p, comp],
+        as integer rows over e times the denominator of G."""
+        num = big.num
+        rows = [[e * num[r][c] for c in comp] for r in comp]
+        for p, b_nz in b_support:
+            if not b_nz:
                 continue
-            g = data[p]
+            g = num[p]
             g_comp = [(j, x) for j, c in enumerate(comp) if (x := g[c])]
-            for i, coef in b_comp:
+            for i, coef in b_nz:
                 row = rows[i]
                 for j, x in g_comp:
                     row[j] -= coef * x
-        return Mat._trusted(tuple(map(tuple, rows)), new_size)
+        return Mat.from_integers(rows, e * big.den, new_size)
 
     def quotient_point(p: SingularPoint) -> SingularPoint:
         return SingularPoint(
@@ -253,18 +258,15 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
     )
 
     proj_rows = []
-    for c in comp:
-        row = [_ZERO] * nm
-        row[c] = _ONE
-        for p, b in reducer:
-            row[p] -= b[c]
-        proj_rows.append(tuple(row))
-    projection = Mat._trusted(tuple(proj_rows), nm)
-    section = Mat._trusted(
-        tuple(tuple(_ONE if comp[j] == i else _ZERO for j in range(new_size))
-              for i in range(nm)),
-        new_size,
-    )
+    for k, c in enumerate(comp):
+        row = [0] * nm
+        row[c] = e
+        for p, b in b_comp:
+            row[p] -= b[k]
+        proj_rows.append(row)
+    projection = Mat.from_integers(proj_rows, e, nm)
+    section = Mat.from_integers(
+        [[int(comp[j] == i) for j in range(new_size)] for i in range(nm)], 1, new_size)
 
     return MCOutcome(
         result=result,

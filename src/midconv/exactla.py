@@ -1,15 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are immutable, every entry is a `fractions.Fraction`, and no
-floating point appears anywhere.  All elimination runs on integers: one
-kernel, `_echelon`, clears each row of denominators and runs a single
-fraction-free (Bareiss) forward pass, which keeps intermediate entries at
-determinant-minor size.  `rank` and `det` read its output directly;
-reduced echelon forms (`inverse`, `rref_nullspace`,
-`Subspace.from_spanning`) back-substitute on its integer rows, and
-`IncrementalSpan` reduces each new vector against stored integer rows,
-both with one primitive integer row step.  `Fraction`s are built only
-for the returned results.
+A `Mat` is immutable: integer rows `num` over one positive denominator
+`den`, normalised so that gcd(den, every numerator) = 1 (den = 1 for a
+zero matrix).  This form is unique, so equality and hashing are
+structural, and products, sums and blocks are integer work with one gcd
+per matrix.  No floating point appears anywhere.  One elimination kernel,
+`_echelon`, runs a fraction-free (Bareiss) forward pass on integer rows,
+which keeps intermediate entries at determinant-minor size.  `rank` and
+`det` read its output directly; reduced echelon forms (`inverse`,
+`rref_nullspace`, `Subspace.from_spanning`) back-substitute on its rows,
+and `IncrementalSpan` reduces each new vector against stored integer
+rows, both with one primitive integer row step.  `Fraction`s are the
+scalars (`m[i, j]`, eigenvalues) and the canonical `Subspace` bases.
 
 `charpoly` is multi-modular and certified.  With d_i the lcm of the
 denominators of row i of A, B = diag(d) A is integral and, for D = prod d_i,
@@ -53,8 +55,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import count
+from itertools import chain, count
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InternalError
@@ -69,137 +72,141 @@ def as_scalar(x) -> Fraction:
     """Coerce an int, string like "-3/2", or Fraction to an exact Scalar."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
 class Mat:
-    """Immutable dense matrix with Fraction entries, stored row-major."""
+    """Immutable dense rational matrix: the integer rows `num` over the
+    positive denominator `den`, normalised (see the module docstring)."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data: Iterable[Iterable]):
-        rows = tuple(tuple(as_scalar(x) for x in row) for row in data)
-        self.data = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
+        """From rows of ints and Fractions; as these are in lowest terms,
+        the lcm of their denominators leaves the result normalised."""
+        rows = [list(row) for row in data]
+        self.rows, self.cols = len(rows), len(rows[0]) if rows else 0
+        if any(len(row) != self.cols for row in rows):
+            raise ValueError("ragged rows")
+        self.den = den = lcm(*(x.denominator for row in rows for x in row))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _trusted(data: tuple[tuple[Fraction, ...], ...], cols: int) -> "Mat":
-        """Wrap rows that are already equal-length tuples of Fractions,
-        skipping the per-entry coercion and shape checks of __init__."""
+    def from_integers(num: Iterable[Iterable[int]], den: int = 1, cols: int = 0) -> "Mat":
+        """The matrix num / den for equal-length integer rows and den > 0,
+        normalised by one gcd; `cols` is the width when there are no rows."""
+        num = tuple(map(tuple, num))
+        if den != 1 and (g := gcd(den, *chain.from_iterable(num))) > 1:
+            num, den = tuple(tuple(map(g.__rfloordiv__, row)) for row in num), den // g
         m = object.__new__(Mat)
-        m.data = data
-        m.rows, m.cols = len(data), cols
+        m.num, m.den, m.rows, m.cols = num, den, len(num), len(num[0]) if num else cols
         return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat._trusted(tuple((_ZERO,) * cols for _ in range(rows)), cols)
+        return Mat.from_integers(((0,) * cols,) * rows, 1, cols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat.diagonal([_ONE] * n)
+        return Mat.diagonal([1] * n)
 
     @staticmethod
     def diagonal(values: Sequence) -> "Mat":
-        vals = [as_scalar(v) for v in values]
-        n = len(vals)
-        return Mat(
-            [[vals[i] if i == j else _ZERO for j in range(n)] for i in range(n)]
-        )
+        n = len(values)
+        return Mat([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
 
     @staticmethod
     def block(grid: Sequence[Sequence["Mat"]]) -> "Mat":
         """Assemble a matrix from a rectangular grid of blocks."""
-        out_rows: list[tuple[Fraction, ...]] = []
+        den = lcm(*(b.den for block_row in grid for b in block_row))
+        out_rows = []
         for block_row in grid:
-            height = block_row[0].rows
-            for b in block_row:
-                if b.rows != height:
-                    raise ValueError("block heights differ within a row")
-            for i in range(height):
-                row: list[Fraction] = []
-                for b in block_row:
-                    row.extend(b.data[i])
-                out_rows.append(tuple(row))
-        return Mat._trusted(tuple(out_rows), len(out_rows[0]) if out_rows else 0)
+            if any(b.rows != block_row[0].rows for b in block_row):
+                raise ValueError("block heights differ within a row")
+            scaled = [b.num if b.den == den else [[x * (den // b.den) for x in r] for r in b.num]
+                      for b in block_row]
+            out_rows.extend(chain.from_iterable(rs) for rs in zip(*scaled))
+        return Mat.from_integers(out_rows, den)
 
     # -- access -------------------------------------------------------
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, row by row."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        return Mat([[self.data[i][j] for j in col_idx] for i in row_idx])
+        return Mat.from_integers([[self.num[i][j] for j in col_idx] for i in row_idx],
+                                 self.den, len(col_idx))
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other over the lcm of the two denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Mat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * den // other.den
+        return Mat.from_integers(
+            [[a * x + b * y for x, y in zip(ra, rb)] for ra, rb in zip(self.num, other.num)],
+            den, self.cols)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Mat":
-        return Mat([[-x for x in row] for row in self.data])
+        return self.scaled(-1)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            if 0 in (self.rows, self.cols, other.cols):
+            if not self.cols:
                 return Mat.zeros(self.rows, other.cols)
-            bt = list(zip(*other.data))
-            return Mat(
-                [
-                    [
-                        sum(a * b for a, b in zip(row, colv) if a)
-                        for colv in bt
-                    ]
-                    for row in self.data
-                ]
-            )
+            bt = list(zip(*other.num))
+            return Mat.from_integers(
+                [[sum(map(mul, row, col)) for col in bt] for row in self.num],
+                self.den * other.den, other.cols)
         return self.scaled(as_scalar(other))
 
     def __rmul__(self, other):
         return self.scaled(as_scalar(other))
 
-    def scaled(self, s: Fraction) -> "Mat":
-        return Mat([[s * x for x in row] for row in self.data])
+    def scaled(self, s) -> "Mat":
+        """s times the matrix, for an int or a Fraction s."""
+        a = s.numerator
+        return Mat.from_integers([[a * x for x in row] for row in self.num],
+                                 self.den * s.denominator, self.cols)
 
     def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.data))) if self.data else Mat.zeros(self.cols, 0)
+        return Mat.from_integers(zip(*self.num), self.den, self.rows) if self.rows \
+            else Mat.zeros(self.cols, 0)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
 
-    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
+    def apply(self, vec: Sequence) -> list[Fraction]:
         """Matrix-vector product as a plain list."""
-        return [sum((a * v for a, v in zip(row, vec) if a), _ZERO) for row in self.data]
+        v = Mat([vec])
+        return [Fraction(sum(map(mul, row, v.num[0])), self.den * v.den) for row in self.num]
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.num))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -208,19 +215,18 @@ class Mat:
         """Return c if the matrix equals c*I, else None."""
         if not self.is_square():
             return None
-        c = self.data[0][0] if self.rows else _ZERO
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self.data[i][j] != (c if i == j else 0):
-                    return None
-        return c
+        c = self.num[0][0] if self.rows else 0
+        for i, row in enumerate(self.num):
+            if row[i] != c or any(row[:i]) or any(row[i + 1:]):
+                return None
+        return Fraction(c, self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.data == other.data \
-            and self.rows == other.rows and self.cols == other.cols
+        return isinstance(other, Mat) and self.num == other.num \
+            and self.den == other.den and self.cols == other.cols
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.cols, self.den, self.num))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -231,27 +237,16 @@ class Mat:
 # Fraction-free elimination
 # ---------------------------------------------------------------------
 
-def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The row times the lcm of its denominators, and that lcm."""
-    den = lcm(*(x.denominator for x in row))
-    return den, [x.numerator * (den // x.denominator) for x in row]
-
-
-def _echelon(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[int]], list[int], Fraction]:
+def _echelon(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
     """The one elimination kernel: Bareiss forward elimination (Math. Comp.
-    1968) of the rows, each first cleared of denominators.
+    1968) of integer rows.
 
-    Returns the integer echelon rows (pivot rows only), their pivot columns,
-    and the determinant scale: the row-swap sign over the product of the
-    cleared denominators.  For a square matrix of full rank the determinant
-    is that scale times the last pivot.
+    Returns the echelon rows (pivot rows only), their pivot columns, and
+    the row-swap sign.  For a square matrix of full rank the determinant is
+    that sign times the last pivot.
     """
-    scale = _ONE
-    ints = []
-    for row in rows:
-        den, r = _integer_row(row)
-        scale /= den
-        ints.append(r)
+    ints = [list(row) for row in rows]
+    sign = 1
     nrows = len(ints)
     piv_cols: list[int] = []
     prev = 1
@@ -264,7 +259,7 @@ def _echelon(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[
             continue
         if sel != pr:
             ints[pr], ints[sel] = ints[sel], ints[pr]
-            scale = -scale
+            sign = -sign
         prow = ints[pr]
         p = prow[pc]
         for i in range(pr + 1, nrows):
@@ -275,7 +270,7 @@ def _echelon(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[
         prev = p
         piv_cols.append(pc)
         pr += 1
-    return ints[:pr], piv_cols, scale
+    return ints[:pr], piv_cols, sign
 
 
 def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
@@ -287,20 +282,20 @@ def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
     return [a // g for a in w] if g > 1 else w
 
 
-def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Reduced row echelon form of the given spanning rows (unique)."""
+def _rref_rows(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of the given integer spanning rows (unique),
+    each row times its pivot entry, and the pivot columns."""
     ech, piv_cols, _ = _echelon(rows, ncols)
     for i in reversed(range(len(piv_cols))):
         pc = piv_cols[i]
         for k in range(i):
             if ech[k][pc]:
                 ech[k] = _eliminate(ech[k], ech[i], pc)
-    rref = [tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(ech, piv_cols)]
-    return rref, piv_cols
+    return ech, piv_cols
 
 
 def rank(m: Mat) -> int:
-    return len(_echelon(m.data, m.cols)[1])
+    return len(_echelon(m.num, m.cols)[1])
 
 
 def det(m: Mat) -> Fraction:
@@ -309,10 +304,10 @@ def det(m: Mat) -> Fraction:
         raise ValueError("determinant of a non-square matrix")
     if m.rows == 0:
         return _ONE
-    ech, piv, scale = _echelon(m.data, m.cols)
+    ech, piv, sign = _echelon(m.num, m.cols)
     if len(piv) < m.rows:
         return _ZERO
-    return scale * ech[-1][-1]
+    return Fraction(sign * ech[-1][-1], m.den ** m.rows)
 
 
 def inverse(m: Mat) -> Mat:
@@ -320,12 +315,13 @@ def inverse(m: Mat) -> Mat:
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = [list(m.data[i]) + [_ONE if i == j else _ZERO for j in range(n)]
-           for i in range(n)]
-    rref, piv = _rref_rows(aug, 2 * n)
+    aug = [row + tuple(m.den if i == j else 0 for j in range(n)) for i, row in enumerate(m.num)]
+    ech, piv = _rref_rows(aug, 2 * n)
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat([row[n:] for row in rref])
+    den = lcm(*(row[i] for i, row in enumerate(ech)))
+    return Mat.from_integers([[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(ech)],
+                             den, n)
 
 
 # ---------------------------------------------------------------------
@@ -352,12 +348,13 @@ class Subspace:
 
     @staticmethod
     def from_spanning(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vecs = [[as_scalar(x) for x in v] for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("spanning vector has wrong length")
-        rref, piv = _rref_rows(vecs, ambient_dim)
-        return Subspace(ambient_dim, tuple(rref), tuple(piv))
+        vecs = Mat(vectors)
+        if vecs.rows and vecs.cols != ambient_dim:
+            raise ValueError("spanning vector has wrong length")
+        ech, piv = _rref_rows(vecs.num, ambient_dim)
+        rref = tuple(tuple(Fraction(x, row[pc]) if x else _ZERO for x in row)
+                     for row, pc in zip(ech, piv))
+        return Subspace(ambient_dim, rref, tuple(piv))
 
     @property
     def dim(self) -> int:
@@ -385,19 +382,19 @@ def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
     """Rank and canonical right nullspace of m, from one elimination of the
     columns of m in reverse order (see the module docstring)."""
     c = m.cols
-    rref, piv = _rref_rows([row[::-1] for row in m.data], c)
-    # row i of rref, read in the original column order, has its pivot at
+    ech, piv = _rref_rows([row[::-1] for row in m.num], c)
+    # row i of ech, read in the original column order, has its pivot at
     # c - 1 - piv[i] and is zero right of it
-    pivots = [(c - 1 - p, row) for p, row in zip(piv, rref)]
-    piv_set = {p for p, _ in pivots}
+    pivots = [(c - 1 - p, row, row[p]) for p, row in zip(piv, ech)]
+    piv_set = {p for p, _, _ in pivots}
     free = tuple(f for f in range(c) if f not in piv_set)
     vecs = []
     for f in free:
         v = [_ZERO] * c
         v[f] = _ONE
-        for p, row in pivots:
+        for p, row, d in pivots:
             if x := row[c - 1 - f]:
-                v[p] = -x
+                v[p] = Fraction(-x, d)
         vecs.append(tuple(v))
     return len(piv), Subspace(c, tuple(vecs), free)
 
@@ -406,8 +403,7 @@ def diagonal_blocks(spaces: Sequence[Subspace], *mats: Mat) -> list[tuple[Mat, .
     """Write each matrix in the basis that concatenates the bases of
     `spaces` (together a basis of the ambient space) and cut out its
     diagonal blocks: one tuple per subspace, one block per matrix."""
-    vecs = [v for s in spaces for v in s.vectors]
-    p = Mat._trusted(tuple(zip(*vecs)), len(vecs))
+    p = Mat(zip(*(v for s in spaces for v in s.vectors)))
     pinv = inverse(p)
     products = [a * p for a in mats]
     out = []
@@ -435,8 +431,8 @@ class IncrementalSpan:
         return len(self._rows)
 
     def add(self, vec: Sequence) -> bool:
-        """Insert vec; returns True iff it enlarged the span."""
-        _, v = _integer_row([as_scalar(x) for x in vec])
+        """Insert vec (ints and Fractions); returns True iff it enlarged the span."""
+        v = list(Mat([vec]).num[0])
         for pc, row in self._rows:
             if v[pc]:
                 v = _eliminate(v, row, pc)
@@ -487,11 +483,10 @@ def _rows_mod(dens: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> lis
 
 
 def reduce_mod_prime(mats: Sequence[Mat]) -> tuple[int, list[list[list[int]]]]:
-    """The first prime `_prime(k)` dividing no denominator of any entry of
-    mats, and the rows of each matrix mod that prime."""
-    ints = [list(zip(*map(_integer_row, m.data))) for m in mats]
-    p = next(p for p in map(_prime, count()) if all(d % p for dens, _ in ints for d in dens))
-    return p, [_rows_mod(dens, rows, p) for dens, rows in ints]
+    """The first prime `_prime(k)` dividing no denominator of mats, and the
+    rows of each matrix mod that prime."""
+    p = next(p for p in map(_prime, count()) if all(m.den % p for m in mats))
+    return p, [_rows_mod([m.den] * m.rows, m.num, p) for m in mats]
 
 
 def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
@@ -536,7 +531,8 @@ def charpoly(m: Mat) -> Poly:
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    dens, rows = zip(*map(_integer_row, m.data)) if n else ((), ())
+    gs = [gcd(m.den, *row) for row in m.num]  # row i over its own denominator m.den / gs[i]
+    dens, rows = [m.den // g for g in gs], [[x // g for x in row] for row, g in zip(m.num, gs)]
     delta = prod(dens)
     bound = _coefficient_bound(dens, rows)
     modulus, res = 1, [0] * (n + 1)
@@ -703,7 +699,7 @@ def is_semisimple(m: Mat) -> bool:
     if n == 0:
         return True
     d, q = _monic_integer_form(m)
-    dm = m.scaled(Fraction(d))
+    dm = m.scaled(d)
     acc = Mat.zeros(n, n)
     for c in reversed(_exact_quotient(q, _sturm_chain(q)[-1])):  # Horner
         acc = acc * dm + Mat.diagonal([c] * n)
@@ -738,13 +734,7 @@ def jordan_partition(m: Mat, lam) -> tuple[int, ...]:
 
 def conjugate_partition(p: Sequence[int]) -> tuple[int, ...]:
     """Transpose of an integer partition (input sorted descending)."""
-    p = [x for x in p if x > 0]
-    if not p:
-        return ()
-    out = []
-    for k in range(1, max(p) + 1):
-        out.append(sum(1 for x in p if x >= k))
-    return tuple(out)
+    return tuple(sum(1 for x in p if x >= k) for k in range(1, max(p, default=0) + 1))
 
 
 def primary_components(m: Mat) -> list[tuple[Fraction | None, Subspace]]:
@@ -762,9 +752,9 @@ def primary_components(m: Mat) -> list[tuple[Fraction | None, Subspace]]:
     ]
     if not full:
         mt = m.transpose()
-        left = tuple(tuple(v) for lam, mult in spec
-                     for v in _kernel_chain(mt, lam, mult, rref_nullspace)[1].vectors)
-        comps.append((None, rref_nullspace(Mat._trusted(left, n))[1]))
+        left = [v for lam, mult in spec
+                for v in _kernel_chain(mt, lam, mult, rref_nullspace)[1].vectors]
+        comps.append((None, rref_nullspace(Mat(left) if left else Mat.zeros(0, n))[1]))
     if sum(c[1].dim for c in comps) != n:
         raise InternalError("primary components do not span the whole space")
     return comps

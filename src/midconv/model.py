@@ -277,13 +277,8 @@ def remove_point(t: MatrixTuple, i: int) -> tuple[MatrixTuple, list[Fraction]]:
     """
     if i not in removable_points(t):
         raise PreconditionError(f"point {i} is not removable")
-    shift = []
-    for (pi, pj) in t.slots():
-        if pi == i:
-            c = t.coeff(pi, pj).scalar_multiple_of_identity()
-            shift.append(-c)
-        else:
-            shift.append(Fraction(0))
+    shift = [-t.coeff(pi, pj).scalar_multiple_of_identity() if pi == i else Fraction(0)
+             for (pi, pj) in t.slots()]
     return strip_trivial(addition(t, shift)), shift
 
 

@@ -300,20 +300,11 @@ class TerminalPattern:
 
 def make_terminal_pattern(point_patterns: list[PointPattern]) -> TerminalPattern:
     """Normalize: sort points, extract the gcd of all multiplicities."""
-    d = 0
-    for pat in point_patterns:
-        for _, parts in pat:
-            for q in parts:
-                d = gcd(d, q)
+    d = gcd(*(q for pat in point_patterns for _, parts in pat for q in parts))
     if d == 0:
         raise PreconditionError("empty pattern")
-    base = []
-    for pat in point_patterns:
-        base.append(
-            tuple(
-                (nl // d, tuple(q // d for q in parts)) for nl, parts in pat
-            )
-        )
+    base = [tuple((nl // d, tuple(q // d for q in parts)) for nl, parts in pat)
+            for pat in point_patterns]
     return TerminalPattern(tuple(sorted(base, reverse=True)), d)
 
 

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from .errors import PreconditionError
 from .exactla import (
     IncrementalSpan,
     Mat,
-    as_scalar,
     det,
     diagonal_blocks,
     is_semisimple,
@@ -51,18 +51,21 @@ from .model import MatrixTuple, SpectralType, semisimple_eigenspaces, strip_triv
 
 def _sylvester(a: Mat, b: Mat) -> Mat:
     """Matrix of X -> aX - Xb on row-major vectorized n x n X, built entry
-    by entry: row i*n+j holds a[i, k] at k*n+j and -b[k, j] at i*n+k."""
+    by entry: row i*n+j holds a[i, k] at k*n+j and -b[k, j] at i*n+k,
+    over the lcm of the denominators of a and b."""
     n = a.rows
-    zero, bt = Fraction(0), list(zip(*b.data))
+    den = lcm(a.den, b.den)
+    an = [[den // a.den * x for x in r] for r in a.num]
+    bt = [[-(den // b.den) * x for x in c] for c in zip(*b.num)]  # minus the columns of b
     rows = []
-    for i, ai in enumerate(a.data):
+    for i, ai in enumerate(an):
         for j, bj in enumerate(bt):
-            row = [zero] * (n * n)
-            row[i * n:(i + 1) * n] = [-x for x in bj]
+            row = [0] * (n * n)
+            row[i * n:(i + 1) * n] = bj
             row[j::n] = ai
-            row[i * n + j] = ai[i] - bj[j]
-            rows.append(tuple(row))
-    return Mat._trusted(tuple(rows), n * n)
+            row[i * n + j] = ai[i] + bj[j]
+            rows.append(row)
+    return Mat.from_integers(rows, den, n * n)
 
 
 def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
@@ -233,7 +236,7 @@ def is_irreducible(t: MatrixTuple) -> bool:
         return True
     span = IncrementalSpan(n * n)
     return _words_span([Mat.identity(n)] + gens, gens, Mat.__mul__,
-                       lambda m: span.add([x for row in m.data for x in row]), n * n)
+                       lambda m: span.add(list(chain.from_iterable(m.num))), n * n)
 
 
 def _weighted_grid(dim: int, top: int):
@@ -287,7 +290,7 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
         s = Mat.zeros(n, n)
         for c, m in zip(coeffs, basis):
             if c:
-                s = s + m.scaled(as_scalar(c))
+                s = s + m.scaled(c)
         if det(s) != 0:
             return s
     return None

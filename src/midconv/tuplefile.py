@@ -15,6 +15,10 @@ numerator, q positive, gcd(p, q) = 1).  `coeffs` maps the pole index j
 (as a string) to an n x n matrix given as a list of rows; the infinity
 entry carries j = m..1, finite entries j = m..0.  Writing and re-reading
 any tuple reproduces it exactly.
+
+A matrix is read and written straight as integer rows over one
+denominator (`Mat.num`, `Mat.den`); the literals of a row are checked by
+one match, and a row that fails is read literal by literal for the error.
 """
 
 from __future__ import annotations
@@ -23,18 +27,22 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import ValidationError
 from .exactla import Mat
 from .model import MatrixTuple, SingularPoint
 
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_LITERAL = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_RATIONAL_RE = re.compile(_LITERAL)
+_ROW_RE = re.compile(rf"{_LITERAL}(?: {_LITERAL})*")  # literals joined by " "
 
 
 def parse_rational(s: str) -> Fraction:
     """Parse "p" or "p/q"; rejects zero denominators and any other shape."""
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise ValidationError(f"not a rational literal: {s!r}")
     try:
         return Fraction(s)
@@ -59,22 +67,40 @@ def format_rational(x: Fraction) -> str:
 
 
 def format_matrix(m: Mat) -> list[list[str]]:
-    """The rows of m as canonical literals (see format_rational)."""
+    """The rows of m as canonical literals (see format_rational), each
+    distinct numerator formatted once."""
+    d = m.den
     try:
-        return [list(map(str, row)) for row in m.data]
+        lit = {x: f"{x // g}/{d // g}" if (g := gcd(x, d)) != d else str(x // d)
+               for x in set(chain.from_iterable(m.num))}
     except ValueError as e:
         raise _too_long() from e
+    return [list(map(lit.__getitem__, row)) for row in m.num]
 
 
 def _rows_to_matrix(rows, n: int, where: str) -> Mat:
     if not isinstance(rows, list) or len(rows) != n:
         raise ValidationError(f"{where}: expected {n} matrix rows")
-    out = []
+    out = []  # (integer row, its denominator)
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise ValidationError(f"{where}: expected rows of length {n}")
-        out.append([parse_rational(x) for x in row])
-    return Mat(out)
+        try:
+            text = " ".join(row)
+            if not _ROW_RE.fullmatch(text) or text.count(" ") != n - 1:
+                raise ValueError
+            if "/" not in text:
+                out.append((list(map(int, row)), 1))
+                continue
+            pairs = [(int(p), int(q or 1)) for p, _, q in (x.partition("/") for x in row)]
+            d = lcm(*(q for _, q in pairs))
+            out.append(([p * (d // q) for p, q in pairs], d))
+        except (TypeError, ValueError, ZeroDivisionError):
+            for x in row:
+                parse_rational(x)  # raises for the first bad literal
+            raise
+    d = lcm(*(e for _, e in out))
+    return Mat.from_integers([r if e == d else [x * (d // e) for x in r] for r, e in out], d)
 
 
 def _point_to_doc(p: SingularPoint) -> dict:

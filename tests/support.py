@@ -217,6 +217,61 @@ def convolution_oracle(t: MatrixTuple, mu: F) -> dict[tuple[int, int], Mat]:
     return out
 
 
+class FracMat:
+    """Fraction oracle for `Mat`: a shape and nested lists of Fractions,
+    with each operation written out entry by entry."""
+
+    def __init__(self, rows: int, cols: int, entries):
+        self.rows, self.cols = rows, cols
+        self.e = [[F(x) for x in row] for row in entries]
+        assert len(self.e) == rows and all(len(row) == cols for row in self.e)
+
+    @staticmethod
+    def of(m: Mat) -> "FracMat":
+        """The entries of m, read one at a time through m[i, j]."""
+        return FracMat(m.rows, m.cols, [[m[i, j] for j in range(m.cols)] for i in range(m.rows)])
+
+    def mat(self) -> Mat:
+        return Mat(self.e) if self.rows else Mat.zeros(0, self.cols)
+
+    def __mul__(self, o: "FracMat") -> "FracMat":
+        return FracMat(self.rows, o.cols, [
+            [sum((self.e[i][k] * o.e[k][j] for k in range(self.cols)), F(0))
+             for j in range(o.cols)] for i in range(self.rows)])
+
+    def plus(self, o: "FracMat", sign: int) -> "FracMat":
+        return FracMat(self.rows, self.cols, [
+            [a + sign * b for a, b in zip(ra, rb)] for ra, rb in zip(self.e, o.e)])
+
+    def scaled(self, s) -> "FracMat":
+        return FracMat(self.rows, self.cols, [[s * x for x in row] for row in self.e])
+
+    def transpose(self) -> "FracMat":
+        return FracMat(self.cols, self.rows,
+                       [[self.e[i][j] for i in range(self.rows)] for j in range(self.cols)])
+
+    def submatrix(self, ri, ci) -> "FracMat":
+        return FracMat(len(ri), len(ci), [[self.e[i][j] for j in ci] for i in ri])
+
+    @staticmethod
+    def block(grid) -> "FracMat":
+        """The blocks of each grid row side by side, the grid rows stacked."""
+        rows = [sum((b.e[i] for b in brow), []) for brow in grid for i in range(brow[0].rows)]
+        return FracMat(len(rows), sum(b.cols for b in grid[0]), rows)
+
+    def trace(self) -> F:
+        return sum((self.e[i][i] for i in range(self.rows)), F(0))
+
+    def apply(self, v) -> list[F]:
+        return [sum((a * x for a, x in zip(row, v)), F(0)) for row in self.e]
+
+    def scalar_multiple_of_identity(self):
+        c = self.e[0][0] if self.rows else F(0)
+        ok = self.rows == self.cols and all(
+            x == (c if i == j else 0) for i, row in enumerate(self.e) for j, x in enumerate(row))
+        return c if ok else None
+
+
 # ---------------------------------------------------------------------
 # Deterministic random generators
 # ---------------------------------------------------------------------

@@ -11,6 +11,7 @@ from midconv.exactla import Mat
 from midconv.model import bessel_example, hypergeometric_example, inverse_laplace_example
 from midconv.tuplefile import (
     dumps_tuple,
+    format_matrix,
     format_rational,
     loads_tuple,
     parse_rational,
@@ -34,7 +35,7 @@ def test_parse_rational_canonical():
     assert format_rational(F(5, 1)) == "5"
 
 
-@pytest.mark.parametrize("bad", ["1/0", "1.5", "1e3", "--3", "3/-2", "", "a",
+@pytest.mark.parametrize("bad", ["1/0", "1.5", "1e3", "--3", "3/-2", "", "a", "5\n", "1/2\n",
                                  pytest.param("1" * 5000, id="5000-digits")])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValidationError):
@@ -71,6 +72,48 @@ def test_dumps_matches_json_indent_encoder():
     for doc in docs:
         assert dumps_tuple(doc) == _json_indent(doc)
     assert dumps_tuple(HYP) == _json_indent(tuple_to_doc(HYP))
+
+
+def _one_matrix_doc(rows) -> str:
+    return json.dumps({"n": len(rows), "infinity": {"m": 0, "coeffs": {}},
+                       "finite": [{"t": "0", "m": 0, "coeffs": {"0": rows}}]})
+
+
+def test_matrix_literals_read_and_write_as_fractions():
+    d100 = "9" * 50 + "1" * 50
+    rows = [["-3", "0", "-0", "+3"],
+            ["1/2", "-2/3", "0", "4"],
+            [d100, f"-{d100}/{d100[::-1]}", "6/4", "+0/5"],
+            ["-7/9", "+5/3", "-0/4", f"{d100}/3"]]
+    a = loads_tuple(_one_matrix_doc(rows)).finite[0].coeffs[0]
+    assert a.data == tuple(tuple(F(x) for x in row) for row in rows)
+    assert format_matrix(a) == [[str(F(x)) for x in row] for row in rows]
+    rng = support.rng(74)
+    big = F(10 ** 99 + 7, 3 * 10 ** 99 + 1)
+    for pool in ((-2, -1, 0, 1, 2), (0, 0, 0, 1, F(1, 2), F(-5, 6)), (big, -big, 0, 3)):
+        m = support.rand_matrix(rng, 4, pool)
+        assert format_matrix(m) == [[str(x) for x in row] for row in m.data]
+    assert format_matrix(Mat.zeros(2, 3)) == [["0"] * 3] * 2
+
+
+@pytest.mark.parametrize("bad", [5, None, ["1"], "5\n", "1/2\n", "1/0", "-3/0", "1 2", " 1",
+                                 "1/-2", "1.5", "\u0663", "", pytest.param("1" * 5000, id="5000")])
+@pytest.mark.parametrize("pos", [0, 2])
+def test_bad_matrix_literal_reported_as_parse_rational_reports_it(bad, pos):
+    row = ["1", "1/2", "3"]
+    row[pos] = bad
+    doc = _one_matrix_doc([["0", "0", "0"], row, ["1/0", "x", "1"]])
+    with pytest.raises(ValidationError) as got:
+        loads_tuple(doc)
+    with pytest.raises(ValidationError) as want:
+        parse_rational(bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_overlong_written_entries_are_validation_errors():
+    for m in (Mat([[10 ** 4400, 1]]), Mat([[F(1, 10 ** 4400), 0]]), Mat([[F(10 ** 4400, 3)]])):
+        with pytest.raises(ValidationError, match="over 4300 digits"):
+            format_matrix(m)
 
 
 def test_round_trip_file(tmp_path):
@@ -210,6 +253,32 @@ def test_cli_validation_error_exit_2(tmp_path, capsys):
                    '[{"t": "0", "m": 0, "coeffs": {"0": [["1/0", "0"], ["0", "1"]]}}]}')
     assert main(["idx", str(bad)]) == 2
     assert main(["idx", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_trailing_newline_literal_exit_2(hyp_file, tmp_path, capsys):
+    doc = json.loads(dumps_tuple(HYP))
+    doc["finite"][0]["coeffs"]["0"][1][1] = "5\n"
+    path = tmp_path / "newline.json"
+    path.write_text(json.dumps(doc))
+    assert main(["idx", str(path)]) == 2
+    assert main(["mc", hyp_file, "--mu", "1/3\n"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("validation error: not a rational literal") == 2
+
+
+def test_cli_parser_is_built_once_and_reused(hyp_file, capsys):
+    import midconv.cli
+
+    assert midconv.cli._build_parser() is midconv.cli._build_parser()
+    assert main(["--format", "machine", "idx", hyp_file]) == 0
+    idx = json.loads(capsys.readouterr().out)
+    assert main(["mc", hyp_file, "--shift", "1"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert main(["mc", hyp_file, "--mu", "1/3"]) == 0
+    mc_human = capsys.readouterr().out
+    assert (idx["command"], idx["index"]) == ("idx", 2)
+    assert mc_human.startswith("middle convolution with mu = 1/3\n")
+    assert "result size = 1" in mc_human and "index" not in mc_human
 
 
 @pytest.mark.parametrize("command", [

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from midconv.errors import PreconditionError
-from midconv.exactla import Mat, Subspace, rref_nullspace
+from midconv.exactla import Mat, Subspace, rational_spectrum, rref_nullspace
 from midconv.convolution import (
     check_invariance,
     convolution_matrices,
@@ -146,6 +146,51 @@ def test_K_is_canonical_without_re_elimination():
             assert s == Subspace.from_spanning(s.vectors, s.ambient_dim)
         assert big.dim == sum(s.dim for s in per)
     assert any(subspace_K(t)[1].dim > 2 for t in tuples)
+
+
+def _lprime_re_eliminated(t, mu):
+    """L'(mu) by definition: the kernel of the infinity block-Toeplitz
+    system, each vector embedded with -ell at every (i, 0) slot, and the
+    embedded vectors eliminated afresh; also the kernel's dimension."""
+    n, m0 = t.size, t.infinity.poincare_rank
+    nm, cut = n * t.slot_count, m0 * n
+    blocks = list(t.infinity.coeffs) + [t.residue_at_infinity() - Mat.diagonal([mu] * n)]
+    z = Mat.zeros(n, n)
+    _, ker = rref_nullspace(Mat.block([[blocks[b - a] if b >= a else z for b in range(m0 + 1)]
+                                       for a in range(m0 + 1)]))
+    starts = [k * n for k, (i, j) in enumerate(t.slots()) if i and not j]
+    vecs = []
+    for col in ker.vectors:
+        v = list(col[:cut]) + [F(0)] * (nm - cut)
+        for s in starts:
+            v[s:s + n] = [-x for x in col[cut:]]
+        vecs.append(v)
+    return Subspace.from_spanning(vecs, nm), ker.dim
+
+
+def test_Lprime_is_canonical_without_re_elimination():
+    # m0 in {0, 1} and r in {0, 1, 2}; mu at the eigenvalues of the residue
+    # at infinity gives pivots in the ell block (dropped when r = 0)
+    rng = support.rng(79)
+    seen = set()
+    for _ in range(80):
+        n, m0, r = rng.choice([1, 2, 3]), rng.choice([0, 1]), rng.choice([0, 1, 2])
+        if m0 + r == 0:
+            continue
+        t = support.rand_tuple(rng, n, r, [m0] + [rng.choice([0, 1]) for _ in range(r)],
+                               pool=(0, 0, 0, 1, -1))
+        spec, _ = rational_spectrum(t.residue_at_infinity())
+        for mu in [F(0), support.rand_fraction(rng)] + [lam for lam, _ in spec]:
+            lp = subspace_Lprime(t, mu)
+            expected, ker_dim = _lprime_re_eliminated(t, mu)
+            assert lp == expected
+            ell = any(q >= m0 * n for q in lp.pivot_rows)
+            seen.add((m0, r, lp.dim > 0, ell, lp.dim < ker_dim))
+    for m0, r in ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2)):
+        assert any(k[:2] == (m0, r) and k[2] for k in seen)  # dim L' > 0
+        assert any(k[:2] == (m0, r) and not k[2] for k in seen)  # L' = 0
+        assert r == 0 or any(k[:2] == (m0, r) and k[3] for k in seen)  # ell-block pivots
+    assert any(k[:2] == (1, 0) and k[4] for k in seen)  # ell-block vectors dropped
 
 
 def test_Lprime_hypergeometric_at_alpha():

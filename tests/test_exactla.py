@@ -1,6 +1,8 @@
 """Exact linear algebra: echelon forms, nullspaces, spectra, Jordan data."""
 
 from fractions import Fraction as F
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,70 @@ def test_product_with_an_empty_dimension_is_zero(left, right):
     out = Mat.zeros(*left) * Mat.zeros(*right)
     assert (out.rows, out.cols) == (left[0], right[1])
     assert out == Mat.zeros(left[0], right[1])
+
+
+def _entries(rng, rows, cols, kind):
+    if kind == "zero":
+        return [[0] * cols for _ in range(rows)]
+    if kind == "digits100":
+        big = 10 ** 99
+        return [[F(rng.randint(-9 * big, 9 * big), rng.randint(1, 9 * big))
+                 for _ in range(cols)] for _ in range(rows)]
+    return [[F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6])) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _check(m, oracle):
+    """m has the oracle's shape and entries, in the normalised form."""
+    assert (m.rows, m.cols) == (oracle.rows, oracle.cols)
+    assert m.data == tuple(map(tuple, oracle.e))
+    assert m.den > 0 and gcd(m.den, *chain.from_iterable(m.num)) == 1
+    assert m == oracle.mat() and hash(m) == hash(oracle.mat())
+
+
+@pytest.mark.parametrize("kind", ["small", "digits100", "zero"])
+def test_mat_matches_fraction_oracle(kind):
+    rng = support.rng({"small": 81, "digits100": 82, "zero": 83}[kind])
+    fm = support.FracMat
+    for _ in range(30):
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        fa, fa2, fb, fc = (fm(x, y, _entries(rng, x, y, kind))
+                           for x, y in ((r, k), (r, k), (k, c), (r, c)))
+        a, a2, b, cm = fa.mat(), fa2.mat(), fb.mat(), fc.mat()
+        assert fm.of(a).e == fa.e
+        s = rng.choice([0, -1, 3, F(-2, 3), F(10 ** 40, 7)])
+        _check(a * b, fa * fb)  # inner dimension k may be 0
+        _check(a + a2, fa.plus(fa2, 1))
+        _check(a - a2, fa.plus(fa2, -1))
+        _check(-a, fa.scaled(-1))
+        for scaled in (a.scaled(s), s * a, a * s):
+            _check(scaled, fa.scaled(s))
+        _check(a.transpose(), fa.transpose())
+        ri = [rng.randrange(r) for _ in range(rng.randint(0, 3))] if r else []
+        ci = [rng.randrange(k) for _ in range(rng.randint(0, 3))] if k else []
+        _check(a.submatrix(ri, ci), fa.submatrix(ri, ci))
+        if r:
+            _check(Mat.block([[a, cm], [a2, cm]]), fm.block([[fa, fc], [fa2, fc]]))
+        v = _entries(rng, 1, k, kind)[0]
+        assert a.apply(v) == fa.apply(v)
+        sq, fsq = a * a.transpose(), fa * fa.transpose()
+        assert sq.trace() == fsq.trace()
+        diag = fm(r, r, [[s if i == j else 0 for j in range(r)] for i in range(r)])
+        for m, o in ((sq, fsq), (Mat.diagonal([s] * r), diag)):
+            assert m.scalar_multiple_of_identity() == o.scalar_multiple_of_identity()
+
+
+def test_mat_equality_is_structural_after_normalisation():
+    half = Mat([[F(1, 2)]])
+    for same in (Mat([[F(2, 4)]]), Mat.from_integers([[2]], 4), Mat([[3]]) * F(1, 6)):
+        assert same == half and hash(same) == hash(half)
+        assert (same.num, same.den) == (((1,),), 2)
+    assert Mat.from_integers([[0, 0], [0, 0]], 9) == Mat.zeros(2, 2)
+    assert Mat.from_integers([[0, 0]], 9).den == 1 and (half - half).den == 1
+    a = Mat([[F(1, 3), F(1, 6)], [F(5, 2), 0]])
+    assert a.num == ((2, 1), (15, 0)) and a.den == 6
+    assert a + a - a == a and a * 6 * F(1, 6) == a and (a * 6).den == 1
+    assert Mat.zeros(0, 3) != Mat.zeros(0, 2) and Mat.zeros(2, 0) != Mat.zeros(3, 0)
 
 
 def test_reduce_mod_prime_skips_primes_dividing_a_denominator():
