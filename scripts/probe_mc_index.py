@@ -13,11 +13,28 @@ import argparse
 import random
 from fractions import Fraction as F
 
+from midconv.convolution import middle_convolution
 from midconv.errors import PreconditionError
 from midconv.exactla import Mat
-from midconv.model import SingularPoint, bessel_example, make_tuple
-from midconv.reduction import probe_index_conjecture
-from midconv.rigidity import is_irreducible
+from midconv.model import MatrixTuple, SingularPoint, bessel_example, make_tuple
+from midconv.rigidity import index, is_irreducible
+
+
+def probe_index_conjecture(t: MatrixTuple, mu) -> dict:
+    """Empirical probe: is the rigidity index preserved by one middle
+    convolution on this input?  Intended for inputs outside the proven
+    hypotheses; a mismatch is reported as a finding, never raised."""
+    before = index(t)
+    outcome = middle_convolution(t, mu)
+    after = index(outcome.result)
+    return {
+        "mu": mu,
+        "size_before": t.size,
+        "size_after": outcome.result.size,
+        "idx_before": before.index,
+        "idx_after": after.index,
+        "preserved": before.index == after.index,
+    }
 
 
 def rand_matrix(rng, n, pool=(-2, -1, 0, 1, 2)):

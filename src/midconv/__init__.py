@@ -35,10 +35,8 @@ from .model import (
 )
 from .convolution import (
     MCOutcome,
-    check_invariance,
     convolution_matrices,
     middle_convolution,
-    predicted_size,
     subspace_K,
     subspace_L,
     subspace_Lprime,

@@ -183,17 +183,6 @@ def subspace_L(t: MatrixTuple, mu) -> Subspace:
     return ker
 
 
-def predicted_size(t: MatrixTuple, mu) -> int:
-    """Size of the middle convolution quotient, from subspace dimensions
-    alone (for mu != 0 the kernel sum is direct)."""
-    mu = as_scalar(mu)
-    nm = t.size * t.slot_count
-    _, big_k = subspace_K(t)
-    if mu != 0:
-        return nm - big_k.dim - subspace_Lprime(t, mu).dim
-    return nm - big_k.sum(subspace_L(t, 0)).dim
-
-
 def middle_convolution(t: MatrixTuple, mu) -> MCOutcome:
     """Middle convolution with parameter mu.
 
@@ -274,41 +263,4 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
         dim_L=big_L.dim,
         projection=projection,
         section=section,
-    )
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Exact membership checks: does every convolution matrix map each of
-    K, L(mu), L'(mu) into itself?  Any False here is a bug."""
-
-    slots: tuple[tuple[int, int], ...]
-    k_ok: tuple[bool, ...]
-    l_ok: tuple[bool, ...]
-    lprime_ok: tuple[bool, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.k_ok) and all(self.l_ok) and all(self.lprime_ok)
-
-
-def check_invariance(t: MatrixTuple, mu) -> InvarianceReport:
-    """Verify the invariance of K, L(mu) and L'(mu) under every
-    convolution matrix by exact membership tests."""
-    mu = as_scalar(mu)
-    conv = convolution_matrices(t, mu)
-    _, big_k = subspace_K(t)
-    big_l = subspace_L(t, mu)
-    big_lp = subspace_Lprime(t, mu)
-    slots = conv.slots()
-
-    def stable(space: Subspace, big: Mat) -> bool:
-        return all(space.contains_vector(big.apply(v)) for v in space.vectors)
-
-    mats = [conv.coeff(i, j) for (i, j) in slots]
-    return InvarianceReport(
-        slots=tuple(slots),
-        k_ok=tuple(stable(big_k, m) for m in mats),
-        l_ok=tuple(stable(big_l, m) for m in mats),
-        lprime_ok=tuple(stable(big_lp, m) for m in mats),
     )

@@ -432,15 +432,37 @@ class IncrementalSpan:
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec (ints and Fractions); returns True iff it enlarged the span."""
-        v = list(Mat([vec]).num[0])
-        for pc, row in self._rows:
-            if v[pc]:
-                v = _eliminate(v, row, pc)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        self._rows.append((piv, v))
-        return True
+        return _insert(self._rows, list(Mat([vec]).num[0]))
+
+
+def _insert(rows: list[tuple[int, list[int]]], v: list[int]) -> bool:
+    """Reduce the integer vector v against `rows` (see `IncrementalSpan`)
+    and append it if a nonzero remainder is left; True iff it was."""
+    for pc, row in rows:
+        if v[pc]:
+            v = _eliminate(v, row, pc)
+    piv = next((i for i, x in enumerate(v) if x), None)
+    if piv is not None:
+        rows.append((piv, v))
+    return piv is not None
+
+
+def spin_dim(vec: Sequence, mats: Sequence[Mat]) -> int:
+    """Dimension of the smallest subspace that contains the nonzero vector
+    vec and is mapped into itself by every matrix in mats (acting on
+    columns): vec, then m x for each m and each x the span took in, until
+    none enlarges it or it is the whole space.  Only the integer rows of
+    each m are used, as scaling by 1/den moves no subspace."""
+    rows: list[tuple[int, list[int]]] = []
+    v = list(Mat([vec]).num[0])
+    work = [v] if _insert(rows, v) else []
+    n = len(v)
+    while work and len(rows) < n:
+        x = work.pop()
+        for m in mats:
+            if len(rows) < n and _insert(rows, y := [sum(map(mul, r, x)) for r in m.num]):
+                work.append(y)
+    return len(rows)
 
 
 # ---------------------------------------------------------------------
@@ -669,8 +691,10 @@ def rational_spectrum(m: Mat) -> tuple[list[tuple[Fraction, int]], bool]:
     multiplicity, then ascending eigenvalue; fully_rational is True iff
     the multiplicities sum to the matrix size.
     """
-    d, q = _monic_integer_form(m)
     n = m.rows
+    if n and (c := m.scalar_multiple_of_identity()) is not None:
+        return [(c, n)], True
+    d, q = _monic_integer_form(m)
     if n == 0:
         return [], True
     eigs = []

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import AssumptionViolated, InternalError, PreconditionError
-from .convolution import middle_convolution, quotient, subspace_K, subspace_Lprime
+from .convolution import quotient, subspace_K, subspace_Lprime
 from .exactla import Subspace
 from .model import (
     EigenData,
@@ -39,7 +39,7 @@ from .model import (
     spectral_type,
     strip_trivial,
 )
-from .rigidity import index, is_irreducible
+from .rigidity import is_irreducible
 
 PointPattern = tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -261,23 +261,6 @@ def reduce(t: MatrixTuple) -> ReductionTrace:
         cur = nxt
 
 
-def probe_index_conjecture(t: MatrixTuple, mu) -> dict:
-    """Empirical probe: is the rigidity index preserved by one middle
-    convolution on this input?  Intended for inputs outside the proven
-    hypotheses; a mismatch is reported as a finding, never raised."""
-    before = index(t)
-    outcome = middle_convolution(t, mu)
-    after = index(outcome.result)
-    return {
-        "mu": mu,
-        "size_before": t.size,
-        "size_after": outcome.result.size,
-        "idx_before": before.index,
-        "idx_after": after.index,
-        "preserved": before.index == after.index,
-    }
-
-
 # ---------------------------------------------------------------------
 # Terminal patterns: normalization, catalog, classification
 # ---------------------------------------------------------------------
@@ -362,7 +345,8 @@ _CATALOG_RAW: list[tuple[str, list[PointPattern]]] = [
 CATALOG: dict[tuple[PointPattern, ...], str] = {
     tuple(sorted(pats, reverse=True)): name for name, pats in _CATALOG_RAW
 }
-assert len(CATALOG) == 17
+if len(CATALOG) != 17:
+    raise InternalError(f"the terminal catalog has {len(CATALOG)} distinct patterns, not 17")
 
 
 def classify_terminal(p: TerminalPattern) -> str | None:
@@ -429,7 +413,9 @@ def enumerate_terminals(r: int, n_max: int) -> list[TerminalPattern]:
                         nl * nl + sum(q * q for q in parts)
                         for pat in acc for nl, parts in pat
                     )
-                    assert weight - 2 * r * n * n == 0
+                    if weight != 2 * r * n * n:
+                        raise InternalError(f"terminal pattern {tp.pattern_str()} has index "
+                                            f"{weight - 2 * r * n * n}, not 0")
                     found.add(tp)
                 return
             if total_c + 2 * points_left > target:

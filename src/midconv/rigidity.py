@@ -18,13 +18,26 @@ Every relation is a Sylvester operator X -> aX - Xb on row-major X
 (`_sylvester`, 2n - 1 nonzeros per row, built entry by entry): ad A for
 commutants and B S - S A for intertwiners in `are_similar`.
 
-`is_irreducible` first runs the Burnside word search mod p, the first
-`_prime(k)` dividing no denominator of a generator: every word is then
-p-integral.  n^2 words independent mod p are independent over Q, since a
-Q-relation scaled to p-integral coefficients, one a p-unit, would reduce
-to a relation mod p.  So a full span mod p certifies "yes".  A short one
-proves nothing (diag(0, 1) and [[0, p], [1, 0]] generate M_2(Q) but are
-triangular mod p), so then the exact search over Q decides.
+`is_irreducible` decides by Norton's test (Parker 1984; Holt and Rees
+1994) when it can, in O(k n^3) for k generators.  It takes the first
+non-scalar generator theta with a rational eigenvalue lam whose eigenspace
+ker(theta - lam) is a line, spanned by v, and w spanning ker(theta^T - lam),
+and spins v under the generators and w under their transposes (scalar
+generators cannot enlarge a spin and are skipped).  A proper spin is an
+invariant subspace of M = Q^n or of its dual, so the answer is "no".  If
+both spins are full, M is irreducible (Norton's lemma), so End(M) is a
+division algebra D; ker(theta - lam) is a D-space of Q-dimension 1, so
+D = Q, and by density the algebra is M_n(Q): "yes", exactly Burnside's
+answer.
+
+With no such lam (the rotation [[0, -1], [1, 0]]; every multiplicity 2
+or more), it runs the Burnside word search mod p, the first `_prime(k)`
+dividing no denominator of a generator: every word is then p-integral.
+n^2 words independent mod p are independent over Q, since a Q-relation
+scaled to p-integral coefficients, one a p-unit, would reduce to a
+relation mod p.  So a full span mod p certifies "yes".  A short one
+proves nothing ([[0, 3p], [1, 0]] and [[0, -p], [1, 0]] generate M_2(Q)
+but are both nilpotent mod p), so then the exact search over Q decides.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import lcm
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .exactla import (
     IncrementalSpan,
     Mat,
@@ -43,8 +56,10 @@ from .exactla import (
     is_semisimple,
     primary_components,
     rank,
+    rational_spectrum,
     reduce_mod_prime,
     rref_nullspace,
+    spin_dim,
 )
 from .model import MatrixTuple, SpectralType, semisimple_eigenspaces, strip_trivial
 
@@ -146,7 +161,8 @@ def index(t: MatrixTuple) -> RigidityReport:
     )
     m_total = t.slot_count
     idx = sum(dims) - (m_total - 1) * n * n
-    assert idx == sum(locs) + 2 * n * n
+    if idx != sum(locs) + 2 * n * n:
+        raise InternalError(f"index {idx} is not sum(local) + 2 n^2 = {sum(locs) + 2 * n * n}")
     return RigidityReport(
         n=n, r=t.num_finite, M=m_total,
         commutant_dims=dims, local_indices=locs, index=idx,
@@ -223,15 +239,34 @@ def _spans_mod_p(gens: list[Mat], n: int) -> bool:
     return _words_span([eye] + mods, [list(zip(*g)) for g in mods], mul, add, n * n)
 
 
+def _norton(gens: list[Mat], n: int) -> bool | None:
+    """Norton's answer (module docstring), or None if no non-scalar
+    generator has a rational eigenvalue with a one-dimensional eigenspace."""
+    mats = [g for g in gens if g.scalar_multiple_of_identity() is None]
+    for theta in mats:
+        for lam, _ in sorted(rational_spectrum(theta)[0], key=lambda e: e[1]):
+            shifted = theta - Mat.diagonal([lam] * n)
+            _, ker = rref_nullspace(shifted)
+            if ker.dim == 1:
+                _, coker = rref_nullspace(shifted.transpose())
+                return spin_dim(ker.vectors[0], mats) == n \
+                    and spin_dim(coker.vectors[0], [g.transpose() for g in mats]) == n
+    return None
+
+
 def is_irreducible(t: MatrixTuple) -> bool:
     """Absolute irreducibility by the Burnside criterion: the unital
     algebra generated by all coefficients (including the derived residue)
-    has dimension n^2.  A full span mod p certifies "yes"; every other
-    answer is the exact span's (see the module docstring)."""
+    has dimension n^2.  Norton's test decides when a generator has a
+    rational eigenvalue with a one-dimensional eigenspace; otherwise a full
+    span mod p certifies "yes", and every other answer is the exact
+    span's (see the module docstring)."""
     n = t.size
     if n == 1:
         return True
     gens = t.all_coeffs_with_residue()
+    if (answer := _norton(gens, n)) is not None:
+        return answer
     if _spans_mod_p(gens, n):
         return True
     span = IncrementalSpan(n * n)

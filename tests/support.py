@@ -1,13 +1,18 @@
-"""Shared test helpers: deterministic random generators and independent
+"""Shared test helpers: deterministic random generators, independent
 oracles (kept deliberately naive and separate from the library's code
-paths)."""
+paths), middle convolution checks built on the library (`predicted_size`,
+`check_invariance`) and `load_script` for the scripts' own functions."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
+from pathlib import Path
 
-from midconv.exactla import Mat, inverse
+from midconv.convolution import convolution_matrices, subspace_K, subspace_L, subspace_Lprime
+from midconv.exactla import Mat, Subspace, as_scalar, inverse
 from midconv.model import MatrixTuple, SingularPoint, make_tuple
 
 # ---------------------------------------------------------------------
@@ -139,6 +144,67 @@ def burnside_dim_naive(gens: list[Mat], n: int) -> int:
         frontier = [prod(w, g) for w in grown for g in gens]
     assert naive_rank([sum(w, []) for w in kept]) == len(kept)
     return len(kept)
+
+
+# ---------------------------------------------------------------------
+# Middle convolution checks
+# ---------------------------------------------------------------------
+
+def predicted_size(t: MatrixTuple, mu) -> int:
+    """Size of the middle convolution quotient, from subspace dimensions
+    alone (for mu != 0 the kernel sum is direct)."""
+    mu = as_scalar(mu)
+    nm = t.size * t.slot_count
+    _, big_k = subspace_K(t)
+    if mu != 0:
+        return nm - big_k.dim - subspace_Lprime(t, mu).dim
+    return nm - big_k.sum(subspace_L(t, 0)).dim
+
+
+@dataclass(frozen=True)
+class InvarianceReport:
+    """Exact membership checks: does every convolution matrix map each of
+    K, L(mu), L'(mu) into itself?  Any False here is a bug."""
+
+    slots: tuple[tuple[int, int], ...]
+    k_ok: tuple[bool, ...]
+    l_ok: tuple[bool, ...]
+    lprime_ok: tuple[bool, ...]
+
+    @property
+    def all_pass(self) -> bool:
+        return all(self.k_ok) and all(self.l_ok) and all(self.lprime_ok)
+
+
+def check_invariance(t: MatrixTuple, mu) -> InvarianceReport:
+    """Verify the invariance of K, L(mu) and L'(mu) under every
+    convolution matrix by exact membership tests."""
+    mu = as_scalar(mu)
+    conv = convolution_matrices(t, mu)
+    _, big_k = subspace_K(t)
+    big_l = subspace_L(t, mu)
+    big_lp = subspace_Lprime(t, mu)
+    slots = conv.slots()
+
+    def stable(space: Subspace, big: Mat) -> bool:
+        return all(space.contains_vector(big.apply(v)) for v in space.vectors)
+
+    mats = [conv.coeff(i, j) for (i, j) in slots]
+    return InvarianceReport(
+        slots=tuple(slots),
+        k_ok=tuple(stable(big_k, m) for m in mats),
+        l_ok=tuple(stable(big_l, m) for m in mats),
+        lprime_ok=tuple(stable(big_lp, m) for m in mats),
+    )
+
+
+def load_script(name: str):
+    """The module scripts/<name>.py, imported from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def kron(a: Mat, b: Mat) -> Mat:

@@ -8,7 +8,6 @@ from fractions import Fraction as F
 from midconv.errors import PreconditionError
 from midconv.exactla import Mat
 from midconv.convolution import (
-    check_invariance,
     middle_convolution,
     subspace_K,
     subspace_L,
@@ -39,6 +38,7 @@ from midconv.rigidity import (
     okubo_index,
 )
 import support
+from support import check_invariance
 
 
 class _Criterion:

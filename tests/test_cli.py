@@ -1,10 +1,13 @@
 """Tuple file round trips and the command-line interface."""
 
+import ast
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import midconv
 from midconv.cli import main
 from midconv.errors import ValidationError
 from midconv.exactla import Mat
@@ -377,6 +380,15 @@ def test_cli_unexpected_exception_exit_4(hyp_file, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "internal error: ValueError: boom\n"
     assert "Traceback" not in err
+
+
+def test_no_assert_statements_in_the_package():
+    # `python -O` strips asserts; invariants are explicit InternalError checks
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(midconv.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_cli_machine_output_byte_stable(hyp_file, capsys):

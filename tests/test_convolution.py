@@ -7,10 +7,8 @@ import pytest
 from midconv.errors import PreconditionError
 from midconv.exactla import Mat, Subspace, rational_spectrum, rref_nullspace
 from midconv.convolution import (
-    check_invariance,
     convolution_matrices,
     middle_convolution,
-    predicted_size,
     subspace_K,
     subspace_L,
     subspace_Lprime,
@@ -27,6 +25,7 @@ from midconv.model import (
 )
 from midconv.rigidity import are_similar, is_irreducible
 import support
+from support import check_invariance, predicted_size
 
 HYP = hypergeometric_example(1, F(1, 2), F(1, 3), 1)
 NU, GAMMA, ALPHA, K = F(1), F(1, 2), F(1, 3), F(1)

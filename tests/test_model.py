@@ -253,8 +253,18 @@ def test_spectral_type_one_charpoly_of_the_leading_coefficient(monkeypatch):
     monkeypatch.setattr(midconv.exactla, "charpoly",
                         lambda m: calls.append(m.rows) or real(m))
     st0 = spectral_type(HYP, 0)
-    # one for the leading coefficient, one per diagonal block of the residue
-    assert len(calls) == 1 + len(st0.blocks)
+    # one for the leading coefficient; the residue's diagonal blocks are
+    # 1 x 1, so scalar, and their spectra need no characteristic polynomial
+    assert [b.size for b in st0.blocks] == [1, 1]
+    assert calls == [2]
+    # with a non-scalar 2 x 2 block: one more, of size 2
+    calls.clear()
+    t = make_tuple(
+        3, infinity_point(1, [Mat.diagonal([0, 0, 1])]),
+        [finite_point(0, 0, [Mat([[1, 2, 0], [0, 3, 1], [1, 0, 2]])])],
+    )
+    assert sorted(b.size for b in spectral_type(t, 0).blocks) == [1, 2]
+    assert calls == [3, 2]
 
 
 def test_spectral_type_rejects_rank_two():

@@ -24,13 +24,14 @@ from midconv.reduction import (
     classify_terminal,
     enumerate_terminals,
     make_terminal_pattern,
-    probe_index_conjecture,
     reduce,
     reduce_step,
     terminal_pattern,
 )
 from midconv.rigidity import index, is_irreducible
 import support
+
+probe_index_conjecture = support.load_script("probe_mc_index").probe_index_conjecture
 
 HYP = hypergeometric_example(1, F(1, 2), F(1, 3), 1)
 

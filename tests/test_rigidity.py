@@ -7,7 +7,7 @@ import pytest
 
 from midconv.errors import PreconditionError
 from midconv import rigidity
-from midconv.exactla import Mat, _prime, inverse, reduce_mod_prime
+from midconv.exactla import Mat, _prime, inverse, reduce_mod_prime, spin_dim
 from midconv.convolution import middle_convolution
 from midconv.model import (
     addition,
@@ -307,10 +307,17 @@ class _NoExactSpan:
         raise AssertionError("the exact word search ran")
 
 
+def _no_mod_p_span(*args):
+    raise AssertionError("the mod-p word search ran")
+
+
 def test_irreducible_unlucky_prime_falls_back_to_exact():
-    # lower triangular mod P0, but A B = E21 and B A = P0 E12 span M_2(Q)
-    t = _two_residues([[0, 0], [0, 1]], [[0, P0], [1, 0]])
+    # no rational eigenvalue anywhere (x^2 - 3 P0, x^2 + P0, and x^2 - 4 P0
+    # for the derived residue), so Norton's test cannot start; both residues
+    # are nilpotent mod P0, but A - B = 4 P0 E12 and A (A - B) spans M_2(Q)
+    t = _two_residues([[0, 3 * P0], [1, 0]], [[0, -P0], [1, 0]])
     gens = t.all_coeffs_with_residue()
+    assert rigidity._norton(gens, 2) is None
     assert reduce_mod_prime(gens)[0] == P0
     assert not rigidity._spans_mod_p(gens, 2)
     assert support.burnside_dim_naive(gens, 2) == 4
@@ -318,16 +325,22 @@ def test_irreducible_unlucky_prime_falls_back_to_exact():
 
 
 def test_irreducible_skips_prime_dividing_a_denominator(monkeypatch):
-    t = _two_residues([[0, 0], [0, 1]], [[0, F(1, P0)], [1, 0]])
-    assert reduce_mod_prime(t.all_coeffs_with_residue())[0] == _prime(1)
+    t = _two_residues([[0, F(3, P0)], [1, 0]], [[0, F(-1, P0)], [1, 0]])
+    gens = t.all_coeffs_with_residue()
+    assert rigidity._norton(gens, 2) is None
+    assert reduce_mod_prime(gens)[0] == _prime(1)
     monkeypatch.setattr(rigidity, "IncrementalSpan", _NoExactSpan)
     assert is_irreducible(t)
 
 
 def test_irreducible_over_q_but_not_absolutely():
-    # the rotation generates Q(i), of dimension 2 < 4
+    # the rotation generates Q(i), of dimension 2 < 4; it has no rational
+    # eigenvalue, so Norton's test cannot start, and the exact search answers
     t = make_tuple(2, infinity_point(0, []), [finite_point(0, 0, [Mat([[0, -1], [1, 0]])])])
-    assert support.burnside_dim_naive(t.all_coeffs_with_residue(), 2) == 2
+    gens = t.all_coeffs_with_residue()
+    assert rigidity._norton(gens, 2) is None
+    assert not rigidity._spans_mod_p(gens, 2)
+    assert support.burnside_dim_naive(gens, 2) == 2
     assert not is_irreducible(t)
 
 
@@ -337,8 +350,7 @@ def test_irreducible_never_enters_exact_search(monkeypatch):
     assert is_irreducible(HYP)
     for n in (2, 3, 4, 5):
         assert is_irreducible(support.rand_tuple(rng, n, 2, [1, 0, 0]))
-    with pytest.raises(AssertionError, match="exact word search"):
-        is_irreducible(support.rand_reducible_tuple(rng, 3, 2))
+    assert not is_irreducible(support.rand_reducible_tuple(rng, 3, 2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -351,6 +363,55 @@ def test_irreducible_matches_naive_burnside_oracle(n):
         full = support.burnside_dim_naive(t.all_coeffs_with_residue(), n) == n * n
         assert is_irreducible(t) == full
     assert is_irreducible(cases[0]) and not is_irreducible(cases[1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_norton_matches_naive_burnside_oracle(n):
+    # the oracle takes seconds at n = 7, 8, so there only the conjugates run
+    rng = support.rng(500 + n)
+    cases = [support.rand_semisimple_tuple(rng, n, 1, [1, 0]),
+             support.rand_reducible_tuple(rng, n, 1)]
+    conj = [support.conjugated(t, support.unimodular(rng, n)) for t in cases]
+    for t in (conj if n > 6 else cases + conj):
+        gens = t.all_coeffs_with_residue()
+        full = support.burnside_dim_naive(gens, n) == n * n
+        assert rigidity._norton(gens, n) is full  # decided, and right
+        assert is_irreducible(t) == full
+    assert not is_irreducible(cases[1])
+
+
+def test_irreducible_reducible_seen_only_by_the_dual_spin(monkeypatch):
+    # all upper triangular, so span(e1) is invariant; Norton takes theta's
+    # eigenvalue 0, whose eigenvector (1, -1) lies outside it and spins to
+    # Q^2, while ker(theta^T) = span(e2) spins only to itself
+    theta = Mat([[1, 1], [0, 0]])
+    t = make_tuple(2, infinity_point(1, [theta]), [finite_point(0, 0, [Mat([[0, 1], [0, 0]])])])
+    gens = t.all_coeffs_with_residue()
+    assert gens[0] == theta
+    assert spin_dim([1, -1], gens) == 2
+    assert spin_dim([0, 1], [g.transpose() for g in gens]) == 1
+    monkeypatch.setattr(rigidity, "_spans_mod_p", _no_mod_p_span)
+    monkeypatch.setattr(rigidity, "IncrementalSpan", _NoExactSpan)
+    assert not is_irreducible(t)
+
+
+def test_irreducible_without_rational_eigenvalues_by_mod_p_span(monkeypatch):
+    t = _two_residues([[0, -1], [1, 0]], [[0, 2], [1, 0]])
+    assert rigidity._norton(t.all_coeffs_with_residue(), 2) is None
+    monkeypatch.setattr(rigidity, "IncrementalSpan", _NoExactSpan)
+    assert is_irreducible(t)
+
+
+def test_norton_decides_random_and_forward_built_tuples(monkeypatch):
+    monkeypatch.setattr(rigidity, "_spans_mod_p", _no_mod_p_span)
+    monkeypatch.setattr(rigidity, "IncrementalSpan", _NoExactSpan)
+    rng = support.rng(91)
+    for n in (2, 3, 4, 5):
+        assert is_irreducible(support.rand_tuple(rng, n, 2, [1, 0, 0]))
+    rigid = support.forward_idx2_instances(1, 6, max_size=6)
+    assert len(rigid) == 6 and max(t.size for t in rigid) == 4
+    for t in rigid:
+        assert is_irreducible(t)
 
 
 def test_irreducible_n12_within_budget(monkeypatch):
