@@ -28,7 +28,7 @@ def main():
     print(f"\ncommutant dims = {rep.commutant_dims}, index of rigidity = {rep.index}")
 
     _, big_k = subspace_K(t)
-    print(f"dim K = {big_k.dim}, basis columns = {[list(v) for v in big_k.vectors]}")
+    print(f"dim K = {big_k.dim}, basis columns = {[list(v) for v in big_k.basis.data]}")
     for mu in (F(1), alpha):
         print(f"dim L({mu}) = {subspace_L(t, mu).dim}")
 

@@ -24,30 +24,21 @@ point order keeps that form (`subspace_K`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import PreconditionError
 from .exactla import Mat, Subspace, as_scalar, rref_nullspace
 from .model import MatrixTuple, SingularPoint
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class MCOutcome:
-    """Result of one middle convolution.
-
-    `projection` (n~ x nM) and `section` (nM x n~) realize the chosen
-    coordinate complement: projection * section is the identity and every
-    result coefficient equals projection * conv_matrix * section.
-    """
+    """Result of one middle convolution: the quotient tuple, dim K per
+    point (infinity first) and dim L(mu)."""
 
     result: MatrixTuple
     dim_K: tuple[int, ...]
     dim_L: int
-    projection: Mat
-    section: Mat
 
 
 def _block_upper_toeplitz(coeffs: list[Mat]) -> Mat:
@@ -120,23 +111,22 @@ def subspace_K(t: MatrixTuple) -> tuple[list[Subspace], Subspace]:
 
     The Toeplitz columns of point i are its slots (i, m_i), ..., (i, 0),
     which are consecutive in V', so each canonical kernel is embedded by
-    shifting it, vectors and pivots alike, to the offset of (i, m_i).  The
-    shifted kernels sit on disjoint blocks in point order, so their
-    concatenation is the canonical basis of the sum: nothing is
-    re-eliminated."""
+    shifting it, basis rows and pivots alike, to the offset of (i, m_i).
+    The shifted kernels sit on disjoint blocks in point order, so stacking
+    them gives the canonical basis of the sum: nothing is re-eliminated."""
     nm = t.size * t.slot_count
     offs = _slot_offsets(t)
     per_point: list[Subspace] = [Subspace.zero(nm)]
     for i, p in enumerate(t.finite, start=1):
         _, ker = rref_nullspace(_block_upper_toeplitz(list(p.coeffs)))
         off = offs[(i, p.poincare_rank)]
-        left, right = (_ZERO,) * off, (_ZERO,) * (nm - off - ker.ambient_dim)
+        left, right = (0,) * off, (0,) * (nm - off - ker.ambient_dim)
         per_point.append(Subspace(
-            nm, tuple(left + v + right for v in ker.vectors),
+            Mat.from_integers([left + v + right for v in ker.basis.num], ker.basis.den, nm),
             tuple(off + q for q in ker.pivot_rows),
         ))
     combined = Subspace(
-        nm, tuple(v for s in per_point for v in s.vectors),
+        Mat.block([[s.basis] for s in per_point]),
         tuple(q for s in per_point for q in s.pivot_rows),
     )
     return per_point, combined
@@ -158,18 +148,18 @@ def subspace_Lprime(t: MatrixTuple, mu) -> Subspace:
     corner = t.residue_at_infinity() - Mat.diagonal([mu] * n)
     _, ker = rref_nullspace(_block_upper_toeplitz(list(t.infinity.coeffs) + [corner]))
     vecs, pivots = [], []
-    for q, col in zip(ker.pivot_rows, ker.vectors):
+    for q, col in zip(ker.pivot_rows, ker.basis.num):
         if q >= cut and not t.finite:
             continue
-        v = list(col[:cut]) + [_ZERO] * (nm - cut)
+        v = list(col[:cut]) + [0] * (nm - cut)
         ell = [-x for x in col[cut:]]
         for i in range(1, t.num_finite + 1):
             v[offs[(i, 0)]:offs[(i, 0)] + n] = ell
         if q >= cut:
             v, q = [-x for x in v], offs[(1, 0)] + q - cut
-        vecs.append(tuple(v))
+        vecs.append(v)
         pivots.append(q)
-    return Subspace(nm, tuple(vecs), tuple(pivots))
+    return Subspace(Mat.from_integers(vecs, ker.basis.den, nm), tuple(pivots))
 
 
 def subspace_L(t: MatrixTuple, mu) -> Subspace:
@@ -211,12 +201,11 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
 
     pivot_set = set(w.pivot_rows)
     comp = [c for c in range(nm) if c not in pivot_set]
-    # each b_p on the complement times e, the lcm of all their denominators
-    e = lcm(*(b[c].denominator for b in w.vectors for c in comp))
-    b_comp = [(p, [b[c].numerator * (e // b[c].denominator) for c in comp])
-              for p, b in zip(w.pivot_rows, w.vectors)]
-    # the nonzero entries of each e b_p[comp], by result row
-    b_support = [(p, [(i, x) for i, x in enumerate(b) if x]) for p, b in b_comp]
+    # the nonzero entries of each b_p on the complement times e, the
+    # denominator of the basis, by result row
+    e = w.basis.den
+    b_support = [(p, [(i, x) for i, c in enumerate(comp) if (x := b[c])])
+                 for p, b in zip(w.pivot_rows, w.basis.num)]
 
     def quotient_matrix(big: Mat) -> Mat:
         """G[comp, comp] - sum over pivots p of b_p[comp] (x) G[p, comp],
@@ -246,21 +235,8 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
         tuple(quotient_point(p) for p in conv.finite),
     )
 
-    proj_rows = []
-    for k, c in enumerate(comp):
-        row = [0] * nm
-        row[c] = e
-        for p, b in b_comp:
-            row[p] -= b[k]
-        proj_rows.append(row)
-    projection = Mat.from_integers(proj_rows, e, nm)
-    section = Mat.from_integers(
-        [[int(comp[j] == i) for j in range(new_size)] for i in range(nm)], 1, new_size)
-
     return MCOutcome(
         result=result,
         dim_K=tuple(s.dim for s in per_point_K),
         dim_L=big_L.dim,
-        projection=projection,
-        section=section,
     )

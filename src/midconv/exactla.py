@@ -10,8 +10,8 @@ which keeps intermediate entries at determinant-minor size.  `rank` and
 `det` read its output directly; reduced echelon forms (`inverse`,
 `rref_nullspace`, `Subspace.from_spanning`) back-substitute on its rows,
 and `IncrementalSpan` reduces each new vector against stored integer
-rows, both with one primitive integer row step.  `Fraction`s are the
-scalars (`m[i, j]`, eigenvalues) and the canonical `Subspace` bases.
+rows, both with one primitive integer row step.  `Fraction`s are scalars
+only (`m[i, j]`, eigenvalues, determinants); every basis is a `Mat`.
 
 `charpoly` is multi-modular and certified.  With d_i the lcm of the
 denominators of row i of A, B = diag(d) A is integral and, for D = prod d_i,
@@ -36,10 +36,11 @@ semisimple iff q / gcd(q, q') annihilates dA.
 Jordan data and primary components share one kernel chain: the nullities
 of (A - lam)^k for k = 1, 2, ... until they stop growing (`_kernel_chain`).
 
-A `Subspace` is its reduced row echelon basis: the rows `vectors` with
-leftmost pivots `pivot_rows`.  This representative is unique, so two
-subspaces are equal iff their fields are, and all downstream tie-breaking
-(quotient complements, canonical kernels) is deterministic.
+A `Subspace` is its reduced row echelon basis: the rows of the `Mat`
+`basis` with leftmost pivots `pivot_rows`.  This representative is unique
+(and, as a normalised `Mat`, so are its integer rows over one denominator),
+so two subspaces are equal iff their fields are, and all downstream
+tie-breaking (quotient complements, canonical kernels) is deterministic.
 
 `rref_nullspace` builds that basis of a kernel from one elimination.  It
 row-reduces the columns of m in reverse order.  In that reversed RREF a
@@ -130,7 +131,7 @@ class Mat:
             scaled = [b.num if b.den == den else [[x * (den // b.den) for x in r] for r in b.num]
                       for b in block_row]
             out_rows.extend(chain.from_iterable(rs) for rs in zip(*scaled))
-        return Mat.from_integers(out_rows, den)
+        return Mat.from_integers(out_rows, den, sum(b.cols for b in grid[0]) if grid else 0)
 
     # -- access -------------------------------------------------------
 
@@ -282,16 +283,19 @@ def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
     return [a // g for a in w] if g > 1 else w
 
 
-def _rref_rows(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form of the given integer spanning rows (unique),
-    each row times its pivot entry, and the pivot columns."""
-    ech, piv_cols, _ = _echelon(rows, ncols)
-    for i in reversed(range(len(piv_cols))):
-        pc = piv_cols[i]
+def _rref(rows: Iterable[Sequence[int]], ncols: int) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form of the given integer spanning rows (unique)
+    and its pivot columns.  As the `Mat` is normalised, the integer entry of
+    each row at its pivot is the denominator."""
+    ech, piv, _ = _echelon(rows, ncols)
+    for i in reversed(range(len(piv))):
+        pc = piv[i]
         for k in range(i):
             if ech[k][pc]:
                 ech[k] = _eliminate(ech[k], ech[i], pc)
-    return ech, piv_cols
+    den = lcm(*(row[pc] for row, pc in zip(ech, piv)))
+    return Mat.from_integers([[x * (den // row[pc]) for x in row] for row, pc in zip(ech, piv)],
+                             den, ncols), tuple(piv)
 
 
 def rank(m: Mat) -> int:
@@ -316,12 +320,10 @@ def inverse(m: Mat) -> Mat:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
     aug = [row + tuple(m.den if i == j else 0 for j in range(n)) for i, row in enumerate(m.num)]
-    ech, piv = _rref_rows(aug, 2 * n)
-    if piv != list(range(n)):
+    r, piv = _rref(aug, 2 * n)
+    if piv != tuple(range(n)):
         raise ValueError("matrix is singular")
-    den = lcm(*(row[i] for i, row in enumerate(ech)))
-    return Mat.from_integers([[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(ech)],
-                             den, n)
+    return r.submatrix(range(n), range(n, 2 * n))
 
 
 # ---------------------------------------------------------------------
@@ -332,78 +334,76 @@ def inverse(m: Mat) -> Mat:
 class Subspace:
     """A subspace of Q^ambient_dim as its reduced row echelon basis.
 
-    `vectors[i]` has a 1 at `pivot_rows[i]` and zeros at every other pivot
-    and everywhere left of its own pivot; the pivots increase.  The
+    Row i of `basis` has a 1 at `pivot_rows[i]` and zeros at every other
+    pivot and everywhere left of its own pivot; the pivots increase.  The
     representative is unique, so equality of subspaces is equality of
     these fields.
     """
 
-    ambient_dim: int
-    vectors: tuple[tuple[Fraction, ...], ...]
+    basis: Mat
     pivot_rows: tuple[int, ...]
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (), ())
+        return Subspace(Mat.zeros(0, ambient_dim), ())
 
     @staticmethod
     def from_spanning(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
         vecs = Mat(vectors)
         if vecs.rows and vecs.cols != ambient_dim:
             raise ValueError("spanning vector has wrong length")
-        ech, piv = _rref_rows(vecs.num, ambient_dim)
-        rref = tuple(tuple(Fraction(x, row[pc]) if x else _ZERO for x in row)
-                     for row, pc in zip(ech, piv))
-        return Subspace(ambient_dim, rref, tuple(piv))
+        return Subspace(*_rref(vecs.num, ambient_dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def dim(self) -> int:
         return len(self.pivot_rows)
 
     def contains_vector(self, vec: Sequence) -> bool:
-        """True iff vec reduces to zero against the basis: subtracting
-        v[p] times the vector with pivot p, for each pivot p in turn."""
-        v = [as_scalar(x) for x in vec]
+        """True iff vec reduces to zero against the basis: one integer row
+        step against the row with pivot p, for each pivot p in turn."""
+        v = list(Mat([[as_scalar(x) for x in vec]]).num[0])
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong length")
-        for p, b in zip(self.pivot_rows, self.vectors):
-            c = v[p]
-            if c:
-                v = [a - c * x for a, x in zip(v, b)]
+        for p, b in zip(self.pivot_rows, self.basis.num):
+            if v[p]:
+                v = _eliminate(v, b, p)
         return not any(v)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return Subspace.from_spanning(self.vectors + other.vectors, self.ambient_dim)
+        return Subspace(*_rref(self.basis.num + other.basis.num, self.ambient_dim))
 
 
 def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
     """Rank and canonical right nullspace of m, from one elimination of the
     columns of m in reverse order (see the module docstring)."""
     c = m.cols
-    ech, piv = _rref_rows([row[::-1] for row in m.num], c)
-    # row i of ech, read in the original column order, has its pivot at
-    # c - 1 - piv[i] and is zero right of it
-    pivots = [(c - 1 - p, row, row[p]) for p, row in zip(piv, ech)]
-    piv_set = {p for p, _, _ in pivots}
+    r, piv = _rref([row[::-1] for row in m.num], c)
+    # row i of r, read in the original column order, has its pivot (entry
+    # r.den) at c - 1 - piv[i] and is zero right of it
+    pivots = [(c - 1 - p, row) for p, row in zip(piv, r.num)]
+    piv_set = {p for p, _ in pivots}
     free = tuple(f for f in range(c) if f not in piv_set)
     vecs = []
     for f in free:
-        v = [_ZERO] * c
-        v[f] = _ONE
-        for p, row, d in pivots:
-            if x := row[c - 1 - f]:
-                v[p] = Fraction(-x, d)
-        vecs.append(tuple(v))
-    return len(piv), Subspace(c, tuple(vecs), free)
+        v = [0] * c
+        v[f] = r.den
+        for p, row in pivots:
+            v[p] = -row[c - 1 - f]
+        vecs.append(v)
+    return len(piv), Subspace(Mat.from_integers(vecs, r.den, c), free)
 
 
 def diagonal_blocks(spaces: Sequence[Subspace], *mats: Mat) -> list[tuple[Mat, ...]]:
     """Write each matrix in the basis that concatenates the bases of
     `spaces` (together a basis of the ambient space) and cut out its
     diagonal blocks: one tuple per subspace, one block per matrix."""
-    p = Mat(zip(*(v for s in spaces for v in s.vectors)))
+    p = Mat.block([[s.basis] for s in spaces]).transpose()
     pinv = inverse(p)
     products = [a * p for a in mats]
     out = []
@@ -447,14 +447,14 @@ def _insert(rows: list[tuple[int, list[int]]], v: list[int]) -> bool:
     return piv is not None
 
 
-def spin_dim(vec: Sequence, mats: Sequence[Mat]) -> int:
-    """Dimension of the smallest subspace that contains the nonzero vector
-    vec and is mapped into itself by every matrix in mats (acting on
+def spin_dim(vec: Sequence[int], mats: Sequence[Mat]) -> int:
+    """Dimension of the smallest subspace that contains the nonzero integer
+    vector vec and is mapped into itself by every matrix in mats (acting on
     columns): vec, then m x for each m and each x the span took in, until
     none enlarges it or it is the whole space.  Only the integer rows of
     each m are used, as scaling by 1/den moves no subspace."""
     rows: list[tuple[int, list[int]]] = []
-    v = list(Mat([vec]).num[0])
+    v = list(vec)
     work = [v] if _insert(rows, v) else []
     n = len(v)
     while work and len(rows) < n:
@@ -777,8 +777,8 @@ def primary_components(m: Mat) -> list[tuple[Fraction | None, Subspace]]:
     if not full:
         mt = m.transpose()
         left = [v for lam, mult in spec
-                for v in _kernel_chain(mt, lam, mult, rref_nullspace)[1].vectors]
-        comps.append((None, rref_nullspace(Mat(left) if left else Mat.zeros(0, n))[1]))
+                for v in _kernel_chain(mt, lam, mult, rref_nullspace)[1].basis.num]
+        comps.append((None, rref_nullspace(Mat.from_integers(left, 1, n))[1]))
     if sum(c[1].dim for c in comps) != n:
         raise InternalError("primary components do not span the whole space")
     return comps

@@ -153,19 +153,15 @@ def _reduction_shift(t: MatrixTuple, pivots: list[PivotChoice]) -> list[Fraction
     return shift
 
 
-def _choose_mu(shifted: MatrixTuple) -> tuple[Fraction, Subspace]:
+def _choose_mu(shifted: MatrixTuple, pivots: list[PivotChoice]) -> tuple[Fraction, Subspace]:
     """Scan the eigenvalues of the compressed block at infinity belonging
     to the (now zero) pivot eigenvalue and maximize dim L'(mu); ties break
-    to the smaller value.  Returns mu with its L'(mu)."""
-    st0 = spectral_type(shifted, 0)
-    zero_block = next(
-        (b for b in st0.blocks if b.eigenvalue == 0), None
-    )
-    if zero_block is None:
-        raise AssumptionViolated(
-            "shifted leading coefficient at infinity has no zero eigenvalue"
-        )
-    cands = sorted(e.value for e in zero_block.inner)
+    to the smaller value.  Returns mu with its L'(mu).  The shift leaves
+    the leading eigenspaces at infinity in place and adds s, the sum of the
+    chosen finite residue eigenvalues, to the derived residue, so these are
+    the pivot block's residue eigenvalues plus s."""
+    s = sum(pv.inner.value for pv in pivots[1:])
+    cands = sorted(e.value + s for e in pivots[0].block.inner)
     return max(((mu, subspace_Lprime(shifted, mu)) for mu in cands),
                key=lambda c: c[1].dim)
 
@@ -187,7 +183,7 @@ def reduce_step(t: MatrixTuple) -> tuple[MatrixTuple | None, ReductionStep]:
     pivots = choose_pivot(padded)
     shift = _reduction_shift(padded, pivots)
     shifted = addition(padded, shift)
-    mu, lprime = _choose_mu(shifted)
+    mu, lprime = _choose_mu(shifted, pivots)
     n = padded.size
     per_point, big_k = subspace_K(shifted)
     new_size = n * padded.slot_count - big_k.dim - lprime.dim

@@ -249,8 +249,8 @@ def _norton(gens: list[Mat], n: int) -> bool | None:
             _, ker = rref_nullspace(shifted)
             if ker.dim == 1:
                 _, coker = rref_nullspace(shifted.transpose())
-                return spin_dim(ker.vectors[0], mats) == n \
-                    and spin_dim(coker.vectors[0], [g.transpose() for g in mats]) == n
+                return spin_dim(ker.basis.num[0], mats) == n \
+                    and spin_dim(coker.basis.num[0], [g.transpose() for g in mats]) == n
     return None
 
 
@@ -317,9 +317,10 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     d = space.dim
     if d == 0:
         return None
+    den = space.basis.den
     basis = [
-        Mat([col[k * n:(k + 1) * n] for k in range(n)])
-        for col in space.vectors
+        Mat.from_integers([col[k * n:(k + 1) * n] for k in range(n)], den, n)
+        for col in space.basis.num
     ]
     for coeffs in _weighted_grid(d, n):
         s = Mat.zeros(n, n)

@@ -1,7 +1,8 @@
 """Shared test helpers: deterministic random generators, independent
 oracles (kept deliberately naive and separate from the library's code
 paths), middle convolution checks built on the library (`predicted_size`,
-`check_invariance`) and `load_script` for the scripts' own functions."""
+`check_invariance`, `projection_section`) and `load_script` for the
+scripts' own functions."""
 
 from __future__ import annotations
 
@@ -161,6 +162,25 @@ def predicted_size(t: MatrixTuple, mu) -> int:
     return nm - big_k.sum(subspace_L(t, 0)).dim
 
 
+def projection_section(t: MatrixTuple, mu) -> tuple[Mat, Mat]:
+    """The coordinate complement on which `middle_convolution` realizes
+    V'/(K + L(mu)): the coordinates off the pivot rows of the canonical
+    basis b_p of K + L(mu).  `projection` (n~ x nM) sends e_c to e_c minus
+    b_p[c] e_p over the pivots p, so it kills every b_p; `section`
+    (nM x n~) includes the complement coordinates."""
+    _, big_k = subspace_K(t)
+    w = big_k.sum(subspace_L(t, as_scalar(mu)))
+    nm = w.ambient_dim
+    comp = [c for c in range(nm) if c not in w.pivot_rows]
+    proj_rows = []
+    for c in comp:
+        row = [F(int(k == c)) for k in range(nm)]
+        for p, b in zip(w.pivot_rows, w.basis.data):
+            row[p] -= b[c]
+        proj_rows.append(row)
+    return Mat(proj_rows), Mat([[int(i == c) for c in comp] for i in range(nm)])
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
     """Exact membership checks: does every convolution matrix map each of
@@ -187,7 +207,7 @@ def check_invariance(t: MatrixTuple, mu) -> InvarianceReport:
     slots = conv.slots()
 
     def stable(space: Subspace, big: Mat) -> bool:
-        return all(space.contains_vector(big.apply(v)) for v in space.vectors)
+        return all(space.contains_vector(big.apply(v)) for v in space.basis.data)
 
     mats = [conv.coeff(i, j) for (i, j) in slots]
     return InvarianceReport(
@@ -607,7 +627,7 @@ def prop43_instances(seed: int, want: int, max_tries: int = 300):
             _, ker = rref_nullspace(a1_inf - Mat.diagonal([lam] * n))
             if lam == 0:
                 zero_pos = pos
-            cols.extend(ker.vectors)
+            cols.extend(ker.basis.data)
             pos += mult
         basis = from_columns(cols, n)
         compressed = inverse(basis) * t.residue_at_infinity() * basis

@@ -118,9 +118,10 @@ def test_K_padded_point_formula():
 
 
 def test_K_is_canonical_without_re_elimination():
-    # finite points of Poincare rank 0, 1 and 2, a zero coefficient, r = 0:
-    # each shifted per-point kernel and their concatenation are already the
-    # reduced echelon bases that a fresh elimination of their vectors gives
+    # finite points of Poincare rank 0, 1 and 2, a zero coefficient, r = 0,
+    # no finite kernel: each shifted per-point kernel and their concatenation
+    # are already the reduced echelon bases, integer rows over one
+    # denominator, that a fresh elimination of their vectors gives
     rng = support.rng(78)
     z = Mat.zeros(2, 2)
     sing = Mat([[1, 1], [1, 1]])
@@ -136,15 +137,20 @@ def test_K_is_canonical_without_re_elimination():
             2, infinity_point(0, []),
             [finite_point(0, 2, [sing, z, z]), finite_point(1, 0, [z])],
         ),
+        make_tuple(2, infinity_point(1, [Mat.diagonal([1, 2])]),
+                   [finite_point(0, 0, [Mat.identity(2)]), finite_point(1, 1, [Mat.identity(2), z])]),
     ]
     for _ in range(4):
         tuples.append(support.rand_tuple(rng, 2, 3, [1, 2, 0, 1], pool=(0, 0, 1, -1)))
     for t in tuples:
         per, big = subspace_K(t)
         for s in per + [big]:
-            assert s == Subspace.from_spanning(s.vectors, s.ambient_dim)
+            assert s == Subspace.from_spanning(s.basis.data, s.ambient_dim)
+            assert s.ambient_dim == t.size * t.slot_count
+            assert all(type(x) is int for row in s.basis.num for x in row)
         assert big.dim == sum(s.dim for s in per)
     assert any(subspace_K(t)[1].dim > 2 for t in tuples)
+    assert any(t.finite and subspace_K(t)[1].dim == 0 for t in tuples)
 
 
 def _lprime_re_eliminated(t, mu):
@@ -159,7 +165,7 @@ def _lprime_re_eliminated(t, mu):
                                        for a in range(m0 + 1)]))
     starts = [k * n for k, (i, j) in enumerate(t.slots()) if i and not j]
     vecs = []
-    for col in ker.vectors:
+    for col in ker.basis.data:
         v = list(col[:cut]) + [F(0)] * (nm - cut)
         for s in starts:
             v[s:s + n] = [-x for x in col[cut:]]
@@ -245,7 +251,8 @@ def test_mc_hypergeometric_rank_one_output():
     assert out.result.finite[0].coeffs[0] == Mat([[ALPHA - GAMMA]])
     assert out.dim_K == (0, 1)
     assert out.dim_L == 2
-    assert out.projection * out.section == Mat.identity(1)
+    projection, section = support.projection_section(HYP, ALPHA)
+    assert projection * section == Mat.identity(1)
 
 
 def test_mc_zero_parameter_is_identity_up_to_similarity():
@@ -380,21 +387,22 @@ _CONTRACT_TUPLES = {
 
 
 def test_mc_outcome_projection_contract():
-    # projection kills K + L(mu), projection * section is the identity, and
-    # every result coefficient equals projection * conv_matrix * section;
-    # mu = 0 (where L(0) may differ from L'(0)) and mu != 0
+    # the reference projection kills K + L(mu), projection * section is the
+    # identity, and every result coefficient equals projection * conv_matrix
+    # * section; mu = 0 (where L(0) may differ from L'(0)) and mu != 0
     for name, t in _CONTRACT_TUPLES.items():
         for mu in (F(0), F(1, 3)):
             conv = convolution_matrices(t, mu)
             _, big_k = subspace_K(t)
             w = big_k.sum(subspace_L(t, mu))
             out = middle_convolution(t, mu)
-            for v in w.vectors:
-                assert not any(out.projection.apply(v)), (name, mu)
-            assert out.projection * out.section == Mat.identity(out.result.size)
+            projection, section = support.projection_section(t, mu)
+            for v in w.basis.data:
+                assert not any(projection.apply(v)), (name, mu)
+            assert projection * section == Mat.identity(out.result.size)
             for (i, j) in t.slots():
                 assert (out.result.coeff(i, j)
-                        == out.projection * conv.coeff(i, j) * out.section), \
+                        == projection * conv.coeff(i, j) * section), \
                     (name, mu, (i, j))
     assert any(subspace_L(t, 0) != subspace_Lprime(t, 0)
                for t in _CONTRACT_TUPLES.values())

@@ -1,5 +1,6 @@
 """Exact linear algebra: echelon forms, nullspaces, spectra, Jordan data."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import chain
 from math import gcd
@@ -116,6 +117,15 @@ def test_mat_equality_is_structural_after_normalisation():
     assert Mat.zeros(0, 3) != Mat.zeros(0, 2) and Mat.zeros(2, 0) != Mat.zeros(3, 0)
 
 
+def test_block_of_zero_row_blocks_keeps_its_width():
+    assert Mat.block([[Mat.zeros(0, 2), Mat.zeros(0, 3)]]).cols == 5
+    stacked = Mat.block([[Mat.zeros(0, 2), Mat.zeros(0, 3)], [Mat.zeros(0, 2), Mat.zeros(0, 3)]])
+    assert (stacked.rows, stacked.cols) == (0, 5) and stacked == Mat.zeros(0, 5)
+    assert stacked != Mat.zeros(0, 0)
+    mixed = Mat.block([[Mat.zeros(0, 2)], [Mat([[F(1, 2), 3]])]])
+    assert (mixed.rows, mixed.cols) == (1, 2) and mixed == Mat([[F(1, 2), 3]])
+
+
 def test_reduce_mod_prime_skips_primes_dividing_a_denominator():
     p0, p1 = _prime(0), _prime(1)
     p, (a, b) = reduce_mod_prime([Mat([[F(1, 2), -1]]), Mat([[F(3, p0), p0]])])
@@ -145,14 +155,14 @@ def test_nullspace_random_vs_fraction_free_oracle():
         r, ker = rref_nullspace(m)
         assert r == support.fraction_free_rank([list(row) for row in m.data])
         assert r + ker.dim == m.cols
-        for v in ker.vectors:
+        for v in ker.basis.data:
             assert all(x == 0 for x in m.apply(v))
 
 
 def test_nullspace_basis_is_canonical_echelon():
     m = Mat([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 1]])
     _, ker = rref_nullspace(m)
-    for v, p in zip(ker.vectors, ker.pivot_rows):
+    for v, p in zip(ker.basis.data, ker.pivot_rows):
         assert v[p] == 1 and not any(v[:p])
         for other in ker.pivot_rows:
             if other != p:
@@ -168,6 +178,36 @@ def test_subspace_canonical_form_is_order_independent(m, r):
     a = Subspace.from_spanning(vecs, 4)
     b = Subspace.from_spanning(shuffled, 4)
     assert a == b
+
+
+def _holds_no_fraction(s: Subspace) -> bool:
+    return ([f.name for f in fields(s)] == ["basis", "pivot_rows"]
+            and type(s.basis) is Mat and type(s.basis.den) is int
+            and all(type(x) is int for x in chain(s.pivot_rows, *s.basis.num)))
+
+
+def test_subspace_is_one_integer_basis_however_it_is_spanned():
+    rng = support.rng(41)
+    for n, rows in ((4, 2), (5, 3), (6, 1), (3, 3), (5, 5), (2, 1)):
+        m = Mat([[support.rand_fraction(rng) for _ in range(n)] for _ in range(rows)])
+        _, ker = rref_nullspace(m)
+        d = ker.dim
+        assert _holds_no_fraction(ker)
+        # Fraction rows: an invertible rational combination of the basis
+        comb = support.unimodular(rng, d).scaled(F(2, 3)) * ker.basis if d else ker.basis
+        # integer rows: each basis row times a nonzero integer, permuted,
+        # with redundant sums and a zero row
+        ints = [[c * x for x in row] for row, c in
+                zip(ker.basis.num, rng.choices((-3, -1, 2, 5), k=d))]
+        ints += [[a + b for a, b in zip(ints[0], ints[-1])], [0] * n] if d else []
+        rng.shuffle(ints)
+        spaces = [ker, Subspace.from_spanning(comb.data, n), Subspace.from_spanning(ints, n),
+                  Subspace.from_spanning(ker.basis.data, n)]
+        for s in spaces:
+            assert _holds_no_fraction(s)
+            assert s == ker and hash(s) == hash(ker) and s.ambient_dim == n
+            assert s.sum(ker) == ker and s.sum(Subspace.zero(n)) == ker
+        assert all(x == 0 for v in ker.basis.data for x in m.apply(v))
 
 
 def test_subspace_sum_and_intersection_dims():
@@ -403,7 +443,7 @@ def test_diagonal_blocks_match_full_conjugation():
         cut = rng.randint(1, n - 1)
         spaces = [Subspace.from_spanning(cols[:cut], n), Subspace.from_spanning(cols[cut:], n)]
         mats = [support.rand_matrix(rng, n, pool=(-2, 0, 1, F(1, 2))) for _ in range(2)]
-        basis = support.from_columns([v for s in spaces for v in s.vectors], n)
+        basis = support.from_columns([v for s in spaces for v in s.basis.data], n)
         conj = [inverse(basis) * a * basis for a in mats]
         off = 0
         for s, blocks in zip(spaces, diagonal_blocks(spaces, *mats)):

@@ -132,7 +132,7 @@ def test_from_spanning_is_sympy_rref(rows, ncols):
     s = to_sympy(rows, ncols)
     expected = canonical_rows(s)
     assert span.pivot_rows == s.rref()[1]
-    assert [list(v) for v in span.vectors] == expected
+    assert [list(v) for v in span.basis.data] == expected
 
 
 # 0 x c, c x 0 and zero matrices, whose kernels are everything or nothing
@@ -149,8 +149,8 @@ def test_rref_nullspace_matches_sympy(rows, ncols):
     assert r == s.rank()
     expected = _sym_null_rows(s)
     assert ker.ambient_dim == ncols
-    assert [list(v) for v in ker.vectors] == expected
-    assert ker == Subspace.from_spanning(ker.vectors, ncols)
+    assert [list(v) for v in ker.basis.data] == expected
+    assert ker == Subspace.from_spanning(ker.basis.data, ncols)
 
 
 @pytest.mark.parametrize("rows,ncols", cases())
@@ -351,4 +351,4 @@ def test_primary_components_match_sympy(m):
                 target = target * s + c * sympy.eye(n)
         else:
             target = (s - sympy.Rational(lam.numerator, lam.denominator) * sympy.eye(n)) ** n
-        assert [list(v) for v in space.vectors] == _sym_null_rows(target)
+        assert [list(v) for v in space.basis.data] == _sym_null_rows(target)

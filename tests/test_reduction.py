@@ -178,6 +178,42 @@ def test_reduce_step_terminal_on_idx0_four_point():
     assert step.size_after >= step.size_before == 2
 
 
+def test_mu_candidates_match_the_shifted_spectral_type(monkeypatch):
+    # oracle: the candidates are the residue eigenvalues of the zero block of
+    # spectral_type(shifted, 0); _choose_mu reads them off the pivot data
+    # and the shift of the derived residue instead
+    import midconv.reduction
+
+    orig_choose, orig_lprime = midconv.reduction._choose_mu, midconv.reduction.subspace_Lprime
+    seen = []  # (oracle candidates, unshifted pivot values, mus tried)
+
+    def choose(shifted, pivots):
+        zero = [b for b in spectral_type(shifted, 0).blocks if b.eigenvalue == 0]
+        assert len(zero) == 1
+        seen.append((sorted(e.value for e in zero[0].inner),
+                     sorted(e.value for e in pivots[0].block.inner), []))
+        return orig_choose(shifted, pivots)
+
+    def lprime(t, mu):
+        seen[-1][2].append(mu)
+        return orig_lprime(t, mu)
+
+    monkeypatch.setattr(midconv.reduction, "_choose_mu", choose)
+    monkeypatch.setattr(midconv.reduction, "subspace_Lprime", lprime)
+    chains = support.forward_idx2_instances(99, want=4) + support.forward_idx2_instances(123, want=3)
+    steps = 0
+    for t in chains:
+        trace = reduce(t)
+        assert isinstance(trace.verdict, ReducedToRankOne)
+        steps += len(trace.steps)
+    for t in (_four_point_fuchsian(), HYP):
+        reduce(t)
+    assert len(seen) >= steps + 2
+    assert all(oracle == tried for oracle, _, tried in seen)
+    # the residue shift moves the candidates at some step
+    assert any(oracle != unshifted for oracle, unshifted, _ in seen)
+
+
 def test_reduce_hypergeometric_trace():
     trace = reduce(HYP)
     assert isinstance(trace.verdict, ReducedToRankOne)
