@@ -465,6 +465,20 @@ def spin_dim(vec: Sequence[int], mats: Sequence[Mat]) -> int:
     return len(rows)
 
 
+def cyclic_vector(m: Mat) -> tuple[list[int], list[list[int]]] | None:
+    """A cyclic vector v of m (e_1, else all ones; None if both fail) and
+    its Krylov rows v, m' v, ..., m'^(n-1) v for the integer rows m' = den m,
+    of exact rank n (row k is den^k m^k v, so scaling moves no rank)."""
+    n = m.rows
+    for v in ([1] + [0] * (n - 1), [1] * n):
+        rows = [v]
+        for _ in range(n - 1):
+            rows.append([sum(map(mul, r, rows[-1])) for r in m.num])
+        if len(_echelon(rows, n)[1]) == n:
+            return v, rows
+    return None
+
+
 # ---------------------------------------------------------------------
 # Characteristic polynomial and spectra
 # ---------------------------------------------------------------------

@@ -3,20 +3,28 @@
 The index of a tuple is  sum_i dim C^(i) - (M-1) n^2  where C^(i) is the
 space of block-Toeplitz matrices commuting with the point's block-Toeplitz
 coefficient matrix (the derived residue enters at infinity).  Commutant
-dimensions are exact nullspaces; the closed formula in terms of
-multiplicity patterns is only a cross-check, as it assumes semisimplicity.
+dimensions are exact; the closed formula in terms of multiplicity
+patterns is only a cross-check, as it assumes semisimplicity.
 
 One recursion on [A_m, ..., A_0] computes them.  A scalar A_m drops out:
-n^2 plus the dimension for [A_{m-1}, ..., A_0].  For m <= 1 a leading
+n^2 plus the dimension for [A_{m-1}, ..., A_0].  A single matrix with a
+cyclic vector (`cyclic_vector`) has Z(A) = Q[A], of dimension n
+(Gantmacher, The Theory of Matrices I, Ch. VIII).  For m <= 1 a leading
 coefficient with several primary components makes it a sum over the
-diagonal blocks, whose leading coefficients are primary already.  Else it
-is the nullity of the coupled relations.  m >= 2 is not split: the
+diagonal blocks, whose leading coefficients are primary already, and a
+single matrix with one rational eigenvalue has Frobenius's dim Z(A) =
+sum p_i^2 over the conjugate p of its Jordan partition.  Else it is the
+nullity of the coupled relations.  m >= 2 is not split: the
 off-diagonal blocks of C_{m-1} need not vanish, and A_{m-1} multiplies
 them into the diagonal blocks of the relation for k = 2.
 
 Every relation is a Sylvester operator X -> aX - Xb on row-major X
 (`_sylvester`, 2n - 1 nonzeros per row, built entry by entry): ad A for
-commutants and B S - S A for intertwiners in `are_similar`.
+commutants and B S - S A for intertwiners in `are_similar`, unless a
+slot A of `a` has a cyclic vector v.  Then S A = B S fixes S by u = S v:
+S = K(B, u) K(A, v)^-1 for the Krylov matrices K, so the coefficients c
+of S = sum c_k K(B, e_k) K(A, v)^-1 are the kernel of the n columns of
+residuals B_j S - S A_j, or of their Gram matrix (|Cx|^2 = 0 iff Cx = 0).
 
 `is_irreducible` decides by Norton's test (Parker 1984; Holt and Rees
 1994) when it can, in O(k n^3) for k generators.  It takes the first
@@ -51,9 +59,14 @@ from .errors import InternalError, PreconditionError
 from .exactla import (
     IncrementalSpan,
     Mat,
+    Subspace,
+    conjugate_partition,
+    cyclic_vector,
     det,
     diagonal_blocks,
+    inverse,
     is_semisimple,
+    jordan_partition,
     primary_components,
     rank,
     rational_spectrum,
@@ -91,14 +104,9 @@ def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
     nn = coeffs[0].rows ** 2
     z = Mat.zeros(nn, nn)
     ads = [_sylvester(a, a) for a in coeffs]  # ads[idx] = ad of A_{m-idx}
-    grid = []
-    for k in range(m + 1):
-        row = []
-        for s_idx in range(m + 1):  # column block: unknown C_{m - s_idx}
-            jj = k - s_idx  # pairs C_{m-k+j} with A_{m-j} at j = k - s_idx
-            row.append(ads[jj] if jj >= 0 else z)
-        grid.append(row)
-    relations = Mat.block(grid)
+    # row block k, column block s (unknown C_{m-s}): A_{m-j} at j = k - s >= 0
+    relations = Mat.block([[ads[k - s] if k >= s else z for s in range(m + 1)]
+                           for k in range(m + 1)])
     return relations.cols - rank(relations)
 
 
@@ -109,24 +117,28 @@ def _commutant_dim(coeffs: list[Mat]) -> int:
     lead = coeffs[0]
     if lead.scalar_multiple_of_identity() is not None:
         return lead.rows ** 2 + _commutant_dim(coeffs[1:])
+    if len(coeffs) == 1 and cyclic_vector(lead):  # Z(A) = Q[A]
+        return lead.rows
     if len(coeffs) <= 2:
-        spaces = [s for _, s in primary_components(lead)]
-        if len(spaces) > 1:  # each block's leading coefficient is primary
-            blocks = [list(b) for b in diagonal_blocks(spaces, *coeffs)]
-            return sum(_commutant_dim(b) if b[0].scalar_multiple_of_identity() is not None
-                       else _toeplitz_commutant_dim(b) for b in blocks)
+        comps = primary_components(lead)
+        if len(comps) > 1:  # each block's leading coefficient is primary
+            blocks = [list(b) for b in diagonal_blocks([s for _, s in comps], *coeffs)]
+            return sum(_commutant_dim(b) if len(b) == 1 or b[0].scalar_multiple_of_identity()
+                       is not None else _toeplitz_commutant_dim(b) for b in blocks)
+        if len(coeffs) == 1 and (lam := comps[0][0]) is not None:  # Frobenius
+            return sum(p * p for p in conjugate_partition(jordan_partition(lead, lam)))
     return _toeplitz_commutant_dim(coeffs)
 
 
 def centralizer_dim(a: Mat) -> int:
-    """dim{X : Xa = aX}."""
+    """dim{X : Xa = aX}: n if a is non-scalar with a cyclic vector."""
     return _commutant_dim([a])
 
 
 def commutant_dim(t: MatrixTuple, i: int) -> int:
     """Dimension of the commutant of point i's block-Toeplitz coefficient
-    matrix, as the exact nullspace of the coupled commutator relations
-    sum_{j=0}^{k} [A_{m-j}, C_{m-k+j}] = 0  for k = 0..m.
+    matrix: the exact solution space of the coupled commutator relations
+    sum_{j=0}^{k} [A_{m-j}, C_{m-k+j}] = 0  for k = 0..m (module docstring).
 
     For i = 0 the relations include the derived residue.
     """
@@ -185,8 +197,8 @@ def index_from_spectral(types: list[SpectralType], r: int, n: int) -> int:
 
 def okubo_index(t_mat: Mat, a_mat: Mat) -> int:
     """Index of rigidity of an Okubo normal form (zI - T) dPsi/dz = A Psi:
-    sum_j (n_j^2 + dim Z(A^[j,j])) + dim Z(A) - n^2, with all centralizer
-    dimensions computed as exact nullspaces."""
+    sum_j (n_j^2 + dim Z(A^[j,j])) + dim Z(A) - n^2, with every centralizer
+    dimension exact (`centralizer_dim`)."""
     if not t_mat.is_square() or not a_mat.is_square() or t_mat.rows != a_mat.rows:
         raise PreconditionError("T and A must be square of equal size")
     eig = semisimple_eigenspaces(t_mat, "T is not semisimple",
@@ -274,6 +286,36 @@ def is_irreducible(t: MatrixTuple) -> bool:
                        lambda m: span.add(list(chain.from_iterable(m.num))), n * n)
 
 
+def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:
+    """The row-major S with S A = B S for every (A, B) in pairs: from a
+    cyclic vector of the first non-scalar A that has one, else the kernel
+    of the stacked S -> B S - S A (module docstring)."""
+    for x, y in pairs:
+        if x.scalar_multiple_of_identity() is None and (cyc := cyclic_vector(x)):
+            break
+    else:
+        return rref_nullspace(Mat.block([[_sylvester(y, x)] for x, y in pairs]))[1]
+    # the Krylov rows K'^T are those of d x, d = x.den, so S_k = K(d y, e_k) K'^-1,
+    # and K(d y, e_k)[r, i] = (d y)^i[r, k] = powers[i n + r, k]
+    powers = [Mat.identity(n)]
+    for _ in range(n - 1):
+        powers.append(y.scaled(x.den) * powers[-1])
+    powers = Mat.block([[p] for p in powers])
+    kinv = inverse(Mat.from_integers(cyc[1]).transpose())
+    cands, cols = [], []  # per k: S_k and its residuals, scaled to integers alike
+    for k in range(n):
+        s = Mat.from_integers([[powers.num[i * n + r][k] for i in range(n)] for r in range(n)],
+                              powers.den) * kinv
+        res = [b * s - s * a for a, b in pairs]
+        den = lcm(s.den, *(r.den for r in res))
+        cands.append([den // s.den * e for row in s.num for e in row])
+        cols.append([den // r.den * e for r in res for row in r.num for e in row])
+    gram = [[sum(map(operator.mul, c, d)) for d in cols] for c in cols]
+    _, ker = rref_nullspace(Mat.from_integers(gram))
+    return Subspace.from_spanning(
+        [[sum(map(operator.mul, c, e)) for e in zip(*cands)] for c in ker.basis.num], n * n)
+
+
 def _weighted_grid(dim: int, top: int):
     """All non-zero integer points of {0..top}^dim ordered by total sum,
     then lexicographically."""
@@ -295,10 +337,14 @@ def _compositions(total: int, dim: int, top: int):
 def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     """Search for an invertible S with S A_j^(i) = B_j^(i) S for all slots.
 
-    The intertwiner space is an exact nullspace; the invertibility search
-    walks a deterministic grid of rational combinations whose density
-    (degree-of-determinant + 1 values per coordinate) certifies that a
-    fully zero sweep means no invertible element exists.
+    The intertwiner space is exact and canonical (its RREF), from a cyclic
+    vector of a slot of `a` or else a Sylvester nullspace (module
+    docstring).  The invertibility search walks a deterministic grid of
+    rational combinations whose density (degree-of-determinant + 1 values
+    per coordinate) certifies that a fully zero sweep means no invertible
+    element exists.  If `a` is irreducible, every intertwiner S != 0 is
+    invertible (Schur: ker S is a submodule of `a`), so the grid's first
+    point, the first basis vector, answers with one determinant.
     """
     a = strip_trivial(a)
     b = strip_trivial(b)
@@ -311,9 +357,7 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     n = a.size
     if a == b:
         return Mat.identity(n)
-    # S A = B S for row-major S: the kernel of S -> B S - S A
-    rows = [[_sylvester(b.coeff(i, j), a.coeff(i, j))] for (i, j) in a.slots()]
-    _, space = rref_nullspace(Mat.block(rows))
+    space = _intertwiners([(a.coeff(i, j), b.coeff(i, j)) for (i, j) in a.slots()], n)
     d = space.dim
     if d == 0:
         return None

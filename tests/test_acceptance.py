@@ -6,7 +6,7 @@ import time
 from fractions import Fraction as F
 
 from midconv.errors import PreconditionError
-from midconv.exactla import Mat
+from midconv.exactla import Mat, rational_spectrum
 from midconv.convolution import (
     middle_convolution,
     subspace_K,
@@ -247,3 +247,17 @@ def test_criterion_9_katz_reduction():
             sizes = [t.size] + [s.size_after for s in trace.steps]
             assert all(a > b for a, b in zip(sizes, sizes[1:]))
             assert sizes[-1] == 1
+
+
+def test_criterion_10_cyclic_centralizers_and_intertwiners():
+    t16 = support.rand_semisimple_tuple(support.rng(16), 16, 2, [1, 0, 0])
+    t12 = support.rand_semisimple_tuple(support.rng(12), 12, 2, [1, 0, 0])
+    u12 = support.conjugated(t12, support.unimodular(support.rng(12), 12))
+    # the lead at infinity is semisimple with rational eigenvalues, and every
+    # block of the residue and both finite residues are cyclic
+    lead_dim = sum(k * k for _, k in rational_spectrum(t16.infinity.coeffs[0])[0])
+    with _Criterion("10 idx at n=16, similar at n=12", 2.0):
+        assert index(t16).index == lead_dim + 3 * 16 - 2 * 16 * 16
+        s = are_similar(t12, u12)
+        assert s is not None
+        assert all(s * t12.coeff(i, j) == u12.coeff(i, j) * s for (i, j) in t12.slots())

@@ -7,7 +7,16 @@ import pytest
 
 from midconv.errors import PreconditionError
 from midconv import rigidity
-from midconv.exactla import Mat, _prime, inverse, reduce_mod_prime, spin_dim
+from midconv.exactla import (
+    Mat,
+    _prime,
+    cyclic_vector,
+    det,
+    inverse,
+    reduce_mod_prime,
+    rref_nullspace,
+    spin_dim,
+)
 from midconv.convolution import middle_convolution
 from midconv.model import (
     addition,
@@ -118,6 +127,70 @@ def test_commutant_matches_dense_oracle():
             assert commutant_dim(t, i) == support.commutant_dim_dense(t, i), (i, coeffs)
         for a in coeffs:
             assert centralizer_dim(a) == support.centralizer_dim_dense(a), a
+
+
+def _jordan(size: int, lam) -> Mat:
+    return build_L([1] * size, [lam] * size)
+
+
+def _companion(*c) -> Mat:
+    """Companion matrix of x^n + c[n-1] x^(n-1) + ... + c[0]."""
+    n = len(c)
+    return Mat([[-c[i] if j == n - 1 else int(i == j + 1) for j in range(n)] for i in range(n)])
+
+
+def _counting_sylvester(monkeypatch) -> list:
+    """The Sylvester systems `rigidity` builds from now on, one entry each."""
+    calls = []
+    monkeypatch.setattr(rigidity, "_sylvester", lambda a, b: calls.append(a.rows) or _sylvester(a, b))
+    return calls
+
+
+SQRT2 = _companion(-2, 0)          # x^2 - 2
+CENTRALIZER_CASES = [              # (matrix, dim Z, whether a Sylvester system is built)
+    (_companion(3, -1, 0, 2, 1), 5, False),                           # cyclic
+    (Mat([[F(1, 2), 1, 0], [0, F(-2, 3), 1], [F(5, 4), 0, 0]]), 3, False),
+    (support.direct_sum(_jordan(3, 2), [[2]], [[2]]), 9 + 1 + 1, False),  # (3, 1, 1) at 2
+    # Jordan blocks (2, 2, 1) at 1 and a scalar block at 3: 3^2 + 2^2 + 2^2
+    (support.direct_sum(_jordan(2, 1), _jordan(2, 1), [[1]], Mat.diagonal([3, 3])), 17, False),
+    (support.direct_sum(_jordan(2, F(1, 2)), [[F(1, 2)]], [[F(-2, 3)]]), 5 + 1, False),
+    (support.direct_sum(SQRT2, SQRT2), 8, True),                      # derogatory, no rational eigenvalue
+    (_companion(4, 0, -4, 0), 4, False),                              # (x^2 - 2)^2: cyclic
+]
+
+
+@pytest.mark.parametrize("case", range(len(CENTRALIZER_CASES)))
+def test_centralizer_dim_cases_match_dense_oracle(case, monkeypatch):
+    a, expected, sylvester = CENTRALIZER_CASES[case]
+    rng = support.rng(70 + case)
+    p = support.unimodular(rng, a.rows)
+    calls = _counting_sylvester(monkeypatch)
+    for m in (a, p * a * inverse(p)):
+        assert centralizer_dim(m) == expected == support.centralizer_dim_dense(m)
+        assert bool(calls) is sylvester
+        calls.clear()
+
+
+def test_cyclic_vector_takes_all_ones_when_e1_fails(monkeypatch):
+    calls = _counting_sylvester(monkeypatch)
+    a = Mat.diagonal([1, 2])
+    v, rows = cyclic_vector(a)
+    assert v == [1, 1] and rows == [[1, 1], [1, 2]]
+    assert centralizer_dim(a) == 2 and calls == []
+    # the Krylov rows are those of den * a: row k is den^k a^k v
+    assert cyclic_vector(Mat([[F(1, 3), 1], [0, F(2, 3)]])) == ([1, 1], [[1, 1], [4, 2]])
+
+
+def test_cyclic_matrix_without_cyclic_start_vector_falls_back_to_sylvester(monkeypatch):
+    # x^2 - 2 on span(e1, ones) and x^2 - 3 on span(e3, e4): cyclic, but
+    # both start vectors lie in the first block, and no eigenvalue is
+    # rational, so neither Frobenius nor a split applies
+    p = Mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]])
+    a = p * support.direct_sum(SQRT2, _companion(-3, 0)) * inverse(p)
+    assert a.apply([1, 0, 0, 0]) == [1, 1, 1, 1] and cyclic_vector(a) is None
+    calls = _counting_sylvester(monkeypatch)
+    assert centralizer_dim(a) == 4 == support.centralizer_dim_dense(a)
+    assert calls == [4]
 
 
 def test_commutant_closed_formula_on_L_blocks():
@@ -492,3 +565,107 @@ def test_sylvester_matches_kron_oracle(n):
         for b in mats:
             expected = support.kron(a, eye) - support.kron(eye, b.transpose())
             assert _sylvester(a, b) == expected
+
+
+# ---------------------------------------------------------------------
+# intertwiners from a cyclic vector
+# ---------------------------------------------------------------------
+
+def _slot_pairs(a, b) -> list[tuple[Mat, Mat]]:
+    return [(a.coeff(i, j), b.coeff(i, j)) for (i, j) in a.slots()]
+
+
+def _sylvester_hom(a, b):
+    """The intertwiner space as the nullspace of the stacked Sylvester blocks."""
+    return rref_nullspace(Mat.block([[_sylvester(y, x)] for x, y in _slot_pairs(a, b)]))[1]
+
+
+def _cyclic_hom(a, b, monkeypatch):
+    """rigidity's intertwiner space, asserting that it builds no Sylvester system."""
+    calls = _counting_sylvester(monkeypatch)
+    space = rigidity._intertwiners(_slot_pairs(a, b), a.size)
+    assert calls == []
+    return space
+
+
+def _single_slot(a: Mat):
+    return make_tuple(a.rows, infinity_point(1, [a]), [])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_intertwiners_match_sylvester_oracle(n, monkeypatch):
+    rng = support.rng(700 + n)
+    pool = (-2, -1, 0, 1, 2, F(1, 2), F(-2, 3))
+    t = support.rand_tuple(rng, n, 2, [1, 0, 0], pool=pool)
+    u = support.conjugated(t, support.unimodular(rng, n))
+    other = support.rand_tuple(rng, n, 2, [1, 0, 0], pool=pool)
+    for a, b in ((t, u), (u, t), (t, other), (other, u)):
+        assert _cyclic_hom(a, b, monkeypatch) == _sylvester_hom(a, b)
+    assert _sylvester_hom(t, u).dim >= 1 and _sylvester_hom(t, other).dim == 0
+    s = are_similar(t, u)
+    assert s is not None and all(s * x == y * s for x, y in _slot_pairs(t, u))
+    assert are_similar(t, other) is None
+
+
+def test_intertwiners_nilpotent_pair(monkeypatch):
+    # Hom between nilpotents with Jordan types (3,) and (2, 1) has dimension
+    # sum min(3, q) = 3 either way, and no element is invertible
+    rng = support.rng(710)
+    a, b = (support.conjugated(_single_slot(m), support.unimodular(rng, 3))
+            for m in (_jordan(3, 0), support.direct_sum(_jordan(2, 0), [[0]])))
+    space = _cyclic_hom(a, b, monkeypatch)                   # (3,) is cyclic
+    assert space == _sylvester_hom(a, b) and space.dim == 3
+    assert cyclic_vector(b.coeff(0, 1)) is None              # (2, 1) is not
+    assert rigidity._intertwiners(_slot_pairs(b, a), 3) == _sylvester_hom(b, a)
+    assert are_similar(a, b) is None and are_similar(b, a) is None
+
+
+def test_intertwiners_single_cyclic_slot(monkeypatch):
+    # with one slot the cyclic slot's own residual decides: Hom(a, b) is
+    # ker chi_a(b), of dimension 0 for x^2 - 2 against x^2 - 3, and 2 for a
+    # nilpotent J_3 against J_2 + (1)
+    rng = support.rng(713)
+    for x, y, dim in [(SQRT2, _companion(-3, 0), 0),
+                      (_jordan(3, 0), support.direct_sum(_jordan(2, 0), [[1]]), 2)]:
+        p = support.unimodular(rng, x.rows)
+        a, b = _single_slot(x), _single_slot(p * y * inverse(p))
+        space = _cyclic_hom(a, b, monkeypatch)
+        assert space == _sylvester_hom(a, b) and space.dim == dim
+        assert are_similar(a, b) is None
+
+
+def test_intertwiners_skip_a_scalar_first_slot(monkeypatch):
+    rng = support.rng(711)
+    t = make_tuple(4, infinity_point(1, [Mat.diagonal([F(2, 3)] * 4)]),
+                   [finite_point(0, 0, [support.rand_matrix(rng, 4)]),
+                    finite_point(1, 0, [support.rand_matrix(rng, 4)])])
+    u = support.conjugated(t, support.unimodular(rng, 4))
+    assert _slot_pairs(t, u)[0][0].scalar_multiple_of_identity() is not None
+    assert _cyclic_hom(t, u, monkeypatch) == _sylvester_hom(t, u)
+    s = are_similar(t, u)
+    assert s is not None and all(s * x == y * s for x, y in _slot_pairs(t, u))
+
+
+def test_similar_irreducible_takes_one_det(monkeypatch):
+    # Schur: ker S of an intertwiner S != 0 is a submodule of an irreducible
+    # a, so S is invertible and the grid's first point succeeds
+    dets = []
+    monkeypatch.setattr(rigidity, "det", lambda m: dets.append(m) or det(m))
+    rng = support.rng(712)
+    for n in (2, 3, 4, 5, 6, 8):
+        t = support.rand_semisimple_tuple(rng, n, 2, [1, 0, 0])
+        assert rigidity._norton(t.all_coeffs_with_residue(), n) is True
+        dets.clear()
+        assert are_similar(t, support.conjugated(t, support.unimodular(rng, n))) is not None
+        assert len(dets) == 1
+
+
+def test_random_tuples_and_mc_outputs_build_no_sylvester_system(monkeypatch):
+    calls = _counting_sylvester(monkeypatch)
+    for n in (8, 12, 16):
+        t = support.rand_semisimple_tuple(support.rng(n), n, 2, [1, 0, 0])
+        out = middle_convolution(t, F(1, 3)).result
+        assert out.size > n
+        assert index(t).index == index(out).index
+        assert are_similar(t, support.conjugated(t, support.unimodular(support.rng(n), n))) is not None
+    assert calls == []
