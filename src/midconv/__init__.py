@@ -4,7 +4,6 @@ singularities.  All arithmetic is exact over the rationals."""
 
 from .exactla import (
     Mat,
-    Poly,
     Scalar,
     Subspace,
     charpoly,

@@ -7,11 +7,17 @@ structural, and products, sums and blocks are integer work with one gcd
 per matrix.  No floating point appears anywhere.  One elimination kernel,
 `_echelon`, runs a fraction-free (Bareiss) forward pass on integer rows,
 which keeps intermediate entries at determinant-minor size.  `rank` and
-`det` read its output directly; reduced echelon forms (`inverse`,
-`rref_nullspace`, `Subspace.from_spanning`) back-substitute on its rows,
-and `IncrementalSpan` reduces each new vector against stored integer
-rows, both with one primitive integer row step.  `Fraction`s are scalars
-only (`m[i, j]`, eigenvalues, determinants); every basis is a `Mat`.
+`det` read its output directly.  `_rref` back-substitutes on its rows and
+returns them, not normalised, over one denominator: `inverse`,
+`rref_nullspace` and `Subspace.from_spanning` / `.sum` each normalise
+their result once.  `_insert` reduces a vector against stored integer rows
+with the same primitive row step.  `Fraction`s are scalars only (`m[i, j]`,
+eigenvalues, determinants); every basis is a `Mat`.
+
+One loop, `spin`, grows a spin: the smallest subspace that holds a start
+set and is mapped into itself by some operators.  Norton's test
+(`spin_dim`), `cyclic_vector` (the Krylov rows, certified when all n are
+taken) and both Burnside word spans run it, each with its own span.
 
 `charpoly` is multi-modular and certified.  With d_i the lcm of the
 denominators of row i of A, B = diag(d) A is integral and, for D = prod d_i,
@@ -55,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import chain, count
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -283,10 +289,10 @@ def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
     return [a // g for a in w] if g > 1 else w
 
 
-def _rref(rows: Iterable[Sequence[int]], ncols: int) -> tuple[Mat, tuple[int, ...]]:
+def _rref(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list, int, tuple[int, ...]]:
     """Reduced row echelon form of the given integer spanning rows (unique)
-    and its pivot columns.  As the `Mat` is normalised, the integer entry of
-    each row at its pivot is the denominator."""
+    as integer rows over one denominator, each row's entry at its pivot,
+    not yet normalised; then that denominator and the pivot columns."""
     ech, piv, _ = _echelon(rows, ncols)
     for i in reversed(range(len(piv))):
         pc = piv[i]
@@ -294,8 +300,7 @@ def _rref(rows: Iterable[Sequence[int]], ncols: int) -> tuple[Mat, tuple[int, ..
             if ech[k][pc]:
                 ech[k] = _eliminate(ech[k], ech[i], pc)
     den = lcm(*(row[pc] for row, pc in zip(ech, piv)))
-    return Mat.from_integers([[x * (den // row[pc]) for x in row] for row, pc in zip(ech, piv)],
-                             den, ncols), tuple(piv)
+    return [[x * (den // row[pc]) for x in row] for row, pc in zip(ech, piv)], den, tuple(piv)
 
 
 def rank(m: Mat) -> int:
@@ -320,10 +325,10 @@ def inverse(m: Mat) -> Mat:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
     aug = [row + tuple(m.den if i == j else 0 for j in range(n)) for i, row in enumerate(m.num)]
-    r, piv = _rref(aug, 2 * n)
+    r, den, piv = _rref(aug, 2 * n)
     if piv != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return r.submatrix(range(n), range(n, 2 * n))
+    return Mat.from_integers([row[n:] for row in r], den, n)
 
 
 # ---------------------------------------------------------------------
@@ -352,7 +357,8 @@ class Subspace:
         vecs = Mat(vectors)
         if vecs.rows and vecs.cols != ambient_dim:
             raise ValueError("spanning vector has wrong length")
-        return Subspace(*_rref(vecs.num, ambient_dim))
+        r, den, piv = _rref(vecs.num, ambient_dim)
+        return Subspace(Mat.from_integers(r, den, ambient_dim), piv)
 
     @property
     def ambient_dim(self) -> int:
@@ -363,40 +369,37 @@ class Subspace:
         return len(self.pivot_rows)
 
     def contains_vector(self, vec: Sequence) -> bool:
-        """True iff vec reduces to zero against the basis: one integer row
-        step against the row with pivot p, for each pivot p in turn."""
+        """True iff vec reduces to zero against the basis rows (`_insert`)."""
         v = list(Mat([[as_scalar(x) for x in vec]]).num[0])
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong length")
-        for p, b in zip(self.pivot_rows, self.basis.num):
-            if v[p]:
-                v = _eliminate(v, b, p)
-        return not any(v)
+        return not _insert(list(zip(self.pivot_rows, self.basis.num)), v)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return Subspace(*_rref(self.basis.num + other.basis.num, self.ambient_dim))
+        r, den, piv = _rref(self.basis.num + other.basis.num, self.ambient_dim)
+        return Subspace(Mat.from_integers(r, den, self.ambient_dim), piv)
 
 
 def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
     """Rank and canonical right nullspace of m, from one elimination of the
     columns of m in reverse order (see the module docstring)."""
     c = m.cols
-    r, piv = _rref([row[::-1] for row in m.num], c)
+    r, den, piv = _rref([row[::-1] for row in m.num], c)
     # row i of r, read in the original column order, has its pivot (entry
-    # r.den) at c - 1 - piv[i] and is zero right of it
-    pivots = [(c - 1 - p, row) for p, row in zip(piv, r.num)]
+    # den) at c - 1 - piv[i] and is zero right of it
+    pivots = [(c - 1 - p, row) for p, row in zip(piv, r)]
     piv_set = {p for p, _ in pivots}
     free = tuple(f for f in range(c) if f not in piv_set)
     vecs = []
     for f in free:
         v = [0] * c
-        v[f] = r.den
+        v[f] = den
         for p, row in pivots:
             v[p] = -row[c - 1 - f]
         vecs.append(v)
-    return len(piv), Subspace(Mat.from_integers(vecs, r.den, c), free)
+    return len(piv), Subspace(Mat.from_integers(vecs, den, c), free)
 
 
 def diagonal_blocks(spaces: Sequence[Subspace], *mats: Mat) -> list[tuple[Mat, ...]]:
@@ -447,34 +450,40 @@ def _insert(rows: list[tuple[int, list[int]]], v: list[int]) -> bool:
     return piv is not None
 
 
-def spin_dim(vec: Sequence[int], mats: Sequence[Mat]) -> int:
-    """Dimension of the smallest subspace that contains the nonzero integer
-    vector vec and is mapped into itself by every matrix in mats (acting on
-    columns): vec, then m x for each m and each x the span took in, until
-    none enlarges it or it is the whole space.  Only the integer rows of
-    each m are used, as scaling by 1/den moves no subspace."""
-    rows: list[tuple[int, list[int]]] = []
-    v = list(vec)
-    work = [v] if _insert(rows, v) else []
-    n = len(v)
-    while work and len(rows) < n:
+def spin(start: Sequence, ops: Sequence, add, target: int) -> list:
+    """The vectors the spin of `start` under `ops` takes in, in order: each
+    x in start that `add` takes, then depth first op(x) for each op and each
+    x taken, until none is taken or `target` are.  Under one op from one
+    vector: x, op(x), op(op(x)), ... up to the first that `add` rejects."""
+    taken = [x for x in start if add(x)]
+    work = taken[:]
+    while work and len(taken) < target:
         x = work.pop()
-        for m in mats:
-            if len(rows) < n and _insert(rows, y := [sum(map(mul, r, x)) for r in m.num]):
+        for op in ops:
+            if len(taken) < target and add(y := op(x)):
                 work.append(y)
-    return len(rows)
+                taken.append(y)
+    return taken
+
+
+def _times(m: Mat):
+    """x -> (the integer rows of m) x, on integer columns x."""
+    return lambda x: [sum(map(mul, r, x)) for r in m.num]
+
+
+def spin_dim(vec: Sequence[int], mats: Sequence[Mat]) -> int:
+    """Dimension of the spin of the integer vector vec under mats acting on
+    columns, by their integer rows (scaling by 1/den moves no subspace)."""
+    return len(spin([list(vec)], [_times(m) for m in mats], partial(_insert, []), len(vec)))
 
 
 def cyclic_vector(m: Mat) -> tuple[list[int], list[list[int]]] | None:
     """A cyclic vector v of m (e_1, else all ones; None if both fail) and
     its Krylov rows v, m' v, ..., m'^(n-1) v for the integer rows m' = den m,
-    of exact rank n (row k is den^k m^k v, so scaling moves no rank)."""
+    independent by their spin (row k is den^k m^k v, so scaling moves no span)."""
     n = m.rows
     for v in ([1] + [0] * (n - 1), [1] * n):
-        rows = [v]
-        for _ in range(n - 1):
-            rows.append([sum(map(mul, r, rows[-1])) for r in m.num])
-        if len(_echelon(rows, n)[1]) == n:
+        if len(rows := spin([v], [_times(m)], partial(_insert, []), n)) == n:
             return v, rows
     return None
 
@@ -482,20 +491,6 @@ def cyclic_vector(m: Mat) -> tuple[list[int], list[list[int]]] | None:
 # ---------------------------------------------------------------------
 # Characteristic polynomial and spectra
 # ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Poly:
-    """Univariate polynomial over Q, coefficients lowest degree first and
-    trailing zeros dropped: the value `charpoly` returns."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
 
 @cache
 def _prime(k: int) -> int:
@@ -561,9 +556,9 @@ def _coefficient_bound(dens: Sequence[int], rows: Sequence[Sequence[int]]) -> in
     return 2 * prod(isqrt(sum(x * x for x in r)) + 1 + d for d, r in zip(dens, rows))
 
 
-def charpoly(m: Mat) -> Poly:
-    """Monic characteristic polynomial det(xI - m), multi-modular with a
-    certified bound (see the module docstring)."""
+def charpoly(m: Mat) -> tuple[Fraction, ...]:
+    """Coefficients, lowest first, of the monic characteristic polynomial
+    det(xI - m), multi-modular with a certified bound (module docstring)."""
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
@@ -583,17 +578,17 @@ def charpoly(m: Mat) -> Poly:
         if modulus > bound:
             break
     half = modulus // 2
-    coeffs = [Fraction(x - modulus if x > half else x, delta) for x in res]
+    coeffs = tuple(Fraction(x - modulus if x > half else x, delta) for x in res)
     if n and coeffs[n - 1] != -m.trace():
         raise InternalError("multi-modular characteristic polynomial fails the trace check")
-    return Poly(coeffs)
+    return coeffs
 
 
 def _monic_integer_form(m: Mat) -> tuple[int, list[int]]:
     """d and q(y) = d^n det(y/d - m), the characteristic polynomial of d m,
     coefficients lowest first: monic and integral for d the lcm of the
     denominators of det(x - m)."""
-    p = charpoly(m).coeffs
+    p = charpoly(m)
     n = len(p) - 1
     d = lcm(*(c.denominator for c in p))
     return d, [c.numerator * d ** (n - i) // c.denominator for i, c in enumerate(p)]

@@ -39,19 +39,21 @@ D = Q, and by density the algebra is M_n(Q): "yes", exactly Burnside's
 answer.
 
 With no such lam (the rotation [[0, -1], [1, 0]]; every multiplicity 2
-or more), it runs the Burnside word search mod p, the first `_prime(k)`
-dividing no denominator of a generator: every word is then p-integral.
-n^2 words independent mod p are independent over Q, since a Q-relation
-scaled to p-integral coefficients, one a p-unit, would reduce to a
-relation mod p.  So a full span mod p certifies "yes".  A short one
+or more), it spins the Burnside words mod p (`spin`: 1 and the generators,
+then w g for each word w taken and each generator g), for the first
+`_prime(k)` dividing no denominator of a generator: every word is then
+p-integral.  n^2 words independent mod p are independent over Q, since a
+Q-relation scaled to p-integral coefficients, one a p-unit, would reduce
+to a relation mod p.  So a full span mod p certifies "yes".  A short one
 proves nothing ([[0, 3p], [1, 0]] and [[0, -p], [1, 0]] generate M_2(Q)
-but are both nilpotent mod p), so then the exact search over Q decides.
+but are both nilpotent mod p), so then the same spin over Q decides.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from math import lcm
 
@@ -72,6 +74,7 @@ from .exactla import (
     rational_spectrum,
     reduce_mod_prime,
     rref_nullspace,
+    spin,
     spin_dim,
 )
 from .model import MatrixTuple, SpectralType, semisimple_eigenspaces, strip_trivial
@@ -214,20 +217,6 @@ def okubo_index(t_mat: Mat, a_mat: Mat) -> int:
     return total
 
 
-def _words_span(start: list, gens: list, mul, add, target: int) -> bool:
-    """Whether the words span `target` dimensions: `start`, then depth first
-    mul(x, g) for each g in `gens` and each word x that `add` took in."""
-    work = [m for m in start if add(m)]
-    dim = len(work)
-    while work and dim < target:
-        x = work.pop()
-        for g in gens:
-            if dim < target and add(y := mul(x, g)):
-                work.append(y)
-                dim += 1
-    return dim == target
-
-
 def _spans_mod_p(gens: list[Mat], n: int) -> bool:
     """Whether the words in gens span n^2 dimensions mod p (module docstring)."""
     p, mods = reduce_mod_prime(gens)
@@ -244,11 +233,12 @@ def _spans_mod_p(gens: list[Mat], n: int) -> bool:
             rows.append((piv, [x * inv % p for x in v]))
         return piv is not None
 
-    def mul(x: list[list[int]], cols: list[tuple[int, ...]]) -> list[list[int]]:
+    def times(cols: list[tuple[int, ...]], x: list[list[int]]) -> list[list[int]]:
         return [[sum(map(operator.mul, xr, c)) % p for c in cols] for xr in x]
 
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    return _words_span([eye] + mods, [list(zip(*g)) for g in mods], mul, add, n * n)
+    ops = [partial(times, list(zip(*g))) for g in mods]
+    return len(spin([eye] + mods, ops, add, n * n)) == n * n
 
 
 def _norton(gens: list[Mat], n: int) -> bool | None:
@@ -282,8 +272,9 @@ def is_irreducible(t: MatrixTuple) -> bool:
     if _spans_mod_p(gens, n):
         return True
     span = IncrementalSpan(n * n)
-    return _words_span([Mat.identity(n)] + gens, gens, Mat.__mul__,
-                       lambda m: span.add(list(chain.from_iterable(m.num))), n * n)
+    words = spin([Mat.identity(n)] + gens, [lambda x, g=g: x * g for g in gens],
+                 lambda m: span.add(list(chain.from_iterable(m.num))), n * n)
+    return len(words) == n * n
 
 
 def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:

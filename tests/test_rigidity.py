@@ -2,19 +2,22 @@
 
 import time
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 from midconv.errors import PreconditionError
-from midconv import rigidity
+from midconv import exactla, rigidity
 from midconv.exactla import (
     Mat,
+    _insert,
     _prime,
     cyclic_vector,
     det,
     inverse,
     reduce_mod_prime,
     rref_nullspace,
+    spin,
     spin_dim,
 )
 from midconv.convolution import middle_convolution
@@ -179,6 +182,49 @@ def test_cyclic_vector_takes_all_ones_when_e1_fails(monkeypatch):
     assert centralizer_dim(a) == 2 and calls == []
     # the Krylov rows are those of den * a: row k is den^k a^k v
     assert cyclic_vector(Mat([[F(1, 3), 1], [0, F(2, 3)]])) == ([1, 1], [[1, 1], [4, 2]])
+
+
+def _counted(op, calls):
+    def f(x):
+        calls.append(x)
+        return op(x)
+    return f
+
+
+def test_spin_under_one_op_is_krylov_up_to_the_first_rejected_vector():
+    def shift(x):  # e1 -> e2 -> e3 -> e4 -> 0
+        return [0] + x[:-1]
+
+    calls = []
+    # stops at the target: three op calls, no fourth
+    assert spin([[1, 0, 0, 0]], [_counted(shift, calls)], partial(_insert, []), 4) \
+        == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert len(calls) == 3
+    calls.clear()
+    # stops at the first rejected vector: 0 = shift(e4)
+    assert spin([[0, 1, 0, 0]], [_counted(shift, calls)], partial(_insert, []), 4) \
+        == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert calls == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    # a rejected start vector spins nothing
+    assert spin([[0, 0, 0, 0]], [_counted(shift, calls)], partial(_insert, []), 4) == []
+    # the vectors as taken in, not reduced; [9, 4] = 5 [3, 2] - 6 [1, 1] is rejected
+    assert spin([[1, 1]], [lambda x: [3 * x[0], 2 * x[1]]], partial(_insert, []), 3) \
+        == [[1, 1], [3, 2]]
+
+
+def test_cyclic_vector_applies_the_matrix_until_its_first_dependent_row(monkeypatch):
+    # e1 is an eigenvector: one product rejects it; all ones takes n - 1
+    a = Mat.diagonal([1, 2, 3, 4])
+    real, calls = exactla.spin, {}
+
+    def counting_spin(start, ops, add, target):
+        return real(start, [_counted(op, calls.setdefault(tuple(start[0]), [])) for op in ops],
+                    add, target)
+
+    monkeypatch.setattr(exactla, "spin", counting_spin)
+    assert cyclic_vector(a) == ([1, 1, 1, 1], [[1, 1, 1, 1], [1, 2, 3, 4], [1, 4, 9, 16],
+                                               [1, 8, 27, 64]])
+    assert {v: len(c) for v, c in calls.items()} == {(1, 0, 0, 0): 1, (1, 1, 1, 1): 3}
 
 
 def test_cyclic_matrix_without_cyclic_start_vector_falls_back_to_sylvester(monkeypatch):
