@@ -36,11 +36,16 @@ Its primitive Sturm remainder sequence (q, q' and each -rem, times
 positive integers, made primitive) ends in gcd(q, q') up to a constant.
 At a point that is not a root of q, dividing the sequence by the gcd
 changes no sign variation and leaves the Sturm chain of the square-free
-part, so roots are isolated with no square-free part computed.  A is
+part, so distinct roots are counted with no square-free part computed.
+The chain is read at half-integers c + 1/2 (never roots of q), as the
+integers 2^deg(p) p((2c + 1)/2), and bisection stops at unit intervals,
+testing their one integer: irrational roots are never separated.  A is
 semisimple iff q / gcd(q, q') annihilates dA.
 
-Jordan data and primary components share one kernel chain: the nullities
-of (A - lam)^k for k = 1, 2, ... until they stop growing (`_kernel_chain`).
+`primary_components` is the one split by eigenvalue: for each rational
+lam one kernel chain (`_kernel_chain`), the kernels of (A - lam)^k until
+their dimensions stop growing, gives lam's Jordan partition and, as its
+last kernel, the generalized eigenspace; `jordan_partition` runs it too.
 
 A `Subspace` is its reduced row echelon basis: the rows of the `Mat`
 `basis` with leftmost pivots `pivot_rows`.  This representative is unique
@@ -422,8 +427,7 @@ def diagonal_blocks(spaces: Sequence[Subspace], *mats: Mat) -> list[tuple[Mat, .
 class IncrementalSpan:
     """Mutable echelon accumulator for growing a span vector by vector."""
 
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
+    def __init__(self):
         # (pivot, primitive integer row) in insertion order: each row is zero
         # at the pivots of the rows before it, so one pass in this order
         # reduces a vector; rows are never back-reduced
@@ -650,30 +654,25 @@ def _integer_roots(chain: list[list[int]]) -> list[int]:
     if len(q) == 2:
         return [-q[0]]
 
-    def var_at(x: Fraction) -> int:
-        signs = [v > 0 for v in (_value(p, x.numerator, x.denominator) for p in chain) if v]
+    def var_at(c: int) -> int:  # at c + 1/2, never a root of q
+        signs = [v > 0 for v in (_value(p, 2 * c + 1, 2) for p in chain) if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     # Fujiwara: every root has |y| <= 2 max_k |q_(n-k)|^(1/k) < bound
     bound = 2 << max(-(-abs(c).bit_length() // k) for k, c in enumerate(reversed(q[:-1]), 1))
-    # Split points start at +-(bound + 1/2) and an integer midpoint moves by
-    # width/4, so none is an integer, hence none is a root of q; there the
-    # chain of a q with repeated roots counts each distinct root once.
-    lo, hi = -bound - Fraction(1, 2), bound + Fraction(1, 2)
+    # an interval (a, b) runs from a + 1/2 to b + 1/2; there the chain of a
+    # q with repeated roots counts each distinct root once
     roots = []
-    stack = [(lo, var_at(lo), hi, var_at(hi))]
+    stack = [(-bound - 1, var_at(-bound - 1), bound, var_at(bound))]
     while stack:
         a, va, b, vb = stack.pop()
         if va == vb:
             continue
-        if va - vb == 1 and b - a < 1:
-            c = b.numerator // b.denominator  # the one integer candidate in (a, b)
-            if a < c and _value(q, c) == 0:
-                roots.append(c)
+        if b - a == 1:  # b is the one integer inside
+            if _value(q, b) == 0:
+                roots.append(b)
             continue
-        mid = (a + b) / 2
-        if mid.denominator == 1:
-            mid += (b - a) / 4
+        mid = (a + b) // 2
         vm = var_at(mid)
         stack.append((a, va, mid, vm))
         stack.append((mid, vm, b, vb))
@@ -739,19 +738,20 @@ def is_semisimple(m: Mat) -> bool:
     return acc.is_zero()
 
 
-def _kernel_chain(m: Mat, lam: Fraction, stop: int, step) -> tuple[list[int], object]:
-    """Nullities of (m-lam)^k for k = 1, 2, ..., ending when they stop
-    growing or reach `stop`, and the result of `step(power) = (rank,
-    result)` for the last power (for `rref_nullspace` and stop = the
-    multiplicity of lam: the generalized eigenspace)."""
+def _kernel_chain(m: Mat, lam: Fraction, stop: int) -> tuple[tuple[int, ...], Subspace]:
+    """Jordan block sizes of lam, descending, from the nullities of
+    (m-lam)^k for k = 1, 2, ... until they stop growing or reach `stop`,
+    and the kernel of the last power (for stop = the multiplicity of lam:
+    the generalized eigenspace)."""
     shifted = m - Mat.diagonal([lam] * m.rows)
     power = shifted
     nullities = [0]
     while True:
-        r, result = step(power)
-        nullities.append(m.cols - r)
-        if nullities[-1] in (stop, nullities[-2]):
-            return nullities[1:], result
+        _, ker = rref_nullspace(power)
+        nullities.append(ker.dim)
+        if ker.dim in (stop, nullities[-2]):
+            # blocks of size >= k: nullities[k] - nullities[k-1]
+            return conjugate_partition([b - a for a, b in zip(nullities, nullities[1:])]), ker
         power = power * shifted
 
 
@@ -760,9 +760,7 @@ def jordan_partition(m: Mat, lam) -> tuple[int, ...]:
     not an eigenvalue.  Computed from the nullity sequence of (m-lam)^k."""
     if not m.is_square():
         raise ValueError("jordan partition of a non-square matrix")
-    nullities, _ = _kernel_chain(m, as_scalar(lam), m.rows, lambda p: (rank(p), None))
-    # blocks of size >= k: nullities[k] - nullities[k-1]
-    return conjugate_partition([b - a for a, b in zip([0] + nullities, nullities)])
+    return _kernel_chain(m, as_scalar(lam), m.rows)[0]
 
 
 def conjugate_partition(p: Sequence[int]) -> tuple[int, ...]:
@@ -770,24 +768,22 @@ def conjugate_partition(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(1 for x in p if x >= k) for k in range(1, max(p, default=0) + 1))
 
 
-def primary_components(m: Mat) -> list[tuple[Fraction | None, Subspace]]:
+def primary_components(m: Mat) -> list[tuple[Fraction | None, tuple[int, ...], Subspace]]:
     """Split Q^n into the generalized eigenspaces of the rational
-    eigenvalues, plus one residual invariant component spanning the
-    non-rational part of the spectrum (None tag) if there is one: the
-    common null space of the rational generalized eigenvectors of m^T,
+    eigenvalues, in `rational_spectrum` order, each as (eigenvalue, Jordan
+    partition, space), plus one residual invariant component (None, (),
+    space) spanning the non-rational part of the spectrum if there is one:
+    the common null space of the rational generalized eigenvectors of m^T,
     as the left generalized eigenspace of lam annihilates all but lam's."""
     if not m.is_square():
         raise ValueError("primary components of a non-square matrix")
     n = m.rows
     spec, full = rational_spectrum(m)
-    comps: list[tuple[Fraction | None, Subspace]] = [
-        (lam, _kernel_chain(m, lam, mult, rref_nullspace)[1]) for lam, mult in spec
-    ]
+    comps = [(lam, *_kernel_chain(m, lam, mult)) for lam, mult in spec]
     if not full:
         mt = m.transpose()
-        left = [v for lam, mult in spec
-                for v in _kernel_chain(mt, lam, mult, rref_nullspace)[1].basis.num]
-        comps.append((None, rref_nullspace(Mat.from_integers(left, 1, n))[1]))
-    if sum(c[1].dim for c in comps) != n:
+        left = [v for lam, mult in spec for v in _kernel_chain(mt, lam, mult)[1].basis.num]
+        comps.append((None, (), rref_nullspace(Mat.from_integers(left, 1, n))[1]))
+    if sum(c[2].dim for c in comps) != n:
         raise InternalError("primary components do not span the whole space")
     return comps

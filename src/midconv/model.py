@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalError, PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .exactla import (
     Mat,
     Subspace,
@@ -31,9 +31,7 @@ from .exactla import (
     conjugate_partition,
     diagonal_blocks,
     is_semisimple,
-    jordan_partition,
-    rational_spectrum,
-    rref_nullspace,
+    primary_components,
 )
 
 INFINITY = None  # location tag for the point at infinity
@@ -352,12 +350,10 @@ def format_pattern(pattern: Sequence[tuple[int, tuple[int, ...]]]) -> str:
 
 
 def _eigendata_of(block: Mat, where: str) -> tuple[EigenData, ...]:
-    spec, full = rational_spectrum(block)
-    if not full:
+    comps = primary_components(block)
+    if comps and comps[-1][0] is None:
         raise PreconditionError(f"{where}: spectrum is not fully rational")
-    data = [
-        EigenData(lam, mult, jordan_partition(block, lam)) for lam, mult in spec
-    ]
+    data = [EigenData(lam, space.dim, jordan) for lam, jordan, space in comps]
     data.sort(key=lambda e: (-e.geometric, -e.multiplicity, e.value))
     return tuple(data)
 
@@ -366,21 +362,16 @@ def semisimple_eigenspaces(a: Mat, not_semisimple: str, not_rational: str
                            ) -> list[tuple[Fraction, int, Subspace]]:
     """(eigenvalue, multiplicity, eigenspace) of a semisimple a with a fully
     rational spectrum, sorted by eigenvalue; PreconditionError with the
-    given messages otherwise.  With every eigenvalue rational, a is
-    semisimple iff each eigenspace has the eigenvalue's multiplicity as its
-    dimension, so `is_semisimple` runs only for a spectrum that is not."""
-    spec, full = rational_spectrum(a)
-    if not full:
+    given messages otherwise.  Each eigenspace is a generalized eigenspace
+    of `primary_components`: with every eigenvalue rational, a is
+    semisimple iff every Jordan partition is all 1s, so `is_semisimple`
+    runs only for a spectrum that is not."""
+    comps = primary_components(a)
+    if comps and comps[-1][0] is None:
         raise PreconditionError(not_rational if is_semisimple(a) else not_semisimple)
-    out = []
-    for d, mult in sorted(spec):
-        _, ker = rref_nullspace(a - Mat.diagonal([d] * a.rows))
-        if ker.dim < mult:
-            raise PreconditionError(not_semisimple)
-        if ker.dim > mult:
-            raise InternalError(f"dim of eigenspace at {d} is not {mult}")
-        out.append((d, mult, ker))
-    return out
+    if any(jordan[0] > 1 for _, jordan, _ in comps):
+        raise PreconditionError(not_semisimple)
+    return sorted((d, space.dim, space) for d, _, space in comps)
 
 
 def spectral_type(t: MatrixTuple, i: int) -> SpectralType:

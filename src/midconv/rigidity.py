@@ -68,7 +68,6 @@ from .exactla import (
     diagonal_blocks,
     inverse,
     is_semisimple,
-    jordan_partition,
     primary_components,
     rank,
     rational_spectrum,
@@ -125,11 +124,11 @@ def _commutant_dim(coeffs: list[Mat]) -> int:
     if len(coeffs) <= 2:
         comps = primary_components(lead)
         if len(comps) > 1:  # each block's leading coefficient is primary
-            blocks = [list(b) for b in diagonal_blocks([s for _, s in comps], *coeffs)]
+            blocks = [list(b) for b in diagonal_blocks([s for *_, s in comps], *coeffs)]
             return sum(_commutant_dim(b) if len(b) == 1 or b[0].scalar_multiple_of_identity()
                        is not None else _toeplitz_commutant_dim(b) for b in blocks)
-        if len(coeffs) == 1 and (lam := comps[0][0]) is not None:  # Frobenius
-            return sum(p * p for p in conjugate_partition(jordan_partition(lead, lam)))
+        if len(coeffs) == 1 and comps[0][0] is not None:  # Frobenius
+            return sum(p * p for p in conjugate_partition(comps[0][1]))
     return _toeplitz_commutant_dim(coeffs)
 
 
@@ -271,7 +270,7 @@ def is_irreducible(t: MatrixTuple) -> bool:
         return answer
     if _spans_mod_p(gens, n):
         return True
-    span = IncrementalSpan(n * n)
+    span = IncrementalSpan()
     words = spin([Mat.identity(n)] + gens, [lambda x, g=g: x * g for g in gens],
                  lambda m: span.add(list(chain.from_iterable(m.num))), n * n)
     return len(words) == n * n

@@ -368,18 +368,18 @@ def test_primary_components_split():
     p = support.unimodular(rng, 4)
     m = p * Mat.diagonal([1, 1, -2, 3]) * inverse(p)
     comps = primary_components(m)
-    assert sorted((lam, s.dim) for lam, s in comps) == [
-        (F(-2), 1), (F(1), 2), (F(3), 1)
+    assert sorted((lam, jordan, s.dim) for lam, jordan, s in comps) == [
+        (F(-2), (1,), 1), (F(1), (1, 1), 2), (F(3), (1,), 1)
     ]
 
 
 def test_primary_components_with_residual():
     m = Mat([[0, 2, 0], [1, 0, 0], [0, 0, 5]])  # x^2-2 factor plus eigenvalue 5
     comps = primary_components(m)
-    tags = sorted((lam, s.dim) for lam, s in comps if lam is not None)
-    assert tags == [(F(5), 1)]
-    resid = [s for lam, s in comps if lam is None]
-    assert len(resid) == 1 and resid[0].dim == 2
+    tags = sorted((lam, jordan, s.dim) for lam, jordan, s in comps if lam is not None)
+    assert tags == [(F(5), (1,), 1)]
+    resid = [(jordan, s) for lam, jordan, s in comps if lam is None]
+    assert len(resid) == 1 and resid[0][0] == () and resid[0][1].dim == 2
 
 
 # ---------------------------------------------------------------------
@@ -477,7 +477,8 @@ def _poly_times(p, f):
     return out
 
 
-def test_integer_root_isolation_stress():
+def test_integer_root_isolation_stress(monkeypatch):
+    import midconv.exactla as exactla
     from midconv.exactla import _integer_roots, _sturm_chain
 
     def poly_from_roots(int_roots, extra_irreducible=True):
@@ -525,6 +526,15 @@ def test_integer_root_isolation_stress():
     # a repeated irrational pair next to an integer root: (y^2 - 2)^2 (y - 5)
     p = _poly_times(_poly_times([-2, 0, 1], [-2, 0, 1]), [-5, 1])
     assert _integer_roots(_sturm_chain(p)) == [5]
+    # Mignotte's y^4 - 2(100y - 1)^2: two irrational roots about 1.4e-6
+    # apart, near 1/100; bisection stops at the unit interval around 0
+    # instead of separating them
+    chain = _sturm_chain([-2, 400, -20000, 0, 1])
+    calls = []
+    real = exactla._value
+    monkeypatch.setattr(exactla, "_value", lambda *a: calls.append(a) or real(*a))
+    assert _integer_roots(chain) == []
+    assert len(calls) < 200
 
 
 def test_rank_matches_naive_on_rank_deficient():

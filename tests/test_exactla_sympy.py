@@ -155,7 +155,7 @@ def test_rref_nullspace_matches_sympy(rows, ncols):
 
 @pytest.mark.parametrize("rows,ncols", cases())
 def test_incremental_span_tracks_rank(rows, ncols):
-    span = IncrementalSpan(ncols)
+    span = IncrementalSpan()
     prev = 0
     for k, v in enumerate(rows, start=1):
         r = to_sympy(rows[:k], ncols).rank()
@@ -313,8 +313,9 @@ def test_is_semisimple_matches_sympy(m):
     assert is_semisimple(m) == _sym(m).is_diagonalizable()
 
 
-@pytest.mark.parametrize("m", spectral_cases())
-def test_jordan_partition_matches_sympy(m):
+def _sym_jordan_sizes(m: Mat) -> dict:
+    """Rational eigenvalue -> its Jordan block sizes, descending, read off
+    sympy's Jordan form."""
     _, j = _sym(m).jordan_form()
     sizes: dict = {}
     i = 0
@@ -325,11 +326,16 @@ def test_jordan_partition_matches_sympy(m):
         sizes.setdefault(j[i, i], []).append(k - i + 1)
         i = k + 1
     roots, _ = _rational_roots(m)
-    for lam in roots:
-        expected = tuple(sorted(sizes[sympy.Rational(lam.numerator, lam.denominator)],
-                                reverse=True))
+    return {lam: tuple(sorted(sizes[sympy.Rational(lam.numerator, lam.denominator)],
+                              reverse=True)) for lam in roots}
+
+
+@pytest.mark.parametrize("m", spectral_cases())
+def test_jordan_partition_matches_sympy(m):
+    sizes = _sym_jordan_sizes(m)
+    for lam, expected in sizes.items():
         assert jordan_partition(m, lam) == expected
-    not_eigen = max(roots, default=F(0)) + 1
+    not_eigen = max(sizes, default=F(0)) + 1
     assert jordan_partition(m, not_eigen) == ()
 
 
@@ -342,8 +348,10 @@ def test_primary_components_match_sympy(m):
     expected_tags = [lam for lam, _ in sorted(roots.items(), key=lambda t: (-t[1], t[0]))]
     if rest.degree() > 0:
         expected_tags.append(None)
-    assert [lam for lam, _ in comps] == expected_tags
-    for lam, space in comps:
+    assert [lam for lam, _, _ in comps] == expected_tags
+    sizes = _sym_jordan_sizes(m)
+    for lam, jordan, space in comps:
+        assert jordan == sizes.get(lam, ())
         if lam is None:
             # the non-rational factor of the characteristic polynomial at m
             target = sympy.zeros(n, n)

@@ -184,6 +184,24 @@ def test_cyclic_vector_takes_all_ones_when_e1_fails(monkeypatch):
     assert cyclic_vector(Mat([[F(1, 3), 1], [0, F(2, 3)]])) == ([1, 1], [[1, 1], [4, 2]])
 
 
+def test_jordan_data_come_from_the_primary_split_without_a_rank(monkeypatch):
+    # Frobenius's centralizer and a spectral type with a Jordan block read
+    # the partitions of `primary_components`; no separate rank chain runs
+    def no_rank(m):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr(exactla, "rank", no_rank)
+    assert centralizer_dim(Mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])) == 5
+    t = make_tuple(
+        3, infinity_point(1, [Mat.diagonal([0, 0, 1])]),
+        [finite_point(0, 0, [Mat([[1, 1, 0], [0, 1, 0], [0, 0, 2]])])],
+    )
+    st0 = spectral_type(t, 0)
+    assert [(b.size, [e.jordan for e in b.inner]) for b in st0.blocks] \
+        == [(2, [(2,)]), (1, [(1,)])]
+    assert st0.pattern_str() == "(2,1)-((1,1),(1))"
+
+
 def _counted(op, calls):
     def f(x):
         calls.append(x)
