@@ -4,7 +4,6 @@ singularities.  All arithmetic is exact over the rationals."""
 
 from .exactla import (
     Mat,
-    Scalar,
     Subspace,
     charpoly,
     is_semisimple,

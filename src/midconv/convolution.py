@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import PreconditionError
-from .exactla import Mat, Subspace, as_scalar, rref_nullspace
+from .exactla import Mat, Subspace, as_scalar, block_upper_toeplitz, rref_nullspace
 from .model import MatrixTuple, SingularPoint
 
 
@@ -41,13 +41,9 @@ class MCOutcome:
     dim_L: int
 
 
-def _block_upper_toeplitz(coeffs: list[Mat]) -> Mat:
-    """[[c0 c1 ... ck], [0 c0 ... c_{k-1}], ..., [0 ... 0 c0]]."""
-    n = coeffs[0].rows
-    k = len(coeffs)
-    z = Mat.zeros(n, n)
-    grid = [[coeffs[b - a] if b >= a else z for b in range(k)] for a in range(k)]
-    return Mat.block(grid)
+def _slot_offsets(t: MatrixTuple) -> dict[tuple[int, int], int]:
+    """The first coordinate of each slot's block in V'."""
+    return {s: k * t.size for k, s in enumerate(t.slots())}
 
 
 def convolution_matrices(t: MatrixTuple, mu) -> MatrixTuple:
@@ -61,25 +57,23 @@ def convolution_matrices(t: MatrixTuple, mu) -> MatrixTuple:
     """
     mu = as_scalar(mu)
     n = t.size
-    slots = t.slots()
-    m_total = len(slots)
-    pos = {s: k for k, s in enumerate(slots)}
-    nm = n * m_total
-    dense = Mat.block([[t.coeff(i, j) for (i, j) in slots]])
+    offs = _slot_offsets(t)
+    nm = n * t.slot_count
+    dense = Mat.block([[t.coeff(i, j) for (i, j) in offs]])
     den = lcm(dense.den, mu.denominator)
     dense_rows = [[x * (den // dense.den) for x in row] for row in dense.num]
     nu, zero_row = mu.numerator * (den // mu.denominator), (0,) * nm
 
     def build(i: int, j: int) -> Mat:
         rows = [zero_row] * nm
-        r0 = pos[(i, j)] * n
+        r0 = offs[(i, j)]
         for a in range(n):
             rows[r0 + a] = row = dense_rows[a][:]
             if i != 0:
-                row[pos[(i, 0)] * n + a] += nu
+                row[offs[(i, 0)] + a] += nu
         m_i = t.point(i).poincare_rank
         for jp in range(j + 1, m_i + 1):
-            r0, c0 = pos[(i, jp)] * n, pos[(i, jp - j)] * n
+            r0, c0 = offs[(i, jp)], offs[(i, jp - j)]
             for a in range(n):
                 rows[r0 + a] = row = [0] * nm
                 row[c0 + a] = nu
@@ -100,10 +94,6 @@ def convolution_matrices(t: MatrixTuple, mu) -> MatrixTuple:
     return MatrixTuple(nm, inf, tuple(fin))
 
 
-def _slot_offsets(t: MatrixTuple) -> dict[tuple[int, int], int]:
-    return {s: k * t.size for k, s in enumerate(t.slots())}
-
-
 def subspace_K(t: MatrixTuple) -> tuple[list[Subspace], Subspace]:
     """Per-point kernels of the block-Toeplitz principal parts, embedded in
     V'; the point at infinity contributes the zero space.  Returns the list
@@ -118,7 +108,7 @@ def subspace_K(t: MatrixTuple) -> tuple[list[Subspace], Subspace]:
     offs = _slot_offsets(t)
     per_point: list[Subspace] = [Subspace.zero(nm)]
     for i, p in enumerate(t.finite, start=1):
-        _, ker = rref_nullspace(_block_upper_toeplitz(list(p.coeffs)))
+        _, ker = rref_nullspace(block_upper_toeplitz(list(p.coeffs)))
         off = offs[(i, p.poincare_rank)]
         left, right = (0,) * off, (0,) * (nm - off - ker.ambient_dim)
         per_point.append(Subspace(
@@ -146,7 +136,7 @@ def subspace_Lprime(t: MatrixTuple, mu) -> Subspace:
     offs = _slot_offsets(t)
     cut = t.infinity.poincare_rank * n  # the infinity slots are 0..cut-1 of V'
     corner = t.residue_at_infinity() - Mat.diagonal([mu] * n)
-    _, ker = rref_nullspace(_block_upper_toeplitz(list(t.infinity.coeffs) + [corner]))
+    _, ker = rref_nullspace(block_upper_toeplitz(list(t.infinity.coeffs) + [corner]))
     vecs, pivots = [], []
     for q, col in zip(ker.pivot_rows, ker.basis.num):
         if q >= cut and not t.finite:

@@ -46,6 +46,9 @@ semisimple iff q / gcd(q, q') annihilates dA.
 lam one kernel chain (`_kernel_chain`), the kernels of (A - lam)^k until
 their dimensions stop growing, gives lam's Jordan partition and, as its
 last kernel, the generalized eigenspace; `jordan_partition` runs it too.
+Further matrices B come back cut into their diagonal blocks in the basis
+P that concatenates the components' bases (rows of P^-1 times columns of
+B P); one component has P = I, so its blocks are the matrices themselves.
 
 A `Subspace` is its reduced row echelon basis: the rows of the `Mat`
 `basis` with leftmost pivots `pivot_rows`.  This representative is unique
@@ -74,14 +77,12 @@ from typing import Iterable, Sequence
 
 from .errors import InternalError
 
-Scalar = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def as_scalar(x) -> Fraction:
-    """Coerce an int, string like "-3/2", or Fraction to an exact Scalar."""
+    """Coerce an int, string like "-3/2", or Fraction to a Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
@@ -210,11 +211,6 @@ class Mat:
             raise ValueError("trace of a non-square matrix")
         return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
 
-    def apply(self, vec: Sequence) -> list[Fraction]:
-        """Matrix-vector product as a plain list."""
-        v = Mat([vec])
-        return [Fraction(sum(map(mul, row, v.num[0])), self.den * v.den) for row in self.num]
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -243,6 +239,14 @@ class Mat:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Mat[{self.rows}x{self.cols}: {body}]"
+
+
+def block_upper_toeplitz(coeffs: Sequence[Mat]) -> Mat:
+    """[[c0 c1 ... ck], [0 c0 ... c_{k-1}], ..., [0 ... 0 c0]] for square
+    blocks c0, ..., ck of one size."""
+    z = Mat.zeros(coeffs[0].rows, coeffs[0].rows)
+    k = len(coeffs)
+    return Mat.block([[coeffs[b - a] if b >= a else z for b in range(k)] for a in range(k)])
 
 
 # ---------------------------------------------------------------------
@@ -373,13 +377,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivot_rows)
 
-    def contains_vector(self, vec: Sequence) -> bool:
-        """True iff vec reduces to zero against the basis rows (`_insert`)."""
-        v = list(Mat([[as_scalar(x) for x in vec]]).num[0])
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector has wrong length")
-        return not _insert(list(zip(self.pivot_rows, self.basis.num)), v)
-
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
@@ -405,23 +402,6 @@ def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
             v[p] = -row[c - 1 - f]
         vecs.append(v)
     return len(piv), Subspace(Mat.from_integers(vecs, den, c), free)
-
-
-def diagonal_blocks(spaces: Sequence[Subspace], *mats: Mat) -> list[tuple[Mat, ...]]:
-    """Write each matrix in the basis that concatenates the bases of
-    `spaces` (together a basis of the ambient space) and cut out its
-    diagonal blocks: one tuple per subspace, one block per matrix."""
-    p = Mat.block([[s.basis] for s in spaces]).transpose()
-    pinv = inverse(p)
-    products = [a * p for a in mats]
-    out = []
-    off = 0
-    for s in spaces:
-        idx = range(off, off + s.dim)
-        rows = pinv.submatrix(idx, range(p.rows))  # only this block's rows of pinv * a * p
-        out.append(tuple(rows * ap.submatrix(range(p.rows), idx) for ap in products))
-        off += s.dim
-    return out
 
 
 class IncrementalSpan:
@@ -768,13 +748,17 @@ def conjugate_partition(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(1 for x in p if x >= k) for k in range(1, max(p, default=0) + 1))
 
 
-def primary_components(m: Mat) -> list[tuple[Fraction | None, tuple[int, ...], Subspace]]:
+def primary_components(m: Mat, *mats: Mat
+                       ) -> list[tuple[Fraction | None, tuple[int, ...], Subspace, tuple[Mat, ...]]]:
     """Split Q^n into the generalized eigenspaces of the rational
     eigenvalues, in `rational_spectrum` order, each as (eigenvalue, Jordan
-    partition, space), plus one residual invariant component (None, (),
-    space) spanning the non-rational part of the spectrum if there is one:
-    the common null space of the rational generalized eigenvectors of m^T,
-    as the left generalized eigenspace of lam annihilates all but lam's."""
+    partition, space, blocks), plus one residual invariant component (None,
+    (), space, blocks) spanning the non-rational part of the spectrum if
+    there is one: the common null space of the rational generalized
+    eigenvectors of m^T, as the left generalized eigenspace of lam
+    annihilates all but lam's.  `blocks` are the diagonal blocks of `mats`
+    on the components (module docstring); `mats` itself, with no inverse
+    taken, for one component or no `mats`."""
     if not m.is_square():
         raise ValueError("primary components of a non-square matrix")
     n = m.rows
@@ -786,4 +770,13 @@ def primary_components(m: Mat) -> list[tuple[Fraction | None, tuple[int, ...], S
         comps.append((None, (), rref_nullspace(Mat.from_integers(left, 1, n))[1]))
     if sum(c[2].dim for c in comps) != n:
         raise InternalError("primary components do not span the whole space")
-    return comps
+    if len(comps) == 1 or not mats:
+        return [c + (mats,) for c in comps]
+    p = Mat.block([[s.basis] for *_, s in comps]).transpose()
+    pinv, products = inverse(p), [a * p for a in mats]
+    out, off = [], 0
+    for c in comps:
+        idx, off = range(off, off + c[2].dim), off + c[2].dim
+        rows = pinv.submatrix(idx, range(n))  # only this block's rows of pinv * a * p
+        out.append(c + (tuple(rows * ap.submatrix(range(n), idx) for ap in products),))
+    return out

@@ -26,10 +26,8 @@ from typing import Sequence
 from .errors import PreconditionError, ValidationError
 from .exactla import (
     Mat,
-    Subspace,
     as_scalar,
     conjugate_partition,
-    diagonal_blocks,
     is_semisimple,
     primary_components,
 )
@@ -353,25 +351,25 @@ def _eigendata_of(block: Mat, where: str) -> tuple[EigenData, ...]:
     comps = primary_components(block)
     if comps and comps[-1][0] is None:
         raise PreconditionError(f"{where}: spectrum is not fully rational")
-    data = [EigenData(lam, space.dim, jordan) for lam, jordan, space in comps]
+    data = [EigenData(lam, space.dim, jordan) for lam, jordan, space, _ in comps]
     data.sort(key=lambda e: (-e.geometric, -e.multiplicity, e.value))
     return tuple(data)
 
 
-def semisimple_eigenspaces(a: Mat, not_semisimple: str, not_rational: str
-                           ) -> list[tuple[Fraction, int, Subspace]]:
-    """(eigenvalue, multiplicity, eigenspace) of a semisimple a with a fully
-    rational spectrum, sorted by eigenvalue; PreconditionError with the
-    given messages otherwise.  Each eigenspace is a generalized eigenspace
-    of `primary_components`: with every eigenvalue rational, a is
-    semisimple iff every Jordan partition is all 1s, so `is_semisimple`
-    runs only for a spectrum that is not."""
-    comps = primary_components(a)
+def semisimple_eigenspaces(a: Mat, not_semisimple: str, not_rational: str, *mats: Mat
+                           ) -> list[tuple[Fraction, int, tuple[Mat, ...]]]:
+    """(eigenvalue, multiplicity, blocks) of a semisimple a with a fully
+    rational spectrum, sorted by eigenvalue, where blocks are the diagonal
+    blocks of `mats` on the eigenspaces (`primary_components`);
+    PreconditionError with the given messages otherwise.  With every
+    eigenvalue rational, a is semisimple iff every Jordan partition is all
+    1s, so `is_semisimple` runs only for a spectrum that is not."""
+    comps = primary_components(a, *mats)
     if comps and comps[-1][0] is None:
         raise PreconditionError(not_rational if is_semisimple(a) else not_semisimple)
-    if any(jordan[0] > 1 for _, jordan, _ in comps):
+    if any(jordan[0] > 1 for _, jordan, _, _ in comps):
         raise PreconditionError(not_semisimple)
-    return sorted((d, space.dim, space) for d, _, space in comps)
+    return sorted(((d, space.dim, blocks) for d, _, space, blocks in comps), key=lambda e: e[0])
 
 
 def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
@@ -392,11 +390,9 @@ def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
         a1, a0 = Mat.zeros(n, n), pair[0]
     eig = semisimple_eigenspaces(
         a1, f"point {i}: leading coefficient is not semisimple",
-        f"point {i}: leading coefficient spectrum is not fully rational")
-    blocks = [
-        SpectralBlock(d, mult, _eigendata_of(sub, f"point {i}, block at {d}"))
-        for (d, mult, _), (sub,) in zip(eig, diagonal_blocks([s for *_, s in eig], a0))
-    ]
+        f"point {i}: leading coefficient spectrum is not fully rational", a0)
+    blocks = [SpectralBlock(d, mult, _eigendata_of(sub, f"point {i}, block at {d}"))
+              for d, mult, (sub,) in eig]
     blocks.sort(
         key=lambda b: (-b.size, tuple(-q for q in b.parts()), b.eigenvalue)
     )

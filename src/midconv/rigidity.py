@@ -10,13 +10,14 @@ One recursion on [A_m, ..., A_0] computes them.  A scalar A_m drops out:
 n^2 plus the dimension for [A_{m-1}, ..., A_0].  A single matrix with a
 cyclic vector (`cyclic_vector`) has Z(A) = Q[A], of dimension n
 (Gantmacher, The Theory of Matrices I, Ch. VIII).  For m <= 1 a leading
-coefficient with several primary components makes it a sum over the
-diagonal blocks, whose leading coefficients are primary already, and a
-single matrix with one rational eigenvalue has Frobenius's dim Z(A) =
-sum p_i^2 over the conjugate p of its Jordan partition.  Else it is the
-nullity of the coupled relations.  m >= 2 is not split: the
-off-diagonal blocks of C_{m-1} need not vanish, and A_{m-1} multiplies
-them into the diagonal blocks of the relation for k = 2.
+coefficient with several primary components makes it a sum over them: the
+recursion runs on each component's diagonal blocks of the coefficients
+(`primary_components`), whose primary lead splits no further.  A single
+matrix with one rational eigenvalue has Frobenius's dim Z(A) = sum p_i^2
+over the conjugate p of its Jordan partition.  Else it is the nullity of
+the coupled relations.  m >= 2 is not split: the off-diagonal blocks of
+C_{m-1} need not vanish, and A_{m-1} multiplies them into the diagonal
+blocks of the relation for k = 2.
 
 Every relation is a Sylvester operator X -> aX - Xb on row-major X
 (`_sylvester`, 2n - 1 nonzeros per row, built entry by entry): ad A for
@@ -62,10 +63,10 @@ from .exactla import (
     IncrementalSpan,
     Mat,
     Subspace,
+    block_upper_toeplitz,
     conjugate_partition,
     cyclic_vector,
     det,
-    diagonal_blocks,
     inverse,
     is_semisimple,
     primary_components,
@@ -100,15 +101,11 @@ def _sylvester(a: Mat, b: Mat) -> Mat:
 
 def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
     """Nullity of the block grid of commutator relations that defines
-    `commutant_dim`, for coeffs = [A_m, ..., A_0]; at m = 1 it is
-    [[ad A_1, 0], [ad A_0, ad A_1]]."""
-    m = len(coeffs) - 1
-    nn = coeffs[0].rows ** 2
-    z = Mat.zeros(nn, nn)
-    ads = [_sylvester(a, a) for a in coeffs]  # ads[idx] = ad of A_{m-idx}
-    # row block k, column block s (unknown C_{m-s}): A_{m-j} at j = k - s >= 0
-    relations = Mat.block([[ads[k - s] if k >= s else z for s in range(m + 1)]
-                           for k in range(m + 1)])
+    `commutant_dim`, for coeffs = [A_m, ..., A_0]: block (k, s), for the
+    unknown C_{m-s}, is ad A_{m-k+s} if k >= s ([[ad A_1, 0], [ad A_0,
+    ad A_1]] at m = 1); reversed in block rows and columns, which keeps
+    the nullity, the grid is block upper-Toeplitz."""
+    relations = block_upper_toeplitz([_sylvester(a, a) for a in coeffs])
     return relations.cols - rank(relations)
 
 
@@ -122,11 +119,9 @@ def _commutant_dim(coeffs: list[Mat]) -> int:
     if len(coeffs) == 1 and cyclic_vector(lead):  # Z(A) = Q[A]
         return lead.rows
     if len(coeffs) <= 2:
-        comps = primary_components(lead)
+        comps = primary_components(lead, *coeffs)
         if len(comps) > 1:  # each block's leading coefficient is primary
-            blocks = [list(b) for b in diagonal_blocks([s for *_, s in comps], *coeffs)]
-            return sum(_commutant_dim(b) if len(b) == 1 or b[0].scalar_multiple_of_identity()
-                       is not None else _toeplitz_commutant_dim(b) for b in blocks)
+            return sum(_commutant_dim(list(blocks)) for *_, blocks in comps)
         if len(coeffs) == 1 and comps[0][0] is not None:  # Frobenius
             return sum(p * p for p in conjugate_partition(comps[0][1]))
     return _toeplitz_commutant_dim(coeffs)
@@ -204,12 +199,12 @@ def okubo_index(t_mat: Mat, a_mat: Mat) -> int:
     if not t_mat.is_square() or not a_mat.is_square() or t_mat.rows != a_mat.rows:
         raise PreconditionError("T and A must be square of equal size")
     eig = semisimple_eigenspaces(t_mat, "T is not semisimple",
-                                 "T does not have a fully rational spectrum")
+                                 "T does not have a fully rational spectrum", a_mat)
     if not is_semisimple(a_mat):
         raise PreconditionError("A is not semisimple")
     n = t_mat.rows
     total = centralizer_dim(a_mat) - n * n
-    for (blk,) in diagonal_blocks([s for *_, s in eig], a_mat):
+    for _, _, (blk,) in eig:
         if not is_semisimple(blk):
             raise PreconditionError("a diagonal block of A is not semisimple")
         total += blk.rows * blk.rows + centralizer_dim(blk)

@@ -207,7 +207,7 @@ def check_invariance(t: MatrixTuple, mu) -> InvarianceReport:
     slots = conv.slots()
 
     def stable(space: Subspace, big: Mat) -> bool:
-        return all(space.contains_vector(big.apply(v)) for v in space.basis.data)
+        return all(contains(space, apply(big, v)) for v in space.basis.data)
 
     mats = [conv.coeff(i, j) for (i, j) in slots]
     return InvarianceReport(
@@ -389,6 +389,16 @@ def unimodular(r: random.Random, n: int) -> Mat:
 def from_columns(cols, rows: int) -> Mat:
     """The rows x len(cols) matrix with the given columns."""
     return Mat([[c[i] for c in cols] for i in range(rows)]) if cols else Mat.zeros(rows, 0)
+
+
+def apply(m: Mat, v) -> list[F]:
+    """The product m v as a list, entry by entry over m.data."""
+    return [sum((a * x for a, x in zip(row, v)), F(0)) for row in m.data]
+
+
+def contains(s: Subspace, v) -> bool:
+    """Whether v lies in s: adding it to s leaves s unchanged."""
+    return s.sum(Subspace.from_spanning([v], s.ambient_dim)) == s
 
 
 def conjugated(t: MatrixTuple, p: Mat) -> MatrixTuple:

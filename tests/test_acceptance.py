@@ -70,7 +70,7 @@ def test_criterion_1_worked_example():
 
         per, big_k = subspace_K(t)
         assert big_k.dim == 1
-        assert big_k.contains_vector([0, 0, k, alpha])
+        assert support.contains(big_k, [0, 0, k, alpha])
 
         for mu in (F(1), F(-2, 5), F(7), F(1, 6)):
             assert subspace_L(t, mu).dim == 1

@@ -16,7 +16,6 @@ from midconv.exactla import (
     charpoly,
     conjugate_partition,
     det,
-    diagonal_blocks,
     inverse,
     is_semisimple,
     jordan_partition,
@@ -95,7 +94,7 @@ def test_mat_matches_fraction_oracle(kind):
         if r:
             _check(Mat.block([[a, cm], [a2, cm]]), fm.block([[fa, fc], [fa2, fc]]))
         v = _entries(rng, 1, k, kind)[0]
-        assert a.apply(v) == fa.apply(v)
+        assert support.apply(a, v) == fa.apply(v)
         sq, fsq = a * a.transpose(), fa * fa.transpose()
         assert sq.trace() == fsq.trace()
         diag = fm(r, r, [[s if i == j else 0 for j in range(r)] for i in range(r)])
@@ -155,7 +154,7 @@ def test_nullspace_random_vs_fraction_free_oracle():
         assert r == support.fraction_free_rank([list(row) for row in m.data])
         assert r + ker.dim == m.cols
         for v in ker.basis.data:
-            assert all(x == 0 for x in m.apply(v))
+            assert all(x == 0 for x in support.apply(m, v))
 
 
 def test_nullspace_basis_is_canonical_echelon():
@@ -206,7 +205,7 @@ def test_subspace_is_one_integer_basis_however_it_is_spanned():
             assert _holds_no_fraction(s)
             assert s == ker and hash(s) == hash(ker) and s.ambient_dim == n
             assert s.sum(ker) == ker and s.sum(Subspace.zero(n)) == ker
-        assert all(x == 0 for v in ker.basis.data for x in m.apply(v))
+        assert all(x == 0 for v in ker.basis.data for x in support.apply(m, v))
 
 
 def test_subspace_sum_and_intersection_dims():
@@ -218,8 +217,8 @@ def test_subspace_sum_and_intersection_dims():
     # the dimension count, contained in both
     assert a.dim + b.dim - a.sum(b).dim == 1
     assert a.sum(c) == a and b.sum(c) == b
-    assert a.sum(b).contains_vector([0, 1, 0, 0])
-    assert not a.contains_vector([0, 0, 1, 0])
+    assert support.contains(a.sum(b), [0, 1, 0, 0])
+    assert not support.contains(a, [0, 0, 1, 0])
 
 
 # ---------------------------------------------------------------------
@@ -368,7 +367,7 @@ def test_primary_components_split():
     p = support.unimodular(rng, 4)
     m = p * Mat.diagonal([1, 1, -2, 3]) * inverse(p)
     comps = primary_components(m)
-    assert sorted((lam, jordan, s.dim) for lam, jordan, s in comps) == [
+    assert sorted((lam, jordan, s.dim) for lam, jordan, s, _ in comps) == [
         (F(-2), (1,), 1), (F(1), (1, 1), 2), (F(3), (1,), 1)
     ]
 
@@ -376,9 +375,9 @@ def test_primary_components_split():
 def test_primary_components_with_residual():
     m = Mat([[0, 2, 0], [1, 0, 0], [0, 0, 5]])  # x^2-2 factor plus eigenvalue 5
     comps = primary_components(m)
-    tags = sorted((lam, jordan, s.dim) for lam, jordan, s in comps if lam is not None)
+    tags = sorted((lam, jordan, s.dim) for lam, jordan, s, _ in comps if lam is not None)
     assert tags == [(F(5), (1,), 1)]
-    resid = [(jordan, s) for lam, jordan, s in comps if lam is None]
+    resid = [(jordan, s) for lam, jordan, s, _ in comps if lam is None]
     assert len(resid) == 1 and resid[0][0] == () and resid[0][1].dim == 2
 
 
@@ -451,21 +450,43 @@ def test_charpoly_undersized_bound_raises(monkeypatch):
         charpoly(m)
 
 
-def test_diagonal_blocks_match_full_conjugation():
+def test_primary_components_blocks_match_full_conjugation():
     rng = support.rng(31)
     for n in (2, 3, 5):
         p = support.unimodular(rng, n)
-        cols = [list(c) for c in zip(*p.data)]
         cut = rng.randint(1, n - 1)
-        spaces = [Subspace.from_spanning(cols[:cut], n), Subspace.from_spanning(cols[cut:], n)]
+        lams = [F(1)] * cut + [F(rng.choice((-2, 3))) for _ in range(n - cut)]
+        m = p * Mat.diagonal(lams) * inverse(p)
         mats = [support.rand_matrix(rng, n, pool=(-2, 0, 1, F(1, 2))) for _ in range(2)]
-        basis = support.from_columns([v for s in spaces for v in s.basis.data], n)
+        comps = primary_components(m, m, *mats)
+        assert len(comps) > 1
+        basis = support.from_columns([v for *_, s, _ in comps for v in s.basis.data], n)
         conj = [inverse(basis) * a * basis for a in mats]
         off = 0
-        for s, blocks in zip(spaces, diagonal_blocks(spaces, *mats)):
+        for lam, _, s, (own, *blocks) in comps:
             idx = range(off, off + s.dim)
-            assert blocks == tuple(c.submatrix(idx, idx) for c in conj)
+            assert own == Mat.diagonal([lam] * s.dim)
+            assert tuple(blocks) == tuple(c.submatrix(idx, idx) for c in conj)
             off += s.dim
+        assert off == n
+
+
+def test_primary_components_single_component_blocks_are_the_matrices(monkeypatch):
+    import midconv.exactla as exactla
+
+    def no_inverse(m):
+        raise AssertionError("inverse called")
+
+    monkeypatch.setattr(exactla, "inverse", no_inverse)
+    rng = support.rng(32)
+    mats = tuple(support.rand_matrix(rng, 3, pool=(-1, 0, 2, F(1, 3))) for _ in range(2))
+    zero, jordan = Mat.zeros(3, 3), Mat([[2, 1, 0], [0, 2, 0], [0, 0, 2]])
+    cube_root = Mat([[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # x^3 - 2: one residual component
+    for m, lam in ((zero, F(0)), (jordan, F(2)), (cube_root, None)):
+        (comp,) = primary_components(m, *mats)
+        assert comp[0] == lam and comp[2].dim == 3 and comp[3] == mats
+    # several components and no matrices to cut: no blocks, and no inverse either
+    assert [c[3] for c in primary_components(Mat.diagonal([1, 2, 2]))] == [(), ()]
 
 
 def _poly_times(p, f):

@@ -348,9 +348,10 @@ def test_primary_components_match_sympy(m):
     expected_tags = [lam for lam, _ in sorted(roots.items(), key=lambda t: (-t[1], t[0]))]
     if rest.degree() > 0:
         expected_tags.append(None)
-    assert [lam for lam, _, _ in comps] == expected_tags
+    assert [lam for lam, *_ in comps] == expected_tags
     sizes = _sym_jordan_sizes(m)
-    for lam, jordan, space in comps:
+    for lam, jordan, space, blocks in comps:
+        assert blocks == ()
         assert jordan == sizes.get(lam, ())
         if lam is None:
             # the non-rational factor of the characteristic polynomial at m

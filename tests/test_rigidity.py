@@ -96,6 +96,9 @@ def _split_path_points(rng):
         direct_sum(sqrt2, [[1]]),                           # +-sqrt(2) and 1
         direct_sum(sqrt2, Mat.diagonal([1, 1])),
         direct_sum(sqrt2, build_L([1, 1], [0, 0])),
+        # J_3(1) + 2 I_2: the Jordan block's pair reaches the Toeplitz
+        # relations by recursion, the scalar block drops its lead
+        direct_sum(build_L([1, 1, 1], [1, 1, 1]), Mat.diagonal([2, 2])),
     ]
     points = [conj(a) + [rand(a.rows)] for a in leads]
     points += [                                             # scalar A_1
@@ -251,7 +254,7 @@ def test_cyclic_matrix_without_cyclic_start_vector_falls_back_to_sylvester(monke
     # rational, so neither Frobenius nor a split applies
     p = Mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]])
     a = p * support.direct_sum(SQRT2, _companion(-3, 0)) * inverse(p)
-    assert a.apply([1, 0, 0, 0]) == [1, 1, 1, 1] and cyclic_vector(a) is None
+    assert support.apply(a, [1, 0, 0, 0]) == [1, 1, 1, 1] and cyclic_vector(a) is None
     calls = _counting_sylvester(monkeypatch)
     assert centralizer_dim(a) == 4 == support.centralizer_dim_dense(a)
     assert calls == [4]
