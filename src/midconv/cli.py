@@ -24,7 +24,6 @@ are stable across runs on identical input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -100,8 +99,9 @@ def _fmt_matrix(rows: list[list[str]], indent="  ") -> list[str]:
     ]
 
 
-def _tuple_lines(doc: dict) -> list[str]:
-    """Human rendering of a document made by tuplefile.tuple_to_doc."""
+def _tuple_lines(t: model.MatrixTuple) -> list[str]:
+    """Human rendering of a MatrixTuple, read from its tuple document."""
+    doc = tuplefile.tuple_to_doc(t)
     points = [doc["infinity"]] + doc["finite"]
     slot_count = sum(len(p["coeffs"]) for p in points)
     lines = [f"n = {doc['n']}, r = {len(doc['finite'])}, M = {slot_count}"]
@@ -166,7 +166,7 @@ def _cmd_conv(args):
         "size": conv.size,
         "slots": [list(s) for s in slots],
         "matrices": [
-            {"slot": [i, j], "rows": tuplefile.format_matrix(conv.coeff(i, j))}
+            {"slot": [i, j], "rows": conv.coeff(i, j)}
             for (i, j) in slots
         ],
     }
@@ -177,7 +177,7 @@ def _conv_lines(doc, args):
     for m in doc["matrices"]:
         i, j = m["slot"]
         lines.append(f"slot ({i},{j}):")
-        lines.extend(_fmt_matrix(m["rows"]))
+        lines.extend(_fmt_matrix(tuplefile.format_matrix(m["rows"])))
     return lines
 
 
@@ -191,7 +191,7 @@ def _cmd_mc(args):
         "size": out.result.size,
         "dim_K": list(out.dim_K),
         "dim_L": out.dim_L,
-        "result": tuplefile.tuple_to_doc(out.result),
+        "result": out.result,
     }
 
 
@@ -206,7 +206,7 @@ def _mc_lines(doc, args):
 def _cmd_add(args):
     t = tuplefile.read_tuple(args.file)
     out = model.addition(t, [tuplefile.parse_rational(x.strip()) for x in args.shift.split(",")])
-    return {"command": "add", "result": tuplefile.tuple_to_doc(out)}
+    return {"command": "add", "result": out}
 
 
 def _add_lines(doc, args):
@@ -240,13 +240,14 @@ def _cmd_similar(args):
     if s is None:
         return {"command": "similar", "similar": False}
     return {"command": "similar", "similar": True,
-            "intertwiner": tuplefile.format_matrix(s)}
+            "intertwiner": s}
 
 
 def _similar_lines(doc, args):
     if not doc["similar"]:
         return ["not similar"]
-    return ["similar; intertwiner S with S A = B S:"] + _fmt_matrix(doc["intertwiner"])
+    return (["similar; intertwiner S with S A = B S:"]
+            + _fmt_matrix(tuplefile.format_matrix(doc["intertwiner"])))
 
 
 def _cmd_reduce(args):
@@ -268,7 +269,7 @@ def _cmd_reduce(args):
         "command": "reduce",
         "sizes": [t.size] + [s.size_after for s in trace.steps],
         "verdict": vdoc,
-        "terminal": tuplefile.tuple_to_doc(trace.terminal),
+        "terminal": trace.terminal,
     }
     if args.trace:
         fmt = tuplefile.format_rational
@@ -352,7 +353,7 @@ def _cmd_fixtures(args):
     else:
         t = model.inverse_laplace_example(*vals)
     return {"command": "fixtures", "name": args.name,
-            "tuple": tuplefile.tuple_to_doc(t)}
+            "tuple": t}
 
 
 def _fixtures_lines(doc, args):
@@ -372,7 +373,7 @@ _DISPATCH = {
     "enumerate": (_cmd_enumerate, _enumerate_lines),
     "fixtures": (_cmd_fixtures, _fixtures_lines),
 }
-# the payload key of the tuple document that -o writes
+# the payload key of the tuple that -o writes
 _WRITTEN = {"mc": "result", "add": "result", "fixtures": "tuple"}
 
 
@@ -382,9 +383,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         build, render = _DISPATCH[args.command]
         payload = build(args)
+        # formatted before anything is written: a too-long entry writes no file
+        lines = ([tuplefile.encode(payload)] if args.format == "machine"
+                 else render(payload, args))
         output = getattr(args, "output", None)
         if output:
             tuplefile.write_tuple(output, payload[_WRITTEN[args.command]])
+            if args.format == "human":
+                lines.append(f"wrote {output}")
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
@@ -400,12 +406,6 @@ def main(argv=None) -> int:
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
-    if args.format == "machine":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        return 0
-    lines = render(payload, args)
-    if output:
-        lines.append(f"wrote {output}")
     for line in lines:
         print(line)
     return 0

@@ -200,8 +200,8 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
     def quotient_matrix(big: Mat) -> Mat:
         """G[comp, comp] - sum over pivots p of b_p[comp] (x) G[p, comp],
         as integer rows over e times the denominator of G."""
-        num = big.num
-        rows = [[e * num[r][c] for c in comp] for r in comp]
+        num, zero = big.num, [0] * new_size
+        rows = [[e * g[c] for c in comp] if any(g := num[r]) else zero[:] for r in comp]
         for p, b_nz in b_support:
             if not b_nz:
                 continue

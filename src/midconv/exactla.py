@@ -7,11 +7,12 @@ structural, and products, sums and blocks are integer work with one gcd
 per matrix.  No floating point appears anywhere.  One elimination kernel,
 `_echelon`, runs a fraction-free (Bareiss) forward pass on integer rows,
 which keeps intermediate entries at determinant-minor size.  `rank` and
-`det` read its output directly.  `_rref` back-substitutes on its rows and
-returns them, not normalised, over one denominator: `inverse`,
-`rref_nullspace` and `Subspace.from_spanning` / `.sum` each normalise
-their result once.  `_insert` reduces a vector against stored integer rows
-with the same primitive row step.  `Fraction`s are scalars only (`m[i, j]`,
+`det` read its output directly, and `rref_nullspace` back-substitutes on
+it once per kernel vector.  `_rref` back-substitutes on its rows and
+returns them, not normalised, over one denominator: `inverse` and
+`Subspace.from_spanning` / `.sum` each normalise their result once.
+`_insert` reduces a vector against stored integer rows with the same
+primitive row step.  `Fraction`s are scalars only (`m[i, j]`,
 eigenvalues, determinants); every basis is a `Mat`.
 
 One loop, `spin`, grows a spin: the smallest subspace that holds a start
@@ -56,17 +57,24 @@ A `Subspace` is its reduced row echelon basis: the rows of the `Mat`
 so two subspaces are equal iff their fields are, and all downstream
 tie-breaking (quotient complements, canonical kernels) is deterministic.
 
-`rref_nullspace` builds that basis of a kernel from one elimination.  It
-row-reduces the columns of m in reverse order.  In that reversed RREF a
-pivot row is nonzero at a free column f only if f lies left of the row's
-pivot p in the original order.  So the kernel vector v_f (1 at f, minus
-that row entry at each pivot p) is 0 at every other free column and
-nonzero only at pivots right of f: f is its leftmost nonzero.  Taken in
-order of f, these vectors are the kernel's RREF, which is unique.
+`rref_nullspace` builds that basis of a kernel from one forward
+elimination of the columns of m in reverse order.  A kernel vector is
+fixed by its free coordinates, so let v_f be the one that is 1 at the free
+column f and 0 at every other.  In the reversed columns, the echelon rows
+whose pivot lies right of f are zero at f and left of their pivots, so v_f
+is 0 at those pivots: f is its leftmost nonzero in the original order, and
+taken in order of f these vectors are the kernel's RREF, which is unique.
+The rows left of f are solved by back substitution from x_f = |d|, d the
+last Bareiss pivot.  By Cramer's rule |d| v_f is integral, as d is +- the
+r x r minor of the pivot rows and columns, so every division is exact (a
+remainder is an InternalError), and one `Mat.from_integers` normalises
+the vectors over |d|.  That costs dim ker * r^2 steps on top of the
+forward pass, against r^2 c for a full back-reduction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -385,23 +393,33 @@ class Subspace:
 
 
 def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
-    """Rank and canonical right nullspace of m, from one elimination of the
-    columns of m in reverse order (see the module docstring)."""
+    """Rank and canonical right nullspace of m, from one forward elimination
+    of the columns of m in reverse order and one back substitution per free
+    column (see the module docstring)."""
     c = m.cols
-    r, den, piv = _rref([row[::-1] for row in m.num], c)
-    # row i of r, read in the original column order, has its pivot (entry
-    # den) at c - 1 - piv[i] and is zero right of it
-    pivots = [(c - 1 - p, row) for p, row in zip(piv, r)]
-    piv_set = {p for p, _ in pivots}
-    free = tuple(f for f in range(c) if f not in piv_set)
-    vecs = []
-    for f in free:
+    ech, piv, _ = _echelon([row[::-1] for row in m.num], c)
+    d = abs(ech[-1][piv[-1]]) if piv else 1
+    piv_set, free, vecs = set(piv), [], []
+    # in reversed columns: x is |d| at the free column f, 0 at the other free
+    # columns and at every pivot right of f, and solves the pivot rows left of f
+    for f in reversed(range(c)):
+        if f in piv_set:
+            continue
+        x = {f: d}
+        for i in reversed(range(bisect_left(piv, f))):
+            row, pc = ech[i], piv[i]
+            s = sum(row[j] * xj for j, xj in x.items())
+            q, rem = divmod(-s, row[pc])
+            if rem:
+                raise InternalError("kernel back substitution is not exact")
+            if q:
+                x[pc] = q
         v = [0] * c
-        v[f] = den
-        for p, row in pivots:
-            v[p] = -row[c - 1 - f]
+        for j, xj in x.items():
+            v[c - 1 - j] = xj
         vecs.append(v)
-    return len(piv), Subspace(Mat.from_integers(vecs, den, c), free)
+        free.append(c - 1 - f)
+    return len(piv), Subspace(Mat.from_integers(vecs, d, c), tuple(free))
 
 
 class IncrementalSpan:

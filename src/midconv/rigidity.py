@@ -12,7 +12,8 @@ cyclic vector (`cyclic_vector`) has Z(A) = Q[A], of dimension n
 (Gantmacher, The Theory of Matrices I, Ch. VIII).  For m <= 1 a leading
 coefficient with several primary components makes it a sum over them: the
 recursion runs on each component's diagonal blocks of the coefficients
-(`primary_components`), whose primary lead splits no further.  A single
+(`primary_components`) with the component's eigenvalue and Jordan
+partition, so a primary lead is not split again.  A single
 matrix with one rational eigenvalue has Frobenius's dim Z(A) = sum p_i^2
 over the conjugate p of its Jordan partition.  Else it is the nullity of
 the coupled relations.  m >= 2 is not split: the off-diagonal blocks of
@@ -109,8 +110,10 @@ def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
     return relations.cols - rank(relations)
 
 
-def _commutant_dim(coeffs: list[Mat]) -> int:
-    """Commutant dimension of [A_m, ..., A_0] (see the module docstring)."""
+def _commutant_dim(coeffs: list[Mat], primary: tuple | None = None) -> int:
+    """Commutant dimension of [A_m, ..., A_0] (see the module docstring);
+    `primary` is the (eigenvalue, Jordan partition) of a lead already known
+    to be primary, which is then not split again."""
     if not coeffs:
         return 0
     lead = coeffs[0]
@@ -118,12 +121,14 @@ def _commutant_dim(coeffs: list[Mat]) -> int:
         return lead.rows ** 2 + _commutant_dim(coeffs[1:])
     if len(coeffs) == 1 and cyclic_vector(lead):  # Z(A) = Q[A]
         return lead.rows
-    if len(coeffs) <= 2:
+    if len(coeffs) <= 2 and primary is None:
         comps = primary_components(lead, *coeffs)
         if len(comps) > 1:  # each block's leading coefficient is primary
-            return sum(_commutant_dim(list(blocks)) for *_, blocks in comps)
-        if len(coeffs) == 1 and comps[0][0] is not None:  # Frobenius
-            return sum(p * p for p in conjugate_partition(comps[0][1]))
+            return sum(_commutant_dim(list(blocks), (lam, part))
+                       for lam, part, _, blocks in comps)
+        primary = comps[0][:2]
+    if len(coeffs) == 1 and primary[0] is not None:  # Frobenius
+        return sum(p * p for p in conjugate_partition(primary[1]))
     return _toeplitz_commutant_dim(coeffs)
 
 

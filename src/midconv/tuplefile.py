@@ -19,6 +19,12 @@ any tuple reproduces it exactly.
 A matrix is read and written straight as integer rows over one
 denominator (`Mat.num`, `Mat.den`); the literals of a row are checked by
 one match, and a row that fails is read literal by literal for the error.
+
+One writer, `encode`, gives exactly json.dumps(sort_keys=True) of a
+payload, compact or indented by 2: the tuple files and the command line's
+`--format machine` objects.  It reads a MatrixTuple as its tuple document
+and a Mat straight from its integer rows, one quoted literal per distinct
+numerator and one join per row.
 """
 
 from __future__ import annotations
@@ -66,15 +72,21 @@ def format_rational(x: Fraction) -> str:
         raise _too_long() from e
 
 
+def _literals(m: Mat, quote: str = "") -> dict[int, str]:
+    """The canonical literal of each distinct numerator of m over m.den,
+    between `quote`s (see format_rational)."""
+    d = m.den
+    try:
+        return {x: f"{quote}{x // g}/{d // g}{quote}" if (g := gcd(x, d)) != d
+                else f"{quote}{x // d}{quote}" for x in set(chain.from_iterable(m.num))}
+    except ValueError as e:
+        raise _too_long() from e
+
+
 def format_matrix(m: Mat) -> list[list[str]]:
     """The rows of m as canonical literals (see format_rational), each
     distinct numerator formatted once."""
-    d = m.den
-    try:
-        lit = {x: f"{x // g}/{d // g}" if (g := gcd(x, d)) != d else str(x // d)
-               for x in set(chain.from_iterable(m.num))}
-    except ValueError as e:
-        raise _too_long() from e
+    lit = _literals(m)
     return [list(map(lit.__getitem__, row)) for row in m.num]
 
 
@@ -103,9 +115,9 @@ def _rows_to_matrix(rows, n: int, where: str) -> Mat:
     return Mat.from_integers([r if e == d else [x * (d // e) for x in r] for r, e in out], d)
 
 
-def _point_to_doc(p: SingularPoint) -> dict:
+def _point_to_doc(p: SingularPoint, matrix) -> dict:
     coeffs = {
-        str(p.poincare_rank - k): format_matrix(a)
+        str(p.poincare_rank - k): matrix(a)
         for k, a in enumerate(p.coeffs)
     }
     doc = {"m": p.poincare_rank, "coeffs": coeffs}
@@ -114,12 +126,18 @@ def _point_to_doc(p: SingularPoint) -> dict:
     return doc
 
 
-def tuple_to_doc(t: MatrixTuple) -> dict:
+def _to_doc(t: MatrixTuple, matrix) -> dict:
+    """The tuple document of t with each matrix given as matrix(it)."""
     return {
         "n": t.size,
-        "infinity": _point_to_doc(t.infinity),
-        "finite": [_point_to_doc(p) for p in t.finite],
+        "infinity": _point_to_doc(t.infinity, matrix),
+        "finite": [_point_to_doc(p, matrix) for p in t.finite],
     }
+
+
+def tuple_to_doc(t: MatrixTuple) -> dict:
+    """The tuple document of t, each matrix as rows of canonical literals."""
+    return _to_doc(t, format_matrix)
 
 
 def _point_from_doc(doc, n: int, at_infinity: bool, where: str) -> SingularPoint:
@@ -173,24 +191,40 @@ def doc_to_tuple(doc) -> MatrixTuple:
     return MatrixTuple(n, inf, fin)
 
 
-def _indented(x, ind: str = "") -> str:
-    """json.dumps(x, indent=2, sort_keys=True) of a tuple document without
-    json's pure-Python encoder: a list of strings (a matrix row) is one join."""
-    inner = ind + "  "
-    if isinstance(x, dict) and x:
-        ends, items = "{}", (f"{_encode_str(k)}: {_indented(v, inner)}" for k, v in sorted(x.items()))
-    elif isinstance(x, list) and x:
-        ends, items = "[]", (map(_encode_str, x) if set(map(type, x)) == {str}
-                             else (_indented(v, inner) for v in x))
+def encode(x, ind: str | None = None) -> str:
+    """json.dumps(x, sort_keys=True) with separators (",", ":") for ind
+    None, else json.dumps(x, indent=2, sort_keys=True) indented from ind,
+    without json's pure-Python encoder.  A MatrixTuple is encoded as its
+    tuple document and a Mat as its rows of canonical literals, each
+    distinct numerator formatted once; the literals need no escaping."""
+    if isinstance(x, MatrixTuple):
+        x = _to_doc(x, lambda m: m)
+    if isinstance(x, str):
+        return _encode_str(x)
+    inner = None if ind is None else ind + "  "
+    if isinstance(x, dict):
+        colon = ":" if ind is None else ": "
+        ends, items = "{}", [f"{_encode_str(k)}{colon}{encode(v, inner)}"
+                             for k, v in sorted(x.items())]
+    elif isinstance(x, (list, tuple)):
+        ends, items = "[]", [encode(v, inner) for v in x]
+    elif isinstance(x, Mat):
+        lit = _literals(x, '"')
+        sep = "," if ind is None else f",\n{inner}  "
+        row = "[{}]" if ind is None or not x.cols else f"[\n{inner}  {{}}\n{inner}]"
+        ends, items = "[]", [row.format(sep.join(map(lit.__getitem__, r))) for r in x.num]
     else:
         return json.dumps(x)
+    if not items:
+        return ends
+    if ind is None:
+        return ends[0] + ",".join(items) + ends[1]
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{ind}{ends[1]}"
 
 
-def dumps_tuple(t: MatrixTuple | dict) -> str:
-    """The file text of a tuple, or of the document tuple_to_doc made of it."""
-    doc = t if isinstance(t, dict) else tuple_to_doc(t)
-    return _indented(doc) + "\n"
+def dumps_tuple(t: MatrixTuple) -> str:
+    """The file text of a tuple."""
+    return encode(t, "") + "\n"
 
 
 def loads_tuple(text: str) -> MatrixTuple:
@@ -201,8 +235,8 @@ def loads_tuple(text: str) -> MatrixTuple:
     return doc_to_tuple(doc)
 
 
-def write_tuple(path, t: MatrixTuple | dict) -> None:
-    """Write a tuple, or the document tuple_to_doc made of it, to path."""
+def write_tuple(path, t: MatrixTuple) -> None:
+    """Write a tuple to path."""
     text = dumps_tuple(t)
     try:
         with open(path, "w", encoding="utf-8") as fh:

@@ -8,12 +8,19 @@ from pathlib import Path
 import pytest
 
 import midconv
+from midconv import cli
 from midconv.cli import main
-from midconv.errors import ValidationError
+from midconv.errors import PreconditionError, ValidationError
 from midconv.exactla import Mat
-from midconv.model import bessel_example, hypergeometric_example, inverse_laplace_example
+from midconv.model import (
+    MatrixTuple,
+    bessel_example,
+    hypergeometric_example,
+    inverse_laplace_example,
+)
 from midconv.tuplefile import (
     dumps_tuple,
+    encode,
     format_matrix,
     format_rational,
     loads_tuple,
@@ -61,20 +68,50 @@ def _json_indent(doc) -> str:
 def test_dumps_matches_json_indent_encoder():
     rng = support.rng(72)
     big = F(10 ** 99 + 7, 3 * 10 ** 99 + 1)  # 100-digit numerator and denominator
-    docs = [tuple_to_doc(hypergeometric_example(1, F(1, 2), F(1, 3), 1)),
-            tuple_to_doc(bessel_example(1, 0, 1, 1)),
-            tuple_to_doc(inverse_laplace_example(1, 0, 1, 1)),
-            tuple_to_doc(support.rand_tuple(rng, 2, 2, [0, 1, 0], pool=(big, -big, 0))),
-            tuple_to_doc(support.rand_tuple(rng, 1, 0, [3])),  # no finite points
-            {"n": 1, "infinity": {"coeffs": {}, "m": 0}, "finite": []}]
+    tuples = [hypergeometric_example(1, F(1, 2), F(1, 3), 1),
+              bessel_example(1, 0, 1, 1),
+              inverse_laplace_example(1, 0, 1, 1),
+              support.rand_tuple(rng, 2, 2, [0, 1, 0], pool=(big, -big, 0)),
+              support.rand_tuple(rng, 1, 0, [3])]  # no finite points
     for _ in range(6):
         ranks = [rng.randint(0, 11)] + [rng.randint(0, 11) for _ in range(2)]
-        docs.append(tuple_to_doc(support.rand_tuple(rng, rng.choice([1, 2, 3]), 2, ranks,
-                                                    pool=(-2, 0, 1, F(-5, 7), F(1, 2)))))
-    assert any("10" in d["infinity"]["coeffs"] for d in docs)  # "10" sorts before "2"
-    for doc in docs:
-        assert dumps_tuple(doc) == _json_indent(doc)
-    assert dumps_tuple(HYP) == _json_indent(tuple_to_doc(HYP))
+        tuples.append(support.rand_tuple(rng, rng.choice([1, 2, 3]), 2, ranks,
+                                         pool=(-2, 0, 1, F(-5, 7), F(1, 2))))
+    assert any(t.infinity.poincare_rank >= 10 for t in tuples)  # "10" sorts before "2"
+    for t in tuples:
+        assert dumps_tuple(t) == _json_indent(tuple_to_doc(t))
+
+
+def _string_rows(x):
+    """A payload with each MatrixTuple as tuple_to_doc gives it and each Mat
+    as format_matrix gives it: the form json.dumps encodes."""
+    if isinstance(x, MatrixTuple):
+        return tuple_to_doc(x)
+    if isinstance(x, Mat):
+        return format_matrix(x)
+    if isinstance(x, dict):
+        return {k: _string_rows(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return list(map(_string_rows, x))
+    return x
+
+
+def _check_encode(payload):
+    doc = _string_rows(payload)
+    assert encode(payload) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert encode(payload, "") == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_encode_matches_json_on_edge_payloads():
+    _check_encode({
+        "one": Mat([[F(-5, 7)]]),
+        "no_rows": Mat.zeros(0, 3),
+        "empty_rows": Mat.zeros(2, 0),
+        "negative": Mat([[F(-1, 2), -3], [0, F(-22, 6)]]),
+        "verdict": {"kind": "assumption_violated", "reason": "\u03bc \u2260 0 \u2014 \u00fcber \"q\"\n"},
+        "tuple": support.rand_tuple(support.rng(75), 1, 0, [2], pool=(F(-1, 3), 0, 2)),
+        "empty": [{}, [], ""], "flags": [True, False, None], "sizes": [0, -3, 10 ** 30],
+    })
 
 
 def _one_matrix_doc(rows) -> str:
@@ -243,6 +280,41 @@ def test_cli_fixtures(tmp_path, capsys):
     assert read_tuple(out_path) == HYP
     assert main(["fixtures", "bessel"]) == 0
     assert main(["fixtures", "okubo"]) == 0
+
+
+def _payload(argv):
+    args = cli._build_parser().parse_args([str(a) for a in argv])
+    return cli._DISPATCH[args.command][0](args)
+
+
+def test_machine_output_is_json_of_the_string_rows(tmp_path, capsys):
+    # every command's payload, on the fixtures and on random tuples, is
+    # encoded as json.dumps encodes its literal rows, and printed as such
+    rng = support.rng(76)
+    pool = (-2, 0, 1, F(-5, 7), F(1, 2))
+    tuples = [HYP, bessel_example(1, 0, 1, 1), inverse_laplace_example(1, 0, 1, 1)]
+    tuples += [support.rand_tuple(rng, n, k, ranks, pool)
+               for n, k, ranks in [(1, 1, [0, 1]), (2, 2, [1, 0, 0]), (3, 1, [2, 1]), (2, 0, [2])]]
+    commands = [["enumerate", "--r", "2", "--nmax", "3"]]
+    commands += [["fixtures", name] for name in ("hypergeometric", "bessel", "okubo")]
+    for k, t in enumerate(tuples):
+        a, b = tmp_path / f"{k}a.json", tmp_path / f"{k}b.json"
+        write_tuple(a, t)
+        write_tuple(b, support.conjugated(t, support.unimodular(rng, t.size)))
+        commands += [["idx", a], ["conv", a, "--mu", "1/3"], ["mc", a, "--mu=-2/5"],
+                     ["add", a, "--shift=" + ",".join(["-1/2"] * t.slot_count)],
+                     ["irred", a], ["spectral", a], ["similar", a, b], ["reduce", a, "--trace"]]
+    built = set()
+    for argv in commands:
+        try:
+            payload = _payload(argv)
+        except PreconditionError:  # a non-semisimple spectrum, a zero quotient
+            continue
+        _check_encode(payload)
+        assert main(["--format", "machine"] + [str(x) for x in argv]) == 0
+        assert capsys.readouterr().out == encode(payload) + "\n"
+        built.add(argv[0])
+    assert built == set(cli._DISPATCH)
 
 
 def test_cli_usage_error_exit_1(capsys):

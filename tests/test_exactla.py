@@ -167,6 +167,75 @@ def test_nullspace_basis_is_canonical_echelon():
                 assert v[other] == 0
 
 
+def _fraction_rref(rows, ncols):
+    """Gauss-Jordan over Fractions: the nonzero RREF rows and pivot columns."""
+    rows, piv = [list(map(F, r)) for r in rows], []
+    for c in range(ncols):
+        k = next((i for i in range(len(piv), len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        i = len(piv)
+        rows[i], rows[k] = rows[k], rows[i]
+        rows[i] = [x / rows[i][c] for x in rows[i]]
+        for j, r in enumerate(rows):
+            if j != i and r[c]:
+                rows[j] = [a - r[c] * b for a, b in zip(r, rows[i])]
+        piv.append(c)
+    return rows[:len(piv)], tuple(piv)
+
+
+def _fraction_nullspace(rows, ncols):
+    """The rank and the kernel's RREF rows and pivots, all by Fractions."""
+    r, piv = _fraction_rref(rows, ncols)
+    vecs = []
+    for f in (f for f in range(ncols) if f not in piv):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for row, p in zip(r, piv):
+            v[p] = -row[f]
+        vecs.append(v)
+    return len(piv), *_fraction_rref(vecs, ncols)
+
+
+def _kernel_cases():
+    rng = support.rng(107)
+    out = [Mat.zeros(0, 4), Mat.zeros(3, 0), Mat.zeros(0, 0), Mat.zeros(4, 5),
+           Mat.identity(3), Mat([[F(-7, 3)]])]
+    for rows, cols in [(3, 3), (4, 7), (2, 9), (7, 4), (9, 2), (5, 5), (6, 10)]:
+        for _ in range(3):
+            full = Mat(_entries(rng, rows, cols, "small"))
+            k = rng.randint(1, min(rows, cols))
+            thin = Mat(_entries(rng, rows, k, "small")) * Mat(_entries(rng, k, cols, "small"))
+            out += [full, thin]
+    out.append(Mat(_entries(rng, 3, 6, "digits100")))
+    return out
+
+
+def test_nullspace_back_substitutes_without_the_full_rref(monkeypatch):
+    # rank-deficient, wide, tall, zero, full-rank and 0-column matrices
+    from midconv import exactla
+
+    def no_rref(*args):
+        raise AssertionError("_rref called")
+
+    monkeypatch.setattr(exactla, "_rref", no_rref)
+    for m in _kernel_cases():
+        rank_, basis, pivots = _fraction_nullspace(m.data, m.cols)
+        r, ker = rref_nullspace(m)
+        assert (r, ker.pivot_rows, ker.ambient_dim) == (rank_, pivots, m.cols)
+        assert [list(v) for v in ker.basis.data] == basis
+
+
+def test_nullspace_raises_on_an_inexact_back_substitution(monkeypatch):
+    # an echelon form that no integer matrix has: the last pivot 3 does not
+    # clear the first pivot 2, so the back substitution leaves a remainder
+    from midconv import exactla
+
+    monkeypatch.setattr(exactla, "_echelon", lambda rows, ncols: ([[2, 0, 1], [0, 3, 1]], [0, 1], 1))
+    with pytest.raises(InternalError, match="not exact"):
+        rref_nullspace(Mat.zeros(2, 3))
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_matrix(3, 4), st.randoms(use_true_random=False))
 def test_subspace_canonical_form_is_order_independent(m, r):

@@ -135,6 +135,22 @@ def test_commutant_matches_dense_oracle():
             assert centralizer_dim(a) == support.centralizer_dim_dense(a), a
 
 
+def test_primary_component_is_not_split_again(monkeypatch):
+    # a component's block lead is primary: its eigenvalue and partition come
+    # from the first split, so J_3(1) + 2 I_2 is split once, at size 5
+    rng = support.rng(17)
+    p = support.unimodular(rng, 5)
+    lead = p * support.direct_sum(_jordan(3, 1), Mat.diagonal([2, 2])) * inverse(p)
+    t = make_tuple(5, infinity_point(0, []),
+                   [finite_point(0, 1, [lead, support.rand_matrix(rng, 5)])])
+    sizes = []
+    split = rigidity.primary_components
+    monkeypatch.setattr(rigidity, "primary_components",
+                        lambda m, *mats: sizes.append(m.rows) or split(m, *mats))
+    assert commutant_dim(t, 1) == support.commutant_dim_dense(t, 1)
+    assert sizes == [5]
+
+
 def _jordan(size: int, lam) -> Mat:
     return build_L([1] * size, [lam] * size)
 
