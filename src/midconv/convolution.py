@@ -11,9 +11,9 @@ at every other pivot row, so each convolution matrix G induces
 
     Q = G[comp, comp] - sum over pivots p of b_p[comp] (x) G[p, comp]
 
-on the quotient: only the pivot rows of G and the entries of b_p on the
-complement enter.  dim(K + L(mu)) is usually small against nM, so this
-costs far less than reducing every column of G against the basis.
+on the quotient.  G has few nonzero rows (`_nonzero_rows`), and
+`quotient` reads Q from them; only `convolution_matrices` (for `conv` and
+the tests) lays G out as a dense nM x nM matrix.
 
 K is assembled canonically with no elimination of its own: each point's
 Toeplitz kernel comes out of `rref_nullspace` in reduced echelon form, and
@@ -24,6 +24,7 @@ point order keeps that form (`subspace_K`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import lcm
 
 from .errors import PreconditionError
@@ -46,6 +47,42 @@ def _slot_offsets(t: MatrixTuple) -> dict[tuple[int, int], int]:
     return {s: k * t.size for k, s in enumerate(t.slots())}
 
 
+def _nonzero_rows(t: MatrixTuple, mu):
+    """(den, nu, blocks, layout): the nonzero rows of the convolution
+    matrices as integers over den, with nu = mu * den.  The n block rows of
+    the G of slot (i, j), from row offs[(i, j)] on, are the coefficient rows
+    plus nu in column (i, 0) when i != 0: blocks[i], shared by the slots of
+    point i.  Its band rows (i, j') for j' > j hold nu in column (i, j' - j).
+    layout is (i, offs[(i, j)], band) in slot order, band the (row, column)
+    of each nu; for mu = 0 the band is empty."""
+    mu = as_scalar(mu)
+    n = t.size
+    offs = _slot_offsets(t)
+    dense = Mat.block([[t.coeff(i, j) for (i, j) in offs]])
+    den = lcm(dense.den, mu.denominator)
+    rows = dense.num if den == dense.den else [tuple([x * (den // dense.den) for x in row])
+                                               for row in dense.num]
+    nu = mu.numerator * (den // mu.denominator)
+    blocks = {i: rows if i == 0 else [
+        r[:c] + (r[c] + nu,) + r[c + 1:] for c, r in enumerate(rows, start=offs[(i, 0)])
+    ] for i in dict.fromkeys(i for i, _ in offs)}
+    layout = [(i, r0, [(offs[(i, jp)] + a, offs[(i, jp - j)] + a)
+                       for jp in range(j + 1, t.point(i).poincare_rank + 1) for a in range(n)]
+               if nu else [])
+              for (i, j), r0 in offs.items()]
+    return den, nu, blocks, layout
+
+
+def _with_coeffs(t: MatrixTuple, size: int, mats: list[Mat]) -> MatrixTuple:
+    """The points of t with `mats`, in slot order, as coefficients."""
+    it = iter(mats)
+
+    def point(p: SingularPoint) -> SingularPoint:
+        return SingularPoint(p.location, p.poincare_rank, tuple(islice(it, len(p.coeffs))))
+
+    return MatrixTuple(size, point(t.infinity), tuple(map(point, t.finite)))
+
+
 def convolution_matrices(t: MatrixTuple, mu) -> MatrixTuple:
     """The size-nM tuple of convolution matrices for parameter mu; its
     `slots()` are those of t and give the slot layout of V'.
@@ -53,45 +90,19 @@ def convolution_matrices(t: MatrixTuple, mu) -> MatrixTuple:
     For each slot (i, j) the matrix has one dense block row at slot (i, j)
     containing the full coefficient row (with mu*I added in column (i, 0)
     when i != 0), a band of mu*I blocks at rows (i, j') for j' > j in
-    columns (i, j'-j), and zeros elsewhere.
+    columns (i, j'-j), and zeros elsewhere (see `_nonzero_rows`).
     """
-    mu = as_scalar(mu)
-    n = t.size
-    offs = _slot_offsets(t)
-    nm = n * t.slot_count
-    dense = Mat.block([[t.coeff(i, j) for (i, j) in offs]])
-    den = lcm(dense.den, mu.denominator)
-    dense_rows = [[x * (den // dense.den) for x in row] for row in dense.num]
-    nu, zero_row = mu.numerator * (den // mu.denominator), (0,) * nm
-
-    def build(i: int, j: int) -> Mat:
-        rows = [zero_row] * nm
-        r0 = offs[(i, j)]
-        for a in range(n):
-            rows[r0 + a] = row = dense_rows[a][:]
-            if i != 0:
-                row[offs[(i, 0)] + a] += nu
-        m_i = t.point(i).poincare_rank
-        for jp in range(j + 1, m_i + 1):
-            r0, c0 = offs[(i, jp)], offs[(i, jp - j)]
-            for a in range(n):
-                rows[r0 + a] = row = [0] * nm
-                row[c0 + a] = nu
-        return Mat.from_integers(rows, den, nm)
-
-    inf = SingularPoint(
-        None, t.infinity.poincare_rank,
-        tuple(build(0, j) for j in range(t.infinity.poincare_rank, 0, -1)),
-    )
-    fin = []
-    for i, p in enumerate(t.finite, start=1):
-        fin.append(
-            SingularPoint(
-                p.location, p.poincare_rank,
-                tuple(build(i, j) for j in range(p.poincare_rank, -1, -1)),
-            )
-        )
-    return MatrixTuple(nm, inf, tuple(fin))
+    den, nu, blocks, layout = _nonzero_rows(t, mu)
+    n, nm = t.size, t.size * t.slot_count
+    zero = (0,) * nm
+    mats = []
+    for i, r0, band in layout:
+        rows = [zero] * nm
+        rows[r0:r0 + n] = blocks[i]
+        for r, c in band:
+            rows[r] = zero[:c] + (nu,) + zero[c + 1:]
+        mats.append(Mat.from_integers(rows, den, nm))
+    return _with_coeffs(t, nm, mats)
 
 
 def subspace_K(t: MatrixTuple) -> tuple[list[Subspace], Subspace]:
@@ -179,8 +190,11 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
              big_L: Subspace) -> MCOutcome:
     """The middle convolution quotient for subspaces already built:
     `per_point_K` and `big_K` as returned by `subspace_K(t)`, and `big_L`
-    equal to `subspace_L(t, mu)`."""
-    conv = convolution_matrices(t, mu)
+    equal to `subspace_L(t, mu)`.
+
+    No dense G is built: a point's block rows are cut to the complement
+    once for all its slots, a band row is one entry of Q, only pivots whose
+    row of G is nonzero correct Q, and all-zero rows are one shared tuple."""
     w = big_K.sum(big_L)
     nm = t.size * t.slot_count
     new_size = nm - w.dim
@@ -188,45 +202,51 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
         raise PreconditionError(
             "middle convolution quotient is zero-dimensional (degenerate input)"
         )
+    den, nu, blocks, layout = _nonzero_rows(t, mu)
 
     pivot_set = set(w.pivot_rows)
     comp = [c for c in range(nm) if c not in pivot_set]
-    # the nonzero entries of each b_p on the complement times e, the
-    # denominator of the basis, by result row
+    at = {c: k for k, c in enumerate(comp)}  # result index of each complement coordinate
+    # each b_p times e as its nonzero (result row, x) on the complement, if any
     e = w.basis.den
-    b_support = [(p, [(i, x) for i, c in enumerate(comp) if (x := b[c])])
-                 for p, b in zip(w.pivot_rows, w.basis.num)]
+    b_support = [(p, b_nz) for p, b in zip(w.pivot_rows, w.basis.num)
+                 if (b_nz := [(k, x) for k, x in enumerate(map(b.__getitem__, comp)) if x])]
+    n, zero = t.size, (0,) * new_size
+    # each point's block rows on the complement, times e, and as (index, x) where
+    # pivots fall: slots start at multiples of n, so row p of G is block row p % n
+    hit, scaled, sparse = {p % n for p, _ in b_support}, {}, {}
+    for i, rows in blocks.items():
+        proj = [tuple(map(g.__getitem__, comp)) for g in rows]
+        scaled[i] = [tuple([e * x for x in g]) if any(g) else zero for g in proj]
+        sparse[i] = {a: [(k, x) for k, x in enumerate(proj[a]) if x] for a in hit}
 
-    def quotient_matrix(big: Mat) -> Mat:
-        """G[comp, comp] - sum over pivots p of b_p[comp] (x) G[p, comp],
-        as integer rows over e times the denominator of G."""
-        num, zero = big.num, [0] * new_size
-        rows = [[e * g[c] for c in comp] if any(g := num[r]) else zero[:] for r in comp]
+    def quotient_matrix(i: int, r0: int, band: list[tuple[int, int]]) -> Mat:
+        """Q for the G of slot layout (i, r0, band), over e * den."""
+        rows = [zero] * new_size
+        for r, row in enumerate(scaled[i], start=r0):
+            if (k := at.get(r)) is not None:
+                rows[k] = row
+        on_band = {}  # band row of G -> its one entry on comp
+        for r, c in band:
+            if (j := at.get(c)) is not None:
+                on_band[r] = [(j, nu)]
+                if (k := at.get(r)) is not None:
+                    rows[k] = zero[:j] + (e * nu,) + zero[j + 1:]
+        changed = {}
         for p, b_nz in b_support:
-            if not b_nz:
+            if not (g := sparse[i][p - r0] if 0 <= p - r0 < n else on_band.get(p)):
                 continue
-            g = num[p]
-            g_comp = [(j, x) for j, c in enumerate(comp) if (x := g[c])]
-            for i, coef in b_nz:
-                row = rows[i]
-                for j, x in g_comp:
+            for k, coef in b_nz:
+                if (row := changed.get(k)) is None:
+                    row = changed[k] = list(rows[k])
+                for j, x in g:
                     row[j] -= coef * x
-        return Mat.from_integers(rows, e * big.den, new_size)
-
-    def quotient_point(p: SingularPoint) -> SingularPoint:
-        return SingularPoint(
-            p.location, p.poincare_rank,
-            tuple(quotient_matrix(a) for a in p.coeffs),
-        )
-
-    result = MatrixTuple(
-        new_size,
-        quotient_point(conv.infinity),
-        tuple(quotient_point(p) for p in conv.finite),
-    )
+        for k, row in changed.items():
+            rows[k] = row if any(row) else zero
+        return Mat.from_integers(rows, e * den, new_size)
 
     return MCOutcome(
-        result=result,
+        result=_with_coeffs(t, new_size, [quotient_matrix(*s) for s in layout]),
         dim_K=tuple(s.dim for s in per_point_K),
         dim_L=big_L.dim,
     )

@@ -119,10 +119,15 @@ class Mat:
     @staticmethod
     def from_integers(num: Iterable[Iterable[int]], den: int = 1, cols: int = 0) -> "Mat":
         """The matrix num / den for equal-length integer rows and den > 0,
-        normalised by one gcd; `cols` is the width when there are no rows."""
+        normalised by one gcd over the nonzero rows only; `cols` is the
+        width when there are no rows."""
         num = tuple(map(tuple, num))
-        if den != 1 and (g := gcd(den, *chain.from_iterable(num))) > 1:
-            num, den = tuple(tuple(map(g.__rfloordiv__, row)) for row in num), den // g
+        g = den
+        for row in filter(any, num):
+            if (g := gcd(g, *row)) == 1:
+                break
+        if g > 1:
+            num, den = tuple(tuple([x // g for x in r]) if any(r) else r for r in num), den // g
         m = object.__new__(Mat)
         m.num, m.den, m.rows, m.cols = num, den, len(num), len(num[0]) if num else cols
         return m

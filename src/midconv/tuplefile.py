@@ -23,8 +23,8 @@ one match, and a row that fails is read literal by literal for the error.
 One writer, `encode`, gives exactly json.dumps(sort_keys=True) of a
 payload, compact or indented by 2: the tuple files and the command line's
 `--format machine` objects.  It reads a MatrixTuple as its tuple document
-and a Mat straight from its integer rows, one quoted literal per distinct
-numerator and one join per row.
+and a Mat straight from its integer rows: one string per distinct row
+(indented rows from compact ones), joined once with the other pieces.
 """
 
 from __future__ import annotations
@@ -72,13 +72,12 @@ def format_rational(x: Fraction) -> str:
         raise _too_long() from e
 
 
-def _literals(m: Mat, quote: str = "") -> dict[int, str]:
-    """The canonical literal of each distinct numerator of m over m.den,
+def _literals(rows, d: int, quote: str = "") -> dict[int, str]:
+    """The canonical literal over d of each distinct numerator in rows,
     between `quote`s (see format_rational)."""
-    d = m.den
     try:
         return {x: f"{quote}{x // g}/{d // g}{quote}" if (g := gcd(x, d)) != d
-                else f"{quote}{x // d}{quote}" for x in set(chain.from_iterable(m.num))}
+                else f"{quote}{x // d}{quote}" for x in set(chain.from_iterable(rows))}
     except ValueError as e:
         raise _too_long() from e
 
@@ -86,7 +85,7 @@ def _literals(m: Mat, quote: str = "") -> dict[int, str]:
 def format_matrix(m: Mat) -> list[list[str]]:
     """The rows of m as canonical literals (see format_rational), each
     distinct numerator formatted once."""
-    lit = _literals(m)
+    lit = _literals(m.num, m.den)
     return [list(map(lit.__getitem__, row)) for row in m.num]
 
 
@@ -196,30 +195,46 @@ def encode(x, ind: str | None = None) -> str:
     None, else json.dumps(x, indent=2, sort_keys=True) indented from ind,
     without json's pure-Python encoder.  A MatrixTuple is encoded as its
     tuple document and a Mat as its rows of canonical literals, each
-    distinct numerator formatted once; the literals need no escaping."""
+    distinct row formatted once; the literals need no escaping."""
+    out: list[str] = []
+    _encode(x, ind, out.append)
+    return "".join(out)
+
+
+def _encode(x, ind: str | None, put) -> None:
     if isinstance(x, MatrixTuple):
         x = _to_doc(x, lambda m: m)
     if isinstance(x, str):
-        return _encode_str(x)
-    inner = None if ind is None else ind + "  "
+        return put(_encode_str(x))
     if isinstance(x, dict):
-        colon = ":" if ind is None else ": "
-        ends, items = "{}", [f"{_encode_str(k)}{colon}{encode(v, inner)}"
-                             for k, v in sorted(x.items())]
-    elif isinstance(x, (list, tuple)):
-        ends, items = "[]", [encode(v, inner) for v in x]
-    elif isinstance(x, Mat):
-        lit = _literals(x, '"')
-        sep = "," if ind is None else f",\n{inner}  "
-        row = "[{}]" if ind is None or not x.cols else f"[\n{inner}  {{}}\n{inner}]"
-        ends, items = "[]", [row.format(sep.join(map(lit.__getitem__, r))) for r in x.num]
+        ends, items = "{}", sorted(x.items())
+    elif isinstance(x, (list, tuple, Mat)):
+        ends, items = "[]", x.num if isinstance(x, Mat) else x
     else:
-        return json.dumps(x)
+        return put(json.dumps(x))
     if not items:
-        return ends
-    if ind is None:
-        return ends[0] + ",".join(items) + ends[1]
-    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{ind}{ends[1]}"
+        return put(ends)
+    inner = None if ind is None else ind + "  "
+    sep = "," if ind is None else f",\n{inner}"
+    put(ends[0] if ind is None else f"{ends[0]}\n{inner}")
+    if isinstance(x, Mat):  # one text per distinct row; no literal holds a comma
+        texts = dict.fromkeys(items)
+        lit = _literals(texts, x.den, '"')
+        wide = None if inner is None or not x.cols else f",\n{inner}  "
+        for r in texts:
+            s = ",".join(map(lit.__getitem__, r))
+            texts[r] = f"[{s}]" if not wide else f"[\n{inner}  {s.replace(',', wide)}\n{inner}]"
+        put(sep.join(map(texts.__getitem__, items)))
+    else:
+        colon = ":" if ind is None else ": "
+        for k, v in enumerate(items):
+            if k:
+                put(sep)
+            if isinstance(x, dict):
+                put(_encode_str(v[0]) + colon)
+                v = v[1]
+            _encode(v, inner, put)
+    put(ends[1] if ind is None else f"\n{ind}{ends[1]}")
 
 
 def dumps_tuple(t: MatrixTuple) -> str:

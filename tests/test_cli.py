@@ -10,6 +10,7 @@ import pytest
 import midconv
 from midconv import cli
 from midconv.cli import main
+from midconv.convolution import middle_convolution
 from midconv.errors import PreconditionError, ValidationError
 from midconv.exactla import Mat
 from midconv.model import (
@@ -111,6 +112,13 @@ def test_encode_matches_json_on_edge_payloads():
         "verdict": {"kind": "assumption_violated", "reason": "\u03bc \u2260 0 \u2014 \u00fcber \"q\"\n"},
         "tuple": support.rand_tuple(support.rng(75), 1, 0, [2], pool=(F(-1, 3), 0, 2)),
         "empty": [{}, [], ""], "flags": [True, False, None], "sizes": [0, -3, 10 ** 30],
+        # each distinct row is formatted once and reused
+        "repeated_rows": Mat([[1, F(1, 2)], [0, 0], [1, F(1, 2)], [0, 0], [F(-3, 4), 2]]),
+        "zero_rows": Mat.zeros(3, 2),
+        "one_row_repeated": Mat([[F(-2, 3), 5, 0, F(10, 3)]] * 4),
+        # band rows of rank-2 points: many zero rows and repeated rows
+        "mc_rank2": middle_convolution(support.rand_tuple(support.rng(76), 2, 2, [2, 2, 0]),
+                                       F(1, 3)).result,
     })
 
 
@@ -154,6 +162,9 @@ def test_overlong_written_entries_are_validation_errors():
     for m in (Mat([[10 ** 4400, 1]]), Mat([[F(1, 10 ** 4400), 0]]), Mat([[F(10 ** 4400, 3)]])):
         with pytest.raises(ValidationError, match="over 4300 digits"):
             format_matrix(m)
+        for ind in (None, ""):
+            with pytest.raises(ValidationError, match="over 4300 digits"):
+                encode(m, ind)
 
 
 def test_round_trip_file(tmp_path):

@@ -29,6 +29,16 @@ from support import check_invariance, predicted_size
 
 HYP = hypergeometric_example(1, F(1, 2), F(1, 3), 1)
 NU, GAMMA, ALPHA, K = F(1), F(1, 2), F(1, 3), F(1)
+# Poincare ranks 2 and 3, whose convolution matrices have several band
+# blocks (the benchmark's inputs have rank 1 everywhere); the leading
+# coefficients are singular, so K != 0 and at mu = 1/3 some pivots of
+# K + L(mu) fall on band rows
+_BAND_TUPLES = {
+    "finite-ranks-2-3": support.rand_tuple(support.rng(1), 2, 2, [1, 2, 3], pool=(-1, 0, 0, 1)),
+    "infinity-0-beside-rank-2": support.rand_tuple(support.rng(1), 2, 1, [0, 2],
+                                                   pool=(-1, 0, 0, 1)),
+    "infinity-rank-3": support.rand_tuple(support.rng(4), 2, 1, [3, 0], pool=(-1, 0, 0, 1)),
+}
 
 
 # ---------------------------------------------------------------------
@@ -55,13 +65,14 @@ def test_conv_matrices_single_slot():
 
 def test_conv_matrices_vs_definition_oracle():
     rng = support.rng(55)
-    for _ in range(6):
-        t = support.rand_tuple(rng, 2, 2, [1, 1, 0])
-        mu = support.rand_fraction(rng)
+    cases = [(support.rand_tuple(rng, 2, 2, [1, 1, 0]), support.rand_fraction(rng))
+             for _ in range(6)]
+    cases += [(t, mu) for t in _BAND_TUPLES.values() for mu in (F(0), F(1, 3), F(-5, 7))]
+    for t, mu in cases:
         conv = convolution_matrices(t, mu)
         oracle = support.convolution_oracle(t, mu)
         for (i, j) in t.slots():
-            assert conv.coeff(i, j) == oracle[(i, j)], (i, j)
+            assert conv.coeff(i, j) == oracle[(i, j)], (t.slot_count, mu, (i, j))
 
 
 def test_conv_matrices_mu_band():
@@ -383,16 +394,18 @@ _CONTRACT_TUPLES = {
     "rank2-infinity": support.rand_tuple(support.rng(82), 2, 2, [2, 1, 0]),
     # like the benchmark's convolve inputs: rank 1 at all three points
     "rank1-n8": support.rand_semisimple_tuple(support.rng(83), 8, 2, [1, 1, 1]),
+    **_BAND_TUPLES,
 }
 
 
 def test_mc_outcome_projection_contract():
     # the reference projection kills K + L(mu), projection * section is the
     # identity, and every result coefficient equals projection * conv_matrix
-    # * section; mu = 0 (where L(0) may differ from L'(0)) and mu != 0
+    # * section, the conv_matrix taken from the definition (the oracle);
+    # mu = 0 (where L(0) may differ from L'(0)) and mu != 0
     for name, t in _CONTRACT_TUPLES.items():
         for mu in (F(0), F(1, 3)):
-            conv = convolution_matrices(t, mu)
+            oracle = support.convolution_oracle(t, mu)
             _, big_k = subspace_K(t)
             w = big_k.sum(subspace_L(t, mu))
             out = middle_convolution(t, mu)
@@ -402,10 +415,30 @@ def test_mc_outcome_projection_contract():
             assert projection * section == Mat.identity(out.result.size)
             for (i, j) in t.slots():
                 assert (out.result.coeff(i, j)
-                        == projection * conv.coeff(i, j) * section), \
+                        == projection * oracle[(i, j)] * section), \
                     (name, mu, (i, j))
     assert any(subspace_L(t, 0) != subspace_Lprime(t, 0)
                for t in _CONTRACT_TUPLES.values())
+
+
+def test_mc_and_reduce_never_build_the_convolution_matrices(monkeypatch):
+    # quotient reads the nonzero rows of the convolution matrices itself:
+    # with convolution_matrices raising, middle_convolution and reduce
+    # (through reduce_step's own quotient call) give the same results
+    import midconv.convolution
+    from midconv.reduction import reduce
+
+    cases = [(t, mu) for t in _CONTRACT_TUPLES.values() for mu in (F(0), F(1, 3))]
+    reducible = support.forward_idx2_instances(99, want=4)
+    want = [middle_convolution(t, mu) for t, mu in cases], [reduce(t) for t in reducible]
+
+    def no_conv(*args):
+        raise AssertionError("convolution_matrices called")
+
+    monkeypatch.setattr(midconv.convolution, "convolution_matrices", no_conv)
+    assert [middle_convolution(t, mu) for t, mu in cases] == want[0]
+    assert [reduce(t) for t in reducible] == want[1]
+    assert any(s.steps for s in want[1])
 
 
 def test_mc_on_okubo_style_tuple_without_infinity_part():

@@ -115,6 +115,23 @@ def test_mat_equality_is_structural_after_normalisation():
     assert Mat.zeros(0, 3) != Mat.zeros(0, 2) and Mat.zeros(2, 0) != Mat.zeros(3, 0)
 
 
+def test_from_integers_divides_the_content_around_zero_rows():
+    # rows with content 6 between all-zero rows (one of them shared), over
+    # denominators that share 1, 2, 3, 6 or nothing with it: each equals the
+    # Mat of the same Fractions, so the content is found past the zero rows
+    # and the zero rows stay zero
+    zero = (0, 0, 0)
+    rows = [zero, [6, -12, 18], [0, 0, 0], zero, [0, 30, 0], zero]
+    for den in (1, 2, 3, 7, 12, 36, 6 * 10 ** 30):
+        m = Mat.from_integers(rows, den)
+        assert m == Mat([[F(x, den) for x in row] for row in rows]), den
+        assert [any(r) for r in m.num] == [any(r) for r in rows]
+    for den in (6, 8):
+        assert Mat.from_integers([zero] * 3, den) == Mat.zeros(3, 3)
+    assert Mat.from_integers([], 6, 3) == Mat.zeros(0, 3)
+    assert Mat.from_integers([[0, 4], [0, 0], [6, 0]], 4) == Mat([[0, 1], [0, 0], [F(3, 2), 0]])
+
+
 def test_block_of_zero_row_blocks_keeps_its_width():
     assert Mat.block([[Mat.zeros(0, 2), Mat.zeros(0, 3)]]).cols == 5
     stacked = Mat.block([[Mat.zeros(0, 2), Mat.zeros(0, 3)], [Mat.zeros(0, 2), Mat.zeros(0, 3)]])
