@@ -16,9 +16,11 @@ on the quotient.  G has few nonzero rows (`_nonzero_rows`), and
 the tests) lays G out as a dense nM x nM matrix.
 
 K is assembled canonically with no elimination of its own: each point's
-Toeplitz kernel comes out of `rref_nullspace` in reduced echelon form, and
-shifting those kernels to their consecutive slots and concatenating them in
-point order keeps that form (`subspace_K`).
+Toeplitz kernel comes out of `toeplitz_kernel` in reduced echelon form,
+one block row of n equations at a time, and shifting those kernels to
+their consecutive slots and concatenating them in point order keeps that
+form (`subspace_K`).  L'(mu) is the same kind of kernel at infinity, with
+the derived residue minus mu as the corner block.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import islice
 from math import lcm
 
 from .errors import PreconditionError
-from .exactla import Mat, Subspace, as_scalar, block_upper_toeplitz, rref_nullspace
+from .exactla import Mat, Subspace, as_scalar, rref_nullspace, toeplitz_kernel
 from .model import MatrixTuple, SingularPoint
 
 
@@ -119,7 +121,7 @@ def subspace_K(t: MatrixTuple) -> tuple[list[Subspace], Subspace]:
     offs = _slot_offsets(t)
     per_point: list[Subspace] = [Subspace.zero(nm)]
     for i, p in enumerate(t.finite, start=1):
-        _, ker = rref_nullspace(block_upper_toeplitz(list(p.coeffs)))
+        ker = toeplitz_kernel(p.coeffs)
         off = offs[(i, p.poincare_rank)]
         left, right = (0,) * off, (0,) * (nm - off - ker.ambient_dim)
         per_point.append(Subspace(
@@ -147,7 +149,7 @@ def subspace_Lprime(t: MatrixTuple, mu) -> Subspace:
     offs = _slot_offsets(t)
     cut = t.infinity.poincare_rank * n  # the infinity slots are 0..cut-1 of V'
     corner = t.residue_at_infinity() - Mat.diagonal([mu] * n)
-    _, ker = rref_nullspace(block_upper_toeplitz(list(t.infinity.coeffs) + [corner]))
+    ker = toeplitz_kernel(t.infinity.coeffs + (corner,))
     vecs, pivots = [], []
     for q, col in zip(ker.pivot_rows, ker.basis.num):
         if q >= cut and not t.finite:

@@ -7,13 +7,13 @@ structural, and products, sums and blocks are integer work with one gcd
 per matrix.  No floating point appears anywhere.  One elimination kernel,
 `_echelon`, runs a fraction-free (Bareiss) forward pass on integer rows,
 which keeps intermediate entries at determinant-minor size.  `rank` and
-`det` read its output directly, and `rref_nullspace` back-substitutes on
-it once per kernel vector.  `_rref` back-substitutes on its rows and
-returns them, not normalised, over one denominator: `inverse` and
-`Subspace.from_spanning` / `.sum` each normalise their result once.
-`_insert` reduces a vector against stored integer rows with the same
-primitive row step.  `Fraction`s are scalars only (`m[i, j]`,
-eigenvalues, determinants); every basis is a `Mat`.
+`det` read its output directly, and `_kernel` (behind `rref_nullspace` and
+`toeplitz_kernel`) back-substitutes on it once per kernel vector.  `_rref`
+back-substitutes on its rows and returns them, not normalised, over one
+denominator: `inverse` and `Subspace.from_spanning` / `.sum` each
+normalise their result once.  `_insert` reduces a vector against stored
+integer rows with the same primitive row step.  `Fraction`s are scalars
+only (`m[i, j]`, eigenvalues, determinants); every basis is a `Mat`.
 
 One loop, `spin`, grows a spin: the smallest subspace that holds a start
 set and is mapped into itself by some operators.  Norton's test
@@ -57,7 +57,7 @@ A `Subspace` is its reduced row echelon basis: the rows of the `Mat`
 so two subspaces are equal iff their fields are, and all downstream
 tie-breaking (quotient complements, canonical kernels) is deterministic.
 
-`rref_nullspace` builds that basis of a kernel from one forward
+`_kernel` builds that basis of a kernel from one forward
 elimination of the columns of m in reverse order.  A kernel vector is
 fixed by its free coordinates, so let v_f be the one that is 1 at the free
 column f and 0 at every other.  In the reversed columns, the echelon rows
@@ -70,6 +70,25 @@ r x r minor of the pivot rows and columns, so every division is exact (a
 remainder is an InternalError), and one `Mat.from_integers` normalises
 the vectors over |d|.  That costs dim ker * r^2 steps on top of the
 forward pass, against r^2 c for a full back-reduction.
+
+`toeplitz_kernel` finds the canonical kernel of the block upper-Toeplitz
+grid T_k of square n x n blocks c_0, ..., c_k without building it.  T_k =
+[[c_0, (c_1 ... c_k)], [0, T_{k-1}]] with T_{k-1} the grid of c_0, ...,
+c_{k-1}, so with Y the RREF basis of ker T_{k-1} (r rows), ker T_k is the
+image of the kernel of the n x (n + r) matrix [c_0 | (c_1 ... c_k) Y^T]
+under (x, c) -> (x, Y^T c), which is injective.  That map takes the RREF
+of the small kernel to the RREF of ker T_k, pivot p < n to p and pivot
+n + j to n + (Y's j-th pivot), with nothing re-eliminated: Y's row j is 1
+at its pivot q_j, 0 at every other pivot and left of q_j, so (Y^T c)[q_j]
+= c_j, and the leftmost nonzero of Y^T c for c that is 0 before j and 1
+at j is a 1 at q_j.  A vector with pivot p < n keeps it, and is 0 at each
+moved pivot n + q_j as its c_j is 0; one with pivot n + j has x = 0, a 1
+at n + q_j first, and 0 at every other moved pivot; the pivots stay in
+order as q_j increases with j.  The image is therefore the unique RREF.
+So each block row is one `_kernel` of n integer rows: the c_0 part scaled
+by e, Y's denominator, and the (c_1 ... c_k) Y^T part from Y's integer
+rows, all blocks over the lcm of their denominators.  If ker c_0 = 0,
+every ker T_k is 0 (by induction, a kernel vector's x solves c_0 x = 0).
 """
 
 from __future__ import annotations
@@ -142,8 +161,12 @@ class Mat:
 
     @staticmethod
     def diagonal(values: Sequence) -> "Mat":
-        n = len(values)
-        return Mat([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
+        """diag(values) for ints and Fractions, as integer rows over the
+        lcm of their denominators."""
+        n, den = len(values), lcm(*(v.denominator for v in values))
+        return Mat.from_integers(
+            [(0,) * i + (v.numerator * (den // v.denominator),) + (0,) * (n - 1 - i)
+             for i, v in enumerate(values)], den, n)
 
     @staticmethod
     def block(grid: Sequence[Sequence["Mat"]]) -> "Mat":
@@ -252,14 +275,6 @@ class Mat:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Mat[{self.rows}x{self.cols}: {body}]"
-
-
-def block_upper_toeplitz(coeffs: Sequence[Mat]) -> Mat:
-    """[[c0 c1 ... ck], [0 c0 ... c_{k-1}], ..., [0 ... 0 c0]] for square
-    blocks c0, ..., ck of one size."""
-    z = Mat.zeros(coeffs[0].rows, coeffs[0].rows)
-    k = len(coeffs)
-    return Mat.block([[coeffs[b - a] if b >= a else z for b in range(k)] for a in range(k)])
 
 
 # ---------------------------------------------------------------------
@@ -397,12 +412,12 @@ class Subspace:
         return Subspace(Mat.from_integers(r, den, self.ambient_dim), piv)
 
 
-def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
-    """Rank and canonical right nullspace of m, from one forward elimination
-    of the columns of m in reverse order and one back substitution per free
-    column (see the module docstring)."""
-    c = m.cols
-    ech, piv, _ = _echelon([row[::-1] for row in m.num], c)
+def _kernel(rows: Sequence[Sequence[int]], c: int) -> tuple[list[list[int]], int, list[int], int]:
+    """The canonical kernel of the integer rows of width c, from one forward
+    elimination of the columns in reverse order and one back substitution
+    per free column (module docstring): its RREF rows as integer vectors
+    over d, not yet normalised, then d, their pivots and the rank."""
+    ech, piv, _ = _echelon([row[::-1] for row in rows], c)
     d = abs(ech[-1][piv[-1]]) if piv else 1
     piv_set, free, vecs = set(piv), [], []
     # in reversed columns: x is |d| at the free column f, 0 at the other free
@@ -424,7 +439,42 @@ def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
             v[c - 1 - j] = xj
         vecs.append(v)
         free.append(c - 1 - f)
-    return len(piv), Subspace(Mat.from_integers(vecs, d, c), tuple(free))
+    return vecs, d, free, len(piv)
+
+
+def rref_nullspace(m: Mat) -> tuple[int, Subspace]:
+    """Rank and canonical right nullspace of m (see `_kernel`)."""
+    vecs, d, free, r = _kernel(m.num, m.cols)
+    return r, Subspace(Mat.from_integers(vecs, d, m.cols), tuple(free))
+
+
+def toeplitz_kernel(coeffs: Sequence[Mat]) -> Subspace:
+    """Canonical kernel of the block upper-Toeplitz grid [[c0 c1 ... ck],
+    [0 c0 ... c_{k-1}], ..., [0 ... 0 c0]] of square blocks c0, ..., ck of
+    one size n, one block row at a time: n rows and n + dim ker T_{k-1}
+    columns per block row, the grid never built (module docstring)."""
+    n = coeffs[0].rows
+    den = lcm(*(c.den for c in coeffs))
+    rows = [c.num if c.den == den else [[x * (den // c.den) for x in r] for r in c.num]
+            for c in coeffs]
+    vecs, d, piv, _ = _kernel(rows[0], n)
+    if not piv:  # ker c0 = 0, so every block of a kernel vector is 0
+        return Subspace.zero(n * len(coeffs))
+    ker = Mat.from_integers(vecs, d, n)
+    for k in range(1, len(coeffs)):
+        # ker is Y / e, the RREF basis of ker T_{k-1} on the columns of
+        # blocks 1..k; the unknowns are x and the coefficients on Y's rows
+        ys, e = ker.num, ker.den
+        tails = [list(chain.from_iterable(r[a] for r in rows[1:k + 1])) for a in range(n)]
+        vecs, d, free, _ = _kernel(
+            [[e * x for x in lead] + [sum(map(mul, tail, y)) for y in ys]
+             for lead, tail in zip(rows[0], tails)], n + len(ys))
+        cols = list(zip(*ys))
+        ker = Mat.from_integers(
+            [[e * x for x in v[:n]] + [sum(map(mul, v[n:], col)) for col in cols] for v in vecs],
+            e * d, n * (k + 1))
+        piv = [p if p < n else n + piv[p - n] for p in free]
+    return Subspace(ker, tuple(piv))
 
 
 class IncrementalSpan:

@@ -64,19 +64,18 @@ from .exactla import (
     IncrementalSpan,
     Mat,
     Subspace,
-    block_upper_toeplitz,
     conjugate_partition,
     cyclic_vector,
     det,
     inverse,
     is_semisimple,
     primary_components,
-    rank,
     rational_spectrum,
     reduce_mod_prime,
     rref_nullspace,
     spin,
     spin_dim,
+    toeplitz_kernel,
 )
 from .model import MatrixTuple, SpectralType, semisimple_eigenspaces, strip_trivial
 
@@ -106,8 +105,7 @@ def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
     unknown C_{m-s}, is ad A_{m-k+s} if k >= s ([[ad A_1, 0], [ad A_0,
     ad A_1]] at m = 1); reversed in block rows and columns, which keeps
     the nullity, the grid is block upper-Toeplitz."""
-    relations = block_upper_toeplitz([_sylvester(a, a) for a in coeffs])
-    return relations.cols - rank(relations)
+    return toeplitz_kernel([_sylvester(a, a) for a in coeffs]).dim
 
 
 def _commutant_dim(coeffs: list[Mat], primary: tuple | None = None) -> int:

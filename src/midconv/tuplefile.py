@@ -18,7 +18,8 @@ any tuple reproduces it exactly.
 
 A matrix is read and written straight as integer rows over one
 denominator (`Mat.num`, `Mat.den`); the literals of a row are checked by
-one match, and a row that fails is read literal by literal for the error.
+one match, each distinct row of a matrix once, and a row that fails is
+read literal by literal for the error.
 
 One writer, `encode`, gives exactly json.dumps(sort_keys=True) of a
 payload, compact or indented by 2: the tuple files and the command line's
@@ -93,19 +94,23 @@ def _rows_to_matrix(rows, n: int, where: str) -> Mat:
     if not isinstance(rows, list) or len(rows) != n:
         raise ValidationError(f"{where}: expected {n} matrix rows")
     out = []  # (integer row, its denominator)
+    seen = {}  # the text of each valid row read so far -> its entry of out
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise ValidationError(f"{where}: expected rows of length {n}")
         try:
             text = " ".join(row)
-            if not _ROW_RE.fullmatch(text) or text.count(" ") != n - 1:
-                raise ValueError
-            if "/" not in text:
-                out.append((list(map(int, row)), 1))
-                continue
-            pairs = [(int(p), int(q or 1)) for p, _, q in (x.partition("/") for x in row)]
-            d = lcm(*(q for _, q in pairs))
-            out.append(([p * (d // q) for p, q in pairs], d))
+            if (parsed := seen.get(text)) is None:
+                if not _ROW_RE.fullmatch(text) or text.count(" ") != n - 1:
+                    raise ValueError
+                if "/" not in text:
+                    parsed = list(map(int, row)), 1
+                else:
+                    pairs = [(int(p), int(q or 1)) for p, _, q in (x.partition("/") for x in row)]
+                    d = lcm(*(q for _, q in pairs))
+                    parsed = [p * (d // q) for p, q in pairs], d
+                seen[text] = parsed
+            out.append(parsed)
         except (TypeError, ValueError, ZeroDivisionError):
             for x in row:
                 parse_rational(x)  # raises for the first bad literal

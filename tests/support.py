@@ -240,6 +240,14 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat(out)
 
 
+def block_upper_toeplitz(coeffs) -> Mat:
+    """The grid [[c0 c1 ... ck], [0 c0 ... c_{k-1}], ..., [0 ... 0 c0]] of
+    square blocks c0, ..., ck of one size, assembled in full."""
+    z = Mat.zeros(coeffs[0].rows, coeffs[0].rows)
+    k = len(coeffs)
+    return Mat.block([[coeffs[b - a] if b >= a else z for b in range(k)] for a in range(k)])
+
+
 def centralizer_dim_dense(a: Mat) -> int:
     """dim{X : XA = AX} by direct entrywise assembly and naive rank."""
     n = a.rows

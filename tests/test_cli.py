@@ -223,6 +223,33 @@ def test_cli_mc_values(hyp_file, tmp_path, capsys):
     assert result.finite[0].coeffs[0] == Mat([[F(-1, 6)]])
 
 
+def test_cli_mc_output_file_reads_back_to_the_same_tuple(tmp_path, capsys):
+    # mc results repeat rows (zero rows, copied block rows), which are read
+    # once per matrix: the file must still give back every matrix
+    t = support.rand_tuple(support.rng(75), 3, 3, [1, 0, 1, 0], pool=(-1, 0, F(1, 2), 1))
+    src, out_path = tmp_path / "t.json", tmp_path / "mc.json"
+    write_tuple(src, t)
+    assert main(["mc", str(src), "--mu", "1/3", "-o", str(out_path)]) == 0
+    want = middle_convolution(t, F(1, 3)).result
+    mats = [a for p in (want.infinity, *want.finite) for a in p.coeffs]
+    assert any(len(set(a.num)) < a.rows for a in mats)
+    assert read_tuple(out_path) == want
+
+
+def test_repeated_rows_are_read_alike_and_a_bad_row_after_them_is_reported():
+    rows = [["1", "1/2", "0"], ["1", "1/2", "0"], ["0", "0", "-2/3"]]
+    a = loads_tuple(_one_matrix_doc(rows)).finite[0].coeffs[0]
+    assert a.data == tuple(tuple(F(x) for x in row) for row in rows)
+    where = "finite point 0, coefficient 0"
+    for bad, message in ((["1", "1/0", "0"], "zero denominator in rational literal: '1/0'"),
+                         (["1", "1/2", 0], "not a rational literal: 0"),
+                         (["1", "1/2"], f"{where}: expected rows of length 3"),
+                         ("1 1/2 0", f"{where}: expected rows of length 3")):
+        with pytest.raises(ValidationError) as got:
+            loads_tuple(_one_matrix_doc(rows[:2] + [bad]))
+        assert str(got.value) == message
+
+
 def test_cli_conv(hyp_file, capsys):
     assert main(["--format", "machine", "conv", hyp_file, "--mu", "1/3"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -171,9 +171,7 @@ def _lprime_re_eliminated(t, mu):
     n, m0 = t.size, t.infinity.poincare_rank
     nm, cut = n * t.slot_count, m0 * n
     blocks = list(t.infinity.coeffs) + [t.residue_at_infinity() - Mat.diagonal([mu] * n)]
-    z = Mat.zeros(n, n)
-    _, ker = rref_nullspace(Mat.block([[blocks[b - a] if b >= a else z for b in range(m0 + 1)]
-                                       for a in range(m0 + 1)]))
+    _, ker = rref_nullspace(support.block_upper_toeplitz(blocks))
     starts = [k * n for k, (i, j) in enumerate(t.slots()) if i and not j]
     vecs = []
     for col in ker.basis.data:
@@ -182,6 +180,39 @@ def _lprime_re_eliminated(t, mu):
             v[s:s + n] = [-x for x in col[cut:]]
         vecs.append(v)
     return Subspace.from_spanning(vecs, nm), ker.dim
+
+
+@pytest.mark.parametrize("name", list(_BAND_TUPLES))
+def test_toeplitz_kernels_eliminate_one_block_row_at_a_time(name, monkeypatch):
+    # each point's system [c0 ... ck] is eliminated as n rows over n columns,
+    # then over n + dim ker T_(j-1) columns for block row j (none after
+    # ker c0 = 0), never as its (k+1)n-square grid
+    from midconv import exactla
+
+    t, mu = _BAND_TUPLES[name], F(1, 3)
+    n = t.size
+
+    def widths_of(systems):
+        out = []
+        for cs in systems:
+            dims = [rref_nullspace(support.block_upper_toeplitz(cs[:j]))[1].dim
+                    for j in range(1, len(cs))]
+            out += [n] + ([n + d for d in dims] if dims and dims[0] else [])
+        return out
+
+    want_K = widths_of([list(p.coeffs) for p in t.finite])
+    corner = t.residue_at_infinity() - Mat.diagonal([mu] * n)
+    want_L = widths_of([list(t.infinity.coeffs) + [corner]])
+    assert max(len(p.coeffs) for p in (t.infinity, *t.finite)) >= 3
+    widths = []
+    echelon = exactla._echelon
+    monkeypatch.setattr(exactla, "_echelon",
+                        lambda rows, ncols: widths.append(ncols) or echelon(rows, ncols))
+    subspace_K(t)
+    assert widths == want_K
+    widths.clear()
+    subspace_Lprime(t, mu)
+    assert widths == want_L
 
 
 def test_Lprime_is_canonical_without_re_elimination():

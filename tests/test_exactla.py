@@ -24,6 +24,7 @@ from midconv.exactla import (
     rational_spectrum,
     reduce_mod_prime,
     rref_nullspace,
+    toeplitz_kernel,
 )
 import support
 
@@ -251,6 +252,79 @@ def test_nullspace_raises_on_an_inexact_back_substitution(monkeypatch):
     monkeypatch.setattr(exactla, "_echelon", lambda rows, ncols: ([[2, 0, 1], [0, 3, 1]], [0, 1], 1))
     with pytest.raises(InternalError, match="not exact"):
         rref_nullspace(Mat.zeros(2, 3))
+
+
+# ---------------------------------------------------------------------
+# toeplitz_kernel
+# ---------------------------------------------------------------------
+
+def _of_rank(rng, n: int, r: int, den) -> Mat:
+    """A random n x n matrix of rank r, with denominators drawn from den:
+    P D Q for unimodular P, Q and D with r nonzero diagonal entries."""
+    d = Mat.diagonal([F(rng.choice([-2, -1, 1, 3]), rng.choice(den)) if i < r else 0
+                      for i in range(n)])
+    p, q = support.unimodular(rng, n), support.unimodular(rng, n)
+    return p * d * q
+
+
+def _dense_toeplitz_kernel(coeffs) -> Subspace:
+    return rref_nullspace(support.block_upper_toeplitz(coeffs))[1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("blocks", range(1, 5))
+@pytest.mark.parametrize("lead", ["zero", "singular", "nonsingular"])
+def test_toeplitz_kernel_matches_the_assembled_grid(n, blocks, lead):
+    # every block over its own denominators (1, 2, 3, 6 and 5 mixed); the
+    # later blocks singular or not, zero now and then
+    rng = support.rng(100 * n + 10 * blocks + len(lead))
+    lead_rank = {"zero": 0, "singular": max(n - 1 - rng.randrange(2), 0), "nonsingular": n}[lead]
+    for _ in range(3):
+        coeffs = [_of_rank(rng, n, lead_rank, (1, 2, 3))]
+        coeffs += [_of_rank(rng, n, rng.randint(0, n), rng.choice([(1,), (2, 5), (3, 6)]))
+                   for _ in range(blocks - 1)]
+        ker = toeplitz_kernel(coeffs)
+        assert ker == _dense_toeplitz_kernel(coeffs)
+        assert ker.ambient_dim == n * blocks
+        if lead == "zero":  # c0 = 0: the first block is free
+            assert ker.pivot_rows[:n] == tuple(range(n))
+        if lead == "nonsingular":
+            assert ker == Subspace.zero(n * blocks)
+
+
+def test_toeplitz_kernel_returns_at_once_when_the_lead_is_nonsingular(monkeypatch):
+    from midconv import exactla
+
+    rest = [support.rand_matrix(support.rng(7), 3) for _ in range(3)]
+    singular = [Mat([[1, 1, 0], [1, 1, 0], [0, 0, 2]])] + rest
+    dense = [_dense_toeplitz_kernel(singular[:k]) for k in range(1, 5)]
+    widths = []
+    echelon = exactla._echelon
+    monkeypatch.setattr(exactla, "_echelon",
+                        lambda rows, ncols: widths.append(ncols) or echelon(rows, ncols))
+    lead = Mat([[1, F(1, 2), 0], [0, 2, 0], [1, 0, 3]])
+    assert toeplitz_kernel([lead] + rest) == Subspace.zero(12)
+    assert widths == [3]
+    widths.clear()
+    assert toeplitz_kernel(singular) == dense[-1]
+    # one block row at a time: n columns, then n + dim ker T_(k-1)
+    assert widths == [3] + [3 + ker.dim for ker in dense[:-1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(small_matrix(n, n), min_size=1, max_size=3)))
+def test_toeplitz_kernel_is_the_canonical_kernel_of_the_grid(coeffs):
+    assert toeplitz_kernel(coeffs) == _dense_toeplitz_kernel(coeffs)
+
+
+def test_diagonal_is_normalised_from_ints_and_fractions():
+    values = [F(1, 2), 3, F(-2, 3), 0]
+    d = Mat.diagonal(values)
+    assert d == Mat([[v if i == j else 0 for j in range(4)] for i, v in enumerate(values)])
+    assert (d.den, d.num[0]) == (6, (3, 0, 0, 0))
+    assert Mat.diagonal([F(2, 4), F(1, 2)]).den == 2
+    assert Mat.diagonal([]) == Mat.zeros(0, 0) and Mat.identity(3).num[2] == (0, 0, 1)
 
 
 @settings(max_examples=40, deadline=None)

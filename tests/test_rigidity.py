@@ -151,6 +151,33 @@ def test_primary_component_is_not_split_again(monkeypatch):
     assert sizes == [5]
 
 
+def test_toeplitz_commutant_dim_matches_the_dense_nullity():
+    # the Sylvester grid's nullity, solved one block row at a time, against
+    # one flat dense system: rank-1 points whose lead is primary but not
+    # scalar (nilpotent, a Jordan block at 1/2, J_2(1) + J_2(1) + (1)), and
+    # rank-2 points with singular, nilpotent and scalar leads
+    rng = support.rng(19)
+
+    def conj(a: Mat) -> Mat:
+        p = support.unimodular(rng, a.rows)
+        return p * a * inverse(p)
+
+    def rand(n: int) -> Mat:
+        return support.rand_matrix(rng, n).scaled(F(1, rng.choice([1, 2, 3])))
+
+    leads = [_jordan(3, 0), _jordan(3, F(1, 2)), build_L([2, 1], [0, 0]),
+             support.direct_sum(_jordan(2, 1), _jordan(2, 1), [[1]])]
+    points = [[conj(a), rand(a.rows)] for a in leads]
+    points += [[conj(_jordan(2, 0)), Mat.zeros(2, 2), rand(2)],
+               [conj(build_L([1, 1], [0, 1])), rand(2), rand(2)],
+               [Mat.diagonal([2, 2, 2]), conj(_jordan(3, 0)), rand(3)],
+               [rand(3), rand(3), rand(3)]]
+    for coeffs in points:
+        n = coeffs[0].rows
+        t = make_tuple(n, infinity_point(0, []), [finite_point(0, len(coeffs) - 1, coeffs)])
+        assert rigidity._toeplitz_commutant_dim(coeffs) == support.commutant_dim_dense(t, 1)
+
+
 def _jordan(size: int, lam) -> Mat:
     return build_L([1] * size, [lam] * size)
 
