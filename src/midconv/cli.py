@@ -100,17 +100,14 @@ def _fmt_matrix(rows: list[list[str]], indent="  ") -> list[str]:
 
 
 def _tuple_lines(t: model.MatrixTuple) -> list[str]:
-    """Human rendering of a MatrixTuple, read from its tuple document."""
-    doc = tuplefile.tuple_to_doc(t)
-    points = [doc["infinity"]] + doc["finite"]
-    slot_count = sum(len(p["coeffs"]) for p in points)
-    lines = [f"n = {doc['n']}, r = {len(doc['finite'])}, M = {slot_count}"]
-    for i, p in enumerate(points):
-        where = "infinity" if i == 0 else f"t = {p['t']}"
-        lines.append(f"point {i} ({where}), m = {p['m']}:")
-        for j in range(p["m"], 0 if i == 0 else -1, -1):
-            lines.append(f"  A_{j}:")
-            lines.extend(_fmt_matrix(p["coeffs"][str(j)], "    "))
+    """Human rendering of a MatrixTuple."""
+    lines = [f"n = {t.size}, r = {t.num_finite}, M = {t.slot_count}"]
+    for i, p in enumerate(t.points):
+        where = "infinity" if i == 0 else f"t = {tuplefile.format_rational(p.location)}"
+        lines.append(f"point {i} ({where}), m = {p.poincare_rank}:")
+        for k, a in enumerate(p.coeffs):
+            lines.append(f"  A_{p.poincare_rank - k}:")
+            lines.extend(_fmt_matrix(tuplefile.format_matrix(a), "    "))
     return lines
 
 
@@ -166,8 +163,7 @@ def _cmd_conv(args):
         "size": conv.size,
         "slots": [list(s) for s in slots],
         "matrices": [
-            {"slot": [i, j], "rows": conv.coeff(i, j)}
-            for (i, j) in slots
+            {"slot": [i, j], "rows": a} for (i, j), a in zip(slots, conv.slot_coeffs())
         ],
     }
 

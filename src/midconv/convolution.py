@@ -26,12 +26,11 @@ the derived residue minus mu as the corner block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import lcm
 
 from .errors import PreconditionError
 from .exactla import Mat, Subspace, as_scalar, rref_nullspace, toeplitz_kernel
-from .model import MatrixTuple, SingularPoint
+from .model import MatrixTuple
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,9 @@ def _nonzero_rows(t: MatrixTuple, mu):
     mu = as_scalar(mu)
     n = t.size
     offs = _slot_offsets(t)
-    dense = Mat.block([[t.coeff(i, j) for (i, j) in offs]])
+    dense = Mat.block([t.slot_coeffs()])
     den = lcm(dense.den, mu.denominator)
-    rows = dense.num if den == dense.den else [tuple([x * (den // dense.den) for x in row])
-                                               for row in dense.num]
+    rows = dense.num_over(den)
     nu = mu.numerator * (den // mu.denominator)
     blocks = {i: rows if i == 0 else [
         r[:c] + (r[c] + nu,) + r[c + 1:] for c, r in enumerate(rows, start=offs[(i, 0)])
@@ -73,16 +71,6 @@ def _nonzero_rows(t: MatrixTuple, mu):
                if nu else [])
               for (i, j), r0 in offs.items()]
     return den, nu, blocks, layout
-
-
-def _with_coeffs(t: MatrixTuple, size: int, mats: list[Mat]) -> MatrixTuple:
-    """The points of t with `mats`, in slot order, as coefficients."""
-    it = iter(mats)
-
-    def point(p: SingularPoint) -> SingularPoint:
-        return SingularPoint(p.location, p.poincare_rank, tuple(islice(it, len(p.coeffs))))
-
-    return MatrixTuple(size, point(t.infinity), tuple(map(point, t.finite)))
 
 
 def convolution_matrices(t: MatrixTuple, mu) -> MatrixTuple:
@@ -104,7 +92,7 @@ def convolution_matrices(t: MatrixTuple, mu) -> MatrixTuple:
         for r, c in band:
             rows[r] = zero[:c] + (nu,) + zero[c + 1:]
         mats.append(Mat.from_integers(rows, den, nm))
-    return _with_coeffs(t, nm, mats)
+    return t.with_slot_coeffs(mats, nm)
 
 
 def subspace_K(t: MatrixTuple) -> tuple[list[Subspace], Subspace]:
@@ -171,7 +159,7 @@ def subspace_L(t: MatrixTuple, mu) -> Subspace:
     mu = as_scalar(mu)
     if mu != 0:
         return subspace_Lprime(t, mu)
-    row = Mat.block([[t.coeff(i, j) for (i, j) in t.slots()]])
+    row = Mat.block([t.slot_coeffs()])
     _, ker = rref_nullspace(row)
     return ker
 
@@ -248,7 +236,7 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
         return Mat.from_integers(rows, e * den, new_size)
 
     return MCOutcome(
-        result=_with_coeffs(t, new_size, [quotient_matrix(*s) for s in layout]),
+        result=t.with_slot_coeffs([quotient_matrix(*s) for s in layout], new_size),
         dim_K=tuple(s.dim for s in per_point_K),
         dim_L=big_L.dim,
     )

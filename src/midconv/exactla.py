@@ -176,12 +176,18 @@ class Mat:
         for block_row in grid:
             if any(b.rows != block_row[0].rows for b in block_row):
                 raise ValueError("block heights differ within a row")
-            scaled = [b.num if b.den == den else [[x * (den // b.den) for x in r] for r in b.num]
-                      for b in block_row]
-            out_rows.extend(chain.from_iterable(rs) for rs in zip(*scaled))
+            out_rows.extend(chain.from_iterable(rs)
+                            for rs in zip(*(b.num_over(den) for b in block_row)))
         return Mat.from_integers(out_rows, den, sum(b.cols for b in grid[0]) if grid else 0)
 
     # -- access -------------------------------------------------------
+
+    def num_over(self, den: int) -> tuple[tuple[int, ...], ...]:
+        """The integer rows of self over den, a multiple of self.den."""
+        if den == self.den:
+            return self.num
+        k = den // self.den
+        return tuple(tuple([x * k for x in r]) for r in self.num)
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
@@ -455,8 +461,7 @@ def toeplitz_kernel(coeffs: Sequence[Mat]) -> Subspace:
     columns per block row, the grid never built (module docstring)."""
     n = coeffs[0].rows
     den = lcm(*(c.den for c in coeffs))
-    rows = [c.num if c.den == den else [[x * (den // c.den) for x in r] for r in c.num]
-            for c in coeffs]
+    rows = [c.num_over(den) for c in coeffs]
     vecs, d, piv, _ = _kernel(rows[0], n)
     if not piv:  # ker c0 = 0, so every block of a kernel vector is 0
         return Subspace.zero(n * len(coeffs))

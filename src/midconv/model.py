@@ -15,12 +15,18 @@ depends on their values, just on their distinctness.
 
 A MatrixTuple is checked by `validate` when it is built, so every tuple
 that exists is well formed and no operation re-checks its input.
+
+Slot order is decided by MatrixTuple alone: `points` lists infinity, then
+the finite points, `slots()` the slots (i, j) point by point in descending
+j, and every other module reads and writes coefficients in that order
+through `slot_coeffs()` and `with_slot_coeffs()`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .errors import PreconditionError, ValidationError
@@ -77,17 +83,20 @@ class MatrixTuple:
         return len(self.finite)
 
     @property
+    def points(self) -> tuple[SingularPoint, ...]:
+        """Infinity, then the finite points: points[i] is point i."""
+        return (self.infinity,) + self.finite
+
+    @property
     def slot_count(self) -> int:
         """M = r + sum of all Poincare ranks; the number of stored slots."""
-        return self.num_finite + self.infinity.poincare_rank + sum(
-            p.poincare_rank for p in self.finite
-        )
+        return sum(len(p.coeffs) for p in self.points)
 
     def point(self, i: int) -> SingularPoint:
         """Point i, with i = 0 the point at infinity and 1..r the finite ones."""
-        if i == 0:
-            return self.infinity
-        return self.finite[i - 1]
+        if not 0 <= i <= self.num_finite:
+            raise IndexError(f"no point {i}: the points are 0..{self.num_finite}")
+        return self.points[i]
 
     @property
     def num_points(self) -> int:
@@ -95,10 +104,22 @@ class MatrixTuple:
 
     def slots(self) -> list[tuple[int, int]]:
         """Slot order (0,m0),...,(0,1),(1,m1),...,(1,0),...,(r,0)."""
-        out = [(0, j) for j in range(self.infinity.poincare_rank, 0, -1)]
-        for i, p in enumerate(self.finite, start=1):
-            out.extend((i, j) for j in range(p.poincare_rank, -1, -1))
-        return out
+        return [(i, p.poincare_rank - k) for i, p in enumerate(self.points)
+                for k in range(len(p.coeffs))]
+
+    def slot_coeffs(self) -> list[Mat]:
+        """The stored coefficients in `slots()` order."""
+        return [a for p in self.points for a in p.coeffs]
+
+    def with_slot_coeffs(self, mats: Sequence[Mat], size: int) -> MatrixTuple:
+        """The same points, of matrix size `size`, carrying `mats`, in slot
+        order, as coefficients."""
+        if len(mats) != self.slot_count:
+            raise ValidationError(f"{len(mats)} coefficients for M = {self.slot_count} slots")
+        it = iter(mats)
+        inf, *fin = [SingularPoint(p.location, p.poincare_rank, tuple(islice(it, len(p.coeffs))))
+                     for p in self.points]
+        return MatrixTuple(size, inf, tuple(fin))
 
     def coeff(self, i: int, j: int) -> Mat:
         return self.point(i).coeff(j)
@@ -119,9 +140,9 @@ class MatrixTuple:
         return out
 
     def all_coeffs_with_residue(self) -> list[Mat]:
-        out = []
-        for i in range(self.num_points):
-            out.extend(self.point_coeffs_with_residue(i))
+        """The slot coefficients with the derived residue after infinity's."""
+        out = self.slot_coeffs()
+        out.insert(self.infinity.poincare_rank, self.residue_at_infinity())
         return out
 
 
@@ -166,8 +187,8 @@ def validate(t: MatrixTuple) -> None:
                 f"point {i}: expected {p.poincare_rank + 1} coefficients, "
                 f"got {len(p.coeffs)}"
             )
-    for i in range(t.num_points):
-        for a in t.point(i).coeffs:
+    for i, p in enumerate(t.points):
+        for a in p.coeffs:
             if a.rows != n or a.cols != n:
                 raise ValidationError(
                     f"point {i}: coefficient has shape {a.rows}x{a.cols}, "
@@ -193,21 +214,8 @@ def addition(t: MatrixTuple, shifts: Sequence) -> MatrixTuple:
             f"shift vector has length {len(vals)}, expected M = {t.slot_count}"
         )
     n = t.size
-    by_slot = dict(zip(t.slots(), vals))
-
-    def shifted(point: SingularPoint, i: int) -> SingularPoint:
-        new = []
-        for idx, a in enumerate(point.coeffs):
-            j = point.poincare_rank - idx
-            c = by_slot[(i, j)]
-            new.append(a + Mat.diagonal([c] * n) if c else a)
-        return SingularPoint(point.location, point.poincare_rank, tuple(new))
-
-    return MatrixTuple(
-        n,
-        shifted(t.infinity, 0),
-        tuple(shifted(p, i) for i, p in enumerate(t.finite, start=1)),
-    )
+    return t.with_slot_coeffs(
+        [a + Mat.diagonal([c] * n) if c else a for a, c in zip(t.slot_coeffs(), vals)], n)
 
 
 def pad_point(t: MatrixTuple, i: int) -> MatrixTuple:
@@ -219,13 +227,9 @@ def pad_point(t: MatrixTuple, i: int) -> MatrixTuple:
     p = t.point(i)
     if p.poincare_rank != 0:
         raise PreconditionError(f"point {i} already has Poincare rank {p.poincare_rank}")
-    z = Mat.zeros(t.size, t.size)
-    new = SingularPoint(p.location, 1, (z,) + p.coeffs)
-    if i == 0:
-        return MatrixTuple(t.size, new, t.finite)
-    fin = list(t.finite)
-    fin[i - 1] = new
-    return MatrixTuple(t.size, t.infinity, tuple(fin))
+    pts = list(t.points)
+    pts[i] = SingularPoint(p.location, 1, (Mat.zeros(t.size, t.size),) + p.coeffs)
+    return MatrixTuple(t.size, pts[0], tuple(pts[1:]))
 
 
 def strip_trivial(t: MatrixTuple) -> MatrixTuple:
@@ -240,28 +244,16 @@ def strip_trivial(t: MatrixTuple) -> MatrixTuple:
             m -= 1
         return SingularPoint(p.location, m, tuple(coeffs))
 
-    inf = lowered(t.infinity)
-    fin = []
-    for p in t.finite:
-        q = lowered(p)
-        if q.poincare_rank == 0 and q.coeffs[0].is_zero():
-            continue
-        fin.append(q)
-    return MatrixTuple(t.size, inf, tuple(fin))
+    inf, *fin = map(lowered, t.points)
+    return MatrixTuple(t.size, inf, tuple(
+        q for q in fin if q.poincare_rank > 0 or not q.coeffs[0].is_zero()))
 
 
 def removable_points(t: MatrixTuple) -> tuple[int, ...]:
     """Point indices whose stored coefficients are all scalar multiples of
     the identity; such points can be zeroed by addition and omitted."""
-    out = []
-    if t.infinity.poincare_rank >= 1 and all(
-        a.scalar_multiple_of_identity() is not None for a in t.infinity.coeffs
-    ):
-        out.append(0)
-    for i, p in enumerate(t.finite, start=1):
-        if all(a.scalar_multiple_of_identity() is not None for a in p.coeffs):
-            out.append(i)
-    return tuple(out)
+    return tuple(i for i, p in enumerate(t.points) if p.coeffs and all(
+        a.scalar_multiple_of_identity() is not None for a in p.coeffs))
 
 
 def remove_point(t: MatrixTuple, i: int) -> tuple[MatrixTuple, list[Fraction]]:
@@ -273,8 +265,8 @@ def remove_point(t: MatrixTuple, i: int) -> tuple[MatrixTuple, list[Fraction]]:
     """
     if i not in removable_points(t):
         raise PreconditionError(f"point {i} is not removable")
-    shift = [-t.coeff(pi, pj).scalar_multiple_of_identity() if pi == i else Fraction(0)
-             for (pi, pj) in t.slots()]
+    shift = [-a.scalar_multiple_of_identity() if pi == i else Fraction(0)
+             for (pi, _), a in zip(t.slots(), t.slot_coeffs())]
     return strip_trivial(addition(t, shift)), shift
 
 
@@ -452,6 +444,7 @@ def bessel_example(a11, a12, a21, a22) -> MatrixTuple:
     """Rank-two system with nilpotent leading coefficient at infinity;
     solutions are Bessel-type.  Irreducible iff a21 != 0 (checked by the
     irreducibility test, not here)."""
+    a11, a12, a21, a22 = map(as_scalar, (a11, a12, a21, a22))
     a1_inf = Mat([[0, -1], [0, 0]])
     a0 = Mat([[a11, a12], [a21, a22]])
     return make_tuple(

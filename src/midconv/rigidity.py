@@ -86,8 +86,8 @@ def _sylvester(a: Mat, b: Mat) -> Mat:
     over the lcm of the denominators of a and b."""
     n = a.rows
     den = lcm(a.den, b.den)
-    an = [[den // a.den * x for x in r] for r in a.num]
-    bt = [[-(den // b.den) * x for x in c] for c in zip(*b.num)]  # minus the columns of b
+    an = a.num_over(den)
+    bt = [[-x for x in c] for c in zip(*b.num_over(den))]  # minus the columns of b
     rows = []
     for i, ai in enumerate(an):
         for j, bj in enumerate(bt):
@@ -296,8 +296,8 @@ def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:
                               powers.den) * kinv
         res = [b * s - s * a for a, b in pairs]
         den = lcm(s.den, *(r.den for r in res))
-        cands.append([den // s.den * e for row in s.num for e in row])
-        cols.append([den // r.den * e for r in res for row in r.num for e in row])
+        cands.append([e for row in s.num_over(den) for e in row])
+        cols.append([e for r in res for row in r.num_over(den) for e in row])
     gram = [[sum(map(operator.mul, c, d)) for d in cols] for c in cols]
     _, ker = rref_nullspace(Mat.from_integers(gram))
     return Subspace.from_spanning(
@@ -338,14 +338,12 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     b = strip_trivial(b)
     if a.size != b.size:
         raise PreconditionError("tuples have different sizes")
-    skel_a = [(p.poincare_rank,) for p in [a.infinity] + list(a.finite)]
-    skel_b = [(p.poincare_rank,) for p in [b.infinity] + list(b.finite)]
-    if skel_a != skel_b:
+    if [p.poincare_rank for p in a.points] != [p.poincare_rank for p in b.points]:
         raise PreconditionError("tuples have different singularity skeletons")
     n = a.size
     if a == b:
         return Mat.identity(n)
-    space = _intertwiners([(a.coeff(i, j), b.coeff(i, j)) for (i, j) in a.slots()], n)
+    space = _intertwiners(list(zip(a.slot_coeffs(), b.slot_coeffs())), n)
     d = space.dim
     if d == 0:
         return None

@@ -112,6 +112,7 @@ def test_mat_equality_is_structural_after_normalisation():
     assert Mat.from_integers([[0, 0]], 9).den == 1 and (half - half).den == 1
     a = Mat([[F(1, 3), F(1, 6)], [F(5, 2), 0]])
     assert a.num == ((2, 1), (15, 0)) and a.den == 6
+    assert a.num_over(6) is a.num and a.num_over(18) == ((6, 3), (45, 0))
     assert a + a - a == a and a * 6 * F(1, 6) == a and (a * 6).den == 1
     assert Mat.zeros(0, 3) != Mat.zeros(0, 2) and Mat.zeros(2, 0) != Mat.zeros(3, 0)
 

@@ -59,6 +59,72 @@ def test_validate_wrong_coefficient_count():
 
 
 # ---------------------------------------------------------------------
+# slot order: points, slots, slot_coeffs, with_slot_coeffs
+# ---------------------------------------------------------------------
+
+# Poincare ranks [m0, m1, ..., mr]: infinity of rank 0-2, then 0-3 finite
+# points of rank 0-2, each with M >= 1
+SKELETONS = [[1], [2], [0, 0], [1, 0], [2, 1], [0, 2], [0, 0, 1], [1, 2, 0],
+             [2, 0, 0, 2], [0, 1, 0, 2], [1, 1, 1, 1]]
+
+
+def _skeleton_tuple(seed, ranks, scalar=()):
+    """A random 2x2 tuple with Poincare ranks `ranks` whose points listed in
+    `scalar` carry only scalar multiples of the identity."""
+    r = support.rng(seed)
+    mats = [[Mat.diagonal([F(r.choice((-1, 0, 2)))] * 2) if i in scalar
+             else support.rand_matrix(r, 2) for _ in range(m + (i > 0))]
+            for i, m in enumerate(ranks)]
+    return make_tuple(2, infinity_point(ranks[0], mats[0]), [
+        finite_point(i, m, c) for i, (m, c) in enumerate(zip(ranks[1:], mats[1:]), start=1)])
+
+
+@pytest.mark.parametrize("ranks", SKELETONS)
+def test_slot_order_members(ranks):
+    t = _skeleton_tuple(len(ranks), ranks)
+    assert t.slots() == [(0, j) for j in range(ranks[0], 0, -1)] + [
+        (i, j) for i, m in enumerate(ranks[1:], start=1) for j in range(m, -1, -1)]
+    assert [t.coeff(i, j) for (i, j) in t.slots()] == t.slot_coeffs()
+    assert len(t.slots()) == t.slot_count
+    assert t.with_slot_coeffs(t.slot_coeffs(), t.size) == t
+    ones = t.with_slot_coeffs([Mat.identity(3)] * t.slot_count, 3)
+    assert ones.size == 3 and ones.slot_coeffs() == [Mat.identity(3)] * t.slot_count
+    assert ones.slots() == t.slots()
+    for mats in (t.slot_coeffs()[1:], t.slot_coeffs() + [Mat.identity(2)]):
+        with pytest.raises(ValidationError, match="slots"):
+            t.with_slot_coeffs(mats, 2)
+    assert [p.poincare_rank for p in t.points] == ranks
+    assert all(t.points[i] is t.point(i) for i in range(t.num_points))
+    assert t.all_coeffs_with_residue() == [
+        a for i in range(t.num_points) for a in t.point_coeffs_with_residue(i)]
+    for i in (-1, t.num_points):
+        with pytest.raises(IndexError):
+            t.point(i)
+        with pytest.raises(IndexError):
+            spectral_type(t, i)
+
+
+@pytest.mark.parametrize("ranks", SKELETONS)
+def test_removable_points_brute_force(ranks):
+    for scalar in [(), range(0, len(ranks), 2), range(len(ranks))]:
+        t = _skeleton_tuple(7, ranks, set(scalar))
+        slots = t.slots()
+        not_scalar = {i for i, j in slots if t.coeff(i, j).scalar_multiple_of_identity() is None}
+        assert removable_points(t) == tuple(sorted({i for i, _ in slots} - not_scalar))
+
+
+@pytest.mark.parametrize("ranks", SKELETONS)
+def test_addition_per_slot(ranks):
+    t = _skeleton_tuple(3, ranks)
+    r = support.rng(len(ranks))
+    shift = [support.rand_fraction(r) for _ in range(t.slot_count)]
+    out = addition(t, shift)
+    assert [p.location for p in out.points] == [p.location for p in t.points]
+    for (i, j), s in zip(t.slots(), shift):
+        assert out.coeff(i, j) == t.coeff(i, j) + Mat.diagonal([s] * 2)
+
+
+# ---------------------------------------------------------------------
 # addition
 # ---------------------------------------------------------------------
 
@@ -364,6 +430,16 @@ def test_bessel_fixture():
     b = bessel_example(1, 0, 1, 1)
     assert b.infinity.coeffs[0] == Mat([[0, -1], [0, 0]])
     assert not is_semisimple(b.infinity.coeffs[0])
+
+
+@pytest.mark.parametrize("fixture, args", [
+    (hypergeometric_example, (1, F(1, 2), F(1, 3), 1)),
+    (bessel_example, (1, F(-2, 3), 1, 1)),
+    (inverse_laplace_example, (F(1, 2), 0, 1, -1)),
+])
+def test_fixtures_accept_rational_literals(fixture, args):
+    fracs = [F(x) for x in args]
+    assert fixture(*map(str, fracs)) == fixture(*fracs)
 
 
 def test_bessel_reducible_when_a21_zero():
