@@ -7,6 +7,7 @@ from .exactla import (
     Subspace,
     charpoly,
     is_semisimple,
+    jordan_data,
     jordan_partition,
     rational_spectrum,
     rref_nullspace,

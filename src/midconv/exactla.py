@@ -39,14 +39,22 @@ At a point that is not a root of q, dividing the sequence by the gcd
 changes no sign variation and leaves the Sturm chain of the square-free
 part, so distinct roots are counted with no square-free part computed.
 The chain is read at half-integers c + 1/2 (never roots of q), as the
-integers 2^deg(p) p((2c + 1)/2), and bisection stops at unit intervals,
-testing their one integer: irrational roots are never separated.  A is
-semisimple iff q / gcd(q, q') annihilates dA.
+integers 2^deg(p) p((2c + 1)/2): each member is stored once, highest
+coefficient first with the j-th times 2^j, so one Horner loop at 2c + 1
+per member counts the sign variations (`_variations`).  Bisection stops
+at unit intervals, testing their one integer: irrational roots are never
+separated.  A is semisimple iff q / gcd(q, q') annihilates dA.
+`rational_spectrum` keeps its answer on the `Mat`, in a slot that
+equality and hashing ignore: a `Mat` is immutable, so it never goes stale.
 
 `primary_components` is the one split by eigenvalue: for each rational
 lam one kernel chain (`_kernel_chain`), the kernels of (A - lam)^k until
 their dimensions stop growing, gives lam's Jordan partition and, as its
-last kernel, the generalized eigenspace; `jordan_partition` runs it too.
+last kernel, the generalized eigenspace.  `jordan_data` (every rational
+eigenvalue) and `jordan_partition` (one) need only the partitions, so
+they read each nullity from the rank of `_echelon`'s forward pass, with
+no back substitution and no `Subspace`; a simple eigenvalue is the block
+(1,) with no elimination at all.
 Further matrices B come back cut into their diagonal blocks in the basis
 P that concatenates the components' bases (rows of P^-1 times columns of
 B P); one component has P = I, so its blocks are the matrices themselves.
@@ -121,11 +129,13 @@ class Mat:
     """Immutable dense rational matrix: the integer rows `num` over the
     positive denominator `den`, normalised (see the module docstring)."""
 
-    __slots__ = ("rows", "cols", "num", "den")
+    # _spectrum: `rational_spectrum`'s answer once asked for, not part of the value
+    __slots__ = ("rows", "cols", "num", "den", "_spectrum")
 
     def __init__(self, data: Iterable[Iterable]):
         """From rows of ints and Fractions; as these are in lowest terms,
         the lcm of their denominators leaves the result normalised."""
+        self._spectrum = None
         rows = [list(row) for row in data]
         self.rows, self.cols = len(rows), len(rows[0]) if rows else 0
         if any(len(row) != self.cols for row in rows):
@@ -149,6 +159,7 @@ class Mat:
             num, den = tuple(tuple([x // g for x in r]) if any(r) else r for r in num), den // g
         m = object.__new__(Mat)
         m.num, m.den, m.rows, m.cols = num, den, len(num), len(num[0]) if num else cols
+        m._spectrum = None
         return m
 
     @staticmethod
@@ -695,13 +706,28 @@ def _sturm_chain(q: list[int]) -> list[list[int]]:
     return chain
 
 
-def _value(p: list[int], a: int, b: int = 1) -> int:
-    """b^deg(p) p(a/b) by homogeneous Horner; for b > 0, p(a/b)'s sign."""
-    acc, bk = 0, 1
+def _value(p: list[int], a: int) -> int:
+    """p(a) by Horner."""
+    acc = 0
     for c in reversed(p):
-        acc = acc * a + c * bk
-        bk *= b
+        acc = acc * a + c
     return acc
+
+
+def _variations(members: list[list[int]], a: int) -> int:
+    """Sign variations, zeros skipped, of the values 2^deg(p) p(a/2) of the
+    chain members p, each given highest coefficient first with the j-th
+    times 2^j, so that one Horner loop at a reads it."""
+    n, last = 0, 0
+    for p in members:
+        acc = 0
+        for c in p:
+            acc = acc * a + c
+        if acc:
+            if last and (acc > 0) != (last > 0):
+                n += 1
+            last = acc
+    return n
 
 
 def _integer_roots(chain: list[list[int]]) -> list[int]:
@@ -711,17 +737,15 @@ def _integer_roots(chain: list[list[int]]) -> list[int]:
     q = chain[0]
     if len(q) == 2:
         return [-q[0]]
-
-    def var_at(c: int) -> int:  # at c + 1/2, never a root of q
-        signs = [v > 0 for v in (_value(p, 2 * c + 1, 2) for p in chain) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
+    # read at c + 1/2, never a root of q, by `_variations` at 2c + 1
+    members = [[c << j for j, c in enumerate(reversed(p))] for p in chain]
     # Fujiwara: every root has |y| <= 2 max_k |q_(n-k)|^(1/k) < bound
     bound = 2 << max(-(-abs(c).bit_length() // k) for k, c in enumerate(reversed(q[:-1]), 1))
     # an interval (a, b) runs from a + 1/2 to b + 1/2; there the chain of a
     # q with repeated roots counts each distinct root once
     roots = []
-    stack = [(-bound - 1, var_at(-bound - 1), bound, var_at(bound))]
+    stack = [(-bound - 1, _variations(members, -2 * bound - 1), bound,
+              _variations(members, 2 * bound + 1))]
     while stack:
         a, va, b, vb = stack.pop()
         if va == vb:
@@ -731,7 +755,7 @@ def _integer_roots(chain: list[list[int]]) -> list[int]:
                 roots.append(b)
             continue
         mid = (a + b) // 2
-        vm = var_at(mid)
+        vm = _variations(members, 2 * mid + 1)
         stack.append((a, va, mid, vm))
         stack.append((mid, vm, b, vb))
     return sorted(roots)
@@ -755,14 +779,24 @@ def rational_spectrum(m: Mat) -> tuple[list[tuple[Fraction, int]], bool]:
 
     Returns (pairs, fully_rational) with pairs sorted by descending
     multiplicity, then ascending eigenvalue; fully_rational is True iff
-    the multiplicities sum to the matrix size.
+    the multiplicities sum to the matrix size.  The answer is kept on m,
+    so each matrix pays for one characteristic polynomial and one root
+    isolation; every call returns a new list.
     """
+    if m._spectrum is None:
+        m._spectrum = _rational_spectrum(m)
+    eigs, full = m._spectrum
+    return list(eigs), full
+
+
+def _rational_spectrum(m: Mat) -> tuple[tuple[tuple[Fraction, int], ...], bool]:
+    """`rational_spectrum`'s answer, computed."""
     n = m.rows
     if n and (c := m.scalar_multiple_of_identity()) is not None:
-        return [(c, n)], True
+        return ((c, n),), True
     d, q = _monic_integer_form(m)
     if n == 0:
-        return [], True
+        return (), True
     eigs = []
     for y in _integer_roots(_sturm_chain(q)):
         mult = 0
@@ -776,7 +810,7 @@ def rational_spectrum(m: Mat) -> tuple[list[tuple[Fraction, int]], bool]:
             q, mult = quo[::-1], mult + 1
         eigs.append((Fraction(y, d), mult))
     eigs.sort(key=lambda t: (-t[1], t[0]))
-    return eigs, sum(k for _, k in eigs) == n
+    return tuple(eigs), sum(k for _, k in eigs) == n
 
 
 def is_semisimple(m: Mat) -> bool:
@@ -796,18 +830,23 @@ def is_semisimple(m: Mat) -> bool:
     return acc.is_zero()
 
 
-def _kernel_chain(m: Mat, lam: Fraction, stop: int) -> tuple[tuple[int, ...], Subspace]:
+def _kernel_chain(m: Mat, lam: Fraction, stop: int, spaces: bool = True
+                  ) -> tuple[tuple[int, ...], Subspace | None]:
     """Jordan block sizes of lam, descending, from the nullities of
     (m-lam)^k for k = 1, 2, ... until they stop growing or reach `stop`,
     and the kernel of the last power (for stop = the multiplicity of lam:
-    the generalized eigenspace)."""
-    shifted = m - Mat.diagonal([lam] * m.rows)
-    power = shifted
-    nullities = [0]
+    the generalized eigenspace); without `spaces`, None for the kernel and
+    each nullity read from the rank, the forward pass only."""
+    n = m.rows
+    shifted = m - Mat.diagonal([lam] * n)
+    power, nullities, ker = shifted, [0], None
     while True:
-        _, ker = rref_nullspace(power)
-        nullities.append(ker.dim)
-        if ker.dim in (stop, nullities[-2]):
+        if spaces:
+            ker = rref_nullspace(power)[1]
+            nullities.append(ker.dim)
+        else:
+            nullities.append(n - len(_echelon(power.num, n)[1]))
+        if nullities[-1] in (stop, nullities[-2]):
             # blocks of size >= k: nullities[k] - nullities[k-1]
             return conjugate_partition([b - a for a, b in zip(nullities, nullities[1:])]), ker
         power = power * shifted
@@ -818,7 +857,20 @@ def jordan_partition(m: Mat, lam) -> tuple[int, ...]:
     not an eigenvalue.  Computed from the nullity sequence of (m-lam)^k."""
     if not m.is_square():
         raise ValueError("jordan partition of a non-square matrix")
-    return _kernel_chain(m, as_scalar(lam), m.rows)[0]
+    return _kernel_chain(m, as_scalar(lam), m.rows, spaces=False)[0]
+
+
+def jordan_data(m: Mat) -> tuple[list[tuple[Fraction, int, tuple[int, ...]]], bool]:
+    """(eigenvalue, multiplicity, Jordan partition) per rational eigenvalue
+    of m, in `rational_spectrum` order, and whether the spectrum is fully
+    rational: `primary_components` without the spaces.  A simple
+    eigenvalue is the block (1,) with no elimination; a repeated one reads
+    its partition from the ranks of the kernel chain."""
+    if not m.is_square():
+        raise ValueError("jordan data of a non-square matrix")
+    spec, full = rational_spectrum(m)
+    return [(lam, mult, (1,) if mult == 1 else _kernel_chain(m, lam, mult, spaces=False)[0])
+            for lam, mult in spec], full
 
 
 def conjugate_partition(p: Sequence[int]) -> tuple[int, ...]:

@@ -35,6 +35,7 @@ from .exactla import (
     as_scalar,
     conjugate_partition,
     is_semisimple,
+    jordan_data,
     primary_components,
 )
 
@@ -340,10 +341,10 @@ def format_pattern(pattern: Sequence[tuple[int, tuple[int, ...]]]) -> str:
 
 
 def _eigendata_of(block: Mat, where: str) -> tuple[EigenData, ...]:
-    comps = primary_components(block)
-    if comps and comps[-1][0] is None:
+    eigs, full = jordan_data(block)
+    if not full:
         raise PreconditionError(f"{where}: spectrum is not fully rational")
-    data = [EigenData(lam, space.dim, jordan) for lam, jordan, space, _ in comps]
+    data = [EigenData(*e) for e in eigs]
     data.sort(key=lambda e: (-e.geometric, -e.multiplicity, e.value))
     return tuple(data)
 
@@ -367,7 +368,10 @@ def semisimple_eigenspaces(a: Mat, not_semisimple: str, not_rational: str, *mats
 def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
     """Multiplicity pattern of point i (0 = infinity, using the derived
     residue there).  Requires Poincare rank at most 1, a semisimple leading
-    coefficient and fully rational spectra."""
+    coefficient and fully rational spectra.  A scalar lead c I (the zero
+    lead of a rank-0 or padded point too) is one block (c, n) holding the
+    whole residue: what `semisimple_eigenspaces` returns for it, with no
+    split computed."""
     p = t.point(i)
     if p.poincare_rank > 1:
         raise PreconditionError(
@@ -375,14 +379,14 @@ def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
             f"got {p.poincare_rank}"
         )
     n = t.size
-    pair = t.point_coeffs_with_residue(i)
-    if p.poincare_rank == 1:
-        a1, a0 = pair[0], pair[1]
+    *lead, a0 = t.point_coeffs_with_residue(i)
+    c = lead[0].scalar_multiple_of_identity() if lead else Fraction(0)
+    if c is not None:
+        eig = [(c, n, (a0,))]
     else:
-        a1, a0 = Mat.zeros(n, n), pair[0]
-    eig = semisimple_eigenspaces(
-        a1, f"point {i}: leading coefficient is not semisimple",
-        f"point {i}: leading coefficient spectrum is not fully rational", a0)
+        eig = semisimple_eigenspaces(
+            lead[0], f"point {i}: leading coefficient is not semisimple",
+            f"point {i}: leading coefficient spectrum is not fully rational", a0)
     blocks = [SpectralBlock(d, mult, _eigendata_of(sub, f"point {i}, block at {d}"))
               for d, mult, (sub,) in eig]
     blocks.sort(

@@ -7,9 +7,13 @@ dimensions are exact; the closed formula in terms of multiplicity
 patterns is only a cross-check, as it assumes semisimplicity.
 
 One recursion on [A_m, ..., A_0] computes them.  A scalar A_m drops out:
-n^2 plus the dimension for [A_{m-1}, ..., A_0].  A single matrix with a
-cyclic vector (`cyclic_vector`) has Z(A) = Q[A], of dimension n
-(Gantmacher, The Theory of Matrices I, Ch. VIII).  For m <= 1 a leading
+n^2 plus the dimension for [A_{m-1}, ..., A_0].  A lead A_m with a cyclic
+vector v (`cyclic_vector`) gives dimension n (m + 1): the relations say
+that C(z) commutes with A(z) = A_m + A_{m-1} z + ... + A_0 z^m over the
+local ring R = Q[z]/z^(m+1), the Krylov matrix of A(z) at v is invertible
+over R as it is K(A_m, v) mod z (Nakayama), so v is cyclic for A(z) and
+the centralizer is R[A(z)], free of rank n over R (for m = 0, Z(A) = Q[A];
+Gantmacher, The Theory of Matrices I, Ch. VIII).  For m <= 1 a leading
 coefficient with several primary components makes it a sum over them: the
 recursion runs on each component's diagonal blocks of the coefficients
 (`primary_components`) with the component's eigenvalue and Jordan
@@ -117,8 +121,8 @@ def _commutant_dim(coeffs: list[Mat], primary: tuple | None = None) -> int:
     lead = coeffs[0]
     if lead.scalar_multiple_of_identity() is not None:
         return lead.rows ** 2 + _commutant_dim(coeffs[1:])
-    if len(coeffs) == 1 and cyclic_vector(lead):  # Z(A) = Q[A]
-        return lead.rows
+    if cyclic_vector(lead):  # the centralizer is R[A(z)], free of rank n over R
+        return lead.rows * len(coeffs)
     if len(coeffs) <= 2 and primary is None:
         comps = primary_components(lead, *coeffs)
         if len(comps) > 1:  # each block's leading coefficient is primary

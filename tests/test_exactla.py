@@ -18,6 +18,7 @@ from midconv.exactla import (
     det,
     inverse,
     is_semisimple,
+    jordan_data,
     jordan_partition,
     primary_components,
     rank,
@@ -543,6 +544,111 @@ def test_primary_components_with_residual():
 
 
 # ---------------------------------------------------------------------
+# jordan_data and the spectrum kept on a matrix
+# ---------------------------------------------------------------------
+
+def _jordan_block(lam, k):
+    return [[lam if i == j else int(j == i + 1) for j in range(k)] for i in range(k)]
+
+
+def _jordan_kind(rng, kind):
+    """A matrix of the given kind; the block sums are conjugated by a
+    unimodular matrix."""
+    if kind == "1x1":
+        return Mat([[F(rng.randint(-3, 3), rng.choice([1, 2]))]])
+    if kind == "scalar":
+        return Mat.diagonal([F(rng.randint(-3, 3), 2)] * rng.randint(1, 5))
+    if kind == "random":
+        return support.rand_matrix(rng, rng.randint(1, 5))
+    lam = rng.randint(-2, 2)
+    if kind == "nilpotent":
+        blocks = [_jordan_block(0, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    elif kind == "derogatory":  # blocks of mixed sizes at lam, next to another eigenvalue
+        blocks = [_jordan_block(lam, k) for k in rng.sample([3, 2, 1, 1], rng.randint(2, 4))]
+        blocks.append(_jordan_block(lam + rng.choice([-1, 1]), rng.randint(1, 2)))
+    else:  # "irrational": +- sqrt 2 next to a rational Jordan block
+        blocks = [[[0, 2], [1, 0]], _jordan_block(lam, rng.randint(1, 2))]
+    d = support.direct_sum(*blocks)
+    p = support.unimodular(rng, d.rows)
+    return p * d * inverse(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["1x1", "scalar", "random", "nilpotent", "derogatory", "irrational"]))
+def test_jordan_data_is_primary_components_without_the_spaces(seed, kind):
+    m = _jordan_kind(support.rng(seed), kind)
+    comps = primary_components(Mat.from_integers(m.num, m.den))  # its own spectrum
+    data, full = jordan_data(m)
+    assert data == [(lam, space.dim, part) for lam, part, space, _ in comps if lam is not None]
+    assert full == all(lam is not None for lam, *_ in comps)
+    for lam, mult, part in data:
+        assert sum(part) == mult and part == jordan_partition(m, lam)
+
+
+@pytest.mark.parametrize("m, expected", [
+    (support.direct_sum(_jordan_block(0, 3), _jordan_block(0, 1)), [(F(0), 4, (3, 1))]),
+    (Mat.diagonal([F(1, 2)] * 3), [(F(1, 2), 3, (1, 1, 1))]),
+    (Mat([[F(-7, 3)]]), [(F(-7, 3), 1, (1,))]),
+    (support.direct_sum(_jordan_block(2, 2), _jordan_block(2, 1), [[-1]]),
+     [(F(2), 3, (2, 1)), (F(-1), 1, (1,))]),
+    (Mat([[0, 2, 0], [1, 0, 0], [0, 0, 5]]), [(F(5), 1, (1,))]),
+    (Mat([[0, -1], [1, 0]]), []),
+    (Mat.zeros(0, 0), []),
+], ids=["nilpotent", "scalar", "1x1", "derogatory", "irrational-residual", "rotation", "empty"])
+def test_jordan_data_cases(m, expected):
+    assert jordan_data(m) == (expected, sum(mult for _, mult, _ in expected) == m.rows)
+
+
+def test_jordan_data_eliminates_only_for_repeated_eigenvalues(monkeypatch):
+    from midconv import exactla
+
+    def no_kernel(*args):
+        raise AssertionError("jordan_data back-substitutes")
+
+    p = support.unimodular(support.rng(5), 4)
+    simple = p * Mat.diagonal([1, 2, 3, F(1, 2)]) * inverse(p)
+    repeated = p * support.direct_sum(_jordan_block(1, 2), [[3]], [[5]]) * inverse(p)
+    calls = []
+    real = exactla._echelon
+    monkeypatch.setattr(exactla, "_echelon", lambda rows, c: calls.append(c) or real(rows, c))
+    monkeypatch.setattr(exactla, "_kernel", no_kernel)
+    assert jordan_data(simple)[0] == [
+        (F(1, 2), 1, (1,)), (F(1), 1, (1,)), (F(2), 1, (1,)), (F(3), 1, (1,))]
+    assert calls == []
+    # (2,) at 1: the ranks of (m - 1) and (m - 1)^2, nothing for 3 and 5
+    assert jordan_data(repeated)[0] == [(F(1), 2, (2,)), (F(3), 1, (1,)), (F(5), 1, (1,))]
+    assert calls == [4, 4]
+    with pytest.raises(ValueError):
+        jordan_data(Mat.zeros(2, 3))
+
+
+def test_rational_spectrum_is_taken_once_per_matrix(monkeypatch):
+    from midconv import exactla
+
+    calls = []
+    real = exactla.charpoly
+    monkeypatch.setattr(exactla, "charpoly", lambda m: calls.append(m) or real(m))
+    m = Mat([[2, 1, 0], [0, 2, 0], [0, 0, F(-1, 3)]])
+    twin = Mat(m.data)
+    before = hash(m)
+    expected = ([(F(2), 2), (F(-1, 3), 1)], True)
+    spec, _ = rational_spectrum(m)
+    assert (spec, _) == expected
+    spec.append((F(9), 1))
+    spec[0] = (F(0), 5)
+    assert rational_spectrum(m) == expected
+    assert primary_components(m)[0][:2] == (F(2), (2,))
+    assert len(calls) == 1
+    # the kept answer is no part of the value
+    assert hash(m) == before == hash(twin) and m == twin and twin == m
+    # an equal matrix and a derived one each take their own
+    assert rational_spectrum(twin) == expected and len(calls) == 2
+    assert rational_spectrum(m.scaled(2)) == ([(F(4), 2), (F(-2, 3), 1)], True)
+    assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------
 # misc: rank/det/inverse/polynomials
 # ---------------------------------------------------------------------
 
@@ -713,10 +819,31 @@ def test_integer_root_isolation_stress(monkeypatch):
     # instead of separating them
     chain = _sturm_chain([-2, 400, -20000, 0, 1])
     calls = []
-    real = exactla._value
-    monkeypatch.setattr(exactla, "_value", lambda *a: calls.append(a) or real(*a))
+    real = exactla._variations
+    monkeypatch.setattr(exactla, "_variations", lambda *a: calls.append(a) or real(*a))
     assert _integer_roots(chain) == []
-    assert len(calls) < 200
+    # each call reads every member of the chain: at most 200 member values
+    assert calls and len(calls) * len(chain) < 200
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=6),
+       st.sampled_from([[1], [-2, 0, 1], [1, 0, 1], [0, 0, -2, 0, 1]]),
+       st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=4))
+def test_sign_variations_match_the_chain_read_in_fractions(roots, other, points):
+    # integer roots times 1, y^2 - 2, y^2 + 1 or y^2 (y^2 - 2)
+    from midconv.exactla import _integer_roots, _sturm_chain, _variations
+
+    p = other
+    for r0 in roots:
+        p = _poly_times(p, [-r0, 1])
+    chain = _sturm_chain(p)
+    members = [[c << j for j, c in enumerate(reversed(m))] for m in chain]
+    for c in points:
+        x = F(2 * c + 1, 2)
+        signs = [v > 0 for v in (sum(a * x ** k for k, a in enumerate(m)) for m in chain) if v]
+        assert _variations(members, 2 * c + 1) == sum(a != b for a, b in zip(signs, signs[1:]))
+    assert _integer_roots(chain) == sorted(set(roots) | ({0} if len(other) == 5 else set()))
 
 
 def test_rank_matches_naive_on_rank_deficient():

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midconv.errors import PreconditionError, ValidationError
-from midconv.exactla import Mat, inverse, is_semisimple, jordan_partition
+from midconv.exactla import Mat, inverse, is_semisimple, jordan_partition, primary_components
 from midconv.model import (
+    EigenData,
     MatrixTuple,
     SingularPoint,
+    SpectralBlock,
+    SpectralType,
     addition,
     bessel_example,
     build_L,
@@ -22,6 +25,7 @@ from midconv.model import (
     pad_point,
     removable_points,
     remove_point,
+    semisimple_eigenspaces,
     spectral_type,
     strip_trivial,
     validate,
@@ -318,7 +322,8 @@ def test_spectral_type_one_charpoly_of_the_leading_coefficient(monkeypatch):
     real = midconv.exactla.charpoly
     monkeypatch.setattr(midconv.exactla, "charpoly",
                         lambda m: calls.append(m.rows) or real(m))
-    st0 = spectral_type(HYP, 0)
+    # a new copy of HYP: a matrix keeps its spectrum once taken
+    st0 = spectral_type(hypergeometric_example(1, F(1, 2), F(1, 3), 1), 0)
     # one for the leading coefficient; the residue's diagonal blocks are
     # 1 x 1, so scalar, and their spectra need no characteristic polynomial
     assert [b.size for b in st0.blocks] == [1, 1]
@@ -331,6 +336,61 @@ def test_spectral_type_one_charpoly_of_the_leading_coefficient(monkeypatch):
     )
     assert sorted(b.size for b in spectral_type(t, 0).blocks) == [1, 2]
     assert calls == [3, 2]
+
+
+def _split_route(t, i):
+    """spectral_type(t, i) as computed before a scalar lead was kept whole:
+    every lead, the zero lead of a rank-0 point too, split by
+    `semisimple_eigenspaces`, and every block by `primary_components`."""
+    *lead, a0 = t.point_coeffs_with_residue(i)
+    a1 = lead[0] if lead else Mat.zeros(t.size, t.size)
+    blocks = []
+    for d, mult, (sub,) in semisimple_eigenspaces(a1, "not semisimple", "not rational", a0):
+        inner = sorted((EigenData(lam, space.dim, part)
+                        for lam, part, space, _ in primary_components(sub)),
+                       key=lambda e: (-e.geometric, -e.multiplicity, e.value))
+        blocks.append(SpectralBlock(d, mult, tuple(inner)))
+    blocks.sort(key=lambda b: (-b.size, tuple(-q for q in b.parts()), b.eigenvalue))
+    return SpectralType(t.size, tuple(blocks))
+
+
+def _rational_residue(r, n):
+    """P J P^-1 for a unimodular P and Jordan blocks J at eigenvalues in -1..2."""
+    rows, off = [[F(0)] * n for _ in range(n)], 0
+    while off < n:
+        k, lam = r.randint(1, n - off), F(r.randint(-1, 2), r.choice([1, 2]))
+        for a in range(off, off + k):
+            rows[a][a] = lam
+            if a + 1 < off + k:
+                rows[a][a + 1] = F(1)
+        off += k
+    p = support.unimodular(r, n)
+    return p * Mat(rows) * inverse(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=4),
+       st.sampled_from(["rank 0", "padded", "scalar lead", "rank-0 infinity"]))
+def test_spectral_type_keeps_a_scalar_lead_whole(seed, n, kind):
+    import midconv.model
+
+    r = support.rng(seed)
+    res = _rational_residue(r, n)
+    c = F(r.randint(-2, 2), r.choice([1, 3]))
+    if kind == "rank-0 infinity":
+        q = _rational_residue(r, n)  # the residue at infinity is -q
+        t, i = make_tuple(n, infinity_point(0, []), [finite_point(0, 0, [res]),
+                                                     finite_point(1, 0, [q - res])]), 0
+    else:
+        lead = [Mat.diagonal([c] * n), res] if kind == "scalar lead" else [res]
+        t, i = make_tuple(n, infinity_point(1, [_rational_residue(r, n)]),
+                          [finite_point(0, len(lead) - 1, lead)]), 1
+        t = pad_point(t, 1) if kind == "padded" else t
+    expected = _split_route(t, i)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(midconv.model, "semisimple_eigenspaces", None)  # no split is computed
+        assert spectral_type(t, i) == expected
+    assert len(expected.blocks) == 1 and expected.blocks[0].size == n
 
 
 def test_spectral_type_rejects_rank_two():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from midconv.errors import PreconditionError
 from midconv import exactla, rigidity
@@ -178,6 +179,67 @@ def test_toeplitz_commutant_dim_matches_the_dense_nullity():
         assert rigidity._toeplitz_commutant_dim(coeffs) == support.commutant_dim_dense(t, 1)
 
 
+def _cyclic_point(rng, n: int, rank: int) -> list[Mat]:
+    """[A_m, ..., A_0] for m = rank with a lead that has a cyclic vector
+    (`cyclic_vector` finds it): a conjugated companion matrix or Jordan
+    block, or a random matrix; the lower coefficients random."""
+    def rand() -> Mat:
+        return support.rand_matrix(rng, n).scaled(F(1, rng.choice([1, 2, 3])))
+
+    while True:
+        kind = rng.choice(["companion", "jordan", "random"])
+        if kind == "random":
+            lead = rand()
+        else:
+            a = _companion(*(rng.randint(-2, 2) for _ in range(n))) if kind == "companion" \
+                else _jordan(n, F(rng.randint(-2, 2), 2))
+            p = support.unimodular(rng, n)
+            lead = p * a * inverse(p)
+        if n == 1 or (lead.scalar_multiple_of_identity() is None and cyclic_vector(lead)):
+            return [lead] + [rand() for _ in range(rank)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_cyclic_lead_gives_n_times_m_plus_one(n, rank, monkeypatch):
+    # the centralizer of A(z) over Q[z]/z^(m+1) is free of rank n when A_m
+    # is cyclic (rigidity module docstring); no Sylvester system is built
+    rng = support.rng(100 * n + rank)
+    calls = _counting_sylvester(monkeypatch)
+    for k in range(2):
+        coeffs = _cyclic_point(rng, n, rank)
+        t = make_tuple(n, infinity_point(0, []), [finite_point(0, rank, coeffs)])
+        assert commutant_dim(t, 1) == n * (rank + 1)
+        assert calls == []
+        assert rigidity._toeplitz_commutant_dim(coeffs) == n * (rank + 1)
+        calls.clear()
+        if k == 0 and (rank + 1) * n * n <= 75:  # the flat dense system stays small
+            assert support.commutant_dim_dense(t, 1) == n * (rank + 1)
+
+
+def test_index_of_a_rank_two_point_with_a_cyclic_lead_builds_no_grid(monkeypatch):
+    # every lead is cyclic, so no point builds a Sylvester system; the rank-2
+    # point at infinity once took a 192-column Toeplitz grid
+    t = support.rand_tuple(support.rng(8), 8, 2, [2, 0, 0])
+    calls = _counting_sylvester(monkeypatch)
+    report = index(t)
+    assert (report.commutant_dims, report.index) == ((24, 8, 8), -152)
+    assert calls == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=3), st.booleans())
+def test_commutant_dim_is_invariant_under_conjugation(seed, n, rank, cyclic):
+    rng = support.rng(seed)
+    coeffs = _cyclic_point(rng, n, rank) if cyclic else \
+        [support.rand_matrix(rng, n, (-1, 0, 0, 1)) for _ in range(rank + 1)]
+    t = make_tuple(n, infinity_point(0, []), [finite_point(0, rank, coeffs)])
+    u = support.conjugated(t, support.unimodular(rng, n))
+    assert commutant_dim(u, 1) == commutant_dim(t, 1)
+    assert commutant_dim(u, 0) == commutant_dim(t, 0)
+
+
 def _jordan(size: int, lam) -> Mat:
     return build_L([1] * size, [lam] * size)
 
@@ -231,8 +293,9 @@ def test_cyclic_vector_takes_all_ones_when_e1_fails(monkeypatch):
 
 
 def test_jordan_data_come_from_the_primary_split_without_a_rank(monkeypatch):
-    # Frobenius's centralizer and a spectral type with a Jordan block read
-    # the partitions of `primary_components`; no separate rank chain runs
+    # Frobenius's centralizer reads the partitions of `primary_components`,
+    # and a spectral type's inner blocks those of `jordan_data`, whose
+    # forward passes are no `rank` call
     def no_rank(m):
         raise AssertionError("rank called")
 
