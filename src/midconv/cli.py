@@ -379,12 +379,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         build, render = _DISPATCH[args.command]
         payload = build(args)
-        # formatted before anything is written: a too-long entry writes no file
-        lines = ([tuplefile.encode(payload)] if args.format == "machine"
+        # formatted before anything is written: a too-long entry writes no file;
+        # the -o file reuses the row texts of the machine line
+        texts = {}
+        lines = ([tuplefile.encode(payload, texts=texts)] if args.format == "machine"
                  else render(payload, args))
         output = getattr(args, "output", None)
         if output:
-            tuplefile.write_tuple(output, payload[_WRITTEN[args.command]])
+            tuplefile.write_tuple(output, payload[_WRITTEN[args.command]], texts)
             if args.format == "human":
                 lines.append(f"wrote {output}")
     except _UsageError as e:

@@ -65,6 +65,15 @@ A `Subspace` is its reduced row echelon basis: the rows of the `Mat`
 so two subspaces are equal iff their fields are, and all downstream
 tie-breaking (quotient complements, canonical kernels) is deterministic.
 
+`Subspace.sum` keeps the left summand's echelon rows.  The right summand's
+rows are reduced at the left pivots by `_eliminate` (a left row is 0 at
+every other left pivot, so the order does not matter), `_rref` of the
+nonzero remainders gives the new rows, which are 0 at every left pivot,
+and each left row is cleared at the new pivots.  A left row is nonzero at
+a new pivot only right of its own pivot, so it stays 0 left of it, and the
+rows merged by pivot over one denominator are the canonical RREF of the
+sum: K + L(mu), say, costs the dim L(mu) rows, not K again.
+
 `_kernel` builds that basis of a kernel from one forward
 elimination of the columns of m in reverse order.  A kernel vector is
 fixed by its free coordinates, so let v_f be the one that is 1 at the free
@@ -423,10 +432,33 @@ class Subspace:
         return len(self.pivot_rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
+        """The sum, on this summand's echelon rows: nothing of self is
+        re-eliminated (module docstring)."""
+        c = self.ambient_dim
+        if c != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        r, den, piv = _rref(self.basis.num + other.basis.num, self.ambient_dim)
-        return Subspace(Mat.from_integers(r, den, self.ambient_dim), piv)
+        left = list(zip(self.pivot_rows, self.basis.num))
+        rest = []
+        for v in other.basis.num:
+            for pc, row in left:
+                if v[pc]:
+                    v = _eliminate(v, row, pc)
+            if any(v):
+                rest.append(v)
+        if not rest:
+            return self
+        new, _, new_piv = _rref(rest, c)
+        rows = dict(zip(new_piv, new))
+        for pc, u in left:
+            for q, r in zip(new_piv, new):
+                if u[q]:
+                    u = _eliminate(u, r, q)
+            rows[pc] = u
+        piv = sorted(rows)
+        den = lcm(*(rows[p][p] for p in piv))
+        return Subspace(Mat.from_integers(
+            [r if (r := rows[p])[p] == den else [x * (den // r[p]) for x in r] for p in piv],
+            den, c), tuple(piv))
 
 
 def _kernel(rows: Sequence[Sequence[int]], c: int) -> tuple[list[list[int]], int, list[int], int]:

@@ -336,15 +336,23 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     per coordinate) certifies that a fully zero sweep means no invertible
     element exists.  If `a` is irreducible, every intertwiner S != 0 is
     invertible (Schur: ker S is a submodule of `a`), so the grid's first
-    point, the first basis vector, answers with one determinant.
+    point, the first basis vector, answers with one determinant.  Two
+    tuples with every coefficient zero are similar by S = I; a zero tuple
+    and a nonzero one have different skeletons once stripped.
     """
-    a = strip_trivial(a)
-    b = strip_trivial(b)
     if a.size != b.size:
         raise PreconditionError("tuples have different sizes")
+    n = a.size
+    # a tuple with every coefficient zero strips to no slot at all
+    zero_a, zero_b = (all(map(Mat.is_zero, t.slot_coeffs())) for t in (a, b))
+    if zero_a or zero_b:
+        if zero_a != zero_b:
+            raise PreconditionError("tuples have different singularity skeletons")
+        return Mat.identity(n)
+    a = strip_trivial(a)
+    b = strip_trivial(b)
     if [p.poincare_rank for p in a.points] != [p.poincare_rank for p in b.points]:
         raise PreconditionError("tuples have different singularity skeletons")
-    n = a.size
     if a == b:
         return Mat.identity(n)
     space = _intertwiners(list(zip(a.slot_coeffs(), b.slot_coeffs())), n)

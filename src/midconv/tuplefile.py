@@ -24,8 +24,14 @@ read literal by literal for the error.
 One writer, `encode`, gives exactly json.dumps(sort_keys=True) of a
 payload, compact or indented by 2: the tuple files and the command line's
 `--format machine` objects.  It reads a MatrixTuple as its tuple document
-and a Mat straight from its integer rows: one string per distinct row
-(indented rows from compact ones), joined once with the other pieces.
+and a Mat straight from its integer rows.  A matrix's distinct rows are
+found by row object, not by value (`quotient` and `convolution_matrices`
+share one tuple for every zero row, and most rows of an `mc` result are
+zero), and each is formatted once into its compact text; indented rows are
+cut from compact ones.  The texts go into a dict, by denominator and row
+object, that the caller may pass again: one command formats each row once
+for its machine line and its -o file together.  Equal rows that are
+different objects are formatted twice, to the same bytes.
 """
 
 from __future__ import annotations
@@ -195,18 +201,21 @@ def doc_to_tuple(doc) -> MatrixTuple:
     return MatrixTuple(n, inf, fin)
 
 
-def encode(x, ind: str | None = None) -> str:
+def encode(x, ind: str | None = None, texts: dict | None = None) -> str:
     """json.dumps(x, sort_keys=True) with separators (",", ":") for ind
     None, else json.dumps(x, indent=2, sort_keys=True) indented from ind,
     without json's pure-Python encoder.  A MatrixTuple is encoded as its
     tuple document and a Mat as its rows of canonical literals, each
-    distinct row formatted once; the literals need no escaping."""
+    distinct row object formatted once; the literals need no escaping.
+    `texts` receives the compact text of each row formatted, and a later
+    call given the same dict reuses them; it holds each row with its text,
+    so no row object it names can be freed and its id reused."""
     out: list[str] = []
-    _encode(x, ind, out.append)
+    _encode(x, ind, out.append, {} if texts is None else texts)
     return "".join(out)
 
 
-def _encode(x, ind: str | None, put) -> None:
+def _encode(x, ind: str | None, put, texts: dict) -> None:
     if isinstance(x, MatrixTuple):
         x = _to_doc(x, lambda m: m)
     if isinstance(x, str):
@@ -222,14 +231,20 @@ def _encode(x, ind: str | None, put) -> None:
     inner = None if ind is None else ind + "  "
     sep = "," if ind is None else f",\n{inner}"
     put(ends[0] if ind is None else f"{ends[0]}\n{inner}")
-    if isinstance(x, Mat):  # one text per distinct row; no literal holds a comma
-        texts = dict.fromkeys(items)
-        lit = _literals(texts, x.den, '"')
-        wide = None if inner is None or not x.cols else f",\n{inner}  "
-        for r in texts:
-            s = ",".join(map(lit.__getitem__, r))
-            texts[r] = f"[{s}]" if not wide else f"[\n{inner}  {s.replace(',', wide)}\n{inner}]"
-        put(sep.join(map(texts.__getitem__, items)))
+    if isinstance(x, Mat):  # one text per distinct row object; no literal holds a comma
+        known = texts.setdefault(x.den, {})  # id(row) -> (row, compact text)
+        rows = dict(zip(map(id, items), items))
+        if new := [r for k, r in rows.items() if k not in known]:
+            lit = _literals(new, x.den, '"')
+            for r in new:
+                known[id(r)] = r, f"[{','.join(map(lit.__getitem__, r))}]"
+        if inner is None or not x.cols:
+            text = {k: known[k][1] for k in rows}
+        else:
+            wide = f",\n{inner}  "
+            text = {k: f"[\n{inner}  {known[k][1][1:-1].replace(',', wide)}\n{inner}]"
+                    for k in rows}
+        put(sep.join(map(text.__getitem__, map(id, items))))
     else:
         colon = ":" if ind is None else ": "
         for k, v in enumerate(items):
@@ -238,13 +253,13 @@ def _encode(x, ind: str | None, put) -> None:
             if isinstance(x, dict):
                 put(_encode_str(v[0]) + colon)
                 v = v[1]
-            _encode(v, inner, put)
+            _encode(v, inner, put, texts)
     put(ends[1] if ind is None else f"\n{ind}{ends[1]}")
 
 
-def dumps_tuple(t: MatrixTuple) -> str:
-    """The file text of a tuple."""
-    return encode(t, "") + "\n"
+def dumps_tuple(t: MatrixTuple, texts: dict | None = None) -> str:
+    """The file text of a tuple (`texts` as for `encode`)."""
+    return encode(t, "", texts) + "\n"
 
 
 def loads_tuple(text: str) -> MatrixTuple:
@@ -255,9 +270,9 @@ def loads_tuple(text: str) -> MatrixTuple:
     return doc_to_tuple(doc)
 
 
-def write_tuple(path, t: MatrixTuple) -> None:
-    """Write a tuple to path."""
-    text = dumps_tuple(t)
+def write_tuple(path, t: MatrixTuple, texts: dict | None = None) -> None:
+    """Write a tuple to path (`texts` as for `encode`)."""
+    text = dumps_tuple(t, texts)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 import midconv
-from midconv import cli
+from midconv import cli, tuplefile
 from midconv.cli import main
 from midconv.convolution import middle_convolution
 from midconv.errors import PreconditionError, ValidationError
 from midconv.exactla import Mat
 from midconv.model import (
     MatrixTuple,
+    SingularPoint,
     bessel_example,
     hypergeometric_example,
     inverse_laplace_example,
@@ -120,6 +121,60 @@ def test_encode_matches_json_on_edge_payloads():
         "mc_rank2": middle_convolution(support.rand_tuple(support.rng(76), 2, 2, [2, 2, 0]),
                                        F(1, 3)).result,
     })
+
+
+def test_encode_matches_json_on_shared_row_objects():
+    # distinct rows are found by row object: one Mat twice, two Mats sharing
+    # row objects over different denominators, and equal rows that are
+    # different objects must all give json's bytes
+    shared, zero = (3, 0, -6), (0, 0, 0)
+    a = Mat.from_integers([shared, zero, shared], 4)
+    b = Mat.from_integers([zero, shared, zero], 7)
+    c = Mat.from_integers([list(shared), list(shared), [0, 0, 0]], 4)
+    assert a.num[0] is b.num[1] is shared and c.num[0] is not c.num[1]
+    tup = MatrixTuple(3, SingularPoint(None, 1, (a,)), (SingularPoint(F(0), 1, (b, a)),))
+    payload = {"a": a, "again": a, "b": b, "c": c, "list": [a, b, a, c], "tuple": tup}
+    _check_encode(payload)
+    # one dict of row texts across calls, as cli.main shares one between
+    # its machine line and its -o file, in either order
+    for order in ((None, ""), ("", None)):
+        texts = {}
+        for ind in order * 2:
+            assert encode(payload, ind, texts) == encode(payload, ind)
+    assert dumps_tuple(tup, {}) == _json_indent(tuple_to_doc(tup))
+
+
+def test_encode_row_texts_outlive_no_row():
+    # the dict holds each row it names, so a freed row's id is never
+    # reused for another row's text
+    texts = {}
+    for k in range(64):
+        m = Mat.from_integers([[k, -k, 1]], 3)
+        assert encode(m, None, texts) == json.dumps(format_matrix(m), separators=(",", ":"))
+        assert encode(m, "", texts) == json.dumps(format_matrix(m), indent=2)
+
+
+@pytest.mark.parametrize("fmt", ["machine", "human"])
+def test_cli_mc_o_on_a_large_result_writes_json_bytes(fmt, tmp_path, capsys, monkeypatch):
+    # size 48, most rows zero and shared: the machine line and the file
+    # share row texts; the human path formats the file on its own
+    t = support.rand_tuple(support.rng(8), 8, 3, [0, 1, 1, 1])
+    src, out_path = tmp_path / "t.json", tmp_path / "mc.json"
+    write_tuple(src, t)
+    calls = []
+    real = tuplefile.encode
+    monkeypatch.setattr(tuplefile, "encode", lambda x, ind=None, texts=None:
+                        calls.append(ind) or real(x, ind, texts))
+    assert main(["--format", fmt, "mc", str(src), "--mu", "1/3", "-o", str(out_path)]) == 0
+    assert calls == ([None, ""] if fmt == "machine" else [""])
+    want = middle_convolution(t, F(1, 3)).result
+    rows = [r for a in want.slot_coeffs() for r in a.num]
+    assert want.size >= 30 and 2 * sum(map(any, rows)) < len(rows)
+    assert out_path.read_text() == _json_indent(tuple_to_doc(want))
+    out = capsys.readouterr().out
+    if fmt == "machine":
+        doc = _string_rows(_payload(["mc", src, "--mu", "1/3"]))
+        assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _one_matrix_doc(rows) -> str:
@@ -551,6 +606,25 @@ def test_cli_similar_not_similar(tmp_path, capsys):
     write_tuple(b, hypergeometric_example(2, F(1, 2), F(1, 3), 1))
     assert main(["similar", str(a), str(b)]) == 0
     assert "not similar" in capsys.readouterr().out
+
+
+def _zero_doc(residue) -> str:
+    return json.dumps({"n": 2, "infinity": {"m": 0, "coeffs": {}},
+                       "finite": [{"t": "0", "m": 0, "coeffs": {"0": residue}}]})
+
+
+def test_cli_similar_all_zero_tuples(tmp_path, capsys):
+    # every coefficient zero strips to no slot: equal inputs are similar by
+    # S = I, and a zero tuple against a nonzero one has another skeleton
+    z, d = tmp_path / "z.json", tmp_path / "d.json"
+    z.write_text(_zero_doc([["0", "0"], ["0", "0"]]))
+    d.write_text(_zero_doc([["1", "0"], ["0", "0"]]))
+    assert main(["--format", "machine", "similar", str(z), str(z)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "similar", "similar": True, "intertwiner": [["1", "0"], ["0", "1"]]}
+    for a, b in ((z, d), (d, z)):
+        assert main(["similar", str(a), str(b)]) == 3
+        assert "different singularity skeletons" in capsys.readouterr().err
 
 
 def test_cli_fixtures_wrong_param_count(capsys):

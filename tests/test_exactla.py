@@ -370,6 +370,45 @@ def test_subspace_is_one_integer_basis_however_it_is_spanned():
         assert all(x == 0 for v in ker.basis.data for x in support.apply(m, v))
 
 
+def _span(rows, n):
+    return Subspace.from_spanning(rows, n) if rows else Subspace.zero(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(fractions, min_size=n, max_size=n), max_size=n + 2),
+    st.sampled_from(["zero", "equal", "nested", "complementary", "overlapping"]),
+    st.integers(min_value=0, max_value=n + 2), st.integers(min_value=0, max_value=n + 2),
+    st.randoms(use_true_random=False))))
+def test_subspace_sum_is_the_span_of_the_stacked_rows(case):
+    """Subspace.sum keeps the left echelon and reduces only the right rows;
+    it must still give the canonical RREF that eliminating every row does."""
+    n, rows, kind, i, j, r = case
+    i, j = sorted((min(i, len(rows)), min(j, len(rows))))
+    if kind == "zero":
+        left, right = rows, []
+    elif kind == "equal":  # the same space, spanned by rescaled shuffled rows
+        left, right = rows, [[F(3, 2) * x for x in v] for v in rows]
+        r.shuffle(right)
+    elif kind == "nested":
+        left, right = rows, rows[:i] + [[a + b for a, b in zip(rows[0], rows[-1])]] if rows else []
+    elif kind == "complementary":  # a basis of Q^n cut in two
+        basis = [list(v) for v in support.unimodular(r, n).data]
+        i = min(i, n)
+        left, right = basis[:i], basis[i:]
+    else:  # rows[i:j] lie in both
+        left, right = rows[:j], rows[i:]
+    a, b = _span(left, n), _span(right, n)
+    want = _span(left + right, n)
+    assert a.sum(b) == want and b.sum(a) == want
+    assert _holds_no_fraction(a.sum(b))
+    if kind == "complementary":
+        assert want.dim == n and a.dim + b.dim == n
+    if kind in ("zero", "equal", "nested"):
+        assert a.sum(b) == a
+
+
 def test_subspace_sum_and_intersection_dims():
     a = Subspace.from_spanning([[1, 0, 0, 0], [0, 1, 0, 0]], 4)
     b = Subspace.from_spanning([[0, 1, 0, 0], [0, 0, 1, 0]], 4)
