@@ -46,6 +46,9 @@ at unit intervals, testing their one integer: irrational roots are never
 separated.  A is semisimple iff q / gcd(q, q') annihilates dA.
 `rational_spectrum` keeps its answer on the `Mat`, in a slot that
 equality and hashing ignore: a `Mat` is immutable, so it never goes stale.
+Beside it goes n - deg gcd(q, q'), the number of distinct complex
+eigenvalues (`distinct_root_count`): n when q is square-free, so that m
+is cyclic.
 
 `primary_components` is the one split by eigenvalue: for each rational
 lam one kernel chain (`_kernel_chain`), the kernels of (A - lam)^k until
@@ -138,7 +141,8 @@ class Mat:
     """Immutable dense rational matrix: the integer rows `num` over the
     positive denominator `den`, normalised (see the module docstring)."""
 
-    # _spectrum: `rational_spectrum`'s answer once asked for, not part of the value
+    # _spectrum: `rational_spectrum`'s answer and `distinct_root_count` once
+    # asked for, not part of the value
     __slots__ = ("rows", "cols", "num", "den", "_spectrum")
 
     def __init__(self, data: Iterable[Iterable]):
@@ -815,22 +819,34 @@ def rational_spectrum(m: Mat) -> tuple[list[tuple[Fraction, int]], bool]:
     so each matrix pays for one characteristic polynomial and one root
     isolation; every call returns a new list.
     """
-    if m._spectrum is None:
-        m._spectrum = _rational_spectrum(m)
-    eigs, full = m._spectrum
+    eigs, full, _ = _spectrum(m)
     return list(eigs), full
 
 
-def _rational_spectrum(m: Mat) -> tuple[tuple[tuple[Fraction, int], ...], bool]:
-    """`rational_spectrum`'s answer, computed."""
+def distinct_root_count(m: Mat) -> int:
+    """The number of distinct complex eigenvalues of m, n - deg gcd(q, q'),
+    kept on m with its `rational_spectrum`."""
+    return _spectrum(m)[2]
+
+
+def _spectrum(m: Mat) -> tuple[tuple[tuple[Fraction, int], ...], bool, int]:
+    """`rational_spectrum`'s answer and `distinct_root_count`, computed once per m."""
+    if m._spectrum is None:
+        m._spectrum = _rational_spectrum(m)
+    return m._spectrum
+
+
+def _rational_spectrum(m: Mat) -> tuple[tuple[tuple[Fraction, int], ...], bool, int]:
+    """`_spectrum`'s answer, computed: the last member of the Sturm chain
+    is gcd(q, q') up to a constant."""
     n = m.rows
     if n and (c := m.scalar_multiple_of_identity()) is not None:
-        return ((c, n),), True
+        return ((c, n),), True, 1
     d, q = _monic_integer_form(m)
     if n == 0:
-        return (), True
-    eigs = []
-    for y in _integer_roots(_sturm_chain(q)):
+        return (), True, 0
+    eigs, chain = [], _sturm_chain(q)
+    for y in _integer_roots(chain):
         mult = 0
         while True:  # synthetic division by (x - y) while q(y) = 0
             acc, quo = 0, []
@@ -842,7 +858,7 @@ def _rational_spectrum(m: Mat) -> tuple[tuple[tuple[Fraction, int], ...], bool]:
             q, mult = quo[::-1], mult + 1
         eigs.append((Fraction(y, d), mult))
     eigs.sort(key=lambda t: (-t[1], t[0]))
-    return tuple(eigs), sum(k for _, k in eigs) == n
+    return tuple(eigs), sum(k for _, k in eigs) == n, n + 1 - len(chain[-1])
 
 
 def is_semisimple(m: Mat) -> bool:

@@ -7,30 +7,47 @@ dimensions are exact; the closed formula in terms of multiplicity
 patterns is only a cross-check, as it assumes semisimplicity.
 
 One recursion on [A_m, ..., A_0] computes them.  A scalar A_m drops out:
-n^2 plus the dimension for [A_{m-1}, ..., A_0].  A lead A_m with a cyclic
-vector v (`cyclic_vector`) gives dimension n (m + 1): the relations say
-that C(z) commutes with A(z) = A_m + A_{m-1} z + ... + A_0 z^m over the
-local ring R = Q[z]/z^(m+1), the Krylov matrix of A(z) at v is invertible
-over R as it is K(A_m, v) mod z (Nakayama), so v is cyclic for A(z) and
-the centralizer is R[A(z)], free of rank n over R (for m = 0, Z(A) = Q[A];
-Gantmacher, The Theory of Matrices I, Ch. VIII).  For m <= 1 a leading
-coefficient with several primary components makes it a sum over them: the
-recursion runs on each component's diagonal blocks of the coefficients
-(`primary_components`) with the component's eigenvalue and Jordan
-partition, so a primary lead is not split again.  A single
-matrix with one rational eigenvalue has Frobenius's dim Z(A) = sum p_i^2
-over the conjugate p of its Jordan partition.  Else it is the nullity of
-the coupled relations.  m >= 2 is not split: the off-diagonal blocks of
-C_{m-1} need not vanish, and A_{m-1} multiplies them into the diagonal
-blocks of the relation for k = 2.
+n^2 plus the dimension for [A_{m-1}, ..., A_0].  A cyclic lead A_m gives
+dimension n (m + 1): the relations say that C(z) commutes with A(z) =
+A_m + A_{m-1} z + ... + A_0 z^m over the local ring R = Q[z]/z^(m+1), the
+Krylov matrix of A(z) at a cyclic vector v of A_m is invertible over R as
+it is K(A_m, v) mod z (Nakayama), so v is cyclic for A(z) and the
+centralizer is R[A(z)], free of rank n over R (for m = 0, Z(A) = Q[A];
+Gantmacher, The Theory of Matrices I, Ch. VIII).  The lead is cyclic if
+`cyclic_vector` finds e_1 or the all-ones vector cyclic, or if its
+characteristic polynomial is square-free (n distinct roots,
+`distinct_root_count`, read off the spectrum's Sturm chain), which
+certifies a cyclic vector where both of those fail.  A single matrix
+(m = 0) whose non-rational roots are simple is answered from its Jordan
+data alone (`jordan_data`, ranks only; no split, space or inverse):
+Frobenius's dim Z(A) is the sum over the eigenvalues of sum p_i^2 over the
+conjugate p of the eigenvalue's Jordan partition, so each simple root adds
+1.  Otherwise, for m <= 1, a leading coefficient with several primary
+components makes it a sum over them: the recursion runs on each
+component's diagonal blocks of the coefficients (`primary_components`)
+with the component's eigenvalue and Jordan partition, so a primary lead
+is not split again, and a primary single matrix with a rational
+eigenvalue is Frobenius's again.  Else it is the nullity of the coupled
+relations.  m >= 2 is not split: the off-diagonal blocks of C_{m-1} need
+not vanish, and A_{m-1} multiplies them into the diagonal blocks of the
+relation for k = 2.
 
 Every relation is a Sylvester operator X -> aX - Xb on row-major X
 (`_sylvester`, 2n - 1 nonzeros per row, built entry by entry): ad A for
 commutants and B S - S A for intertwiners in `are_similar`, unless a
-slot A of `a` has a cyclic vector v.  Then S A = B S fixes S by u = S v:
-S = K(B, u) K(A, v)^-1 for the Krylov matrices K, so the coefficients c
-of S = sum c_k K(B, e_k) K(A, v)^-1 are the kernel of the n columns of
-residuals B_j S - S A_j, or of their Gram matrix (|Cx|^2 = 0 iff Cx = 0).
+slot x of `a` has a cyclic vector v; y is the slot of `b` beside it.  Then
+S x = y S fixes S by u = S v: S K = K(y, u) for the Krylov matrix K =
+K(x, v) with columns v, x v, ..., x^(n-1) v, so S = S_u = K(y, u) K^-1, and
+u -> S_u is injective.  As x K = K C for the companion matrix C of chi_x,
+S_u x = y S_u iff chi_x(y) u = 0; and S_u A = B S_u for another slot pair
+(A, B) iff, column by column of S_u A K = B K(y, u),
+B y^i u = sum_l A'[l, i] y^l u for each i < n, with A' = K^-1 A K.  So the
+u form a space Z, cut from Q^n by one relation at a time.  The powers
+y^l z of a basis z of Z are kept as integer rows (of (d y)^l z, d the lcm
+of the denominators of x and y), so a relation costs O(n^2 dim Z) and a
+kernel of n rows and dim Z columns, and the cutting stops once Z is 0.
+The S_u of a basis of Z span the intertwiners, and their RREF is the same
+canonical space as the Sylvester kernel.
 
 `is_irreducible` decides by Norton's test (Parker 1984; Holt and Rees
 1994) when it can, in O(k n^3) for k generators.  It takes the first
@@ -61,7 +78,7 @@ import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InternalError, PreconditionError
 from .exactla import (
@@ -71,8 +88,10 @@ from .exactla import (
     conjugate_partition,
     cyclic_vector,
     det,
+    distinct_root_count,
     inverse,
     is_semisimple,
+    jordan_data,
     primary_components,
     rational_spectrum,
     reduce_mod_prime,
@@ -118,11 +137,20 @@ def _commutant_dim(coeffs: list[Mat], primary: tuple | None = None) -> int:
     to be primary, which is then not split again."""
     if not coeffs:
         return 0
-    lead = coeffs[0]
+    lead, n = coeffs[0], coeffs[0].rows
     if lead.scalar_multiple_of_identity() is not None:
-        return lead.rows ** 2 + _commutant_dim(coeffs[1:])
-    if cyclic_vector(lead):  # the centralizer is R[A(z)], free of rank n over R
-        return lead.rows * len(coeffs)
+        return n * n + _commutant_dim(coeffs[1:])
+    # cyclic by a cyclic vector or a square-free characteristic polynomial,
+    # which a known rational primary lead that is not scalar never has: the
+    # centralizer is R[A(z)], free of rank n over R
+    rational_primary = primary is not None and primary[0] is not None
+    if cyclic_vector(lead) or (not rational_primary and distinct_root_count(lead) == n):
+        return n * len(coeffs)
+    if len(coeffs) == 1 and primary is None:  # Frobenius, if the other roots are simple
+        eigs, _ = jordan_data(lead)
+        rest = n - sum(mult for _, mult, _ in eigs)
+        if distinct_root_count(lead) - len(eigs) == rest:
+            return rest + sum(p * p for *_, part in eigs for p in conjugate_partition(part))
     if len(coeffs) <= 2 and primary is None:
         comps = primary_components(lead, *coeffs)
         if len(comps) > 1:  # each block's leading coefficient is primary
@@ -280,32 +308,51 @@ def is_irreducible(t: MatrixTuple) -> bool:
 
 def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:
     """The row-major S with S A = B S for every (A, B) in pairs: from a
-    cyclic vector of the first non-scalar A that has one, else the kernel
-    of the stacked S -> B S - S A (module docstring)."""
-    for x, y in pairs:
+    cyclic vector v of the first non-scalar A that has one, as S_u for the
+    u = S v that meet the cyclic module's relations, else the kernel of the
+    stacked S -> B S - S A (module docstring)."""
+    for c, (x, y) in enumerate(pairs):
         if x.scalar_multiple_of_identity() is None and (cyc := cyclic_vector(x)):
             break
     else:
         return rref_nullspace(Mat.block([[_sylvester(y, x)] for x, y in pairs]))[1]
-    # the Krylov rows K'^T are those of d x, d = x.den, so S_k = K(d y, e_k) K'^-1,
-    # and K(d y, e_k)[r, i] = (d y)^i[r, k] = powers[i n + r, k]
-    powers = [Mat.identity(n)]
-    for _ in range(n - 1):
-        powers.append(y.scaled(x.den) * powers[-1])
-    powers = Mat.block([[p] for p in powers])
-    kinv = inverse(Mat.from_integers(cyc[1]).transpose())
-    cands, cols = [], []  # per k: S_k and its residuals, scaled to integers alike
-    for k in range(n):
-        s = Mat.from_integers([[powers.num[i * n + r][k] for i in range(n)] for r in range(n)],
-                              powers.den) * kinv
-        res = [b * s - s * a for a, b in pairs]
-        den = lcm(s.den, *(r.den for r in res))
-        cands.append([e for row in s.num_over(den) for e in row])
-        cols.append([e for r in res for row in r.num_over(den) for e in row])
-    gram = [[sum(map(operator.mul, c, d)) for d in cols] for c in cols]
-    _, ker = rref_nullspace(Mat.from_integers(gram))
+    # K = K(d x, v) for d = lcm(x.den, y.den), from the Krylov rows of x.den x,
+    # and zs[s][l] = (d y)^l z_s, integral, for the basis z_s of Z, first Q^n
+    d = lcm(x.den, y.den)
+    kcols = [[(d // x.den) ** i * e for e in row] for i, row in enumerate(cyc[1])]
+    kinv = inverse(Mat.from_integers(kcols).transpose())
+    yd = y.scaled(d).num
+    zs = []
+    for s in range(n):
+        zs.append([[int(r == s) for r in range(n)]])
+        for _ in range(n - 1):
+            zs[-1].append([sum(map(operator.mul, row, zs[-1][-1])) for row in yd])
+    # b (d y)^i u = sum_l t_l (d y)^l u for t = K^-1 a K e_i; of x's own
+    # relations only i = n - 1, chi_x(y) u = 0, is not met by every u
+    for a, b, i in chain([(x, y, n - 1)], ((a, b, i) for j, (a, b) in enumerate(pairs)
+                                           if j != c for i in range(n))):
+        ak = [sum(map(operator.mul, row, kcols[i])) for row in a.num]
+        t = [sum(map(operator.mul, row, ak)) for row in kinv.num]  # over kinv.den a.den
+        cols = [[kinv.den * a.den * sum(map(operator.mul, row, ps[i]))
+                 - b.den * sum(map(operator.mul, t, es)) for row, es in zip(b.num, zip(*ps))]
+                for ps in zs]
+        _, ker = rref_nullspace(Mat.from_integers(zip(*cols), 1, len(zs)))
+        if ker.dim == len(zs):
+            continue
+        if not ker.dim:
+            return Subspace.zero(n * n)
+        new = []  # the powers of sum_s k_s z_s for each kernel row k, made primitive
+        for k in ker.basis.num:
+            ps = [[sum(map(operator.mul, k, es)) for es in zip(*(z[l] for z in zs))]
+                  for l in range(n)]
+            g = gcd(*ps[0])
+            new.append([[e // g for e in p] for p in ps] if g > 1 else ps)
+        zs = new
+    # S_u = K(d y, u) K^-1, whose row r is sum_l ((d y)^l u)[r] (row l of K^-1)
+    kinv_cols = list(zip(*kinv.num))
     return Subspace.from_spanning(
-        [[sum(map(operator.mul, c, e)) for e in zip(*cands)] for c in ker.basis.num], n * n)
+        [[sum(map(operator.mul, es, col)) for es in zip(*ps) for col in kinv_cols]
+         for ps in zs], n * n)
 
 
 def _weighted_grid(dim: int, top: int):

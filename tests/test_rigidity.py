@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from midconv.errors import PreconditionError
 from midconv import exactla, rigidity
@@ -23,6 +23,7 @@ from midconv.exactla import (
 )
 from midconv.convolution import middle_convolution
 from midconv.model import (
+    MatrixTuple,
     addition,
     bessel_example,
     build_L,
@@ -229,15 +230,27 @@ def test_index_of_a_rank_two_point_with_a_cyclic_lead_builds_no_grid(monkeypatch
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=3), st.booleans())
-def test_commutant_dim_is_invariant_under_conjugation(seed, n, rank, cyclic):
+       st.integers(min_value=0, max_value=3), st.sampled_from(["cyclic", "random", "hidden"]))
+@example(seed=0, n=4, rank=2, kind="hidden")
+def test_commutant_dim_is_invariant_under_conjugation(seed, n, rank, kind):
+    # "hidden": the n = 4 cyclic lead whose start vectors fail, certified
+    # cyclic by its square-free characteristic polynomial at every rank
     rng = support.rng(seed)
-    coeffs = _cyclic_point(rng, n, rank) if cyclic else \
-        [support.rand_matrix(rng, n, (-1, 0, 0, 1)) for _ in range(rank + 1)]
+    if kind == "hidden":
+        n = 4
+        coeffs = [_hidden_cyclic()] + [support.rand_matrix(rng, n) for _ in range(rank)]
+    elif kind == "cyclic":
+        coeffs = _cyclic_point(rng, n, rank)
+    else:
+        coeffs = [support.rand_matrix(rng, n, (-1, 0, 0, 1)) for _ in range(rank + 1)]
     t = make_tuple(n, infinity_point(0, []), [finite_point(0, rank, coeffs)])
     u = support.conjugated(t, support.unimodular(rng, n))
     assert commutant_dim(u, 1) == commutant_dim(t, 1)
     assert commutant_dim(u, 0) == commutant_dim(t, 0)
+    if kind == "hidden":
+        assert commutant_dim(t, 1) == n * (rank + 1)
+        if rank <= 2:
+            assert commutant_dim(t, 1) == support.commutant_dim_dense(t, 1)
 
 
 def _jordan(size: int, lam) -> Mat:
@@ -267,19 +280,32 @@ CENTRALIZER_CASES = [              # (matrix, dim Z, whether a Sylvester system 
     (support.direct_sum(_jordan(2, F(1, 2)), [[F(1, 2)]], [[F(-2, 3)]]), 5 + 1, False),
     (support.direct_sum(SQRT2, SQRT2), 8, True),                      # derogatory, no rational eigenvalue
     (_companion(4, 0, -4, 0), 4, False),                              # (x^2 - 2)^2: cyclic
+    # a rational part beside a square-free non-rational part: cyclic, and
+    # with a second block at 1 Frobenius's 2^2 + 1^2 plus 4 simple roots
+    (support.direct_sum(_jordan(2, 1), SQRT2, _companion(-3, 0)), 6, False),
+    (support.direct_sum(_jordan(2, 1), [[1]], SQRT2, _companion(-3, 0)), 5 + 4, False),
+    (support.direct_sum(_jordan(2, 1), SQRT2, SQRT2), 2 + 8, True),   # a repeated non-rational part
 ]
 
 
 @pytest.mark.parametrize("case", range(len(CENTRALIZER_CASES)))
 def test_centralizer_dim_cases_match_dense_oracle(case, monkeypatch):
+    # a single matrix is split, with an inverse, only when a non-rational
+    # root is repeated; every other answer comes from its Jordan data
     a, expected, sylvester = CENTRALIZER_CASES[case]
     rng = support.rng(70 + case)
     p = support.unimodular(rng, a.rows)
     calls = _counting_sylvester(monkeypatch)
+    splits, split, inv = [], rigidity.primary_components, exactla.inverse
+    monkeypatch.setattr(rigidity, "primary_components",
+                        lambda m, *mats: splits.append(m) or split(m, *mats))
+    monkeypatch.setattr(exactla, "inverse", lambda m: splits.append(m) or inv(m))
     for m in (a, p * a * inverse(p)):
         assert centralizer_dim(m) == expected == support.centralizer_dim_dense(m)
         assert bool(calls) is sylvester
+        assert bool(splits) is sylvester
         calls.clear()
+        splits.clear()
 
 
 def test_cyclic_vector_takes_all_ones_when_e1_fails(monkeypatch):
@@ -354,16 +380,34 @@ def test_cyclic_vector_applies_the_matrix_until_its_first_dependent_row(monkeypa
     assert {v: len(c) for v, c in calls.items()} == {(1, 0, 0, 0): 1, (1, 1, 1, 1): 3}
 
 
-def test_cyclic_matrix_without_cyclic_start_vector_falls_back_to_sylvester(monkeypatch):
-    # x^2 - 2 on span(e1, ones) and x^2 - 3 on span(e3, e4): cyclic, but
-    # both start vectors lie in the first block, and no eigenvalue is
-    # rational, so neither Frobenius nor a split applies
+def _hidden_cyclic() -> Mat:
+    """x^2 - 2 on span(e1, ones) and x^2 - 3 on span(e3, e4): cyclic, but
+    both start vectors of `cyclic_vector` lie in the first block."""
     p = Mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]])
-    a = p * support.direct_sum(SQRT2, _companion(-3, 0)) * inverse(p)
+    return p * support.direct_sum(SQRT2, _companion(-3, 0)) * inverse(p)
+
+
+def test_cyclic_matrix_without_cyclic_start_vector_falls_back_to_sylvester(monkeypatch):
+    # the hidden cyclic matrix has no rational eigenvalue, but its square-free
+    # characteristic polynomial certifies it cyclic: no Sylvester system,
+    # alone or as an m = 1 lead; only a repeated non-rational root, as in
+    # SQRT2 + SQRT2, leaves no certificate, no Frobenius and no split, and
+    # falls back to the Sylvester grid, at m = 0 and at m = 1
+    a = _hidden_cyclic()
     assert support.apply(a, [1, 0, 0, 0]) == [1, 1, 1, 1] and cyclic_vector(a) is None
+    rng = support.rng(365)
+    lower = support.rand_matrix(rng, 4)
+    p = support.unimodular(rng, 4)
+    b = p * support.direct_sum(SQRT2, SQRT2) * inverse(p)
     calls = _counting_sylvester(monkeypatch)
-    assert centralizer_dim(a) == 4 == support.centralizer_dim_dense(a)
-    assert calls == [4]
+    for lead, dim, sylvester in ((a, 4, []), (b, 8, [4])):
+        t = make_tuple(4, infinity_point(0, []), [finite_point(0, 1, [lead, lower])])
+        assert centralizer_dim(lead) == dim == support.centralizer_dim_dense(lead)
+        assert calls == sylvester
+        calls.clear()
+        assert commutant_dim(t, 1) == support.commutant_dim_dense(t, 1)
+        assert calls == sylvester * 2
+        calls.clear()
 
 
 def test_commutant_closed_formula_on_L_blocks():
@@ -778,6 +822,36 @@ def test_intertwiners_match_sylvester_oracle(n, monkeypatch):
     s = are_similar(t, u)
     assert s is not None and all(s * x == y * s for x, y in _slot_pairs(t, u))
     assert are_similar(t, other) is None
+
+    def rand() -> Mat:
+        return support.rand_matrix(rng, n, pool)
+
+    def conj(x: MatrixTuple) -> MatrixTuple:
+        return support.conjugated(x, support.unimodular(rng, n))
+
+    # a derogatory first slot (0 twice, semisimple), so the cyclic slot is the second
+    q = support.unimodular(rng, n)
+    lead = q * Mat.diagonal([0] + list(range(n - 1))) * inverse(q)
+    derog = make_tuple(n, infinity_point(1, [lead]),
+                       [finite_point(0, 0, [rand()]), finite_point(1, 0, [rand()])])
+    assert cyclic_vector(lead) is None
+    # a direct sum: Hom holds the scalars on each summand
+    k = n // 2
+    blocks = [[support.rand_matrix(rng, size, pool) for size in (k, n - k)] for _ in range(3)]
+    dsum = make_tuple(n, infinity_point(1, [support.direct_sum(*blocks[0])]),
+                      [finite_point(j, 0, [support.direct_sum(*blocks[j])]) for j in (1, 2)])
+    # the cyclic slot x shifted by 1/(2 den x): chi_x(y) is invertible, as
+    # den x times each root of chi_x is an algebraic integer
+    x, *rest = conj(t).slot_coeffs()
+    assert cyclic_vector(t.slot_coeffs()[0])
+    shifted = t.with_slot_coeffs([x + Mat.diagonal([F(1, 2 * x.den)] * n)] + rest, n)
+    assert rigidity._intertwiners(_slot_pairs(t, shifted)[:1], n).dim == 0
+    for a, b, dim in ((derog, conj(derog), 1), (dsum, conj(dsum), 2), (t, shifted, 0)):
+        space = _cyclic_hom(a, b, monkeypatch)
+        assert space == _sylvester_hom(a, b) and space.dim >= dim and (space.dim == 0) is (dim == 0)
+        s = are_similar(a, b)
+        assert (s is None) is (dim == 0)
+        assert s is None or all(s * x == y * s for x, y in _slot_pairs(a, b))
 
 
 def test_intertwiners_nilpotent_pair(monkeypatch):
