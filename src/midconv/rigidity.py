@@ -6,31 +6,36 @@ coefficient matrix (the derived residue enters at infinity).  Commutant
 dimensions are exact; the closed formula in terms of multiplicity
 patterns is only a cross-check, as it assumes semisimplicity.
 
-One recursion on [A_m, ..., A_0] computes them.  A scalar A_m drops out:
-n^2 plus the dimension for [A_{m-1}, ..., A_0].  A cyclic lead A_m gives
-dimension n (m + 1): the relations say that C(z) commutes with A(z) =
-A_m + A_{m-1} z + ... + A_0 z^m over the local ring R = Q[z]/z^(m+1), the
-Krylov matrix of A(z) at a cyclic vector v of A_m is invertible over R as
-it is K(A_m, v) mod z (Nakayama), so v is cyclic for A(z) and the
-centralizer is R[A(z)], free of rank n over R (for m = 0, Z(A) = Q[A];
-Gantmacher, The Theory of Matrices I, Ch. VIII).  The lead is cyclic if
-`cyclic_vector` finds e_1 or the all-ones vector cyclic, or if its
-characteristic polynomial is square-free (n distinct roots,
-`distinct_root_count`, read off the spectrum's Sturm chain), which
-certifies a cyclic vector where both of those fail.  A single matrix
-(m = 0) whose non-rational roots are simple is answered from its Jordan
-data alone (`jordan_data`, ranks only; no split, space or inverse):
-Frobenius's dim Z(A) is the sum over the eigenvalues of sum p_i^2 over the
-conjugate p of the eigenvalue's Jordan partition, so each simple root adds
-1.  Otherwise, for m <= 1, a leading coefficient with several primary
-components makes it a sum over them: the recursion runs on each
-component's diagonal blocks of the coefficients (`primary_components`)
-with the component's eigenvalue and Jordan partition, so a primary lead
-is not split again, and a primary single matrix with a rational
-eigenvalue is Frobenius's again.  Else it is the nullity of the coupled
-relations.  m >= 2 is not split: the off-diagonal blocks of C_{m-1} need
-not vanish, and A_{m-1} multiplies them into the diagonal blocks of the
-relation for k = 2.
+One recursion on [A_m, ..., A_0] computes them, by the first of five
+rules that applies; a block cut by rule 5 goes through the same rules.
+
+1. A scalar A_m drops out: n^2 plus the dimension for [A_{m-1}, ..., A_0].
+2. A cyclic lead A_m gives n (m + 1).  The relations say that C(z)
+   commutes with A(z) = A_m + A_{m-1} z + ... + A_0 z^m over the local
+   ring R = Q[z]/z^(m+1); the Krylov matrix of A(z) at a cyclic vector v
+   of A_m is invertible over R as it is K(A_m, v) mod z (Nakayama), so v
+   is cyclic for A(z) and the centralizer is R[A(z)], free of rank n over
+   R (for m = 0, Z(A) = Q[A]; Gantmacher, The Theory of Matrices I,
+   Ch. VIII).  The lead is cyclic if `cyclic_vector` finds e_1 or the
+   all-ones vector cyclic, or if its characteristic polynomial is
+   square-free (n distinct roots, `distinct_root_count`, read off the
+   spectrum's Sturm chain), which certifies a cyclic vector where both of
+   those fail.
+3. A single matrix (m = 0) whose non-rational roots are simple is
+   Frobenius's, from its Jordan data alone (`jordan_data`, ranks only; no
+   split, space or inverse): dim Z(A) is the sum over the eigenvalues of
+   sum p_i^2 over the conjugate p of the eigenvalue's Jordan partition, so
+   each simple root adds 1.
+4. For m >= 2, or a primary lead (one rational eigenvalue and no other
+   root, or no rational eigenvalue: one component, read off the
+   `rational_spectrum` kept on the lead), it is the nullity of the coupled
+   relations.  m >= 2 is not split: the off-diagonal blocks of C_{m-1}
+   need not vanish, and A_{m-1} multiplies them into the diagonal blocks
+   of the relation for k = 2.
+5. Otherwise (m <= 1 and several primary components) it is the sum of the
+   recursion over the components, on each one's diagonal blocks of the
+   coefficients (`primary_components`).  A block's lead is primary, so it
+   is not split again.
 
 Every relation is a Sylvester operator X -> aX - Xb on row-major X
 (`_sylvester`, 2n - 1 nonzeros per row, built entry by entry): ad A for
@@ -131,34 +136,26 @@ def _toeplitz_commutant_dim(coeffs: list[Mat]) -> int:
     return toeplitz_kernel([_sylvester(a, a) for a in coeffs]).dim
 
 
-def _commutant_dim(coeffs: list[Mat], primary: tuple | None = None) -> int:
-    """Commutant dimension of [A_m, ..., A_0] (see the module docstring);
-    `primary` is the (eigenvalue, Jordan partition) of a lead already known
-    to be primary, which is then not split again."""
+def _commutant_dim(coeffs: list[Mat]) -> int:
+    """Commutant dimension of [A_m, ..., A_0] by the five rules of the
+    module docstring."""
     if not coeffs:
         return 0
     lead, n = coeffs[0], coeffs[0].rows
     if lead.scalar_multiple_of_identity() is not None:
         return n * n + _commutant_dim(coeffs[1:])
-    # cyclic by a cyclic vector or a square-free characteristic polynomial,
-    # which a known rational primary lead that is not scalar never has: the
-    # centralizer is R[A(z)], free of rank n over R
-    rational_primary = primary is not None and primary[0] is not None
-    if cyclic_vector(lead) or (not rational_primary and distinct_root_count(lead) == n):
+    if cyclic_vector(lead) or distinct_root_count(lead) == n:
         return n * len(coeffs)
-    if len(coeffs) == 1 and primary is None:  # Frobenius, if the other roots are simple
+    if len(coeffs) == 1:  # Frobenius, if the non-rational roots are simple
         eigs, _ = jordan_data(lead)
         rest = n - sum(mult for _, mult, _ in eigs)
         if distinct_root_count(lead) - len(eigs) == rest:
             return rest + sum(p * p for *_, part in eigs for p in conjugate_partition(part))
-    if len(coeffs) <= 2 and primary is None:
-        comps = primary_components(lead, *coeffs)
-        if len(comps) > 1:  # each block's leading coefficient is primary
-            return sum(_commutant_dim(list(blocks), (lam, part))
-                       for lam, part, _, blocks in comps)
-        primary = comps[0][:2]
-    if len(coeffs) == 1 and primary[0] is not None:  # Frobenius
-        return sum(p * p for p in conjugate_partition(primary[1]))
+    if len(coeffs) <= 2:
+        spec, full = rational_spectrum(lead)
+        if len(spec) + (not full) > 1:  # several primary components
+            return sum(_commutant_dim(list(blocks))
+                       for *_, blocks in primary_components(lead, *coeffs))
     return _toeplitz_commutant_dim(coeffs)
 
 

@@ -4,9 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from midconv.cli import main
+from midconv.convolution import middle_convolution
 from midconv.errors import AssumptionViolated, PreconditionError
 from midconv.exactla import Mat
 from midconv.model import (
+    addition,
     bessel_example,
     finite_point,
     hypergeometric_example,
@@ -14,6 +17,7 @@ from midconv.model import (
     make_tuple,
     pad_point,
     spectral_type,
+    strip_trivial,
 )
 from midconv.reduction import (
     AssumptionViolation,
@@ -29,6 +33,7 @@ from midconv.reduction import (
     terminal_pattern,
 )
 from midconv.rigidity import index, is_irreducible
+from midconv.tuplefile import write_tuple
 import support
 
 probe_index_conjecture = support.load_script("probe_mc_index").probe_index_conjecture
@@ -295,6 +300,54 @@ def test_index_constant_along_trace():
         trace = reduce(t)
         assert isinstance(trace.verdict, ReducedToRankOne)
         assert index(trace.terminal).index == index(t).index == 2
+
+
+def _forward(inf, finite, steps):
+    """The tuple built from a rank-one seed (A_1 = inf at infinity, and
+    finite points (location, [A_m, ..., A_0]) of 1 x 1 entries) by
+    addition and middle convolution steps (shift, mu), stripped of trivial
+    points after each."""
+    t = make_tuple(1, infinity_point(1, [Mat([[inf]])]),
+                   [finite_point(x, len(cs) - 1, [Mat([[c]]) for c in cs]) for x, cs in finite])
+    for shift, mu in steps:
+        t = strip_trivial(middle_convolution(addition(t, shift), mu).result)
+    return t
+
+
+# size-4 rigid inputs whose first step leaves a point with scalar
+# coefficients: the finite point 2 in one, infinity in the other; the
+# removal loop of reduce_step, which no benchmark input reaches
+REMOVAL_CASES = {
+    "finite": (_forward(1, [(0, [1]), (1, [F(3, 2)])], [([1, 2, 1], -2), ([0, 0, F(-1, 2)], -2)]),
+               (2,), '{"command":"reduce","sizes":[4,2,1],"steps":[{"mu":"2","removed_points":[2],'
+               '"shift":["0","0","0","0","5/2"],"size_after":2,"size_before":4},{"mu":"2",'
+               '"removed_points":[],"shift":["0","0","0"],"size_after":1,"size_before":2}],'
+               '"terminal":{"finite":[{"coeffs":{"0":[["3"]]},"m":0,"t":"0"}],'
+               '"infinity":{"coeffs":{"1":[["2"]]},"m":1},"n":1},"verdict":{"kind":"rank_one"}}'),
+    "infinity": (_forward(1, [(0, [-1, 1])], [([F(-1, 2), 0, -1], -2), ([F(-1, 2), 0, 0], F(-1, 3))]),
+                 (0,), '{"command":"reduce","sizes":[4,2,1],"steps":[{"mu":"2","removed_points":[0],'
+                 '"shift":["1/2","0","0"],"size_after":2,"size_before":4},{"mu":"-1/3",'
+                 '"removed_points":[],"shift":["0","1","2/3"],"size_after":1,"size_before":2}],'
+                 '"terminal":{"finite":[{"coeffs":{"0":[["0"]],"1":[["1"]]},"m":1,"t":"0"}],'
+                 '"infinity":{"coeffs":{},"m":0},"n":1},"verdict":{"kind":"rank_one"}}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVAL_CASES))
+def test_reduce_step_removes_a_point_and_keeps_the_index(case, tmp_path, capsys):
+    t, removed, machine = REMOVAL_CASES[case]
+    out, step = reduce_step(t)
+    assert (t.size, step.size_after, step.removed_points) == (4, 2, removed)
+    assert out.size == 2
+    if removed == (0,):  # infinity stays, with rank 0 and no stored coefficient
+        assert (out.num_finite, out.infinity.poincare_rank) == (t.num_finite, 0)
+    else:
+        assert out.num_finite == t.num_finite - 1
+    assert index(out).index == index(t).index == 2
+    path = str(tmp_path / "in.json")
+    write_tuple(path, t)
+    assert main(["--format", "machine", "reduce", path, "--trace"]) == 0
+    assert capsys.readouterr().out == machine + "\n"
 
 
 # ---------------------------------------------------------------------

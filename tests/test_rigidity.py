@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from functools import partial
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from midconv.errors import PreconditionError
 from midconv import exactla, rigidity
@@ -138,8 +138,9 @@ def test_commutant_matches_dense_oracle():
 
 
 def test_primary_component_is_not_split_again(monkeypatch):
-    # a component's block lead is primary: its eigenvalue and partition come
-    # from the first split, so J_3(1) + 2 I_2 is split once, at size 5
+    # a component's block lead is primary, which its spectrum shows, so
+    # J_3(1) + 2 I_2 is split once, at size 5, and its blocks are not split
+    # again
     rng = support.rng(17)
     p = support.unimodular(rng, 5)
     lead = p * support.direct_sum(_jordan(3, 1), Mat.diagonal([2, 2])) * inverse(p)
@@ -271,41 +272,78 @@ def _counting_sylvester(monkeypatch) -> list:
 
 
 SQRT2 = _companion(-2, 0)          # x^2 - 2
-CENTRALIZER_CASES = [              # (matrix, dim Z, whether a Sylvester system is built)
-    (_companion(3, -1, 0, 2, 1), 5, False),                           # cyclic
-    (Mat([[F(1, 2), 1, 0], [0, F(-2, 3), 1], [F(5, 4), 0, 0]]), 3, False),
-    (support.direct_sum(_jordan(3, 2), [[2]], [[2]]), 9 + 1 + 1, False),  # (3, 1, 1) at 2
+# (matrix, dim Z, whether a Sylvester system is built, whether it is split)
+CENTRALIZER_CASES = [
+    (_companion(3, -1, 0, 2, 1), 5, False, False),                       # cyclic
+    (Mat([[F(1, 2), 1, 0], [0, F(-2, 3), 1], [F(5, 4), 0, 0]]), 3, False, False),
+    (support.direct_sum(_jordan(3, 2), [[2]], [[2]]), 9 + 1 + 1, False, False),  # (3, 1, 1) at 2
     # Jordan blocks (2, 2, 1) at 1 and a scalar block at 3: 3^2 + 2^2 + 2^2
-    (support.direct_sum(_jordan(2, 1), _jordan(2, 1), [[1]], Mat.diagonal([3, 3])), 17, False),
-    (support.direct_sum(_jordan(2, F(1, 2)), [[F(1, 2)]], [[F(-2, 3)]]), 5 + 1, False),
-    (support.direct_sum(SQRT2, SQRT2), 8, True),                      # derogatory, no rational eigenvalue
-    (_companion(4, 0, -4, 0), 4, False),                              # (x^2 - 2)^2: cyclic
+    (support.direct_sum(_jordan(2, 1), _jordan(2, 1), [[1]], Mat.diagonal([3, 3])), 17, False, False),
+    (support.direct_sum(_jordan(2, F(1, 2)), [[F(1, 2)]], [[F(-2, 3)]]), 5 + 1, False, False),
+    # derogatory with no rational eigenvalue: one primary component, so
+    # the Sylvester grid with no split
+    (support.direct_sum(SQRT2, SQRT2), 8, True, False),
+    (_companion(4, 0, -4, 0), 4, False, False),                          # (x^2 - 2)^2: cyclic
     # a rational part beside a square-free non-rational part: cyclic, and
     # with a second block at 1 Frobenius's 2^2 + 1^2 plus 4 simple roots
-    (support.direct_sum(_jordan(2, 1), SQRT2, _companion(-3, 0)), 6, False),
-    (support.direct_sum(_jordan(2, 1), [[1]], SQRT2, _companion(-3, 0)), 5 + 4, False),
-    (support.direct_sum(_jordan(2, 1), SQRT2, SQRT2), 2 + 8, True),   # a repeated non-rational part
+    (support.direct_sum(_jordan(2, 1), SQRT2, _companion(-3, 0)), 6, False, False),
+    (support.direct_sum(_jordan(2, 1), [[1]], SQRT2, _companion(-3, 0)), 5 + 4, False, False),
+    # a repeated non-rational part beside a rational one: split, then the
+    # grid on the residual block
+    (support.direct_sum(_jordan(2, 1), SQRT2, SQRT2), 2 + 8, True, True),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(CENTRALIZER_CASES)))
 def test_centralizer_dim_cases_match_dense_oracle(case, monkeypatch):
-    # a single matrix is split, with an inverse, only when a non-rational
-    # root is repeated; every other answer comes from its Jordan data
-    a, expected, sylvester = CENTRALIZER_CASES[case]
+    # a single matrix builds a Sylvester system only when a non-rational
+    # root is repeated, and is split, with an inverse, only when such a root
+    # sits beside a rational eigenvalue; every other answer comes from its
+    # Jordan data
+    a, expected, sylvester, split = CENTRALIZER_CASES[case]
     rng = support.rng(70 + case)
     p = support.unimodular(rng, a.rows)
     calls = _counting_sylvester(monkeypatch)
-    splits, split, inv = [], rigidity.primary_components, exactla.inverse
+    splits, primary, inv = [], rigidity.primary_components, exactla.inverse
     monkeypatch.setattr(rigidity, "primary_components",
-                        lambda m, *mats: splits.append(m) or split(m, *mats))
+                        lambda m, *mats: splits.append(m) or primary(m, *mats))
     monkeypatch.setattr(exactla, "inverse", lambda m: splits.append(m) or inv(m))
     for m in (a, p * a * inverse(p)):
         assert centralizer_dim(m) == expected == support.centralizer_dim_dense(m)
         assert bool(calls) is sylvester
-        assert bool(splits) is sylvester
+        assert bool(splits) is split
         calls.clear()
         splits.clear()
+
+
+EIGENVALUES = st.sampled_from([0, 1, -1, F(1, 2)])
+LEAD_BLOCKS = st.one_of(            # lam I_k, J_k(lam), SQRT2, x^2 - 3, SQRT2 + SQRT2
+    st.builds(lambda lam, k: Mat.diagonal([lam] * k), EIGENVALUES, st.integers(1, 3)),
+    st.builds(lambda lam, k: _jordan(k, lam), EIGENVALUES, st.integers(2, 3)),
+    st.sampled_from([SQRT2, _companion(-3, 0), support.direct_sum(SQRT2, SQRT2)]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(LEAD_BLOCKS, min_size=1, max_size=4), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=10 ** 6))
+@example([_jordan(2, 1), Mat([[1]]), Mat.diagonal([2, 2])], 1, 0)  # a primary block at m = 1
+@example([support.direct_sum(SQRT2, SQRT2), Mat([[1]])], 1, 0)       # the residual block at m = 1
+@example([support.direct_sum(SQRT2, SQRT2), Mat([[0]])], 2, 0)       # m = 2 is not split
+def test_block_structured_leads_match_the_dense_oracle(blocks, rank, seed):
+    # leads built from primary blocks reach every rule of the recursion,
+    # split blocks with scalar, cyclic and primary non-cyclic leads among
+    # them, which no benchmark input does; the flat dense system stays at
+    # (m + 1) n^2 <= 75 unknowns, so n <= 6 up to m = 1 and n <= 5 at m = 2
+    lead = support.direct_sum(*blocks)
+    n = lead.rows
+    assume((rank + 1) * n * n <= 75)
+    rng = support.rng(seed)
+    p = support.unimodular(rng, n)
+    coeffs = [p * lead * inverse(p)] + [
+        support.rand_matrix(rng, n).scaled(F(1, rng.choice([1, 2, 3]))) for _ in range(rank)]
+    t = make_tuple(n, infinity_point(0, []), [finite_point(0, rank, coeffs)])
+    assert commutant_dim(t, 1) == support.commutant_dim_dense(t, 1)
 
 
 def test_cyclic_vector_takes_all_ones_when_e1_fails(monkeypatch):
