@@ -15,6 +15,18 @@ on the quotient.  G has few nonzero rows (`_nonzero_rows`), and
 `quotient` reads Q from them; only `convolution_matrices` (for `conv` and
 the tests) lays G out as a dense nM x nM matrix.
 
+G's rows are integers over one den, and the basis over one e, but each
+Q is formed over its own f * den.  Row b_p is x / e_p on the complement,
+e_p = e / g_p and x its integer entries there divided by g_p = gcd(e,
+those entries); f is the lcm of e_p over the pivots p whose row of G is
+nonzero on the complement (1 if none is), so G's rows times f, each band
+entry f nu and each correction (f / e_p) coef x are all integers over
+f * den.  That is the same rational matrix as over e * den, so its
+normalised `Mat` is the same, with no copy of G's rows times e and no
+second division by their content: where f = 1, Q takes the point's cut
+block rows themselves, shared by its slots, and `tuplefile.encode`
+formats each shared row once.
+
 K is assembled canonically with no elimination of its own: each point's
 Toeplitz kernel comes out of `toeplitz_kernel` in reduced echelon form,
 one block row of n equations at a time, and shifting those kernels to
@@ -26,7 +38,7 @@ the derived residue minus mu as the corner block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PreconditionError
 from .exactla import Mat, Subspace, as_scalar, rref_nullspace, toeplitz_kernel
@@ -184,7 +196,11 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
 
     No dense G is built: a point's block rows are cut to the complement
     once for all its slots, a band row is one entry of Q, only pivots whose
-    row of G is nonzero correct Q, and all-zero rows are one shared tuple."""
+    row of G is nonzero correct Q, and all-zero rows are one shared tuple.
+    Each Q is formed over its own f * den (module docstring): a slot with
+    f = 1 takes its point's cut block rows as they are, the same row
+    objects in every such slot of the point, and only a slot with f > 1
+    copies them, times f."""
     w = big_K.sum(big_L)
     nm = t.size * t.slot_count
     new_size = nm - w.dim
@@ -197,43 +213,50 @@ def quotient(t: MatrixTuple, mu, per_point_K: list[Subspace], big_K: Subspace,
     pivot_set = set(w.pivot_rows)
     comp = [c for c in range(nm) if c not in pivot_set]
     at = {c: k for k, c in enumerate(comp)}  # result index of each complement coordinate
-    # each b_p times e as its nonzero (result row, x) on the complement, if any
+    # each b_p with a nonzero entry on the complement as (p, e_p, its nonzero
+    # (result index, x)): b_p[comp] = x / e_p, e_p dividing e
     e = w.basis.den
-    b_support = [(p, b_nz) for p, b in zip(w.pivot_rows, w.basis.num)
-                 if (b_nz := [(k, x) for k, x in enumerate(map(b.__getitem__, comp)) if x])]
+    b_support = []
+    for p, b in zip(w.pivot_rows, w.basis.num):
+        if any(xs := list(map(b.__getitem__, comp))):
+            g = gcd(e, *xs)
+            b_support.append((p, e // g, [(k, x // g) for k, x in enumerate(xs) if x]))
     n, zero = t.size, (0,) * new_size
-    # each point's block rows on the complement, times e, and as (index, x) where
-    # pivots fall: slots start at multiples of n, so row p of G is block row p % n
-    hit, scaled, sparse = {p % n for p, _ in b_support}, {}, {}
+    # each point's block rows on the complement, over den, and as (index, x)
+    # where pivots fall: slots start at multiples of n, so row p of G is
+    # block row p % n
+    hit, cut, sparse = {p % n for p, *_ in b_support}, {}, {}
     for i, rows in blocks.items():
-        proj = [tuple(map(g.__getitem__, comp)) for g in rows]
-        scaled[i] = [tuple([e * x for x in g]) if any(g) else zero for g in proj]
-        sparse[i] = {a: [(k, x) for k, x in enumerate(proj[a]) if x] for a in hit}
+        cut[i] = [g if any(g) else zero for g in (tuple(map(r.__getitem__, comp)) for r in rows)]
+        sparse[i] = {a: [(k, x) for k, x in enumerate(cut[i][a]) if x] for a in hit}
 
     def quotient_matrix(i: int, r0: int, band: list[tuple[int, int]]) -> Mat:
-        """Q for the G of slot layout (i, r0, band), over e * den."""
+        """Q for the G of slot layout (i, r0, band), over f * den."""
+        on_band = {r: [(j, nu)] for r, c in band if (j := at.get(c)) is not None}
+        fixes = [(e_p, b_nz, g) for p, e_p, b_nz in b_support
+                 if (g := sparse[i][p - r0] if 0 <= p - r0 < n else on_band.get(p))]
+        f = lcm(*[fix[0] for fix in fixes])
+        block = cut[i] if f == 1 else [g if g is zero else tuple([f * x for x in g])
+                                       for g in cut[i]]
         rows = [zero] * new_size
-        for r, row in enumerate(scaled[i], start=r0):
+        for r, row in enumerate(block, start=r0):
             if (k := at.get(r)) is not None:
                 rows[k] = row
-        on_band = {}  # band row of G -> its one entry on comp
-        for r, c in band:
-            if (j := at.get(c)) is not None:
-                on_band[r] = [(j, nu)]
-                if (k := at.get(r)) is not None:
-                    rows[k] = zero[:j] + (e * nu,) + zero[j + 1:]
+        for r, ((j, _),) in on_band.items():  # a band row's one entry on comp, f * nu
+            if (k := at.get(r)) is not None:
+                rows[k] = zero[:j] + (f * nu,) + zero[j + 1:]
         changed = {}
-        for p, b_nz in b_support:
-            if not (g := sparse[i][p - r0] if 0 <= p - r0 < n else on_band.get(p)):
-                continue
+        for e_p, b_nz, g in fixes:
+            s = f // e_p
             for k, coef in b_nz:
                 if (row := changed.get(k)) is None:
                     row = changed[k] = list(rows[k])
+                coef *= s
                 for j, x in g:
                     row[j] -= coef * x
         for k, row in changed.items():
             rows[k] = row if any(row) else zero
-        return Mat.from_integers(rows, e * den, new_size)
+        return Mat.from_integers(rows, f * den, new_size)
 
     return MCOutcome(
         result=t.with_slot_coeffs([quotient_matrix(*s) for s in layout], new_size),

@@ -61,6 +61,12 @@ no back substitution and no `Subspace`; a simple eigenvalue is the block
 Further matrices B come back cut into their diagonal blocks in the basis
 P that concatenates the components' bases (rows of P^-1 times columns of
 B P); one component has P = I, so its blocks are the matrices themselves.
+m itself leaves each component's space invariant, so with P_s the columns
+of P that are the RREF basis of the space s, m P_s = P_s B_s, and as P_s
+is the identity at s's pivots, m's own block B_s is m P_s at those rows:
+no row of P^-1 is needed, and P is inverted only when a matrix other than
+m is cut.  The block of a rational eigenvalue lam of multiplicity d gets
+its spectrum, ((lam, d),) with one distinct root, kept on it.
 
 A `Subspace` is its reduced row echelon basis: the rows of the `Mat`
 `basis` with leftmost pivots `pivot_rows`.  This representative is unique
@@ -936,7 +942,9 @@ def primary_components(m: Mat, *mats: Mat
     eigenvectors of m^T, as the left generalized eigenspace of lam
     annihilates all but lam's.  `blocks` are the diagonal blocks of `mats`
     on the components (module docstring); `mats` itself, with no inverse
-    taken, for one component or no `mats`."""
+    taken, for one component or no `mats`.  A matrix in `mats` that is m
+    is cut with no inverse either, and a rational component's block of it
+    keeps its spectrum."""
     if not m.is_square():
         raise ValueError("primary components of a non-square matrix")
     n = m.rows
@@ -951,10 +959,19 @@ def primary_components(m: Mat, *mats: Mat
     if len(comps) == 1 or not mats:
         return [c + (mats,) for c in comps]
     p = Mat.block([[s.basis] for *_, s in comps]).transpose()
-    pinv, products = inverse(p), [a * p for a in mats]
+    pinv = inverse(p) if any(a is not m for a in mats) else None
+    products = [a * p for a in mats]
     out, off = [], 0
-    for c in comps:
-        idx, off = range(off, off + c[2].dim), off + c[2].dim
-        rows = pinv.submatrix(idx, range(n))  # only this block's rows of pinv * a * p
-        out.append(c + (tuple(rows * ap.submatrix(range(n), idx) for ap in products),))
+    for lam, part, s in comps:
+        idx, off = range(off, off + s.dim), off + s.dim
+        rows = pinv and pinv.submatrix(idx, range(n))  # this block's rows of pinv * a * p
+        blocks = []
+        for a, ap in zip(mats, products):
+            if a is m:  # m P_s = P_s B_s, and P_s is the identity at the pivots of s
+                blocks.append(own := ap.submatrix(s.pivot_rows, idx))
+                if lam is not None:
+                    own._spectrum = ((lam, s.dim),), True, 1
+            else:
+                blocks.append(rows * ap.submatrix(range(n), idx))
+        out.append((lam, part, s, tuple(blocks)))
     return out

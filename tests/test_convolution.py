@@ -1,6 +1,7 @@
 """Convolution matrices, kernel subspaces, middle convolution."""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
@@ -426,16 +427,43 @@ _CONTRACT_TUPLES = {
     # like the benchmark's convolve inputs: rank 1 at all three points
     "rank1-n8": support.rand_semisimple_tuple(support.rng(83), 8, 2, [1, 1, 1]),
     **_BAND_TUPLES,
+    # fractional coefficients: the basis of K + L(mu) has a denominator e > 1
+    # and rows over different own denominators e_p, so the quotient matrices
+    # are formed over different f * den, among them f = 1 < e and 1 < f < e
+    "fractional-n2": support.rand_tuple(support.rng(2), 2, 2, [1, 0, 1],
+                                        pool=(-1, 0, 0, 1, F(1, 2), F(-1, 3))),
+    "fractional-n3": support.rand_tuple(support.rng(7), 3, 2, [1, 1, 1],
+                                        pool=(0, 1, F(1, 2), F(2, 3), -1)),
+    # a rank-2 finite point with fractional coefficients: at mu != 0 its
+    # band entries are f * nu in slots with f > 1
+    "fractional-rank2": support.rand_tuple(support.rng(9), 3, 2, [0, 2, 1],
+                                           pool=(-1, 0, 0, 1, F(1, 2))),
 }
+_CONTRACT_MUS = (F(0), F(1, 3), F(-2, 7))
+
+
+def _slot_denominators(t, mu, w, oracle):
+    """The f of each slot, from W = K + L(mu) itself: the lcm of the own
+    denominators e_p = e / gcd(e, b_p on the complement) over the basis
+    rows b_p whose row p of the slot's convolution matrix is nonzero on the
+    complement."""
+    comp = [c for c in range(w.ambient_dim) if c not in w.pivot_rows]
+    e = w.basis.den
+    own = {p: e // gcd(e, *(b[c] for c in comp)) for p, b in zip(w.pivot_rows, w.basis.num)}
+    return {s: lcm(*(own[p] for p in w.pivot_rows if any(g.num[p][c] for c in comp)))
+            for s, g in oracle.items()}
 
 
 def test_mc_outcome_projection_contract():
     # the reference projection kills K + L(mu), projection * section is the
     # identity, and every result coefficient equals projection * conv_matrix
     # * section, the conv_matrix taken from the definition (the oracle);
-    # mu = 0 (where L(0) may differ from L'(0)) and mu != 0
+    # mu = 0 (where L(0) may differ from L'(0)) and mu != 0, one of them
+    # with denominator 7.  The cases hold slots whose quotient is formed
+    # over den (f = 1 < e) and over f * den with 1 < f < e
+    fs, shared = [], 0
     for name, t in _CONTRACT_TUPLES.items():
-        for mu in (F(0), F(1, 3)):
+        for mu in _CONTRACT_MUS:
             oracle = support.convolution_oracle(t, mu)
             _, big_k = subspace_K(t)
             w = big_k.sum(subspace_L(t, mu))
@@ -448,8 +476,40 @@ def test_mc_outcome_projection_contract():
                 assert (out.result.coeff(i, j)
                         == projection * oracle[(i, j)] * section), \
                     (name, mu, (i, j))
+            f = _slot_denominators(t, mu, w, oracle)
+            fs.extend((x, w.basis.den) for x in f.values())
+            shared += _shared_block_rows(t, mu, w, oracle, f, out.result)
     assert any(subspace_L(t, 0) != subspace_Lprime(t, 0)
                for t in _CONTRACT_TUPLES.values())
+    assert any(f == 1 < e for f, e in fs)
+    assert any(1 < f < e for f, e in fs)
+    assert shared
+
+
+def _shared_block_rows(t, mu, w, oracle, fs, result) -> int:
+    """Where f = 1 the quotient takes the point's block rows as they are,
+    so a block row that no pivot corrects is one row object in every such
+    slot matrix of the point, unless `Mat.from_integers` divides that
+    matrix by a common factor: `tuplefile.encode` formats it once.  Asserts
+    that, and returns how many block rows more than one slot shares."""
+    n, nm = t.size, w.ambient_dim
+    comp = [c for c in range(nm) if c not in w.pivot_rows]
+    at = {c: k for k, c in enumerate(comp)}
+    den = lcm(Mat.block([t.slot_coeffs()]).den, mu.denominator)  # G's rows over den
+    rows = {}  # (point, block row) -> its row objects in the f = 1 slots
+    for k, (i, j) in enumerate(t.slots()):
+        q, g = result.coeff(i, j), oracle[(i, j)]
+        if fs[(i, j)] != 1 or q.den != den:
+            continue
+        corrected = {at[c] for p, b in zip(w.pivot_rows, w.basis.num)
+                     if any(g.num[p][c] for c in comp) for c in comp if b[c]}
+        for a in range(n):
+            r = k * n + a  # slot (i, j) is block k of V'
+            if r in at and at[r] not in corrected:
+                rows.setdefault((i, a), []).append(q.num[at[r]])
+    for key, objs in rows.items():
+        assert len({id(r) for r in objs}) == 1, (mu, key)
+    return sum(len(objs) > 1 for objs in rows.values())
 
 
 def test_mc_and_reduce_never_build_the_convolution_matrices(monkeypatch):

@@ -316,6 +316,72 @@ def test_centralizer_dim_cases_match_dense_oracle(case, monkeypatch):
         splits.clear()
 
 
+def _random_split_leads():
+    """Conjugated direct sums of rational Jordan blocks and non-rational
+    companion blocks, each with two or more primary components."""
+    rng = support.rng(91)
+    pieces = [_jordan(2, 1), Mat([[1]]), Mat.diagonal([F(1, 2)] * 2), _jordan(3, -1),
+              SQRT2, _companion(-3, 0), Mat([[F(-2, 3)]])]
+    leads = []
+    while len(leads) < 8:
+        a = support.direct_sum(*rng.sample(pieces, rng.choice([2, 3])))
+        p = support.unimodular(rng, a.rows)
+        leads.append(p * a * inverse(p))
+    return leads
+
+
+def test_primary_components_cut_the_lead_without_an_inverse(monkeypatch):
+    # m leaves each primary component invariant, so its own block is m P at
+    # the pivots of the component's space: equal to the P^-1 route, and a
+    # rational eigenvalue's block keeps its spectrum, ((lam, d),) fully
+    # rational with one distinct root, as computed afresh; P is inverted
+    # only to cut another matrix
+    rng = support.rng(92)
+    leads = [m for a, *_ in CENTRALIZER_CASES
+             for p in [support.unimodular(rng, a.rows)] for m in (a, p * a * inverse(p))]
+    split, inv, inverses = 0, exactla.inverse, []
+    monkeypatch.setattr(exactla, "inverse", _counted(inv, inverses))
+    for m in leads + _random_split_leads():
+        other = support.rand_matrix(rng, m.rows, pool=(-1, 0, 2, F(1, 3)))
+        comps = exactla.primary_components(m, m, other)
+        if len(comps) == 1:
+            continue
+        split += 1
+        assert len(inverses) == 1
+        basis = support.from_columns([v for *_, s, _ in comps for v in s.basis.data], m.rows)
+        conj = inv(basis) * m * basis
+        own_only = exactla.primary_components(m, m)
+        assert len(inverses) == 1
+        off = 0
+        for (lam, _, s, (own, cut)), (*_, (alone,)) in zip(comps, own_only):
+            idx = range(off, off + s.dim)
+            assert own == alone == conj.submatrix(idx, idx)
+            assert cut == (inv(basis) * other * basis).submatrix(idx, idx)
+            fresh = exactla._rational_spectrum(Mat.from_integers(own.num, own.den, own.cols))
+            assert own._spectrum == (None if lam is None else fresh)
+            if lam is not None:
+                assert fresh == (((lam, s.dim),), True, 1)
+            off += s.dim
+        inverses.clear()
+    assert split > 8
+
+
+def test_split_lead_blocks_pay_no_second_spectrum_or_inverse(monkeypatch):
+    # J_2(1) + (1) + SQRT2 + SQRT2, conjugated: split, as the non-rational
+    # root is repeated; the rational block's spectrum comes with its block,
+    # so charpoly runs for the lead and the residual block only, and
+    # nothing is inverted, as only the lead is cut
+    a = support.direct_sum(_jordan(2, 1), [[1]], SQRT2, SQRT2)
+    p = support.unimodular(support.rng(93), a.rows)
+    m = p * a * inverse(p)
+    assert support.centralizer_dim_dense(m) == 13
+    charpolys, inverses = [], []
+    monkeypatch.setattr(exactla, "charpoly", _counted(exactla.charpoly, charpolys))
+    monkeypatch.setattr(exactla, "inverse", _counted(exactla.inverse, inverses))
+    assert centralizer_dim(m) == 13
+    assert (len(charpolys), len(inverses)) == (2, 0)
+
+
 EIGENVALUES = st.sampled_from([0, 1, -1, F(1, 2)])
 LEAD_BLOCKS = st.one_of(            # lam I_k, J_k(lam), SQRT2, x^2 - 3, SQRT2 + SQRT2
     st.builds(lambda lam, k: Mat.diagonal([lam] * k), EIGENVALUES, st.integers(1, 3)),
