@@ -54,6 +54,15 @@ kernel of n rows and dim Z columns, and the cutting stops once Z is 0.
 The S_u of a basis of Z span the intertwiners, and their RREF is the same
 canonical space as the Sylvester kernel.
 
+`are_similar` walks a grid of combinations of that basis for an
+invertible S.  dim End(a), dim Hom(a, b) and dim End(b) are similarity
+invariants, so one that differs is an exact "no"; equal ones make a and b
+similar over the algebraic closure (Byrnes and Gauger, Linear Multilinear
+Algebra 1977; Friedland, Adv. Math. 1983), hence over Q
+(Noether-Deuring), so the grid holds an invertible point.  The
+dimensions are read once, at the first singular point; a walk that ends
+without an invertible point despite them is an InternalError.
+
 `is_irreducible` decides by Norton's test (Parker 1984; Holt and Rees
 1994) when it can, in O(k n^3) for k generators.  It takes the first
 non-scalar generator theta with a rational eigenvalue lam whose eigenspace
@@ -376,11 +385,15 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     The intertwiner space is exact and canonical (its RREF), from a cyclic
     vector of a slot of `a` or else a Sylvester nullspace (module
     docstring).  The invertibility search walks a deterministic grid of
-    rational combinations whose density (degree-of-determinant + 1 values
-    per coordinate) certifies that a fully zero sweep means no invertible
-    element exists.  If `a` is irreducible, every intertwiner S != 0 is
-    invertible (Schur: ker S is a submodule of `a`), so the grid's first
-    point, the first basis vector, answers with one determinant.  Two
+    rational combinations, n + 1 values per coordinate for the determinant
+    of degree n, which holds an invertible point whenever one exists.  If
+    `a` is irreducible, every intertwiner S != 0 is invertible (Schur:
+    ker S is a submodule of `a`), so the grid's first point, the first
+    basis vector, answers with one determinant.  If that point is
+    singular, dim End(a) and then dim End(b) are read, and the first that
+    differs from dim Hom(a, b) answers "no"; if neither does, a and b are
+    similar (module docstring) and the walk goes on to the first
+    invertible point.  Two
     tuples with every coefficient zero are similar by S = I; a zero tuple
     and a nonzero one have different skeletons once stripped.
     """
@@ -399,7 +412,8 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
         raise PreconditionError("tuples have different singularity skeletons")
     if a == b:
         return Mat.identity(n)
-    space = _intertwiners(list(zip(a.slot_coeffs(), b.slot_coeffs())), n)
+    pairs = list(zip(a.slot_coeffs(), b.slot_coeffs()))
+    space = _intertwiners(pairs, n)
     d = space.dim
     if d == 0:
         return None
@@ -408,11 +422,16 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
         Mat.from_integers([col[k * n:(k + 1) * n] for k in range(n)], den, n)
         for col in space.basis.num
     ]
-    for coeffs in _weighted_grid(d, n):
+    # End(a), then End(b) only if End(a) has dimension d
+    invariants = ([(x, x) for x, _ in pairs], [(y, y) for _, y in pairs])
+    for k, coeffs in enumerate(_weighted_grid(d, n)):
         s = Mat.zeros(n, n)
         for c, m in zip(coeffs, basis):
             if c:
                 s = s + m.scaled(c)
         if det(s) != 0:
             return s
-    return None
+        if k == 0 and any(_intertwiners(hom, n).dim != d for hom in invariants):
+            return None
+    raise InternalError(f"no invertible intertwiner on the (n + 1)^{d} grid, although "
+                        f"End(a), Hom(a, b) and End(b) all have dimension {d}")

@@ -10,11 +10,12 @@ import importlib.util
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 from midconv.convolution import convolution_matrices, subspace_K, subspace_L, subspace_Lprime
-from midconv.exactla import Mat, Subspace, as_scalar, inverse
-from midconv.model import MatrixTuple, SingularPoint, make_tuple
+from midconv.exactla import Mat, Subspace, as_scalar, det, inverse, rref_nullspace
+from midconv.model import MatrixTuple, SingularPoint, make_tuple, strip_trivial
 
 # ---------------------------------------------------------------------
 # Oracles
@@ -285,6 +286,38 @@ def commutant_dim_dense(t: MatrixTuple, i: int) -> int:
     return unknowns - naive_rank(rows)
 
 
+def similar_by_sweep(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
+    """Simultaneous similarity by the full grid sweep that `are_similar`
+    ran before it read Hom dimensions: the intertwiners S A = B S as the
+    canonical kernel of the relations on row-major S, assembled entry by
+    entry, and the first invertible combination of that basis with
+    coefficients in {0..n}^d, by total and then lexicographically from the
+    top, or None once every point is singular.  For tuples of one size and
+    skeleton, not all zero; it sweeps (n + 1)^d points on a "no", so keep d
+    small."""
+    a, b = strip_trivial(a), strip_trivial(b)
+    n = a.size
+    if a == b:
+        return Mat.identity(n)
+    rows = []
+    for x, y in zip(a.slot_coeffs(), b.slot_coeffs()):
+        for i in range(n):
+            for j in range(n):
+                row = [F(0)] * (n * n)
+                for k in range(n):
+                    row[k * n + j] += y[i, k]       # (B S)[i,j] term S[k,j]
+                    row[i * n + k] -= x[k, j]       # (S A)[i,j] term S[i,k]
+                rows.append(row)
+    _, space = rref_nullspace(Mat(rows))
+    basis = [Mat([row[k * n:(k + 1) * n] for k in range(n)]) for row in space.basis.data]
+    grid = sorted(product(range(n + 1), repeat=space.dim), key=lambda p: (sum(p), [-c for c in p]))
+    for point in grid[1:]:
+        s = sum((m.scaled(c) for c, m in zip(point, basis) if c), Mat.zeros(n, n))
+        if det(s) != 0:
+            return s
+    return None
+
+
 def convolution_oracle(t: MatrixTuple, mu: F) -> dict[tuple[int, int], Mat]:
     """Straight-from-definition convolution matrices: for each matrix and
     each output slot, apply the four-case rule for u in terms of v."""
@@ -485,6 +518,17 @@ def rand_semisimple_tuple(r: random.Random, n: int, num_finite: int,
         cs.append(rand_matrix(r, n, res_pool))
         fins.append(SingularPoint(F(i), m, tuple(cs)))
     return make_tuple(n, inf, fins)
+
+
+def nilpotent_tuple(r: random.Random, jordan: tuple[int, ...]) -> MatrixTuple:
+    """A single-slot tuple (rank one at infinity, no finite point) whose
+    coefficient is nilpotent with the given Jordan block sizes, in the
+    basis of a unimodular matrix."""
+    n = sum(jordan)
+    starts = {sum(jordan[:k]) for k in range(len(jordan))}
+    a = Mat([[F(int(j == i + 1 and j not in starts)) for j in range(n)] for i in range(n)])
+    p = unimodular(r, n)
+    return make_tuple(n, SingularPoint(None, 1, (p * a * inverse(p),)), [])
 
 
 def forward_idx2_instances(seed: int, want: int, max_tries: int = 400,

@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from midconv.errors import PreconditionError
+from midconv.errors import InternalError, PreconditionError
 from midconv import exactla, rigidity
 from midconv.exactla import (
     Mat,
@@ -34,6 +34,7 @@ from midconv.model import (
     make_tuple,
     pad_point,
     spectral_type,
+    strip_trivial,
 )
 from midconv.rigidity import (
     _sylvester,
@@ -822,8 +823,20 @@ def test_irreducible_n12_within_budget(monkeypatch):
 # are_similar
 # ---------------------------------------------------------------------
 
+def _similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
+    """are_similar(a, b), which must be the answer of the full grid sweep
+    `support.similar_by_sweep`; an S it returns must intertwine the
+    stripped pair and be invertible."""
+    s = are_similar(a, b)
+    assert s == support.similar_by_sweep(a, b)
+    if s is not None:
+        pairs = zip(strip_trivial(a).slot_coeffs(), strip_trivial(b).slot_coeffs())
+        assert det(s) != 0 and all(s * x == y * s for x, y in pairs)
+    return s
+
+
 def test_similar_reflexive_identity():
-    assert are_similar(HYP, HYP) == Mat.identity(2)
+    assert _similar(HYP, HYP) == Mat.identity(2)
 
 
 def test_similar_recovers_conjugation():
@@ -831,10 +844,7 @@ def test_similar_recovers_conjugation():
     for _ in range(6):
         t = support.rand_tuple(rng, rng.choice([2, 3]), 1, [1, 0])
         p = support.unimodular(rng, t.size)
-        s = are_similar(t, support.conjugated(t, inverse(p)))
-        assert s is not None
-        for (i, j) in t.slots():
-            assert s * t.coeff(i, j) == support.conjugated(t, inverse(p)).coeff(i, j) * s
+        assert _similar(t, support.conjugated(t, inverse(p))) is not None
 
 
 def test_similar_absent():
@@ -842,7 +852,7 @@ def test_similar_absent():
                    [finite_point(0, 0, [Mat([[2]])])])
     b = make_tuple(1, infinity_point(1, [Mat([[1]])]),
                    [finite_point(0, 0, [Mat([[3]])])])
-    assert are_similar(a, b) is None
+    assert _similar(a, b) is None
 
 
 def test_similar_skeleton_mismatch():
@@ -855,11 +865,7 @@ def test_similar_skeleton_mismatch():
 def test_similar_involution_with_classical_intertwiner():
     fwd = middle_convolution(HYP, F(1, 3))
     back = middle_convolution(fwd.result, F(-1, 3))
-    s = are_similar(HYP, back.result)
-    assert s is not None
-    assert all(
-        s * HYP.coeff(i, j) == back.result.coeff(i, j) * s for (i, j) in HYP.slots()
-    )
+    assert _similar(HYP, back.result) is not None
 
 
 def test_centralizer_dim_matches_dense():
@@ -871,8 +877,8 @@ def test_centralizer_dim_matches_dense():
 
 def test_similar_strips_padding_first():
     padded = pad_point(HYP, 1)
-    assert are_similar(padded, HYP) == Mat.identity(2)
-    assert are_similar(HYP, padded) == Mat.identity(2)
+    assert _similar(padded, HYP) == Mat.identity(2)
+    assert _similar(HYP, padded) == Mat.identity(2)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -923,9 +929,7 @@ def test_intertwiners_match_sylvester_oracle(n, monkeypatch):
     for a, b in ((t, u), (u, t), (t, other), (other, u)):
         assert _cyclic_hom(a, b, monkeypatch) == _sylvester_hom(a, b)
     assert _sylvester_hom(t, u).dim >= 1 and _sylvester_hom(t, other).dim == 0
-    s = are_similar(t, u)
-    assert s is not None and all(s * x == y * s for x, y in _slot_pairs(t, u))
-    assert are_similar(t, other) is None
+    assert _similar(t, u) is not None and _similar(t, other) is None
 
     def rand() -> Mat:
         return support.rand_matrix(rng, n, pool)
@@ -953,9 +957,7 @@ def test_intertwiners_match_sylvester_oracle(n, monkeypatch):
     for a, b, dim in ((derog, conj(derog), 1), (dsum, conj(dsum), 2), (t, shifted, 0)):
         space = _cyclic_hom(a, b, monkeypatch)
         assert space == _sylvester_hom(a, b) and space.dim >= dim and (space.dim == 0) is (dim == 0)
-        s = are_similar(a, b)
-        assert (s is None) is (dim == 0)
-        assert s is None or all(s * x == y * s for x, y in _slot_pairs(a, b))
+        assert (_similar(a, b) is None) is (dim == 0)
 
 
 def test_intertwiners_nilpotent_pair(monkeypatch):
@@ -968,7 +970,7 @@ def test_intertwiners_nilpotent_pair(monkeypatch):
     assert space == _sylvester_hom(a, b) and space.dim == 3
     assert cyclic_vector(b.coeff(0, 1)) is None              # (2, 1) is not
     assert rigidity._intertwiners(_slot_pairs(b, a), 3) == _sylvester_hom(b, a)
-    assert are_similar(a, b) is None and are_similar(b, a) is None
+    assert _similar(a, b) is None and _similar(b, a) is None
 
 
 def test_intertwiners_single_cyclic_slot(monkeypatch):
@@ -982,7 +984,7 @@ def test_intertwiners_single_cyclic_slot(monkeypatch):
         a, b = _single_slot(x), _single_slot(p * y * inverse(p))
         space = _cyclic_hom(a, b, monkeypatch)
         assert space == _sylvester_hom(a, b) and space.dim == dim
-        assert are_similar(a, b) is None
+        assert _similar(a, b) is None
 
 
 def test_intertwiners_skip_a_scalar_first_slot(monkeypatch):
@@ -993,22 +995,93 @@ def test_intertwiners_skip_a_scalar_first_slot(monkeypatch):
     u = support.conjugated(t, support.unimodular(rng, 4))
     assert _slot_pairs(t, u)[0][0].scalar_multiple_of_identity() is not None
     assert _cyclic_hom(t, u, monkeypatch) == _sylvester_hom(t, u)
-    s = are_similar(t, u)
-    assert s is not None and all(s * x == y * s for x, y in _slot_pairs(t, u))
+    assert _similar(t, u) is not None
+
+
+def _counting_dets(monkeypatch) -> list:
+    dets = []
+    monkeypatch.setattr(rigidity, "det", lambda m: dets.append(m) or det(m))
+    return dets
 
 
 def test_similar_irreducible_takes_one_det(monkeypatch):
     # Schur: ker S of an intertwiner S != 0 is a submodule of an irreducible
-    # a, so S is invertible and the grid's first point succeeds
-    dets = []
-    monkeypatch.setattr(rigidity, "det", lambda m: dets.append(m) or det(m))
+    # a, so S is invertible and the grid's first point succeeds, with no
+    # Hom dimension read
+    dets = _counting_dets(monkeypatch)
+    homs = []
+    intertwiners = rigidity._intertwiners
+    monkeypatch.setattr(rigidity, "_intertwiners",
+                        lambda pairs, n: homs.append(n) or intertwiners(pairs, n))
     rng = support.rng(712)
     for n in (2, 3, 4, 5, 6, 8):
         t = support.rand_semisimple_tuple(rng, n, 2, [1, 0, 0])
         assert rigidity._norton(t.all_coeffs_with_residue(), n) is True
         dets.clear()
-        assert are_similar(t, support.conjugated(t, support.unimodular(rng, n))) is not None
-        assert len(dets) == 1
+        homs.clear()
+        assert _similar(t, support.conjugated(t, support.unimodular(rng, n))) is not None
+        assert len(dets) == 1 and homs == [n]
+
+
+@pytest.mark.parametrize("ja, jb", [((2, 1), (3,)), ((3,), (2, 1)), ((2, 1, 1), (2, 2))])
+def test_similar_no_from_hom_dimensions_takes_one_det(ja, jb, monkeypatch):
+    # nilpotent pairs of different Jordan types p, q: no intertwiner is
+    # invertible, so the grid's first point is singular; then dim End(a) or
+    # dim End(b) differs from dim Hom(a, b) = sum min(p_i, q_j), and the "no"
+    # is exact after one det (the (2, 1, 1) pair's full sweep is 5^8 points)
+    def hom(p, q):
+        return sum(min(x, y) for x in p for y in q)
+
+    rng = support.rng(714)
+    a, b = support.nilpotent_tuple(rng, ja), support.nilpotent_tuple(rng, jb)
+    pairs = _slot_pairs(a, b)
+    dims = [rigidity._intertwiners(ps, a.size).dim
+            for ps in ([(x, x) for x, _ in pairs], pairs, [(y, y) for _, y in pairs])]
+    assert dims == [hom(ja, ja), hom(ja, jb), hom(jb, jb)]
+    dets = _counting_dets(monkeypatch)
+    assert are_similar(a, b) is None and len(dets) == 1
+    if a.size == 3:
+        assert support.similar_by_sweep(a, b) is None
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_similar_split_against_non_split_block_triangular(n):
+    # two slots, block upper triangular for k + (n - k), with the same
+    # diagonal blocks: split (block diagonal) against non-split (a random
+    # corner), one side in the basis of a unimodular matrix; the full sweep
+    # gives the expected answer, and both answers occur
+    rng = support.rng(730 + n)
+    pool = (-1, 0, 1, 2)
+    answers = set()
+    for _ in range(4):
+        k = rng.randint(1, n - 1)
+        diag = [(support.rand_matrix(rng, k, pool), support.rand_matrix(rng, n - k, pool))
+                for _ in range(2)]
+
+        def triangular(corner: bool) -> MatrixTuple:
+            x0, x1 = (Mat.block([[x, Mat([[F(rng.choice(pool) if corner else 0)
+                                           for _ in range(n - k)] for _ in range(k)])],
+                                 [Mat.zeros(n - k, k), w]]) for x, w in diag)
+            return make_tuple(n, infinity_point(1, [x0]), [finite_point(0, 0, [x1])])
+
+        def conj(t: MatrixTuple) -> MatrixTuple:
+            return support.conjugated(t, support.unimodular(rng, n))
+
+        split, e1, e2 = triangular(False), triangular(True), triangular(True)
+        for a, b in ((split, conj(e1)), (e1, conj(split)), (e1, conj(e2)), (e1, conj(e1))):
+            answers.add(_similar(a, b) is None)
+    assert answers == {True, False}
+
+
+def test_similar_walk_without_an_invertible_point_is_an_internal_error(monkeypatch):
+    # equal Hom dimensions make a and b similar, so the grid holds an
+    # invertible point; a walk that finds none raises InternalError, not
+    # "no" (an explicit check, not an assert)
+    u = support.conjugated(HYP, Mat([[1, 1], [0, 1]]))
+    assert u != HYP
+    monkeypatch.setattr(rigidity, "det", lambda m: F(0))
+    with pytest.raises(InternalError, match="no invertible intertwiner"):
+        are_similar(HYP, u)
 
 
 def test_random_tuples_and_mc_outputs_build_no_sylvester_system(monkeypatch):
