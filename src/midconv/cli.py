@@ -308,7 +308,7 @@ def _cmd_enumerate(args):
             {
                 "points": tp.pattern_str(),
                 "d": tp.d,
-                "n": tp.d * sum(nl for nl, _ in tp.points[0]),
+                "n": tp.size,
                 "catalog": reduction.classify_terminal(tp),
                 "realizability": "unknown",
             }

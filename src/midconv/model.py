@@ -310,34 +310,51 @@ class SpectralBlock:
         return tuple(sorted(flat, reverse=True))
 
 
+# A point's multiplicity pattern: one (n_l, parts) per block, in `block_order`.
+PointPattern = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def block_weight(nl: int, parts: Sequence[int]) -> int:
+    """n_l^2 + sum of squared parts: a block's term in the index of rigidity."""
+    return nl * nl + sum(q * q for q in parts)
+
+
+def block_order(nl: int, parts: Sequence[int]) -> tuple:
+    """Sort key of the canonical block order: larger n_l first, then larger parts."""
+    return (-nl, tuple(-q for q in parts))
+
+
+def pattern_size(pattern: PointPattern) -> int:
+    """n of a point pattern: the sum of its block sizes."""
+    return sum(nl for nl, _ in pattern)
+
+
 @dataclass(frozen=True)
 class SpectralType:
     """Nested multiplicity pattern of a pair (leading coefficient, residue)
-    at one singular point."""
+    at one singular point; `blocks` are in canonical block order."""
 
     size: int
     blocks: tuple[SpectralBlock, ...]
 
-    def pattern(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Eigenvalue-free multiplicity pattern, canonically sorted."""
-        items = [(b.size, b.parts()) for b in self.blocks]
-        items.sort(key=lambda x: (-x[0], tuple(-p for p in x[1])))
-        return tuple(items)
+    def pattern(self) -> PointPattern:
+        """Eigenvalue-free multiplicity pattern."""
+        return tuple((b.size, b.parts()) for b in self.blocks)
 
     def pattern_str(self) -> str:
         return format_pattern(self.pattern())
 
 
-def format_pattern(pattern: Sequence[tuple[int, tuple[int, ...]]]) -> str:
+def format_pattern(pattern: PointPattern, unit: str = "") -> str:
     """Render a pattern; a single outer block prints in the short
-    regular-singular notation."""
-    if len(pattern) == 1:
-        return "(" + ",".join(str(q) for q in pattern[0][1]) + ")"
-    outer = "(" + ",".join(str(nl) for nl, _ in pattern) + ")"
-    inner = ",".join(
-        "(" + ",".join(str(q) for q in parts) + ")" for _, parts in pattern
-    )
-    return f"{outer}-({inner})"
+    regular-singular notation.  With a `unit` such as "d", each number q
+    prints as a multiple of it: "2d", and a bare "d" for 1."""
+
+    def group(nums) -> str:
+        return "(" + ",".join(f"{q}{unit}" if q != 1 or not unit else unit for q in nums) + ")"
+
+    inner = ",".join(group(parts) for _, parts in pattern)
+    return inner if len(pattern) == 1 else f"{group(nl for nl, _ in pattern)}-({inner})"
 
 
 def _eigendata_of(block: Mat, where: str) -> tuple[EigenData, ...]:
@@ -389,9 +406,7 @@ def spectral_type(t: MatrixTuple, i: int) -> SpectralType:
             f"point {i}: leading coefficient spectrum is not fully rational", a0)
     blocks = [SpectralBlock(d, mult, _eigendata_of(sub, f"point {i}, block at {d}"))
               for d, mult, (sub,) in eig]
-    blocks.sort(
-        key=lambda b: (-b.size, tuple(-q for q in b.parts()), b.eigenvalue)
-    )
+    blocks.sort(key=lambda b: (block_order(b.size, b.parts()), b.eigenvalue))
     return SpectralType(n, tuple(blocks))
 
 

@@ -15,7 +15,10 @@ leading coefficients and fully rational spectra:
   * apply middle convolution and strip points that became trivial.
 
 For index 2 this strictly decreases the size down to one; for index 0 it
-stops at one of the catalog patterns below.
+stops at one of the catalog patterns below.  `CATALOG` is the paper's list
+of 17 terminal patterns, written once as patterns; each name is rendered
+from its pattern by `format_pattern`.  The block term, block order and
+pattern size come from `model`.
 """
 
 from __future__ import annotations
@@ -30,18 +33,20 @@ from .exactla import Subspace
 from .model import (
     EigenData,
     MatrixTuple,
+    PointPattern,
     SpectralBlock,
     addition,
+    block_order,
+    block_weight,
     format_pattern,
     pad_point,
+    pattern_size,
     remove_point,
     removable_points,
     spectral_type,
     strip_trivial,
 )
 from .rigidity import is_irreducible
-
-PointPattern = tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -101,14 +106,10 @@ class ReductionTrace:
 # Pivot choice and one reduction step
 # ---------------------------------------------------------------------
 
-def _spectral_types_for_reduction(t: MatrixTuple):
-    types = []
-    for i in range(t.num_points):
-        try:
-            types.append(spectral_type(t, i))
-        except PreconditionError as e:
-            raise AssumptionViolated(str(e)) from e
-    return types
+def _pivot_rank(pv: PivotChoice) -> tuple[Fraction, int]:
+    """(n_l^2 + sum_j n_{l,j}^2) / n_l, then n_l + n_{l,1}."""
+    b = pv.block
+    return Fraction(block_weight(b.size, b.parts()), b.size), pv.kernel_target
 
 
 def choose_pivot(t: MatrixTuple) -> list[PivotChoice]:
@@ -116,7 +117,9 @@ def choose_pivot(t: MatrixTuple) -> list[PivotChoice]:
 
     Requires every point padded to Poincare rank one.  The chosen block
     maximizes (n_l^2 + sum_j n_{l,j}^2)/n_l; ties go to the larger
-    n_l + n_{l,1}, then to the earlier block in canonical order.
+    n_l + n_{l,1}, then to the earlier block in canonical order; inside it,
+    to the residue eigenvalue of maximal geometric multiplicity, then the
+    smaller value.  A point outside the hypotheses raises AssumptionViolated.
     """
     for i in range(t.num_points):
         if t.point(i).poincare_rank != 1:
@@ -124,33 +127,23 @@ def choose_pivot(t: MatrixTuple) -> list[PivotChoice]:
                 f"point {i}: Poincare rank must be 1 (pad rank-0 points first)"
             )
     choices = []
-    for i, st in enumerate(_spectral_types_for_reduction(t)):
-        best = None
-        for bi, block in enumerate(st.blocks):
-            parts = block.parts()
-            ratio = Fraction(block.size ** 2 + sum(q * q for q in parts), block.size)
-            inner = block.inner[0]  # max geometric multiplicity, then smaller value
-            key = (ratio, block.size + inner.geometric, -bi)
-            if best is None or key > best[0]:
-                best = (key, PivotChoice(i, block, inner))
-        choices.append(best[1])
+    for i in range(t.num_points):
+        try:
+            st = spectral_type(t, i)
+        except PreconditionError as e:
+            raise AssumptionViolated(str(e)) from e
+        # max keeps the first of equal keys: the earlier block
+        choices.append(max((PivotChoice(i, b, b.inner[0]) for b in st.blocks), key=_pivot_rank))
     return choices
 
 
 def _reduction_shift(t: MatrixTuple, pivots: list[PivotChoice]) -> list[Fraction]:
     """Shift the chosen leading eigenvalue to 0 at every point and the
     chosen residue eigenvalue to 0 at the finite points (the infinity
-    residue has no slot; the convolution parameter absorbs it)."""
-    shift = []
-    for (i, j) in t.slots():
-        pv = pivots[i]
-        if j == 1:
-            shift.append(-pv.block.eigenvalue)
-        elif j == 0 and i != 0:
-            shift.append(-pv.inner.value)
-        else:
-            shift.append(Fraction(0))
-    return shift
+    residue has no slot; the convolution parameter absorbs it).  Every point
+    has rank one, so the slots are (i, 1) and, at finite i, (i, 0)."""
+    return [-pivots[i].block.eigenvalue if j == 1 else -pivots[i].inner.value
+            for i, j in t.slots()]
 
 
 def _choose_mu(shifted: MatrixTuple, pivots: list[PivotChoice]) -> tuple[Fraction, Subspace]:
@@ -207,21 +200,14 @@ def reduce_step(t: MatrixTuple) -> tuple[MatrixTuple | None, ReductionStep]:
         raise InternalError(f"quotient has size {result.size}, predicted {new_size}")
     out = strip_trivial(result)
     removed = []
-    if out.size > 1:
-        while True:
-            rp = [i for i in removable_points(out) if i != 0]
-            if not rp:
-                break
-            i = rp[0]
-            lost = out.point(i).poincare_rank + 1
-            if out.slot_count - lost < 1:
-                break
-            out, _ = remove_point(out, i)
-            removed.append(i)
-        if (0 in removable_points(out)
-                and out.slot_count - out.infinity.poincare_rank >= 1):
-            out, _ = remove_point(out, 0)
-            removed.append(0)
+    while out.size > 1:
+        # finite points first, then infinity; never the point holding every slot
+        rp = [i for i in removable_points(out) if len(out.point(i).coeffs) < out.slot_count]
+        if not rp:
+            break
+        i = min(rp, key=lambda i: (i == 0, i))
+        out, _ = remove_point(out, i)
+        removed.append(i)
     if removed:
         step = replace(step, removed_points=tuple(removed))
     return out, step
@@ -240,16 +226,10 @@ def reduce(t: MatrixTuple) -> ReductionTrace:
         except AssumptionViolated as e:
             return ReductionTrace(tuple(steps), cur, AssumptionViolation(str(e)))
         if nxt is None:
-            try:
-                pattern = terminal_pattern(cur)
-                name = classify_terminal(pattern)
-                label = (
-                    f"{name}, d={pattern.d}" if name is not None else "uncataloged"
-                )
-            except (PreconditionError, AssumptionViolated) as e:
-                return ReductionTrace(
-                    tuple(steps), cur, AssumptionViolation(str(e))
-                )
+            # None comes only after choose_pivot took every point's spectral type
+            pattern = terminal_pattern(cur)
+            name = classify_terminal(pattern)
+            label = f"{name}, d={pattern.d}" if name is not None else "uncataloged"
             return ReductionTrace(tuple(steps), cur, Terminal(label, pattern))
         if nxt.size >= cur.size:
             raise InternalError(f"reduction step did not decrease the size {cur.size}")
@@ -272,6 +252,11 @@ class TerminalPattern:
 
     points: tuple[PointPattern, ...]
     d: int
+
+    @property
+    def size(self) -> int:
+        """n = d times the size of the base pattern."""
+        return self.d * pattern_size(self.points[0])
 
     def pattern_str(self) -> str:
         return "{" + ", ".join(format_pattern(p) for p in self.points) + "}"
@@ -297,49 +282,36 @@ def _reg(*parts: int) -> PointPattern:
     return ((sum(parts), tuple(parts)),)
 
 
-def _irr(*blocks: tuple[int, tuple[int, ...]]) -> PointPattern:
-    return tuple(blocks)
-
-
-_CATALOG_RAW: list[tuple[str, list[PointPattern]]] = [
-    ("four singularities {(d,d), (d,d), (d,d), (d,d)}",
-     [_reg(1, 1)] * 4),
-    ("three singularities {(d,d,d), (d,d,d), (d,d,d)}",
-     [_reg(1, 1, 1)] * 3),
-    ("three singularities {(2d,2d), (d,d,d,d), (d,d,d,d)}",
-     [_reg(2, 2), _reg(1, 1, 1, 1), _reg(1, 1, 1, 1)]),
-    ("three singularities {(3d,3d), (2d,2d,2d), (d,d,d,d,d,d)}",
-     [_reg(3, 3), _reg(2, 2, 2), _reg(1, 1, 1, 1, 1, 1)]),
-    ("three singularities {(d,d)-((d),(d)), (d,d), (d,d)}",
-     [_irr((1, (1,)), (1, (1,))), _reg(1, 1), _reg(1, 1)]),
-    ("two singularities {(d,d)-((d),(d)), (d,d)-((d),(d))}",
-     [_irr((1, (1,)), (1, (1,)))] * 2),
-    ("two singularities {(d,d,d)-((d),(d),(d)), (d,d,d)}",
-     [_irr((1, (1,)), (1, (1,)), (1, (1,))), _reg(1, 1, 1)]),
-    ("two singularities {(d,d,d,d)-((d),(d),(d),(d)), (2d,2d)}",
-     [_irr((1, (1,)), (1, (1,)), (1, (1,)), (1, (1,))), _reg(2, 2)]),
-    ("two singularities {(2d,2d)-((d,d),(d,d)), (d,d,d,d)}",
-     [_irr((2, (1, 1)), (2, (1, 1))), _reg(1, 1, 1, 1)]),
-    ("two singularities {(3d,2d)-((d,d,d),(2d)), (d,d,d,d,d)}",
-     [_irr((3, (1, 1, 1)), (2, (2,))), _reg(1, 1, 1, 1, 1)]),
-    ("two singularities {(2d,2d,2d)-((d,d),(d,d),(d,d)), (3d,3d)}",
-     [_irr((2, (1, 1)), (2, (1, 1)), (2, (1, 1))), _reg(3, 3)]),
-    ("two singularities {(3d,3d,2d)-((d,d,d),(d,d,d),(2d)), (4d,4d)}",
-     [_irr((3, (1, 1, 1)), (3, (1, 1, 1)), (2, (2,))), _reg(4, 4)]),
-    ("two singularities {(5d,4d,3d)-((d,d,d,d,d),(2d,2d),(3d)), (6d,6d)}",
-     [_irr((5, (1, 1, 1, 1, 1)), (4, (2, 2)), (3, (3,))), _reg(6, 6)]),
-    ("two singularities {(5d,4d)-((d,d,d,d,d),(2d,2d)), (3d,3d,3d)}",
-     [_irr((5, (1, 1, 1, 1, 1)), (4, (2, 2))), _reg(3, 3, 3)]),
-    ("two singularities {(3d,3d)-((d,d,d),(d,d,d)), (2d,2d,2d)}",
-     [_irr((3, (1, 1, 1)), (3, (1, 1, 1))), _reg(2, 2, 2)]),
-    ("two singularities {(5d,3d)-((d,d,d,d,d),(3d)), (2d,2d,2d,2d)}",
-     [_irr((5, (1, 1, 1, 1, 1)), (3, (3,))), _reg(2, 2, 2, 2)]),
-    ("two singularities {(4d,3d)-((2d,2d),(3d)), (d,d,d,d,d,d,d)}",
-     [_irr((4, (2, 2)), (3, (3,))), _reg(1, 1, 1, 1, 1, 1, 1)]),
+# The paper's 17 terminal patterns at d = 1, each point in the listed order.
+_CATALOG_PATTERNS: list[list[PointPattern]] = [
+    [_reg(1, 1)] * 4,
+    [_reg(1, 1, 1)] * 3,
+    [_reg(2, 2), _reg(1, 1, 1, 1), _reg(1, 1, 1, 1)],
+    [_reg(3, 3), _reg(2, 2, 2), _reg(1, 1, 1, 1, 1, 1)],
+    [((1, (1,)), (1, (1,))), _reg(1, 1), _reg(1, 1)],
+    [((1, (1,)), (1, (1,)))] * 2,
+    [((1, (1,)), (1, (1,)), (1, (1,))), _reg(1, 1, 1)],
+    [((1, (1,)), (1, (1,)), (1, (1,)), (1, (1,))), _reg(2, 2)],
+    [((2, (1, 1)), (2, (1, 1))), _reg(1, 1, 1, 1)],
+    [((3, (1, 1, 1)), (2, (2,))), _reg(1, 1, 1, 1, 1)],
+    [((2, (1, 1)), (2, (1, 1)), (2, (1, 1))), _reg(3, 3)],
+    [((3, (1, 1, 1)), (3, (1, 1, 1)), (2, (2,))), _reg(4, 4)],
+    [((5, (1, 1, 1, 1, 1)), (4, (2, 2)), (3, (3,))), _reg(6, 6)],
+    [((5, (1, 1, 1, 1, 1)), (4, (2, 2))), _reg(3, 3, 3)],
+    [((3, (1, 1, 1)), (3, (1, 1, 1))), _reg(2, 2, 2)],
+    [((5, (1, 1, 1, 1, 1)), (3, (3,))), _reg(2, 2, 2, 2)],
+    [((4, (2, 2)), (3, (3,))), _reg(1, 1, 1, 1, 1, 1, 1)],
 ]
 
+
+def _catalog_name(pats: list[PointPattern]) -> str:
+    """E.g. "two singularities {(2d,2d)-((d,d),(d,d)), (d,d,d,d)}"."""
+    count = ("two", "three", "four")[len(pats) - 2]
+    return f"{count} singularities {{{', '.join(format_pattern(p, 'd') for p in pats)}}}"
+
+
 CATALOG: dict[tuple[PointPattern, ...], str] = {
-    tuple(sorted(pats, reverse=True)): name for name, pats in _CATALOG_RAW
+    make_terminal_pattern(pats).points: _catalog_name(pats) for pats in _CATALOG_PATTERNS
 }
 if len(CATALOG) != 17:
     raise InternalError(f"the terminal catalog has {len(CATALOG)} distinct patterns, not 17")
@@ -348,7 +320,7 @@ if len(CATALOG) != 17:
 def classify_terminal(p: TerminalPattern) -> str | None:
     """Catalog name of the normalized pattern, or None if uncataloged.
     Invariant under point permutation and under scaling by d."""
-    return CATALOG.get(tuple(sorted(p.points, reverse=True)))
+    return CATALOG.get(p.points)
 
 
 # ---------------------------------------------------------------------
@@ -373,11 +345,8 @@ def _point_patterns_by_c(n: int) -> dict[PointPattern, int]:
 
         def rec(remaining: int, max_size: int, acc: list[int]):
             if remaining == 0:
-                blocks = tuple(
-                    (s, (c - s,) * (s // (c - s))) for s in acc
-                )
-                key = lambda b: (-b[0], tuple(-q for q in b[1]))
-                out[tuple(sorted(blocks, key=key))] = c
+                blocks = [(s, (c - s,) * (s // (c - s))) for s in acc]
+                out[tuple(sorted(blocks, key=lambda b: block_order(*b)))] = c
                 return
             for s in valid_sizes:
                 if s <= max_size and s <= remaining:
@@ -405,10 +374,7 @@ def enumerate_terminals(r: int, n_max: int) -> list[TerminalPattern]:
             if points_left == 0:
                 if total_c == target:
                     tp = make_terminal_pattern(list(acc))
-                    weight = sum(
-                        nl * nl + sum(q * q for q in parts)
-                        for pat in acc for nl, parts in pat
-                    )
+                    weight = sum(block_weight(nl, parts) for pat in acc for nl, parts in pat)
                     if weight != 2 * r * n * n:
                         raise InternalError(f"terminal pattern {tp.pattern_str()} has index "
                                             f"{weight - 2 * r * n * n}, not 0")
@@ -423,7 +389,4 @@ def enumerate_terminals(r: int, n_max: int) -> list[TerminalPattern]:
                 rec(points_left - 1, k, total_c + c, acc + [pat])
 
         rec(r + 1, 0, 0, [])
-    return sorted(
-        found,
-        key=lambda tp: (tp.d * sum(nl for nl, _ in tp.points[0]), tp.d, tp.points),
-    )
+    return sorted(found, key=lambda tp: (tp.size, tp.d, tp.points))

@@ -114,7 +114,7 @@ from .exactla import (
     spin_dim,
     toeplitz_kernel,
 )
-from .model import MatrixTuple, SpectralType, semisimple_eigenspaces, strip_trivial
+from .model import MatrixTuple, SpectralType, block_weight, semisimple_eigenspaces, strip_trivial
 
 
 def _sylvester(a: Mat, b: Mat) -> Mat:
@@ -224,13 +224,10 @@ def index_from_spectral(types: list[SpectralType], r: int, n: int) -> int:
     sum over points and blocks of (n_l^2 + sum of squared parts) - 2 r n^2."""
     if len(types) != r + 1:
         raise PreconditionError(f"expected {r + 1} spectral types, got {len(types)}")
-    total = 0
-    for st in types:
-        if st.size != n:
-            raise PreconditionError("spectral type size differs from n")
-        for nl, parts in st.pattern():
-            total += nl * nl + sum(q * q for q in parts)
-    return total - 2 * r * n * n
+    if any(st.size != n for st in types):
+        raise PreconditionError("spectral type size differs from n")
+    weight = sum(block_weight(nl, parts) for st in types for nl, parts in st.pattern())
+    return weight - 2 * r * n * n
 
 
 def okubo_index(t_mat: Mat, a_mat: Mat) -> int:

@@ -416,7 +416,9 @@ def rand_matrix(r: random.Random, n: int, pool=(-2, -1, 0, 1, 2)) -> Mat:
 
 
 def unimodular(r: random.Random, n: int) -> Mat:
-    """Integer matrix with determinant +-1, built from shear operations."""
+    """Integer matrix with determinant +-1, built from shear operations.
+    For n >= 2 it is never the identity: if the random shears cancel, one
+    fixed shear (row 0 += row 1) is applied, which draws nothing from r."""
     m = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
     for _ in range(2 * n + 2):
         i, j = r.randrange(n), r.randrange(n)
@@ -424,6 +426,8 @@ def unimodular(r: random.Random, n: int) -> Mat:
             c = r.choice([-1, 1])
             for k in range(n):
                 m[i][k] += c * m[j][k]
+    if n >= 2 and all(m[i][j] == (i == j) for i in range(n) for j in range(n)):
+        m[0][1] = F(1)
     return Mat(m)
 
 

@@ -1,11 +1,16 @@
 """Tuple file round trips and the command-line interface."""
 
 import ast
+import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import midconv
 from midconv import cli, tuplefile
@@ -715,3 +720,78 @@ def test_cli_human_output_golden(command, hyp_file, tmp_path, capsys):
         with open(out_path, encoding="utf-8") as fh:
             text = fh.read()
         assert text == dumps_tuple(loads_tuple(text))
+
+
+# ---------------------------------------------------------------------
+# mutated fixture documents
+# ---------------------------------------------------------------------
+
+_FUZZ_BASES = [json.loads(dumps_tuple(t)) for t in (
+    HYP, bessel_example(1, 0, 1, 1), inverse_laplace_example(1, 0, 1, 1))]
+_FUZZ_ENTRIES = ["0", "1", "-1", "2", "1/2", "-1/3", "3/2"]
+_FUZZ_VALUES = [0, 1, 2, -1, 10**9, True, None, "", "0", "1/2", "-3", "1/0", "x", "1" * 5000,
+                [], [["1"]], [["0", "1"], ["1", "0"]], {}, {"0": [["1"]]}]
+_FUZZ_COMMANDS = [["idx"], ["irred"], ["spectral"], ["mc", "--mu", "1/3"],
+                  ["add", "--shift=1,-1/2"], ["reduce", "--trace"], ["similar"]]
+
+
+def _key_paths(doc, prefix=()):
+    """The key path of every value inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _key_paths(v, prefix + (k,))
+
+
+def _value_at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A fixture document with one to three mutations, each a matrix entry
+    set to another rational, or any value replaced or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_key_paths(doc))
+        if not paths:
+            break
+        entries = [p for p in paths if "coeffs" in p and isinstance(_value_at(doc, p), str)]
+        kind = draw(st.sampled_from(["entry", "replace", "delete"]))
+        *where, key = draw(st.sampled_from(entries if kind == "entry" and entries else paths))
+        parent = _value_at(doc, where)
+        if kind == "entry":
+            parent[key] = draw(st.sampled_from(_FUZZ_ENTRIES))
+        elif kind == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_FUZZ_VALUES)))
+        else:
+            del parent[key]
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_documents(), st.sampled_from(["human", "machine"]))
+def test_cli_on_mutated_fixture_documents_exits_cleanly(doc, fmt):
+    # every command answers, or names the fault in one stderr line with exit
+    # 1, 2 or 3; none reaches the internal-error exit 4 or prints a traceback
+    with tempfile.TemporaryDirectory() as d:
+        path, base = str(Path(d) / "doc.json"), str(Path(d) / "base.json")
+        Path(path).write_text(json.dumps(doc))
+        write_tuple(base, HYP)
+        for command in _FUZZ_COMMANDS:
+            argv = ["--format", fmt, command[0], path, *command[1:]]
+            if command[0] == "similar":
+                argv.append(base)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, doc, err.getvalue())
+            assert code == 0 or out.getvalue() == "", (argv, doc)
+            assert err.getvalue().count("\n") <= 1, (argv, doc, err.getvalue())

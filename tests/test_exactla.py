@@ -707,6 +707,16 @@ def test_det_and_inverse():
         inverse(Mat([[1, 2], [2, 4]]))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_unimodular_is_never_the_identity(n):
+    # at these sizes the random shears of `support.unimodular` often cancel;
+    # a conjugate by the identity would make a test compare a tuple with itself
+    for seed in range(1000):
+        p = support.unimodular(support.rng(seed), n)
+        assert p != Mat.identity(n), seed
+        assert det(p) in (1, -1), seed
+
+
 def test_each_elimination_result_is_normalised_once(monkeypatch):
     # the reduced rows come back over a denominator they share a factor with,
     # and one normalising `from_integers` call per result cancels it

@@ -101,6 +101,17 @@ def test_choose_pivot_ratio_beats_largest_block():
     assert lhs >= total
 
 
+def test_choose_pivot_ratio_tie_goes_to_the_larger_kernel_target():
+    # blocks: size 7 with parts (1,)*7 and size 6 with parts (3,1,1,1) both
+    # have ratio 8; n_l + n_{l,1} is 8 and 9, so the later size-6 block wins
+    a1 = Mat.diagonal([0] * 7 + [1] * 6)
+    a0 = Mat.diagonal([1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 9, 10, 11])
+    t = make_tuple(13, infinity_point(1, [a1]), [finite_point(0, 0, [-a0])])
+    pv = choose_pivot(pad_point(t, 1))[0]
+    assert spectral_type(t, 0).pattern() == ((7, (1,) * 7), (6, (3, 1, 1, 1)))
+    assert (pv.block.size, pv.kernel_target, pv.inner.value) == (6, 9, 8)
+
+
 def test_choose_pivot_requires_rank_one():
     with pytest.raises(AssumptionViolated):
         choose_pivot(HYP)  # finite point not padded
@@ -350,6 +361,26 @@ def test_reduce_step_removes_a_point_and_keeps_the_index(case, tmp_path, capsys)
     assert capsys.readouterr().out == machine + "\n"
 
 
+_SCALAR = Mat.identity(2)
+_NOT_SCALAR = Mat([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("inf_lead,residues,removed", [
+    ([_SCALAR.scaled(2)], [_SCALAR, _NOT_SCALAR], (1, 0)),  # finite points first
+    ([_SCALAR.scaled(2)], [_SCALAR], (1,)),  # infinity then holds every slot
+    ([], [_SCALAR], ()),  # the one finite point holds every slot
+], ids=["finite-then-infinity", "infinity-keeps-the-last-slot", "lone-finite-point"])
+def test_reduce_step_removal_order(inf_lead, residues, removed, monkeypatch):
+    # the step's quotient is replaced by a chosen size-2 tuple, so that only
+    # the removal loop acts on it
+    chosen = make_tuple(2, infinity_point(len(inf_lead), inf_lead),
+                        [finite_point(x, 0, [a]) for x, a in enumerate(residues)])
+    monkeypatch.setattr("midconv.reduction.strip_trivial", lambda t: chosen)
+    out, step = reduce_step(REMOVAL_CASES["finite"][0])
+    assert step.removed_points == removed
+    assert out.slot_count == chosen.slot_count - len(removed)
+
+
 # ---------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------
@@ -425,18 +456,41 @@ def test_enumerate_r1_n12_contains_deep_entry():
     assert any(p.points == deep.points and p.d == 1 for p in pats)
 
 
+# The 17 catalog names as golden data: `reduce` labels and `enumerate` output
+# carry them verbatim, so rendering them from the patterns must keep every byte.
+CATALOG_NAMES = [
+    "four singularities {(d,d), (d,d), (d,d), (d,d)}",
+    "three singularities {(d,d,d), (d,d,d), (d,d,d)}",
+    "three singularities {(2d,2d), (d,d,d,d), (d,d,d,d)}",
+    "three singularities {(3d,3d), (2d,2d,2d), (d,d,d,d,d,d)}",
+    "three singularities {(d,d)-((d),(d)), (d,d), (d,d)}",
+    "two singularities {(d,d)-((d),(d)), (d,d)-((d),(d))}",
+    "two singularities {(d,d,d)-((d),(d),(d)), (d,d,d)}",
+    "two singularities {(d,d,d,d)-((d),(d),(d),(d)), (2d,2d)}",
+    "two singularities {(2d,2d)-((d,d),(d,d)), (d,d,d,d)}",
+    "two singularities {(3d,2d)-((d,d,d),(2d)), (d,d,d,d,d)}",
+    "two singularities {(2d,2d,2d)-((d,d),(d,d),(d,d)), (3d,3d)}",
+    "two singularities {(3d,3d,2d)-((d,d,d),(d,d,d),(2d)), (4d,4d)}",
+    "two singularities {(5d,4d,3d)-((d,d,d,d,d),(2d,2d),(3d)), (6d,6d)}",
+    "two singularities {(5d,4d)-((d,d,d,d,d),(2d,2d)), (3d,3d,3d)}",
+    "two singularities {(3d,3d)-((d,d,d),(d,d,d)), (2d,2d,2d)}",
+    "two singularities {(5d,3d)-((d,d,d,d,d),(3d)), (2d,2d,2d,2d)}",
+    "two singularities {(4d,3d)-((2d,2d),(3d)), (d,d,d,d,d,d,d)}",
+]
+
+
 def test_enumerate_matches_catalog_up_to_8():
+    # every pattern enumerated up to n = 12 is cataloged, and every one of
+    # the 17 catalog entries appears at d = 1 (the largest has n = 12)
     seen = set()
     for r in (1, 2, 3):
-        for tp in enumerate_terminals(r, 8):
+        for tp in enumerate_terminals(r, 12):
             name = classify_terminal(tp)
             assert name is not None, tp.pattern_str()
             seen.add((name, tp.d))
-    # every catalog entry with base size <= 8 appears at d = 1
-    for key, name in CATALOG.items():
-        base_n = sum(nl for nl, _ in key[0])
-        if base_n <= 8:
-            assert (name, 1) in seen, name
+    assert list(CATALOG.values()) == CATALOG_NAMES
+    for name in CATALOG_NAMES:
+        assert (name, 1) in seen, name
 
 
 def test_enumerate_bounds():
