@@ -6,13 +6,18 @@
 For each seed from A to B it runs `python3 perfbench/run.py --workload W
 --seed N --seconds S --trace 0` once in each checkout, the parent first on
 odd seeds and the change first on even seeds, so that a drift of the host
-falls on both sides alike.  Every run's `report` line is kept.  The file
-holds the workload, the command, the host, the order, the pairs, the
-median of every metric on each side and the claim: for METRIC, the number
-of pairs, the pairs where the change is lower, the relative change of the
-median and the parent's interquartile range.  Only the standard library is
-used.  The exit status is 1 if any run is not `correct`, after the file is
-written, and 2 if a run gives no report.
+falls on both sides alike.  Every run has PYTHONDONTWRITEBYTECODE=1 and
+PYTHONPYCACHEPREFIX set to one empty temporary directory, so no bytecode
+cache is read from either checkout or written anywhere, and both sides
+compile midconv from source at every set-up.  Every run's `report` line is
+kept.  The file holds the workload, the command, the host, the bytecode
+settings with the number of cache files found under the prefix after the
+runs (0), the order, the pairs, the median of every metric on each side
+and the claim: for METRIC, the number of pairs, the pairs where the change
+is lower, the relative change of the median and the parent's interquartile
+range.  Only the standard library is used.  The exit status is 1 if any
+run is not `correct`, after the file is written, and 2 if a run gives no
+report.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
 def _seeds(text: str) -> range:
@@ -37,12 +43,13 @@ def _seeds(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def run_once(directory: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """(report, result) of one perfbench run in `directory`: the parsed
-    `report` line and the last stdout line."""
+def run_once(directory: str, workload: str, seed: int, seconds: float,
+             env: dict) -> tuple[dict, dict]:
+    """(report, result) of one perfbench run in `directory` under the
+    environment `env`: the parsed `report` line and the last stdout line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=directory, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=directory, capture_output=True, text=True, env=env)
     lines = proc.stdout.splitlines()
     reports = [json.loads(line[len("report "):]) for line in lines if line.startswith("report ")]
     if proc.returncode != 0 or not reports:
@@ -91,17 +98,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     pairs, correct = [], True
-    for seed in args.seeds:
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        pair = {"seed": seed}
-        for side in order:
-            report, result = run_once(getattr(args, side), args.workload, seed, args.seconds)
-            pair[side] = report
-            correct &= result.get("correct") is True and result.get("failed") == 0
-            value = report["metrics"].get(args.claim, {}).get("value")
-            print(f"seed {seed} {side}: {args.claim} {value} correct {result.get('correct')}",
-                  file=sys.stderr)
-        pairs.append(pair)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        for seed in args.seeds:
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            pair = {"seed": seed}
+            for side in order:
+                report, result = run_once(getattr(args, side), args.workload, seed,
+                                          args.seconds, env)
+                pair[side] = report
+                correct &= result.get("correct") is True and result.get("failed") == 0
+                value = report["metrics"].get(args.claim, {}).get("value")
+                print(f"seed {seed} {side}: {args.claim} {value} correct {result.get('correct')}",
+                      file=sys.stderr)
+            pairs.append(pair)
+        written = sum(len(files) for _, _, files in os.walk(cache))
     if any(args.claim not in p[s]["metrics"] for p in pairs for s in ("parent", "change")):
         raise SystemExit(f"bench_pairs: no metric {args.claim!r} in the reports")
 
@@ -111,6 +122,9 @@ def main(argv=None) -> int:
                    f"--seconds {args.seconds:g} --trace 0",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                 f"{platform.python_version()}; times are perfbench probe-normalised seconds",
+        "bytecode": {"PYTHONDONTWRITEBYTECODE": "1",
+                     "PYTHONPYCACHEPREFIX": "one empty temporary directory for every run",
+                     "cache_files_written": written},
         "order": "parent first on odd seeds, change first on even seeds",
         "pairs": pairs,
         "parent": _side([p["parent"] for p in pairs]),

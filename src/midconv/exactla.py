@@ -33,22 +33,24 @@ checked exactly against -trace(A).
 Spectra run on one integer polynomial: q(y) = d^n det(y/d - A), with d
 the lcm of the denominators of det(x - A), is the characteristic
 polynomial of dA, monic and integral, so its rational roots are integers.
-Its primitive Sturm remainder sequence (q, q' and each -rem, times
-positive integers, made primitive) ends in gcd(q, q') up to a constant.
-At a point that is not a root of q, dividing the sequence by the gcd
-changes no sign variation and leaves the Sturm chain of the square-free
-part, so distinct roots are counted with no square-free part computed.
-The chain is read at half-integers c + 1/2 (never roots of q), as the
-integers 2^deg(p) p((2c + 1)/2): each member is stored once, highest
-coefficient first with the j-th times 2^j, so one Horner loop at 2c + 1
-per member counts the sign variations (`_variations`).  Bisection stops
-at unit intervals, testing their one integer: irrational roots are never
-separated.  A is semisimple iff q / gcd(q, q') annihilates dA.
-`rational_spectrum` keeps its answer on the `Mat`, in a slot that
-equality and hashing ignore: a `Mat` is immutable, so it never goes stale.
-Beside it goes n - deg gcd(q, q'), the number of distinct complex
-eigenvalues (`distinct_root_count`): n when q is square-free, so that m
-is cyclic.
+One pseudo-division, `_pdivmod` (c a = quo b + rem, c a positive
+integer, so signs are kept), gives its primitive Sturm remainder sequence
+(q, q' and each -rem, made primitive), which ends in g = gcd(q, q') up to
+a constant, and then the square-free part s = q / g.  Away from the roots
+of q, dividing the sequence by g changes no sign variation and leaves the
+Sturm chain of s, so distinct roots are counted.  The chain is read at
+half-integers c + 1/2 (never roots of q), as the integers 2^deg(p)
+p((2c + 1)/2): each member is stored once, highest coefficient first with
+the j-th times 2^j, so one Horner loop at 2c + 1 per member counts the sign
+variations (`_variations`).  Bisection stops at unit intervals, deflating
+q by synthetic division at their one integer while it is a root, which
+gives its multiplicity: irrational roots are never separated.  `_spectrum`
+keeps one record on the `Mat`, in a slot that equality and hashing ignore
+(a `Mat` is immutable, so it never goes stale): the rational eigenvalues
+with multiplicities, whether they are all (`rational_spectrum`), deg s =
+n - deg g, the number of distinct complex eigenvalues (`distinct_root_count`;
+n iff q is square-free, so that A is cyclic), and (d, s).  A is semisimple
+iff s annihilates dA, which `is_semisimple` tests on the kept s.
 
 `primary_components` is the one split by eigenvalue: for each rational
 lam one kernel chain (`_kernel_chain`), the kernels of (A - lam)^k until
@@ -65,8 +67,8 @@ m itself leaves each component's space invariant, so with P_s the columns
 of P that are the RREF basis of the space s, m P_s = P_s B_s, and as P_s
 is the identity at s's pivots, m's own block B_s is m P_s at those rows:
 no row of P^-1 is needed, and P is inverted only when a matrix other than
-m is cut.  The block of a rational eigenvalue lam of multiplicity d gets
-its spectrum, ((lam, d),) with one distinct root, kept on it.
+m is cut.  The block of a rational eigenvalue lam keeps the spectrum
+record of that one root (`_one_root`), as a scalar lam I does.
 
 A `Subspace` is its reduced row echelon basis: the rows of the `Mat`
 `basis` with leftmost pivots `pivot_rows`.  This representative is unique
@@ -147,8 +149,8 @@ class Mat:
     """Immutable dense rational matrix: the integer rows `num` over the
     positive denominator `den`, normalised (see the module docstring)."""
 
-    # _spectrum: `rational_spectrum`'s answer and `distinct_root_count` once
-    # asked for, not part of the value
+    # _spectrum: the spectrum record once asked for (`_spectrum`: rational
+    # eigenvalues, distinct-root count, square-free part), not part of the value
     __slots__ = ("rows", "cols", "num", "den", "_spectrum")
 
     def __init__(self, data: Iterable[Iterable]):
@@ -699,61 +701,45 @@ def charpoly(m: Mat) -> tuple[Fraction, ...]:
     return coeffs
 
 
-def _monic_integer_form(m: Mat) -> tuple[int, list[int]]:
-    """d and q(y) = d^n det(y/d - m), the characteristic polynomial of d m,
-    coefficients lowest first: monic and integral for d the lcm of the
-    denominators of det(x - m)."""
-    p = charpoly(m)
-    n = len(p) - 1
-    d = lcm(*(c.denominator for c in p))
-    return d, [c.numerator * d ** (n - i) // c.denominator for i, c in enumerate(p)]
-
-
 def _primitive(p: list[int]) -> list[int]:
     """p divided by its content (a positive integer)."""
     g = gcd(*p)
     return [x // g for x in p] if g > 1 else p
 
 
-def _neg_rem(a: list[int], b: list[int]) -> list[int]:
-    """-(c a mod b) for a positive integer c, made primitive; [] if b
-    divides a.  Each step scales the remainder by a positive integer and
-    cancels its leading term."""
+def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division of integer polynomials (lowest first, b[-1] != 0):
+    quo and rem (no trailing zeros), deg rem < deg b, with c a = quo b + rem
+    for a positive integer c, 1 when b is monic or divides a; each step
+    scales by a positive integer and cancels the leading term."""
     r, lb = a[:], b[-1]
-    while len(r) >= len(b):
-        f = r[-1]
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(quo))):
+        f = r[k + len(b) - 1]
         if f:
             g = gcd(f, lb)
             s, t = abs(lb) // g, f // g if lb > 0 else -f // g  # s f = t lb
-            k = len(r) - len(b)
-            r = [s * x for x in r]
+            if s > 1:
+                r, quo = [s * x for x in r], [s * x for x in quo]
+            quo[k] = t
             for i, c in enumerate(b):
                 r[k + i] -= t * c
+    while r and not r[-1]:  # the cancelled terms, then any more zeros
         r.pop()
-    while r and not r[-1]:
-        r.pop()
-    return _primitive([-x for x in r])
+    return quo, r
 
 
 def _sturm_chain(q: list[int]) -> list[list[int]]:
-    """The primitive Sturm remainder sequence of q (degree >= 1): q, q'
-    made primitive, then each `_neg_rem` of the last two members until one
-    vanishes.  The last member is gcd(q, q') up to a constant factor."""
+    """The primitive Sturm remainder sequence of q (degree >= 1): q, q',
+    then minus each remainder of the last two, each made primitive, until
+    one vanishes.  The last member is gcd(q, q') up to a constant factor."""
     chain = [q, _primitive([i * c for i, c in enumerate(q)][1:])]
     while len(chain[-1]) > 1:
-        r = _neg_rem(chain[-2], chain[-1])
+        r = _pdivmod(chain[-2], chain[-1])[1]
         if not r:
             break
-        chain.append(r)
+        chain.append(_primitive([-x for x in r]))
     return chain
-
-
-def _value(p: list[int], a: int) -> int:
-    """p(a) by Horner."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * a + c
-    return acc
 
 
 def _variations(members: list[list[int]], a: int) -> int:
@@ -772,13 +758,11 @@ def _variations(members: list[list[int]], a: int) -> int:
     return n
 
 
-def _integer_roots(chain: list[list[int]]) -> list[int]:
-    """The integer roots of the monic integer polynomial chain[0], by
-    bisection on the sign variations of its Sturm chain and exact
-    verification (no integer factorization)."""
+def _integer_roots(chain: list[list[int]]) -> list[tuple[int, int]]:
+    """(root, multiplicity) for each integer root of the monic integer
+    polynomial chain[0], by bisection on the sign variations of its Sturm
+    chain and deflation at each candidate (no integer factorization)."""
     q = chain[0]
-    if len(q) == 2:
-        return [-q[0]]
     # read at c + 1/2, never a root of q, by `_variations` at 2c + 1
     members = [[c << j for j, c in enumerate(reversed(p))] for p in chain]
     # Fujiwara: every root has |y| <= 2 max_k |q_(n-k)|^(1/k) < bound
@@ -793,27 +777,23 @@ def _integer_roots(chain: list[list[int]]) -> list[int]:
         if va == vb:
             continue
         if b - a == 1:  # b is the one integer inside
-            if _value(q, b) == 0:
-                roots.append(b)
+            mult = 0
+            while True:  # synthetic division by (y - b) while q(b) = 0
+                acc, quo = 0, []
+                for c in reversed(q):
+                    acc = acc * b + c
+                    quo.append(acc)
+                if quo.pop():
+                    break
+                q, mult = quo[::-1], mult + 1
+            if mult:
+                roots.append((b, mult))
             continue
         mid = (a + b) // 2
         vm = _variations(members, 2 * mid + 1)
         stack.append((a, va, mid, vm))
         stack.append((mid, vm, b, vb))
     return sorted(roots)
-
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for integer polynomials (lowest first); InternalError unless exact."""
-    r, quo = a[:], []
-    for k in range(len(a) - len(b), -1, -1):
-        f = r[k + len(b) - 1] // b[-1]
-        quo.append(f)
-        for i, c in enumerate(b):
-            r[k + i] -= f * c
-    if any(r):
-        raise InternalError("gcd(q, q') does not divide q")
-    return quo[::-1]
 
 
 def rational_spectrum(m: Mat) -> tuple[list[tuple[Fraction, int]], bool]:
@@ -825,7 +805,7 @@ def rational_spectrum(m: Mat) -> tuple[list[tuple[Fraction, int]], bool]:
     so each matrix pays for one characteristic polynomial and one root
     isolation; every call returns a new list.
     """
-    eigs, full, _ = _spectrum(m)
+    eigs, full, *_ = _spectrum(m)
     return list(eigs), full
 
 
@@ -835,51 +815,46 @@ def distinct_root_count(m: Mat) -> int:
     return _spectrum(m)[2]
 
 
-def _spectrum(m: Mat) -> tuple[tuple[tuple[Fraction, int], ...], bool, int]:
-    """`rational_spectrum`'s answer and `distinct_root_count`, computed once per m."""
+def _one_root(lam: Fraction, k: int) -> tuple:
+    """Spectrum record of lam as the one eigenvalue, k times: s = y - d lam, d = den(lam)."""
+    return ((lam, k),), True, 1, (lam.denominator, [-lam.numerator, 1])
+
+
+def _spectrum(m: Mat) -> tuple[tuple[tuple[Fraction, int], ...], bool, int, tuple[int, list[int]]]:
+    """The spectrum record of m, computed once and kept on it: the rational
+    eigenvalue pairs, whether they are all, the distinct-root count, and d
+    with the square-free part of q (module docstring)."""
     if m._spectrum is None:
-        m._spectrum = _rational_spectrum(m)
+        n = m.rows
+        if n == 0:
+            m._spectrum = (), True, 0, (1, [1])
+        elif (c := m.scalar_multiple_of_identity()) is not None:
+            m._spectrum = _one_root(c, n)
+        else:
+            p = charpoly(m)
+            d = lcm(*(c.denominator for c in p))
+            q = [c.numerator * d ** (n - i) // c.denominator for i, c in enumerate(p)]
+            chain = _sturm_chain(q)
+            sqfree, rem = _pdivmod(q, chain[-1])
+            if rem:
+                raise InternalError("gcd(q, q') does not divide q")
+            eigs = sorted(((Fraction(y, d), k) for y, k in _integer_roots(chain)),
+                          key=lambda t: (-t[1], t[0]))
+            m._spectrum = tuple(eigs), sum(k for _, k in eigs) == n, len(sqfree) - 1, (d, sqfree)
     return m._spectrum
-
-
-def _rational_spectrum(m: Mat) -> tuple[tuple[tuple[Fraction, int], ...], bool, int]:
-    """`_spectrum`'s answer, computed: the last member of the Sturm chain
-    is gcd(q, q') up to a constant."""
-    n = m.rows
-    if n and (c := m.scalar_multiple_of_identity()) is not None:
-        return ((c, n),), True, 1
-    d, q = _monic_integer_form(m)
-    if n == 0:
-        return (), True, 0
-    eigs, chain = [], _sturm_chain(q)
-    for y in _integer_roots(chain):
-        mult = 0
-        while True:  # synthetic division by (x - y) while q(y) = 0
-            acc, quo = 0, []
-            for c in reversed(q):
-                acc = acc * y + c
-                quo.append(acc)
-            if quo.pop():
-                break
-            q, mult = quo[::-1], mult + 1
-        eigs.append((Fraction(y, d), mult))
-    eigs.sort(key=lambda t: (-t[1], t[0]))
-    return tuple(eigs), sum(k for _, k in eigs) == n, n + 1 - len(chain[-1])
 
 
 def is_semisimple(m: Mat) -> bool:
     """True iff m is diagonalizable over the complex numbers, i.e. the
-    square-free part s = q / gcd(q, q') of the characteristic polynomial q
-    of d m (`_monic_integer_form`) annihilates d m."""
+    square-free part s of the characteristic polynomial of d m, kept by
+    `_spectrum`, annihilates d m (Horner's rule)."""
     if not m.is_square():
         raise ValueError("semisimplicity of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return True
-    d, q = _monic_integer_form(m)
+    *_, (d, sqfree) = _spectrum(m)
     dm = m.scaled(d)
     acc = Mat.zeros(n, n)
-    for c in reversed(_exact_quotient(q, _sturm_chain(q)[-1])):  # Horner
+    for c in reversed(sqfree):
         acc = acc * dm + Mat.diagonal([c] * n)
     return acc.is_zero()
 
@@ -970,7 +945,7 @@ def primary_components(m: Mat, *mats: Mat
             if a is m:  # m P_s = P_s B_s, and P_s is the identity at the pivots of s
                 blocks.append(own := ap.submatrix(s.pivot_rows, idx))
                 if lam is not None:
-                    own._spectrum = ((lam, s.dim),), True, 1
+                    own._spectrum = _one_root(lam, s.dim)
             else:
                 blocks.append(rows * ap.submatrix(range(n), idx))
         out.append((lam, part, s, tuple(blocks)))

@@ -51,11 +51,12 @@ from .rigidity import is_irreducible
 
 @dataclass(frozen=True)
 class PivotChoice:
-    """Chosen eigenvalue block and inner eigenvalue for one point."""
+    """Chosen eigenvalue block and inner eigenvalue of one point, and its pattern."""
 
     point: int
     block: SpectralBlock
     inner: EigenData
+    pattern: PointPattern
 
     @property
     def kernel_target(self) -> int:
@@ -133,7 +134,9 @@ def choose_pivot(t: MatrixTuple) -> list[PivotChoice]:
         except PreconditionError as e:
             raise AssumptionViolated(str(e)) from e
         # max keeps the first of equal keys: the earlier block
-        choices.append(max((PivotChoice(i, b, b.inner[0]) for b in st.blocks), key=_pivot_rank))
+        pat = st.pattern()
+        choices.append(max((PivotChoice(i, b, b.inner[0], pat) for b in st.blocks),
+                           key=_pivot_rank))
     return choices
 
 
@@ -226,8 +229,8 @@ def reduce(t: MatrixTuple) -> ReductionTrace:
         except AssumptionViolated as e:
             return ReductionTrace(tuple(steps), cur, AssumptionViolation(str(e)))
         if nxt is None:
-            # None comes only after choose_pivot took every point's spectral type
-            pattern = terminal_pattern(cur)
+            # None comes only after choose_pivot took every point's pattern
+            pattern = make_terminal_pattern([pv.pattern for pv in step.pivots])
             name = classify_terminal(pattern)
             label = f"{name}, d={pattern.d}" if name is not None else "uncataloged"
             return ReductionTrace(tuple(steps), cur, Terminal(label, pattern))

@@ -795,3 +795,47 @@ def test_cli_on_mutated_fixture_documents_exits_cleanly(doc, fmt):
             assert code in (0, 1, 2, 3), (argv, doc, err.getvalue())
             assert code == 0 or out.getvalue() == "", (argv, doc)
             assert err.getvalue().count("\n") <= 1, (argv, doc, err.getvalue())
+
+
+# ---------------------------------------------------------------------
+# mutated flag values
+# ---------------------------------------------------------------------
+
+_FLAG_RATIONALS = ["1/3", "0", "-2", "2/4", "-0", "+1", "1/0", "1/-3", "", " 1", "x", "1.5",
+                   "1e3", "0x10", "--", "1,2", "١", "1" * 5000, "3/" + "7" * 40]
+_FLAG_SHIFTS = ["1,-1/2", "0,0", "1", "1,2,3", ",", "", "1,,2", "1,-1/2,", " 1, 2", "a,b", "1/0,1"]
+_FLAG_PARAMS = ["1,1/2,1/3,1", "0,0,0,0", "", "1", "1,2", "0,0,0", "1,2,3,4,5", "1,1,1,1,",
+                "1/0,1,1,1", "x,1,1,1"]
+_FLAG_INTS = ["0", "1", "2", "3", "12", "13", "99", "-1", "", " 3", "x", "1.5", "1_0", "٣",
+              "1" * 5000]
+
+
+def test_cli_on_mutated_flag_values_exits_cleanly(tmp_path):
+    # the contract of the mutated documents above, on the values of --mu,
+    # --shift, --params, --r, --nmax and -o: every command answers, or names
+    # the fault in one stderr line with exit 1, 2 or 3
+    hyp = str(tmp_path / "hyp.json")
+    write_tuple(hyp, HYP)
+    runs = []
+    for v in _FLAG_RATIONALS:
+        runs += [["mc", hyp, "--mu", v], ["mc", hyp, f"--mu={v}"], ["conv", hyp, f"--mu={v}"]]
+    runs += [["add", hyp, f"--shift={v}"] for v in _FLAG_SHIFTS]
+    runs += [["fixtures", name, f"--params={v}"]
+             for v in _FLAG_PARAMS for name in ("hypergeometric", "bessel", "okubo")]
+    for v in _FLAG_INTS:
+        runs += [["enumerate", f"--r={v}", "--nmax", "3"], ["enumerate", "--r", "2", f"--nmax={v}"]]
+    for out in (str(tmp_path / "out.json"), str(tmp_path / "missing" / "out.json"),
+                str(tmp_path), "", hyp + "/out.json"):
+        runs += [["mc", hyp, "--mu", "1/3", "-o", out], ["add", hyp, "--shift=1,-1/2", "-o", out],
+                 ["fixtures", "bessel", "-o", out]]
+    codes = set()
+    for argv in runs:
+        for fmt in ("human", "machine"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["--format", fmt, *argv])
+            assert code in (0, 1, 2, 3), (argv, err.getvalue())
+            assert code == 0 or out.getvalue() == "", argv
+            assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+            codes.add(code)
+    assert codes == {0, 1, 2, 3}

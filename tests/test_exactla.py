@@ -1,8 +1,9 @@
 """Exact linear algebra: echelon forms, nullspaces, spectra, Jordan data."""
 
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction as F
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd
 
 import pytest
@@ -736,17 +737,91 @@ def test_each_elimination_result_is_normalised_once(monkeypatch):
     assert sq * inv == Mat.identity(3)
 
 
-def test_poly_gcd_and_squarefree():
-    from midconv.exactla import _exact_quotient, _sturm_chain
+def _poly_times(p, f):
+    """Product of integer coefficient lists, lowest degree first."""
+    out = [0] * (len(p) + len(f) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(f):
+            out[i + j] += a * b
+    return out
+
+
+def test_poly_gcd_and_squarefree(monkeypatch):
+    import midconv.exactla as exactla
+    from midconv.exactla import _pdivmod, _sturm_chain
 
     q = [2, -3, 0, 1]  # (y-1)^2 (y+2), lowest coefficient first
     chain = _sturm_chain(q)
     # q, q' = 3(y^2 - 1) made primitive, then -rem made primitive
     assert chain == [q, [-1, 0, 1], [-1, 1]]
     assert chain[-1] in ([-1, 1], [1, -1])  # +-(y - 1) = gcd(q, q')
-    assert _exact_quotient(q, chain[-1]) in ([-2, 1, 1], [2, -1, -1])  # (y-1)(y+2)
+    # the square-free part (y-1)(y+2), up to sign, with no remainder
+    assert _pdivmod(q, chain[-1]) in (([-2, 1, 1], []), ([2, -1, -1], []))
+    # y + 1 does not divide q: y^3 - 3y + 2 = (y + 1)(y^2 - y - 2) + 4
+    assert _pdivmod(q, [1, 1]) == ([-2, -1, 1], [4])
+    # a chain whose last member does not divide q is an internal error
+    real = exactla._sturm_chain
+    monkeypatch.setattr(exactla, "_sturm_chain", lambda q: real(q)[:-1] + [[1, 1]])
     with pytest.raises(InternalError):
-        _exact_quotient(q, [1, 1])  # y + 1 does not divide q
+        rational_spectrum(Mat.diagonal([1, 1, -2]))
+
+
+_POLYS = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6).filter(
+    lambda p: p[-1] != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_POLYS, _POLYS, st.sampled_from(["any", "monic", "divides"]))
+def test_pdivmod_is_a_pseudo_division(a, b, kind):
+    from midconv.exactla import _pdivmod
+
+    if kind == "monic":
+        b = b[:-1] + [1]
+    elif kind == "divides":
+        a = _poly_times(b, a)
+    quo, rem = _pdivmod(a, b)
+    back = [x + y for x, y in zip_longest(_poly_times(quo, b) if quo else [], rem, fillvalue=0)]
+    while not back[-1]:
+        back.pop()
+    c, r = divmod(back[-1], a[-1])  # quo b + rem = c a for a positive integer c
+    assert r == 0 and c >= 1 and back == [c * x for x in a]
+    assert len(rem) < len(b) and (not rem or rem[-1])
+    if kind != "any":
+        assert c == 1
+    if kind == "divides":
+        assert rem == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(min_value=-30, max_value=30),
+                       st.integers(min_value=1, max_value=3), max_size=4),
+       st.sampled_from([[1], [1, 0, 1], [-2, 0, 1], [1, 1, 1], [-2, 0, 0, 1], [4, 0, -4, 0, 1]]))
+def test_integer_roots_are_the_roots_with_their_multiplicities(roots, other):
+    # prod (y - r)^k times 1, y^2 + 1, y^2 - 2, y^2 + y + 1, y^3 - 2 or (y^2 - 2)^2
+    from midconv.exactla import _integer_roots, _sturm_chain
+
+    p = other
+    for r0, k in roots.items():
+        for _ in range(k):
+            p = _poly_times(p, [-r0, 1])
+    if len(p) > 1:
+        assert _integer_roots(_sturm_chain(p)) == sorted(roots.items())
+
+
+def test_semisimple_eigenspaces_takes_one_characteristic_polynomial(monkeypatch):
+    # the rotation (+) 1 is semisimple with a spectrum that is not fully
+    # rational: is_semisimple reads the square-free part kept with it
+    from midconv import exactla
+    from midconv.errors import PreconditionError
+    from midconv.model import semisimple_eigenspaces
+
+    calls = []
+    real = exactla.charpoly
+    monkeypatch.setattr(exactla, "charpoly", lambda m: calls.append(m) or real(m))
+    with pytest.raises(PreconditionError, match="not rational"):
+        semisimple_eigenspaces(Mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), "not semisimple",
+                               "not rational")
+    assert len(calls) == 1
 
 
 def test_charpoly_requires_square():
@@ -805,18 +880,12 @@ def test_primary_components_single_component_blocks_are_the_matrices(monkeypatch
     assert [c[3] for c in primary_components(Mat.diagonal([1, 2, 2]))] == [(), ()]
 
 
-def _poly_times(p, f):
-    """Product of integer coefficient lists, lowest degree first."""
-    out = [0] * (len(p) + len(f) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(f):
-            out[i + j] += a * b
-    return out
-
-
 def test_integer_root_isolation_stress(monkeypatch):
     import midconv.exactla as exactla
     from midconv.exactla import _integer_roots, _sturm_chain
+
+    def pairs(roots):
+        return sorted(Counter(roots).items())
 
     def poly_from_roots(int_roots, extra_irreducible=True):
         p = [1]
@@ -857,12 +926,12 @@ def test_integer_root_isolation_stress(monkeypatch):
             p = poly_from_roots(roots, extra)
             if len(p) == 1:
                 continue  # the constant 1 has no chain
-            assert _integer_roots(_sturm_chain(p)) == sorted(set(roots)), roots
+            assert _integer_roots(_sturm_chain(p)) == pairs(roots), roots
     # irrational-only polynomial: (y^2 - 2)(y^2 - 3)
     assert _integer_roots(_sturm_chain([6, 0, -5, 0, 1])) == []
     # a repeated irrational pair next to an integer root: (y^2 - 2)^2 (y - 5)
     p = _poly_times(_poly_times([-2, 0, 1], [-2, 0, 1]), [-5, 1])
-    assert _integer_roots(_sturm_chain(p)) == [5]
+    assert _integer_roots(_sturm_chain(p)) == [(5, 1)]
     # Mignotte's y^4 - 2(100y - 1)^2: two irrational roots about 1.4e-6
     # apart, near 1/100; bisection stops at the unit interval around 0
     # instead of separating them
@@ -892,7 +961,10 @@ def test_sign_variations_match_the_chain_read_in_fractions(roots, other, points)
         x = F(2 * c + 1, 2)
         signs = [v > 0 for v in (sum(a * x ** k for k, a in enumerate(m)) for m in chain) if v]
         assert _variations(members, 2 * c + 1) == sum(a != b for a, b in zip(signs, signs[1:]))
-    assert _integer_roots(chain) == sorted(set(roots) | ({0} if len(other) == 5 else set()))
+    expected = Counter(roots)
+    if len(other) == 5:
+        expected[0] += 2  # y^2 (y^2 - 2)
+    assert _integer_roots(chain) == sorted(expected.items())
 
 
 def test_rank_matches_naive_on_rank_deficient():

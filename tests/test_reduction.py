@@ -194,6 +194,24 @@ def test_reduce_step_terminal_on_idx0_four_point():
     assert step.size_after >= step.size_before == 2
 
 
+def test_reduce_takes_each_terminal_spectral_type_once(monkeypatch):
+    # the terminal pattern comes from the last step's pivots, which carry
+    # their points' patterns: one spectral type per point, with no second
+    # pass over the unpadded tuple
+    import midconv.reduction
+
+    calls = []
+    real = midconv.reduction.spectral_type
+    monkeypatch.setattr(midconv.reduction, "spectral_type",
+                        lambda t, i: calls.append(i) or real(t, i))
+    trace = reduce(_four_point_fuchsian())
+    assert len(calls) == 4
+    assert trace.steps == ()
+    assert trace.verdict == Terminal("four singularities {(d,d), (d,d), (d,d), (d,d)}, d=1",
+                                     terminal_pattern(_four_point_fuchsian()))
+    assert trace.verdict.pattern.points == (((2, (1, 1)),),) * 4
+
+
 def test_mu_candidates_match_the_shifted_spectral_type(monkeypatch):
     # oracle: the candidates are the residue eigenvalues of the zero block of
     # spectral_type(shifted, 0); _choose_mu reads them off the pivot data

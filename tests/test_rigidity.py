@@ -335,8 +335,9 @@ def test_primary_components_cut_the_lead_without_an_inverse(monkeypatch):
     # m leaves each primary component invariant, so its own block is m P at
     # the pivots of the component's space: equal to the P^-1 route, and a
     # rational eigenvalue's block keeps its spectrum, ((lam, d),) fully
-    # rational with one distinct root, as computed afresh; P is inverted
-    # only to cut another matrix
+    # rational with one distinct root, as computed afresh, with the
+    # square-free part of that one root; P is inverted only to cut another
+    # matrix
     rng = support.rng(92)
     leads = [m for a, *_ in CENTRALIZER_CASES
              for p in [support.unimodular(rng, a.rows)] for m in (a, p * a * inverse(p))]
@@ -358,10 +359,16 @@ def test_primary_components_cut_the_lead_without_an_inverse(monkeypatch):
             idx = range(off, off + s.dim)
             assert own == alone == conj.submatrix(idx, idx)
             assert cut == (inv(basis) * other * basis).submatrix(idx, idx)
-            fresh = exactla._rational_spectrum(Mat.from_integers(own.num, own.den, own.cols))
-            assert own._spectrum == (None if lam is None else fresh)
-            if lam is not None:
-                assert fresh == (((lam, s.dim),), True, 1)
+            if lam is None:
+                assert own._spectrum is None
+            else:
+                # the kept record is that of one root, s = y - d lam for d
+                # the denominator of lam, and answers as a fresh copy does
+                fresh = Mat.from_integers(own.num, own.den, own.cols)
+                assert own._spectrum[3] == (lam.denominator, [-lam.numerator, 1])
+                assert own._spectrum[:3] == exactla._spectrum(fresh)[:3] \
+                    == (((lam, s.dim),), True, 1)
+                assert exactla.is_semisimple(own) == exactla.is_semisimple(fresh)
             off += s.dim
         inverses.clear()
     assert split > 8
