@@ -12,10 +12,12 @@ cache is read from either checkout or written anywhere, and both sides
 compile midconv from source at every set-up.  Every run's `report` line is
 kept.  The file holds the workload, the command, the host, the bytecode
 settings with the number of cache files found under the prefix after the
-runs (0), the order, the pairs, the median of every metric on each side
-and the claim: for METRIC, the number of pairs, the pairs where the change
-is lower, the relative change of the median and the parent's interquartile
-range.  Only the standard library is used.  The exit status is 1 if any
+runs (0), the order, the pairs, the median of every metric on each side,
+the claim: for METRIC, the number of pairs, the pairs where the change is
+lower, the relative change of the median and the parent's interquartile
+range, and the guards: the same four figures for every end-to-end metric
+of the repository's BENCHMARK.json, each printed with the claim.  Only the
+standard library is used.  The exit status is 1 if any
 run is not `correct`, after the file is written, and 2 if a run gives no
 report.
 """
@@ -30,6 +32,9 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def _seeds(text: str) -> range:
@@ -86,6 +91,12 @@ def claim(pairs: list[dict], metric: str) -> dict:
     }
 
 
+def _summary(doc: dict, metric: str, c: dict) -> str:
+    return (f"{metric}: parent {doc['parent']['medians'][metric]:.6g}, change "
+            f"{doc['change']['medians'][metric]:.6g}, {c['median_change']:+.1%} in the median, "
+            f"lower in {c['lower_pairs']}/{c['pairs']}, parent IQR {c['parent_iqr']:.3g}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent revision")
@@ -113,8 +124,10 @@ def main(argv=None) -> int:
                       file=sys.stderr)
             pairs.append(pair)
         written = sum(len(files) for _, _, files in os.walk(cache))
-    if any(args.claim not in p[s]["metrics"] for p in pairs for s in ("parent", "change")):
-        raise SystemExit(f"bench_pairs: no metric {args.claim!r} in the reports")
+    guards = [e["name"] for e in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]]
+    for metric in [args.claim, *guards]:
+        if any(metric not in p[s]["metrics"] for p in pairs for s in ("parent", "change")):
+            raise SystemExit(f"bench_pairs: no metric {metric!r} in the reports")
 
     doc = {
         "workload": args.workload,
@@ -130,14 +143,14 @@ def main(argv=None) -> int:
         "parent": _side([p["parent"] for p in pairs]),
         "change": _side([p["change"] for p in pairs]),
         "claim": claim(pairs, args.claim),
+        "guards": {metric: claim(pairs, metric) for metric in guards},
     }
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    c = doc["claim"]
-    print(f"{args.claim}: parent {doc['parent']['medians'][args.claim]:.6g}, change "
-          f"{doc['change']['medians'][args.claim]:.6g}, {c['median_change']:+.1%} in the median, "
-          f"lower in {c['lower_pairs']}/{c['pairs']}, parent IQR {c['parent_iqr']:.3g}")
+    print(_summary(doc, args.claim, doc["claim"]))
+    for metric, c in doc["guards"].items():
+        print("guard " + _summary(doc, metric, c))
     return 0 if correct else 1
 
 

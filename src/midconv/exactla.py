@@ -24,15 +24,15 @@ taken) and both Burnside word spans run it, each with its own span.
 denominators of row i of A, B = diag(d) A is integral and, for D = prod d_i,
 each D e_k(A) = sum_{|S|=k} prod_{i not in S} d_i det B_S is an integer.
 Hadamard's bound on each det B_S, summed over S, gives |D e_k(A)| <=
-prod_i (rho_i + d_i) with rho_i = isqrt(|row_i B|^2) + 1.  So det(xI - A)
-is computed mod primes below 2^62 dividing no d_i (Hessenberg form), D
-times it is combined by CRT until the modulus exceeds twice that bound,
-and the symmetric lift is divided by D.  The x^(n-1) coefficient is then
-checked exactly against -trace(A).
+prod_i (rho_i + d_i) with rho_i = isqrt(|row_i B|^2) + 1.  So r = D det(xI
+- A) is computed mod primes below 2^62 dividing no d_i (Hessenberg form)
+and combined by CRT until the modulus exceeds twice that bound; the
+symmetric lift stays integral (`_charpoly_residues`), its x^(n-1) term is
+checked as r_(n-1) den = -D tr(num), A = num / den; `charpoly` is r / D.
 
-Spectra run on one integer polynomial: q(y) = d^n det(y/d - A), with d
-the lcm of the denominators of det(x - A), is the characteristic
-polynomial of dA, monic and integral, so its rational roots are integers.
+Spectra run on one integer polynomial, q(y) = det(yI - dA) for d = den,
+whose coefficients q_i = r_i d^(n-i) / D are exact integer quotients (a
+remainder is an InternalError), monic, so its rational roots are integers.
 One pseudo-division, `_pdivmod` (c a = quo b + rem, c a positive
 integer, so signs are kept), gives its primitive Sturm remainder sequence
 (q, q' and each -rem, made primitive), which ends in g = gcd(q, q') up to
@@ -59,16 +59,16 @@ last kernel, the generalized eigenspace.  `jordan_data` (every rational
 eigenvalue) and `jordan_partition` (one) need only the partitions, so
 they read each nullity from the rank of `_echelon`'s forward pass, with
 no back substitution and no `Subspace`; a simple eigenvalue is the block
-(1,) with no elimination at all.
-Further matrices B come back cut into their diagonal blocks in the basis
-P that concatenates the components' bases (rows of P^-1 times columns of
-B P); one component has P = I, so its blocks are the matrices themselves.
-m itself leaves each component's space invariant, so with P_s the columns
-of P that are the RREF basis of the space s, m P_s = P_s B_s, and as P_s
-is the identity at s's pivots, m's own block B_s is m P_s at those rows:
-no row of P^-1 is needed, and P is inverted only when a matrix other than
-m is cut.  The block of a rational eigenvalue lam keeps the spectrum
-record of that one root (`_one_root`), as a scalar lam I does.
+(1,) with no elimination at all.  Further matrices B come back cut into
+their diagonal blocks in the basis P that concatenates the components'
+bases (rows of P^-1 times columns of B P); one component has P = I, so its
+blocks are the matrices themselves.  m leaves each component's space s
+invariant, so with P_s the columns of P that are its RREF basis, m P_s =
+P_s B_s, and as P_s is the identity at s's pivots, m's own block B_s is m's
+rows there times P_s: P is inverted only to cut a matrix other than m.  B_s
+is lam I, with no product, if lam's Jordan blocks are all 1 x 1, and every
+rational B_s keeps its one root's record and partition (`_one_root`), as a
+scalar lam I does, so its `jordan_data` runs no kernel chain.
 
 A `Subspace` is its reduced row echelon basis: the rows of the `Mat`
 `basis` with leftmost pivots `pivot_rows`.  This representative is unique
@@ -149,8 +149,7 @@ class Mat:
     """Immutable dense rational matrix: the integer rows `num` over the
     positive denominator `den`, normalised (see the module docstring)."""
 
-    # _spectrum: the spectrum record once asked for (`_spectrum`: rational
-    # eigenvalues, distinct-root count, square-free part), not part of the value
+    # _spectrum: the spectrum record once asked for (`_spectrum`), not part of the value
     __slots__ = ("rows", "cols", "num", "den", "_spectrum")
 
     def __init__(self, data: Iterable[Iterable]):
@@ -673,9 +672,9 @@ def _coefficient_bound(dens: Sequence[int], rows: Sequence[Sequence[int]]) -> in
     return 2 * prod(isqrt(sum(x * x for x in r)) + 1 + d for d, r in zip(dens, rows))
 
 
-def charpoly(m: Mat) -> tuple[Fraction, ...]:
-    """Coefficients, lowest first, of the monic characteristic polynomial
-    det(xI - m), multi-modular with a certified bound (module docstring)."""
+def _charpoly_residues(m: Mat) -> tuple[list[int], int]:
+    """r = D det(xI - m), lowest first, and D: multi-modular with a certified
+    bound, and the trace checked on integers (module docstring)."""
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
@@ -695,10 +694,16 @@ def charpoly(m: Mat) -> tuple[Fraction, ...]:
         if modulus > bound:
             break
     half = modulus // 2
-    coeffs = tuple(Fraction(x - modulus if x > half else x, delta) for x in res)
-    if n and coeffs[n - 1] != -m.trace():
+    r = [x - modulus if x > half else x for x in res]
+    if n and r[n - 1] * m.den != -delta * sum(row[i] for i, row in enumerate(m.num)):
         raise InternalError("multi-modular characteristic polynomial fails the trace check")
-    return coeffs
+    return r, delta
+
+
+def charpoly(m: Mat) -> tuple[Fraction, ...]:
+    """Coefficients, lowest first, of det(xI - m): `_charpoly_residues` over D."""
+    r, delta = _charpoly_residues(m)
+    return tuple(Fraction(x, delta) for x in r)
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -815,32 +820,35 @@ def distinct_root_count(m: Mat) -> int:
     return _spectrum(m)[2]
 
 
-def _one_root(lam: Fraction, k: int) -> tuple:
-    """Spectrum record of lam as the one eigenvalue, k times: s = y - d lam, d = den(lam)."""
-    return ((lam, k),), True, 1, (lam.denominator, [-lam.numerator, 1])
+def _one_root(lam: Fraction, k: int, part: tuple[int, ...]) -> tuple:
+    """Spectrum record of lam, k times, with Jordan partition part: s = y - d lam, d = den(lam)."""
+    return ((lam, k),), True, 1, (lam.denominator, [-lam.numerator, 1]), part
 
 
-def _spectrum(m: Mat) -> tuple[tuple[tuple[Fraction, int], ...], bool, int, tuple[int, list[int]]]:
+def _spectrum(m: Mat) -> tuple:
     """The spectrum record of m, computed once and kept on it: the rational
-    eigenvalue pairs, whether they are all, the distinct-root count, and d
-    with the square-free part of q (module docstring)."""
+    eigenvalue pairs, whether they are all, the distinct-root count, d with
+    the square-free part of q (module docstring), and the Jordan partition
+    of a one-root record (`_one_root`), else None."""
     if m._spectrum is None:
         n = m.rows
         if n == 0:
-            m._spectrum = (), True, 0, (1, [1])
+            m._spectrum = (), True, 0, (1, [1]), None
         elif (c := m.scalar_multiple_of_identity()) is not None:
-            m._spectrum = _one_root(c, n)
+            m._spectrum = _one_root(c, n, (1,) * n)
         else:
-            p = charpoly(m)
-            d = lcm(*(c.denominator for c in p))
-            q = [c.numerator * d ** (n - i) // c.denominator for i, c in enumerate(p)]
-            chain = _sturm_chain(q)
-            sqfree, rem = _pdivmod(q, chain[-1])
+            r, delta = _charpoly_residues(m)
+            q, rems = zip(*(divmod(x * m.den ** (n - i), delta) for i, x in enumerate(r)))
+            if any(rems):
+                raise InternalError("det(yI - den m) is not integral")
+            chain = _sturm_chain(list(q))
+            sqfree, rem = _pdivmod(chain[0], chain[-1])
             if rem:
                 raise InternalError("gcd(q, q') does not divide q")
-            eigs = sorted(((Fraction(y, d), k) for y, k in _integer_roots(chain)),
+            eigs = sorted(((Fraction(y, m.den), k) for y, k in _integer_roots(chain)),
                           key=lambda t: (-t[1], t[0]))
-            m._spectrum = tuple(eigs), sum(k for _, k in eigs) == n, len(sqfree) - 1, (d, sqfree)
+            m._spectrum = (tuple(eigs), sum(k for _, k in eigs) == n, len(sqfree) - 1,
+                           (m.den, sqfree), None)
     return m._spectrum
 
 
@@ -851,7 +859,7 @@ def is_semisimple(m: Mat) -> bool:
     if not m.is_square():
         raise ValueError("semisimplicity of a non-square matrix")
     n = m.rows
-    *_, (d, sqfree) = _spectrum(m)
+    d, sqfree = _spectrum(m)[3]
     dm = m.scaled(d)
     acc = Mat.zeros(n, n)
     for c in reversed(sqfree):
@@ -892,13 +900,14 @@ def jordan_partition(m: Mat, lam) -> tuple[int, ...]:
 def jordan_data(m: Mat) -> tuple[list[tuple[Fraction, int, tuple[int, ...]]], bool]:
     """(eigenvalue, multiplicity, Jordan partition) per rational eigenvalue
     of m, in `rational_spectrum` order, and whether the spectrum is fully
-    rational: `primary_components` without the spaces.  A simple
-    eigenvalue is the block (1,) with no elimination; a repeated one reads
-    its partition from the ranks of the kernel chain."""
+    rational: `primary_components` without the spaces.  A one-root record
+    keeps its partition, a simple eigenvalue is the block (1,), and any
+    other reads its partition from the ranks of the kernel chain."""
     if not m.is_square():
         raise ValueError("jordan data of a non-square matrix")
     spec, full = rational_spectrum(m)
-    return [(lam, mult, (1,) if mult == 1 else _kernel_chain(m, lam, mult, spaces=False)[0])
+    return [(lam, mult, m._spectrum[4] or ((1,) if mult == 1 else
+                                          _kernel_chain(m, lam, mult, spaces=False)[0]))
             for lam, mult in spec], full
 
 
@@ -935,18 +944,20 @@ def primary_components(m: Mat, *mats: Mat
         return [c + (mats,) for c in comps]
     p = Mat.block([[s.basis] for *_, s in comps]).transpose()
     pinv = inverse(p) if any(a is not m for a in mats) else None
-    products = [a * p for a in mats]
+    products = [None if a is m else a * p for a in mats]
     out, off = [], 0
     for lam, part, s in comps:
         idx, off = range(off, off + s.dim), off + s.dim
         rows = pinv and pinv.submatrix(idx, range(n))  # this block's rows of pinv * a * p
         blocks = []
-        for a, ap in zip(mats, products):
-            if a is m:  # m P_s = P_s B_s, and P_s is the identity at the pivots of s
-                blocks.append(own := ap.submatrix(s.pivot_rows, idx))
-                if lam is not None:
-                    own._spectrum = _one_root(lam, s.dim)
-            else:
+        for ap in products:
+            if ap is not None:
                 blocks.append(rows * ap.submatrix(range(n), idx))
+            elif lam is None or part[0] > 1:  # m P_s = P_s B_s, P_s is 1 at the pivots of s
+                blocks.append(m.submatrix(s.pivot_rows, range(n)) * s.basis.transpose())
+            else:  # semisimple: m is lam on s
+                blocks.append(Mat.diagonal([lam] * s.dim))
+            if ap is None and lam is not None:
+                blocks[-1]._spectrum = _one_root(lam, s.dim, part)
         out.append((lam, part, s, tuple(blocks)))
     return out

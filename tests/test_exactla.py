@@ -667,8 +667,8 @@ def test_rational_spectrum_is_taken_once_per_matrix(monkeypatch):
     from midconv import exactla
 
     calls = []
-    real = exactla.charpoly
-    monkeypatch.setattr(exactla, "charpoly", lambda m: calls.append(m) or real(m))
+    real = exactla._charpoly_residues
+    monkeypatch.setattr(exactla, "_charpoly_residues", lambda m: calls.append(m) or real(m))
     m = Mat([[2, 1, 0], [0, 2, 0], [0, 0, F(-1, 3)]])
     twin = Mat(m.data)
     before = hash(m)
@@ -816,8 +816,8 @@ def test_semisimple_eigenspaces_takes_one_characteristic_polynomial(monkeypatch)
     from midconv.model import semisimple_eigenspaces
 
     calls = []
-    real = exactla.charpoly
-    monkeypatch.setattr(exactla, "charpoly", lambda m: calls.append(m) or real(m))
+    real = exactla._charpoly_residues
+    monkeypatch.setattr(exactla, "_charpoly_residues", lambda m: calls.append(m) or real(m))
     with pytest.raises(PreconditionError, match="not rational"):
         semisimple_eigenspaces(Mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), "not semisimple",
                                "not rational")
@@ -878,6 +878,48 @@ def test_primary_components_single_component_blocks_are_the_matrices(monkeypatch
         assert comp[0] == lam and comp[2].dim == 3 and comp[3] == mats
     # several components and no matrices to cut: no blocks, and no inverse either
     assert [c[3] for c in primary_components(Mat.diagonal([1, 2, 2]))] == [(), ()]
+
+
+def _old_own_blocks(m, comps):
+    """m's own blocks cut as (m P) at each component's pivots and columns."""
+    p = Mat.block([[s.basis] for _, _, s, _ in comps]).transpose()
+    mp, off, out = m * p, 0, []
+    for _, _, s, _ in comps:
+        out.append(mp.submatrix(s.pivot_rows, range(off, off + s.dim)))
+        off += s.dim
+    return out
+
+
+def test_primary_components_semisimple_own_blocks_take_no_product(monkeypatch):
+    # a semisimple lead's own blocks are lam I, as the old (m P)[pivots] cut
+    # gave them, with no product with m on the left; a component with a
+    # Jordan block is still cut, from m's rows at its pivots
+    rng = support.rng(33)
+    leads = []
+    for k in (2, 3, 4):
+        lams = [F(x, rng.choice([1, 2, 3])) for x in rng.sample(range(-4, 5), k)]
+        diag = [lam for lam in lams for _ in range(rng.randint(1, 3))]
+        p = support.unimodular(rng, len(diag))
+        leads.append(p * Mat.diagonal(diag) * inverse(p))
+    p = support.unimodular(rng, 5)
+    jordan = p * support.direct_sum(_jordan_block(1, 2), [[1]], [[F(-1, 2)]], [[F(-1, 2)]]) \
+        * inverse(p)
+    lefts, real = [], Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: lefts.append(a) or real(a, b))
+    for m in leads + [jordan]:
+        lefts.clear()
+        comps = primary_components(m, m)
+        # the Jordan lead's products: (m - 1)^2 in its kernel chain, then its
+        # 3 x 3 block from m's rows at the pivots
+        assert len(comps) > 1 and all(a is not m for a in lefts)
+        assert [a.rows for a in lefts] == ([5, 3] if m is jordan else [])
+        old = _old_own_blocks(m, comps)
+        for (lam, part, s, (own,)), cut in zip(comps, old):
+            assert own == cut
+            assert own._spectrum[0] == ((lam, s.dim),) and own._spectrum[4] == part
+            if part[0] == 1:
+                assert own == Mat.diagonal([lam] * s.dim)
+    assert [part for _, part, _, _ in primary_components(jordan, jordan)] == [(2, 1), (1, 1)]
 
 
 def test_integer_root_isolation_stress(monkeypatch):

@@ -16,13 +16,20 @@ sympy's `is_diagonalizable` on a similar set.
 `charpoly` is also compared on inputs aimed at its multi-modular
 certificate: 100-digit entries and 10^30 denominators (a wrong bound or
 a missing prime fails them), a denominator equal to the first prime, and
-Hessenberg columns without a pivot.
+Hessenberg columns without a pivot.  On n = 1..8 with integral rows beside
+rows over 30 and over 10^30, the spectrum record (rational eigenvalues,
+multiplicities, whether they are all, the distinct-root count) and
+`is_semisimple` are compared with sympy, `charpoly` with the cofactor
+expansion, and the primes taken with those the per-row bound asks for.
 """
 
 from fractions import Fraction as F
+from itertools import count
+from math import isqrt, lcm, prod
 
 import pytest
 
+from midconv import exactla
 from midconv.exactla import (
     IncrementalSpan,
     _prime,
@@ -282,6 +289,60 @@ def test_rational_spectrum_matches_sympy(m):
     pairs, full = rational_spectrum(m)
     assert pairs == sorted(roots.items(), key=lambda t: (-t[1], t[0]))
     assert full == (sum(roots.values()) == m.rows)
+
+
+def mixed_denominator_cases():
+    """n = 1..8: direct sums of repeated, Jordan and irrational blocks,
+    conjugated by a unimodular matrix and then by diag(s) with s_i cycling
+    through 1, 30 and 10^30, so that row i of s^-1 m s is m's row i times
+    s_j / s_i: integral rows beside rows over 30 and over 10^30."""
+    pieces = [[[F(1, 3)]], [[F(-2)]], [[F(-2)]], _jordan(F(1, 2), 2), _jordan(3, 3),
+              SQRT2, I_ROT, [[F(0)]]]
+    r = support.rng(808)
+    out = []
+    for n in range(1, 9):
+        for k in range(2):
+            blocks = []
+            while (size := sum(map(len, blocks))) < n:
+                blocks.append(r.choice([b for b in pieces if len(b) <= n - size]))
+            p = support.unimodular(r, n)
+            s = [(1, 30, 10 ** 30)[i % 3] for i in range(n)]
+            m = inverse(Mat.diagonal(s)) * p * support.direct_sum(*blocks) * inverse(p) \
+                * Mat.diagonal(s)
+            out.append(pytest.param(m, id=f"n{n}-{k}"))
+    return out
+
+
+@pytest.mark.parametrize("m", mixed_denominator_cases())
+def test_spectrum_record_on_mixed_row_denominators_matches_sympy(m):
+    x = sympy.Symbol("x")
+    roots, _ = _rational_roots(m)
+    factors = sympy.factor_list(_sym(m).charpoly(x).as_expr(), x)[1]
+    eigs, full, distinct, *_ = exactla._spectrum(m)
+    assert list(eigs) == sorted(roots.items(), key=lambda t: (-t[1], t[0]))
+    assert full == (sum(roots.values()) == m.rows)
+    assert distinct == sum(sympy.degree(f, x) for f, _ in factors)
+    assert is_semisimple(m) == _sym(m).is_diagonalizable()
+
+
+@pytest.mark.parametrize("m", mixed_denominator_cases())
+def test_charpoly_on_mixed_row_denominators_takes_the_per_row_bound_s_primes(m, monkeypatch):
+    primes, real = [], exactla._charpoly_mod
+    monkeypatch.setattr(exactla, "_charpoly_mod", lambda a, p: primes.append(p) or real(a, p))
+    assert charpoly(m) == tuple(support.charpoly_cofactor(m))
+    # each row over the lcm d_i of its own denominators; the CRT loop stops
+    # at the first product of primes dividing no d_i above twice the bound
+    dens = [lcm(*(x.denominator for x in row)) for row in m.data]
+    bound = 2 * prod(isqrt(sum(int(x * d) ** 2 for x in row)) + 1 + d
+                     for d, row in zip(dens, m.data))
+    expected, modulus = [], 1
+    for p in map(_prime, count()):
+        if modulus > bound:
+            break
+        if all(d % p for d in dens):
+            expected.append(p)
+            modulus *= p
+    assert primes == expected
 
 
 def semisimple_cases():

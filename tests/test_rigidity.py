@@ -377,17 +377,35 @@ def test_primary_components_cut_the_lead_without_an_inverse(monkeypatch):
 def test_split_lead_blocks_pay_no_second_spectrum_or_inverse(monkeypatch):
     # J_2(1) + (1) + SQRT2 + SQRT2, conjugated: split, as the non-rational
     # root is repeated; the rational block's spectrum comes with its block,
-    # so charpoly runs for the lead and the residual block only, and
-    # nothing is inverted, as only the lead is cut
+    # so the characteristic polynomial residues are taken for the lead and
+    # the residual block only, and nothing is inverted, as only the lead is cut
     a = support.direct_sum(_jordan(2, 1), [[1]], SQRT2, SQRT2)
     p = support.unimodular(support.rng(93), a.rows)
     m = p * a * inverse(p)
     assert support.centralizer_dim_dense(m) == 13
     charpolys, inverses = [], []
-    monkeypatch.setattr(exactla, "charpoly", _counted(exactla.charpoly, charpolys))
+    monkeypatch.setattr(exactla, "_charpoly_residues",
+                        _counted(exactla._charpoly_residues, charpolys))
     monkeypatch.setattr(exactla, "inverse", _counted(exactla.inverse, inverses))
     assert centralizer_dim(m) == 13
     assert (len(charpolys), len(inverses)) == (2, 0)
+
+
+def test_split_rational_block_reads_its_partition_from_the_split(monkeypatch):
+    # the same lead: Frobenius's rule takes the chain of 1 on the lead, the
+    # split one on m and one on m^T, and the rational block's `jordan_data`
+    # reads the partition (2, 1) kept with its one-root record, no fourth chain
+    a = support.direct_sum(_jordan(2, 1), [[1]], SQRT2, SQRT2)
+    p = support.unimodular(support.rng(93), a.rows)
+    m = p * a * inverse(p)
+    chains, real = [], exactla._kernel_chain
+    monkeypatch.setattr(exactla, "_kernel_chain",
+                        lambda *args, **kw: chains.append(args[1]) or real(*args, **kw))
+    assert centralizer_dim(m) == 13
+    assert chains == [F(1)] * 3
+    (lam, part, _, (own,)), _ = exactla.primary_components(m, m)
+    assert (lam, part) == (F(1), (2, 1)) and own._spectrum[4] == (2, 1)
+    assert exactla.jordan_data(own) == ([(F(1), 3, (2, 1))], True)
 
 
 EIGENVALUES = st.sampled_from([0, 1, -1, F(1, 2)])
