@@ -31,26 +31,29 @@ symmetric lift stays integral (`_charpoly_residues`), its x^(n-1) term is
 checked as r_(n-1) den = -D tr(num), A = num / den; `charpoly` is r / D.
 
 Spectra run on one integer polynomial, q(y) = det(yI - dA) for d = den,
-whose coefficients q_i = r_i d^(n-i) / D are exact integer quotients (a
-remainder is an InternalError), monic, so its rational roots are integers.
-One pseudo-division, `_pdivmod` (c a = quo b + rem, c a positive
-integer, so signs are kept), gives its primitive Sturm remainder sequence
-(q, q' and each -rem, made primitive), which ends in g = gcd(q, q') up to
-a constant, and then the square-free part s = q / g.  Away from the roots
-of q, dividing the sequence by g changes no sign variation and leaves the
-Sturm chain of s, so distinct roots are counted.  The chain is read at
+monic, so its rational roots are integers (`_scaled_charpoly`): for n = 2
+and 3 the cofactor expansion of dA = num, else the exact integer quotients
+q_i = r_i d^(n-i) / D (a remainder is an InternalError).  One
+pseudo-division, `_pdivmod` (c a = quo b + rem, c a positive integer, so
+signs are kept), gives its primitive Sturm remainder sequence (q, q' and
+each -rem, made primitive), which ends in g = gcd(q, q') up to a constant,
+and then the square-free part s = q / g.  Away from the roots of q,
+dividing the sequence by g changes no sign variation and leaves the Sturm
+chain of s, so distinct roots are counted.  If deg s <= 2, its integer
+roots come in closed form (`_small_roots`).  Else the chain is read at
 half-integers c + 1/2 (never roots of q), as the integers 2^deg(p)
 p((2c + 1)/2): each member is stored once, highest coefficient first with
 the j-th times 2^j, so one Horner loop at 2c + 1 per member counts the sign
-variations (`_variations`).  Bisection stops at unit intervals, deflating
-q by synthetic division at their one integer while it is a root, which
-gives its multiplicity: irrational roots are never separated.  `_spectrum`
-keeps one record on the `Mat`, in a slot that equality and hashing ignore
-(a `Mat` is immutable, so it never goes stale): the rational eigenvalues
-with multiplicities, whether they are all (`rational_spectrum`), deg s =
-n - deg g, the number of distinct complex eigenvalues (`distinct_root_count`;
-n iff q is square-free, so that A is cyclic), and (d, s).  A is semisimple
-iff s annihilates dA, which `is_semisimple` tests on the kept s.
+variations (`_variations`), and bisection stops at unit intervals:
+irrational roots are never separated.  Deflating q by synthetic division at
+each candidate while it is a root checks it and gives its multiplicity.
+`_spectrum` keeps one record on the `Mat`, in a slot that equality and
+hashing ignore (a `Mat` is immutable, so it never goes stale): the rational
+eigenvalues with multiplicities, whether they are all
+(`rational_spectrum`), deg s = n - deg g, the number of distinct complex
+eigenvalues (`distinct_root_count`; n iff q is square-free, so that A is
+cyclic), and (d, s).  A is semisimple iff s annihilates dA, which
+`is_semisimple` tests on the kept s.
 
 `primary_components` is the one split by eigenvalue: for each rational
 lam one kernel chain (`_kernel_chain`), the kernels of (A - lam)^k until
@@ -125,7 +128,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, count
+from itertools import accumulate, chain, count
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -706,6 +709,23 @@ def charpoly(m: Mat) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, delta) for x in r)
 
 
+def _scaled_charpoly(m: Mat) -> list[int]:
+    """q(y) = det(yI - m.num), lowest first (module docstring); a non-square
+    m is refused by `_charpoly_residues`."""
+    if m.rows == m.cols == 2:
+        (a, b), (c, d) = m.num
+        return [a * d - b * c, -a - d, 1]
+    if m.rows == m.cols == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m.num
+        return [c * (e * g - d * h) + b * (d * i - f * g) - a * (e * i - f * h),
+                a * e - b * d + a * i - c * g + e * i - f * h, -a - e - i, 1]
+    r, delta = _charpoly_residues(m)
+    q, rems = zip(*(divmod(x * m.den ** (m.rows - i), delta) for i, x in enumerate(r)))
+    if any(rems):
+        raise InternalError("det(yI - den m) is not integral")
+    return list(q)
+
+
 def _primitive(p: list[int]) -> list[int]:
     """p divided by its content (a positive integer)."""
     g = gcd(*p)
@@ -763,6 +783,29 @@ def _variations(members: list[list[int]], a: int) -> int:
     return n
 
 
+def _deflated_roots(q: list[int], ys: Iterable[int]) -> list[tuple[int, int]]:
+    """(y, multiplicity) for each y of ys that is a root of q, dividing q by
+    (x - y) while it is one: a y that is not, or is taken, is dropped."""
+    roots = []
+    for y in ys:
+        mult = 0  # Horner's partial sums: q / (x - y), highest first, then q(y)
+        while not (quo := list(accumulate(reversed(q), lambda acc, c: acc * y + c))).pop():
+            q, mult = quo[::-1], mult + 1
+        if mult:
+            roots.append((y, mult))
+    return roots
+
+
+def _small_roots(q: list[int], s: list[int]) -> list[tuple[int, int]]:
+    """`_integer_roots` of q whose square-free part s has degree 1 or 2: the
+    floor divisions below give the roots of s where those are integers, and
+    otherwise no root, which `_deflated_roots` drops."""
+    if len(s) == 2:
+        return _deflated_roots(q, [-s[0] // s[1]])
+    r = isqrt(max(s[1] * s[1] - 4 * s[0] * s[2], 0))
+    return _deflated_roots(q, sorted((-s[1] + e * r) // (2 * s[2]) for e in (-1, 1)))
+
+
 def _integer_roots(chain: list[list[int]]) -> list[tuple[int, int]]:
     """(root, multiplicity) for each integer root of the monic integer
     polynomial chain[0], by bisection on the sign variations of its Sturm
@@ -774,7 +817,7 @@ def _integer_roots(chain: list[list[int]]) -> list[tuple[int, int]]:
     bound = 2 << max(-(-abs(c).bit_length() // k) for k, c in enumerate(reversed(q[:-1]), 1))
     # an interval (a, b) runs from a + 1/2 to b + 1/2; there the chain of a
     # q with repeated roots counts each distinct root once
-    roots = []
+    ys = []
     stack = [(-bound - 1, _variations(members, -2 * bound - 1), bound,
               _variations(members, 2 * bound + 1))]
     while stack:
@@ -782,23 +825,13 @@ def _integer_roots(chain: list[list[int]]) -> list[tuple[int, int]]:
         if va == vb:
             continue
         if b - a == 1:  # b is the one integer inside
-            mult = 0
-            while True:  # synthetic division by (y - b) while q(b) = 0
-                acc, quo = 0, []
-                for c in reversed(q):
-                    acc = acc * b + c
-                    quo.append(acc)
-                if quo.pop():
-                    break
-                q, mult = quo[::-1], mult + 1
-            if mult:
-                roots.append((b, mult))
+            ys.append(b)
             continue
         mid = (a + b) // 2
         vm = _variations(members, 2 * mid + 1)
         stack.append((a, va, mid, vm))
         stack.append((mid, vm, b, vb))
-    return sorted(roots)
+    return _deflated_roots(q, sorted(ys))
 
 
 def rational_spectrum(m: Mat) -> tuple[list[tuple[Fraction, int]], bool]:
@@ -837,16 +870,12 @@ def _spectrum(m: Mat) -> tuple:
         elif (c := m.scalar_multiple_of_identity()) is not None:
             m._spectrum = _one_root(c, n, (1,) * n)
         else:
-            r, delta = _charpoly_residues(m)
-            q, rems = zip(*(divmod(x * m.den ** (n - i), delta) for i, x in enumerate(r)))
-            if any(rems):
-                raise InternalError("det(yI - den m) is not integral")
-            chain = _sturm_chain(list(q))
-            sqfree, rem = _pdivmod(chain[0], chain[-1])
+            chain = _sturm_chain(q := _scaled_charpoly(m))
+            sqfree, rem = _pdivmod(q, chain[-1])
             if rem:
                 raise InternalError("gcd(q, q') does not divide q")
-            eigs = sorted(((Fraction(y, m.den), k) for y, k in _integer_roots(chain)),
-                          key=lambda t: (-t[1], t[0]))
+            roots = _small_roots(q, sqfree) if len(sqfree) <= 3 else _integer_roots(chain)
+            eigs = sorted(((Fraction(y, m.den), k) for y, k in roots), key=lambda t: (-t[1], t[0]))
             m._spectrum = (tuple(eigs), sum(k for _, k in eigs) == n, len(sqfree) - 1,
                            (m.den, sqfree), None)
     return m._spectrum

@@ -7,7 +7,7 @@ from itertools import chain, zip_longest
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from midconv.errors import InternalError
 from midconv.exactla import (
@@ -667,8 +667,8 @@ def test_rational_spectrum_is_taken_once_per_matrix(monkeypatch):
     from midconv import exactla
 
     calls = []
-    real = exactla._charpoly_residues
-    monkeypatch.setattr(exactla, "_charpoly_residues", lambda m: calls.append(m) or real(m))
+    real = exactla._scaled_charpoly
+    monkeypatch.setattr(exactla, "_scaled_charpoly", lambda m: calls.append(m) or real(m))
     m = Mat([[2, 1, 0], [0, 2, 0], [0, 0, F(-1, 3)]])
     twin = Mat(m.data)
     before = hash(m)
@@ -808,6 +808,89 @@ def test_integer_roots_are_the_roots_with_their_multiplicities(roots, other):
         assert _integer_roots(_sturm_chain(p)) == sorted(roots.items())
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=3), st.sampled_from([1, 30, 10 ** 30]),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_cofactor_polynomial_is_the_one_from_the_residues(n, scale, seed):
+    # det(yI - den m) by cofactors against the multi-modular residues
+    # r = D det(xI - m), whose q_i are r_i den^(n-i) / D
+    from midconv.exactla import _charpoly_residues, _scaled_charpoly
+
+    r = support.rng(seed)
+    m = Mat([[F(r.randint(-9 * scale, 9 * scale), r.choice([1, scale, 7]))
+              for _ in range(n)] for _ in range(n)])
+    res, delta = _charpoly_residues(m)
+    assert _scaled_charpoly(m) == [x * m.den ** (n - i) // delta for i, x in enumerate(res)]
+    assert all(x * m.den ** (n - i) % delta == 0 for i, x in enumerate(res))
+
+
+_BIG = st.integers(min_value=-10 ** 12, max_value=10 ** 12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(_BIG, st.integers(1, 4), _BIG, st.integers(0, 4)).map(
+        lambda t: [[-t[0], 1]] * t[1] + [[-t[2], 1]] * t[3]),
+    st.tuples(_BIG, st.integers(-10 ** 24, 10 ** 24), st.integers(1, 4)).map(
+        lambda t: [[t[1], t[0], 1]] * t[2])))
+@example([[6, -5, 1]] * 3)
+@example([[-2, 0, 1]] * 4)
+@example([[-10 ** 12, 1]] * 4 + [[10 ** 12, 1]] * 4)
+def test_closed_form_roots_are_the_bisected_roots(factors):
+    # (y - a)^k (y - b)^l and (y^2 + py + q)^k: a square-free part of degree
+    # 1 or 2, whose integer roots come in closed form, checked by deflation
+    from midconv.exactla import _integer_roots, _pdivmod, _small_roots, _sturm_chain
+
+    p = [1]
+    for f in factors:
+        p = _poly_times(p, f)
+    chain = _sturm_chain(p)
+    sqfree, rem = _pdivmod(p, chain[-1])
+    assert rem == [] and 2 <= len(sqfree) <= 3
+    assert _small_roots(p, sqfree) == _integer_roots(chain)
+
+
+def test_closed_form_candidates_are_checked_by_deflation():
+    from midconv.exactla import _small_roots
+
+    # 2 is the root of s = y - 2 but not of q = y^2 + 1, so it is dropped
+    assert _small_roots([1, 0, 1], [-2, 1]) == []
+    # 2y^2 - 3y + 1 has the roots 1 and 1/2; y = 1/2 is no integer, and
+    # 3y - 1 has none
+    assert _small_roots([1, -3, 2], [1, -3, 2]) == [(1, 1)]
+    assert _small_roots([-1, 3], [-1, 3]) == []
+
+
+@pytest.mark.parametrize("base, expected, semisimple", [
+    (Mat.diagonal([2, 2, -1, -1]), [(F(-1), 2), (F(2), 2)], True),
+    (Mat([[3, 1, 0, 0], [0, 3, 1, 0], [0, 0, 3, 1], [0, 0, 0, 3]]), [(F(3), 4)], False),
+])
+def test_four_by_four_with_a_small_square_free_part_takes_the_closed_form(
+        base, expected, semisimple, monkeypatch):
+    from midconv import exactla
+
+    def no_bisection(chain):
+        raise AssertionError("bisection on a square-free part of degree <= 2")
+
+    monkeypatch.setattr(exactla, "_integer_roots", no_bisection)
+    p = support.unimodular(support.rng(44), 4)
+    m = p * base * inverse(p)
+    assert m != base
+    assert rational_spectrum(m) == (expected, True)
+    assert exactla.distinct_root_count(m) == len(expected)
+    assert is_semisimple(m) == semisimple
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2)])
+def test_spectra_of_a_non_square_matrix_are_refused(shape):
+    from midconv.exactla import distinct_root_count
+
+    for f in (rational_spectrum, distinct_root_count):
+        with pytest.raises(ValueError) as info:
+            f(Mat([[1] * shape[1]] * shape[0]))
+        assert str(info.value) == "characteristic polynomial of a non-square matrix"
+
+
 def test_semisimple_eigenspaces_takes_one_characteristic_polynomial(monkeypatch):
     # the rotation (+) 1 is semisimple with a spectrum that is not fully
     # rational: is_semisimple reads the square-free part kept with it
@@ -816,8 +899,8 @@ def test_semisimple_eigenspaces_takes_one_characteristic_polynomial(monkeypatch)
     from midconv.model import semisimple_eigenspaces
 
     calls = []
-    real = exactla._charpoly_residues
-    monkeypatch.setattr(exactla, "_charpoly_residues", lambda m: calls.append(m) or real(m))
+    real = exactla._scaled_charpoly
+    monkeypatch.setattr(exactla, "_scaled_charpoly", lambda m: calls.append(m) or real(m))
     with pytest.raises(PreconditionError, match="not rational"):
         semisimple_eigenspaces(Mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), "not semisimple",
                                "not rational")

@@ -21,6 +21,9 @@ rows over 30 and over 10^30, the spectrum record (rational eigenvalues,
 multiplicities, whether they are all, the distinct-root count) and
 `is_semisimple` are compared with sympy, `charpoly` with the cofactor
 expansion, and the primes taken with those the per-row bound asks for.
+The same record is compared on n = 2 and 3, where q(y) comes from
+cofactors and the roots of a square-free part of degree <= 2 in closed
+form, on each shape of such a spectrum.
 """
 
 from fractions import Fraction as F
@@ -313,7 +316,40 @@ def mixed_denominator_cases():
     return out
 
 
-@pytest.mark.parametrize("m", mixed_denominator_cases())
+def small_cases():
+    """n = 2 and 3, whose q(y) is formed by cofactors: distinct rational
+    roots, a scalar double root, Jordan blocks with the partitions (2), (3)
+    and (2, 1), a double root beside a simple one, an irrational and a
+    complex pair, each conjugated as in `mixed_denominator_cases` with the
+    rows over 1, 30 and 10^30 in two orders."""
+    base = [
+        ("distinct-2", support.direct_sum([[F(1, 3)]], [[-2]])),
+        ("scalar-2", Mat.diagonal([F(-5, 2)] * 2)),
+        ("jordan-2", support.direct_sum(_jordan(F(1, 2), 2))),
+        ("sqrt2", support.direct_sum(SQRT2)),
+        ("i", support.direct_sum(I_ROT)),
+        ("distinct-3", support.direct_sum([[F(1, 3)]], [[-2]], [[5]])),
+        ("double-simple-3", support.direct_sum([[-2]], [[-2]], [[F(1, 3)]])),
+        ("jordan-2-simple", support.direct_sum(_jordan(-2, 2), [[F(1, 3)]])),
+        ("jordan-3", support.direct_sum(_jordan(3, 3))),
+        ("jordan-2-1", support.direct_sum(_jordan(F(1, 2), 2), [[F(1, 2)]])),
+        ("sqrt2-1", support.direct_sum(SQRT2, [[1]])),
+        ("i-0", support.direct_sum(I_ROT, [[0]])),
+    ]
+    r = support.rng(909)
+    out = []
+    for name, m in base:
+        n = m.rows
+        for k in range(2):
+            p = support.unimodular(r, n)
+            s = [(1, 30, 10 ** 30)[(i + k) % 3] for i in range(n)]
+            out.append(pytest.param(
+                inverse(Mat.diagonal(s)) * p * m * inverse(p) * Mat.diagonal(s),
+                id=f"{name}-{k}"))
+    return out
+
+
+@pytest.mark.parametrize("m", mixed_denominator_cases() + small_cases())
 def test_spectrum_record_on_mixed_row_denominators_matches_sympy(m):
     x = sympy.Symbol("x")
     roots, _ = _rational_roots(m)

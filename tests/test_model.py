@@ -319,8 +319,8 @@ def test_spectral_type_one_charpoly_of_the_leading_coefficient(monkeypatch):
     import midconv.exactla
 
     calls = []
-    real = midconv.exactla._charpoly_residues
-    monkeypatch.setattr(midconv.exactla, "_charpoly_residues",
+    real = midconv.exactla._scaled_charpoly
+    monkeypatch.setattr(midconv.exactla, "_scaled_charpoly",
                         lambda m: calls.append(m.rows) or real(m))
     # a new copy of HYP: a matrix keeps its spectrum once taken
     st0 = spectral_type(hypergeometric_example(1, F(1, 2), F(1, 3), 1), 0)
