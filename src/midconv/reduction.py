@@ -11,7 +11,9 @@ leading coefficients and fully rational spectra:
     everywhere, residue at the finite points);
   * choose the convolution parameter among the eigenvalues of the shifted
     compressed block at infinity, maximizing dim L'(mu), ties to the
-    smaller value;
+    smaller value.  With a finite point, L'(mu) = ker [[A, R - mu], [0, A]]
+    for the shifted lead A (semisimple) and derived residue R, so its
+    dimension n_l + g(mu), g the geometric multiplicity, is read off;
   * apply middle convolution and strip points that became trivial.
 
 For index 2 this strictly decreases the size down to one; for index 0 it
@@ -150,16 +152,16 @@ def _reduction_shift(t: MatrixTuple, pivots: list[PivotChoice]) -> list[Fraction
 
 
 def _choose_mu(shifted: MatrixTuple, pivots: list[PivotChoice]) -> tuple[Fraction, Subspace]:
-    """Scan the eigenvalues of the compressed block at infinity belonging
-    to the (now zero) pivot eigenvalue and maximize dim L'(mu); ties break
-    to the smaller value.  Returns mu with its L'(mu).  The shift leaves
-    the leading eigenspaces at infinity in place and adds s, the sum of the
-    chosen finite residue eigenvalues, to the derived residue, so these are
-    the pivot block's residue eigenvalues plus s."""
-    s = sum(pv.inner.value for pv in pivots[1:])
-    cands = sorted(e.value + s for e in pivots[0].block.inner)
-    return max(((mu, subspace_Lprime(shifted, mu)) for mu in cands),
-               key=lambda c: c[1].dim)
+    """The mu maximizing dim L'(mu) = n_l + g(mu) over the pivot block's
+    residue eigenvalues plus the finite pivots' residue sum, ties to the
+    smaller; L'(mu) built once, checked unless r = 0 (L'(0) drops vectors)."""
+    block = pivots[0].block
+    e = max(block.inner, key=lambda e: (e.geometric, -e.value))
+    mu = e.value + sum(pv.inner.value for pv in pivots[1:])
+    lprime = subspace_Lprime(shifted, mu)
+    if shifted.finite and lprime.dim != block.size + e.geometric:
+        raise InternalError(f"dim L'({mu}) is {lprime.dim}, not n_l + g")
+    return mu, lprime
 
 
 def reduce_step(t: MatrixTuple) -> tuple[MatrixTuple | None, ReductionStep]:

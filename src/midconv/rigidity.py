@@ -339,6 +339,10 @@ def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:
         cols = [[kinv.den * a.den * sum(map(operator.mul, row, ps[i]))
                  - b.den * sum(map(operator.mul, t, es)) for row, es in zip(b.num, zip(*ps))]
                 for ps in zs]
+        if len(zs) == 1:  # one column: the relation holds iff it is zero
+            if any(cols[0]):
+                return Subspace.zero(n * n)
+            continue
         _, ker = rref_nullspace(Mat.from_integers(zip(*cols), 1, len(zs)))
         if ker.dim == len(zs):
             continue

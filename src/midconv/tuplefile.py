@@ -21,17 +21,15 @@ denominator (`Mat.num`, `Mat.den`); the literals of a row are checked by
 one match, each distinct row of a matrix once, and a row that fails is
 read literal by literal for the error.
 
-One writer, `encode`, gives exactly json.dumps(sort_keys=True) of a
-payload, compact or indented by 2: the tuple files and the command line's
-`--format machine` objects.  It reads a MatrixTuple as its tuple document
-and a Mat straight from its integer rows.  A matrix's distinct rows are
-found by row object, not by value (`quotient` and `convolution_matrices`
-share one tuple for every zero row, and most rows of an `mc` result are
-zero), and each is formatted once into its compact text; indented rows are
-cut from compact ones.  The texts go into a dict, by denominator and row
-object, that the caller may pass again: one command formats each row once
-for its machine line and its -o file together.  Equal rows that are
-different objects are formatted twice, to the same bytes.
+The `--format machine` line is json.dumps(sort_keys=True) by json's C
+encoder, each Mat a placeholder string that its rows replace; a tuple file
+is indented by 2, which json does only in Python, so midconv writes it.
+Both write a MatrixTuple as its tuple document and a Mat from its integer
+rows, each distinct row object (most rows of an `mc` result are one shared
+zero row) formatted once into its compact text, cut for indented rows.
+The texts go into a dict, by denominator and row object, that the caller
+may pass again: one command formats each row once for its machine line
+and its -o file together.
 """
 
 from __future__ import annotations
@@ -43,11 +41,10 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import ValidationError
+from .errors import InternalError, ValidationError
 from .exactla import Mat
 from .model import MatrixTuple, SingularPoint
 
-_encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 _LITERAL = r"[+-]?[0-9]+(?:/[0-9]+)?"
 _RATIONAL_RE = re.compile(_LITERAL)
 _ROW_RE = re.compile(rf"{_LITERAL}(?: {_LITERAL})*")  # literals joined by " "
@@ -202,59 +199,71 @@ def doc_to_tuple(doc) -> MatrixTuple:
 
 
 def encode(x, ind: str | None = None, texts: dict | None = None) -> str:
-    """json.dumps(x, sort_keys=True) with separators (",", ":") for ind
-    None, else json.dumps(x, indent=2, sort_keys=True) indented from ind,
-    without json's pure-Python encoder.  A MatrixTuple is encoded as its
-    tuple document and a Mat as its rows of canonical literals, each
-    distinct row object formatted once; the literals need no escaping.
-    `texts` receives the compact text of each row formatted, and a later
-    call given the same dict reuses them; it holds each row with its text,
-    so no row object it names can be freed and its id reused."""
-    out: list[str] = []
-    _encode(x, ind, out.append, {} if texts is None else texts)
-    return "".join(out)
+    """json.dumps(x, sort_keys=True), compact for ind None, else indented by
+    2 from ind; a MatrixTuple as its tuple document, a Mat as its rows of
+    literals.  `texts` receives the compact text of each row formatted, and
+    a later call given the same dict reuses them; it holds each row with
+    its text, so no row object it names can be freed and its id reused."""
+    texts = {} if texts is None else texts
+    if ind is not None:
+        _encode(x, ind, (out := []).append, texts)
+        return "".join(out)
+    mats: list[Mat] = []
+    def placeholder(o):  # json's `default`: the k-th Mat becomes "\0k"
+        if isinstance(o, Mat):
+            mats.append(o)
+            return f"\0{len(mats) - 1}"
+        if isinstance(o, MatrixTuple):
+            return _to_doc(o, lambda m: m)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    text = json.dumps(x, sort_keys=True, separators=(",", ":"), default=placeholder)
+    if not mats:
+        return text
+    head, *rest = text.split('"\\u0000')  # a placeholder as json writes it
+    if len(rest) != len(mats):  # a payload string holds a NUL
+        raise InternalError(f"{len(rest)} matrix placeholders for {len(mats)} matrices")
+    return "".join([head, *chain.from_iterable(
+        (_matrix_text(m, None, texts), p.partition('"')[2]) for m, p in zip(mats, rest))])
 
 
-def _encode(x, ind: str | None, put, texts: dict) -> None:
+def _matrix_text(m: Mat, ind: str | None, texts: dict) -> str:
+    """The rows of m as `encode` writes them at ind (see there), in one join."""
+    known = texts.setdefault(m.den, {})  # id(row) -> (row, compact text)
+    ids = list(map(id, m.num))
+    if new := {k: r for k, r in zip(ids, m.num) if k not in known}:
+        lit = _literals(new.values(), m.den, '"')  # no literal holds a comma
+        known.update({k: (r, f"[{','.join(map(lit.__getitem__, r))}]") for k, r in new.items()})
+    if not ids:
+        return "[]"
+    if ind is None:
+        start, sep, end, rows = "[", ",", "]", [known[k][1] for k in ids]
+    else:
+        inner, wide = ind + "  ", f",\n{ind}    "
+        text = {k: f"[\n{inner}  {known[k][1][1:-1].replace(',', wide)}\n{inner}]"
+                if m.cols else "[]" for k in set(ids)}
+        start, sep, end, rows = f"[\n{inner}", f",\n{inner}", f"\n{ind}]", [text[k] for k in ids]
+    rows[0] = start + rows[0]
+    rows[-1] += end
+    return sep.join(rows)
+
+
+def _encode(x, ind: str, put, texts: dict) -> None:
+    """json.dumps(x, indent=2, sort_keys=True) from ind, in pieces to put."""
     if isinstance(x, MatrixTuple):
         x = _to_doc(x, lambda m: m)
-    if isinstance(x, str):
-        return put(_encode_str(x))
-    if isinstance(x, dict):
-        ends, items = "{}", sorted(x.items())
-    elif isinstance(x, (list, tuple, Mat)):
-        ends, items = "[]", x.num if isinstance(x, Mat) else x
-    else:
+    if isinstance(x, Mat):
+        return put(_matrix_text(x, ind, texts))
+    if not isinstance(x, (dict, list, tuple)) or not x:  # a scalar, {} or []
         return put(json.dumps(x))
-    if not items:
-        return put(ends)
-    inner = None if ind is None else ind + "  "
-    sep = "," if ind is None else f",\n{inner}"
-    put(ends[0] if ind is None else f"{ends[0]}\n{inner}")
-    if isinstance(x, Mat):  # one text per distinct row object; no literal holds a comma
-        known = texts.setdefault(x.den, {})  # id(row) -> (row, compact text)
-        rows = dict(zip(map(id, items), items))
-        if new := [r for k, r in rows.items() if k not in known]:
-            lit = _literals(new, x.den, '"')
-            for r in new:
-                known[id(r)] = r, f"[{','.join(map(lit.__getitem__, r))}]"
-        if inner is None or not x.cols:
-            text = {k: known[k][1] for k in rows}
-        else:
-            wide = f",\n{inner}  "
-            text = {k: f"[\n{inner}  {known[k][1][1:-1].replace(',', wide)}\n{inner}]"
-                    for k in rows}
-        put(sep.join(map(text.__getitem__, map(id, items))))
-    else:
-        colon = ":" if ind is None else ": "
-        for k, v in enumerate(items):
-            if k:
-                put(sep)
-            if isinstance(x, dict):
-                put(_encode_str(v[0]) + colon)
-                v = v[1]
-            _encode(v, inner, put, texts)
-    put(ends[1] if ind is None else f"\n{ind}{ends[1]}")
+    ends, items = ("{}", sorted(x.items())) if isinstance(x, dict) else ("[]", x)
+    inner = ind + "  "
+    for k, v in enumerate(items):
+        put(f",\n{inner}" if k else f"{ends[0]}\n{inner}")
+        if isinstance(x, dict):
+            put(json.dumps(v[0]) + ": ")
+            v = v[1]
+        _encode(v, inner, put, texts)
+    put(f"\n{ind}{ends[1]}")
 
 
 def dumps_tuple(t: MatrixTuple, texts: dict | None = None) -> str:

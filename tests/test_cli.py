@@ -16,7 +16,7 @@ import midconv
 from midconv import cli, tuplefile
 from midconv.cli import main
 from midconv.convolution import middle_convolution
-from midconv.errors import PreconditionError, ValidationError
+from midconv.errors import InternalError, PreconditionError, ValidationError
 from midconv.exactla import Mat
 from midconv.model import (
     MatrixTuple,
@@ -113,6 +113,7 @@ def test_encode_matches_json_on_edge_payloads():
     _check_encode({
         "one": Mat([[F(-5, 7)]]),
         "no_rows": Mat.zeros(0, 3),
+        "nested_no_rows": [Mat.zeros(0, 0), {"m": Mat.zeros(0, 2), "k": [Mat.zeros(0, 1)]}],
         "empty_rows": Mat.zeros(2, 0),
         "negative": Mat([[F(-1, 2), -3], [0, F(-22, 6)]]),
         "verdict": {"kind": "assumption_violated", "reason": "\u03bc \u2260 0 \u2014 \u00fcber \"q\"\n"},
@@ -157,6 +158,34 @@ def test_encode_row_texts_outlive_no_row():
         m = Mat.from_integers([[k, -k, 1]], 3)
         assert encode(m, None, texts) == json.dumps(format_matrix(m), separators=(",", ":"))
         assert encode(m, "", texts) == json.dumps(format_matrix(m), indent=2)
+
+
+def test_machine_line_row_texts_serve_the_o_file(tmp_path):
+    # the machine line fills one texts dict with every row of the mc result,
+    # and the -o file then formats no row again, for json's bytes on both
+    t = support.rand_tuple(support.rng(77), 2, 2, [1, 0, 0], pool=(-1, 0, 1, F(1, 2)))
+    path = tmp_path / "t.json"
+    write_tuple(path, t)
+    mc, texts = _payload(["mc", path, "--mu", "1/3"]), {}
+    assert encode(mc, None, texts) == encode(mc)
+    known = {d: dict(rows) for d, rows in texts.items()}
+    assert known and dumps_tuple(mc["result"], texts) == _json_indent(tuple_to_doc(mc["result"]))
+    assert texts == known
+
+
+def test_encode_nul_in_a_string_beside_a_matrix_is_an_internal_error():
+    # json writes the string "\x000" as a matrix placeholder is written, so
+    # the splice finds one placeholder more than there are matrices
+    m = Mat([[1, F(1, 2)]])
+    with pytest.raises(InternalError, match="2 matrix placeholders for 1 matrices"):
+        encode({"m": m, "s": "\x000"})
+    assert encode({"m": m, "s": "\x000"}, "") == json.dumps(
+        {"m": format_matrix(m), "s": "\x000"}, indent=2, sort_keys=True)
+    for payload in ({"s": "\x000"}, ["\x00", "a\x00b", '"\x001', "\\u00000"], {"\x000": 1}):
+        assert encode(payload) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    for ind in (None, ""):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode({"m": m, "x": F(1, 2)}, ind)
 
 
 @pytest.mark.parametrize("fmt", ["machine", "human"])

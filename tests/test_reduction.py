@@ -6,8 +6,8 @@ import pytest
 
 from midconv.cli import main
 from midconv.convolution import middle_convolution
-from midconv.errors import AssumptionViolated, PreconditionError
-from midconv.exactla import Mat
+from midconv.errors import AssumptionViolated, InternalError, PreconditionError
+from midconv.exactla import Mat, Subspace
 from midconv.model import (
     addition,
     bessel_example,
@@ -214,22 +214,27 @@ def test_reduce_takes_each_terminal_spectral_type_once(monkeypatch):
 
 def test_mu_candidates_match_the_shifted_spectral_type(monkeypatch):
     # oracle: the candidates are the residue eigenvalues of the zero block of
-    # spectral_type(shifted, 0); _choose_mu reads them off the pivot data
-    # and the shift of the derived residue instead
+    # spectral_type(shifted, 0), and mu maximizes dim L'(mu) over all of
+    # them, ties to the smaller; _choose_mu reads the dimensions off the
+    # pivot data and builds L'(mu) once, for the mu of that scan
     import midconv.reduction
 
     orig_choose, orig_lprime = midconv.reduction._choose_mu, midconv.reduction.subspace_Lprime
-    seen = []  # (oracle candidates, unshifted pivot values, mus tried)
+    seen = []  # (oracle candidates, unshifted pivot values, the scan's mu, mus built)
 
     def choose(shifted, pivots):
         zero = [b for b in spectral_type(shifted, 0).blocks if b.eigenvalue == 0]
         assert len(zero) == 1
-        seen.append((sorted(e.value for e in zero[0].inner),
-                     sorted(e.value for e in pivots[0].block.inner), []))
-        return orig_choose(shifted, pivots)
+        cands = sorted(e.value for e in zero[0].inner)
+        dims = [orig_lprime(shifted, mu).dim for mu in cands]
+        seen.append((cands, sorted(e.value for e in pivots[0].block.inner),
+                     cands[dims.index(max(dims))], []))
+        mu, lprime = orig_choose(shifted, pivots)
+        assert lprime == orig_lprime(shifted, mu)
+        return mu, lprime
 
     def lprime(t, mu):
-        seen[-1][2].append(mu)
+        seen[-1][3].append(mu)
         return orig_lprime(t, mu)
 
     monkeypatch.setattr(midconv.reduction, "_choose_mu", choose)
@@ -243,9 +248,46 @@ def test_mu_candidates_match_the_shifted_spectral_type(monkeypatch):
     for t in (_four_point_fuchsian(), HYP):
         reduce(t)
     assert len(seen) >= steps + 2
-    assert all(oracle == tried for oracle, _, tried in seen)
-    # the residue shift moves the candidates at some step
-    assert any(oracle != unshifted for oracle, unshifted, _ in seen)
+    assert all(built == [mu] for _, _, mu, built in seen)
+    # the residue shift moves the candidates at some step, and some step
+    # has more than one candidate to choose from
+    assert any(oracle != unshifted for oracle, unshifted, _, _ in seen)
+    assert any(len(oracle) > 1 for oracle, _, _, _ in seen)
+
+
+@pytest.mark.parametrize("diag", [[0, 1], [2, 2, 5], [1, 3, 3, 3]])
+def test_mu_with_no_finite_point_is_zero_built_once(diag, monkeypatch):
+    # r = 0: the derived residue is 0, so mu = 0 is the only candidate; L'(0)
+    # drops the vectors with a pivot in the residue slot, so its dimension
+    # is n_l, not n_l + g, and is not checked against the pivot data
+    import midconv.reduction
+
+    t = make_tuple(len(diag), infinity_point(1, [Mat.diagonal(diag)]), [])
+    pivots = choose_pivot(t)
+    shifted = addition(t, midconv.reduction._reduction_shift(t, pivots))
+    built = []
+    orig_lprime = midconv.reduction.subspace_Lprime
+    monkeypatch.setattr(midconv.reduction, "subspace_Lprime",
+                        lambda u, mu: built.append(mu) or orig_lprime(u, mu))
+    mu, lprime = midconv.reduction._choose_mu(shifted, pivots)
+    assert mu == 0 and built == [0]
+    assert lprime == orig_lprime(shifted, 0)
+    block = pivots[0].block
+    assert lprime.dim == block.size < block.size + block.inner[0].geometric
+
+
+def test_mu_choice_checks_dim_lprime_against_the_pivot(monkeypatch):
+    # with a finite point, an L'(mu) of any other dimension than n_l + g is
+    # an InternalError, not a wrong step
+    import midconv.reduction
+
+    orig_lprime = midconv.reduction.subspace_Lprime
+    monkeypatch.setattr(midconv.reduction, "subspace_Lprime",
+                        lambda t, mu: Subspace.zero(t.size * t.slot_count))
+    with pytest.raises(InternalError, match="not n_l \\+ g"):
+        reduce_step(HYP)
+    monkeypatch.setattr(midconv.reduction, "subspace_Lprime", orig_lprime)
+    assert reduce_step(HYP)[0].size == 1
 
 
 def test_reduce_hypergeometric_trace():

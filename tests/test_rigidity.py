@@ -932,11 +932,20 @@ def _sylvester_hom(a, b):
     return rref_nullspace(Mat.block([[_sylvester(y, x)] for x, y in _slot_pairs(a, b)]))[1]
 
 
+def _counting_kernels(monkeypatch) -> list:
+    """The column counts of the kernels `rigidity` takes from now on."""
+    widths = []
+    monkeypatch.setattr(rigidity, "rref_nullspace",
+                        lambda m: widths.append(m.cols) or rref_nullspace(m))
+    return widths
+
+
 def _cyclic_hom(a, b, monkeypatch):
-    """rigidity's intertwiner space, asserting that it builds no Sylvester system."""
-    calls = _counting_sylvester(monkeypatch)
+    """rigidity's intertwiner space, asserting that it builds no Sylvester
+    system and takes no one-column kernel: a zero test decides those."""
+    calls, widths = _counting_sylvester(monkeypatch), _counting_kernels(monkeypatch)
     space = rigidity._intertwiners(_slot_pairs(a, b), a.size)
-    assert calls == []
+    assert calls == [] and 1 not in widths
     return space
 
 
@@ -983,6 +992,29 @@ def test_intertwiners_match_sylvester_oracle(n, monkeypatch):
         space = _cyclic_hom(a, b, monkeypatch)
         assert space == _sylvester_hom(a, b) and space.dim >= dim and (space.dim == 0) is (dim == 0)
         assert (_similar(a, b) is None) is (dim == 0)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_intertwiners_zero_test_one_column_relations(n, monkeypatch):
+    # the oracle test's pairs: once Z holds one vector, each later relation
+    # holds iff its column is zero, so a similar pair (Hom of dimension 1)
+    # takes fewer kernels than it has relations; with the last slot of the
+    # conjugate replaced, the first nonzero column ends with Hom = 0
+    rng = support.rng(700 + n)
+    pool = (-2, -1, 0, 1, 2, F(1, 2), F(-2, 3))
+    t = support.rand_tuple(rng, n, 2, [1, 0, 0], pool=pool)
+    u = support.conjugated(t, support.unimodular(rng, n))
+    other = support.rand_tuple(rng, n, 2, [1, 0, 0], pool=pool)
+    broken = _slot_pairs(t, u)
+    broken[-1] = broken[-1][0], other.slot_coeffs()[-1]
+    relations = 1 + n * (len(broken) - 1)
+    for pairs, dim in ((_slot_pairs(t, u), 1), (_slot_pairs(u, t), 1), (broken, 0)):
+        widths = _counting_kernels(monkeypatch)
+        space = rigidity._intertwiners(pairs, n)
+        oracle = rref_nullspace(Mat.block([[_sylvester(y, x)] for x, y in pairs]))[1]
+        assert space == oracle and space.dim == dim
+        assert 1 not in widths and len(widths) < relations
+    assert len(widths) == 2  # the broken pair reached one vector first
 
 
 def test_intertwiners_nilpotent_pair(monkeypatch):
