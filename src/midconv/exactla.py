@@ -17,8 +17,8 @@ only (`m[i, j]`, eigenvalues, determinants); every basis is a `Mat`.
 
 One loop, `spin`, grows a spin: the smallest subspace that holds a start
 set and is mapped into itself by some operators.  Norton's test
-(`spin_dim`), `cyclic_vector` (the Krylov rows, certified when all n are
-taken) and both Burnside word spans run it, each with its own span.
+(`spin_dim`), the standard basis of a module (`spin_basis`) and both
+Burnside word spans run it, each with its own span.
 
 `charpoly` is multi-modular and certified.  With d_i the lcm of the
 denominators of row i of A, B = diag(d) A is integral and, for D = prod d_i,
@@ -585,26 +585,36 @@ def spin(start: Sequence, ops: Sequence, add, target: int) -> list:
     return taken
 
 
-def _times(m: Mat):
-    """x -> (the integer rows of m) x, on integer columns x."""
-    return lambda x: [sum(map(mul, r, x)) for r in m.num]
+def _times(rows: Sequence[Sequence[int]]):
+    """x -> rows x, on integer columns x."""
+    return lambda x: [sum(map(mul, r, x)) for r in rows]
 
 
 def spin_dim(vec: Sequence[int], mats: Sequence[Mat]) -> int:
     """Dimension of the spin of the integer vector vec under mats acting on
     columns, by their integer rows (scaling by 1/den moves no subspace)."""
-    return len(spin([list(vec)], [_times(m) for m in mats], partial(_insert, []), len(vec)))
+    return len(spin([list(vec)], [_times(m.num) for m in mats], partial(_insert, []), len(vec)))
 
 
-def cyclic_vector(m: Mat) -> tuple[list[int], list[list[int]]] | None:
-    """A cyclic vector v of m (e_1, else all ones; None if both fail) and
-    its Krylov rows v, m' v, ..., m'^(n-1) v for the integer rows m' = den m,
-    independent by their spin (row k is den^k m^k v, so scaling moves no span)."""
-    n = m.rows
-    for v in ([1] + [0] * (n - 1), [1] * n):
-        if len(rows := spin([v], [_times(m)], partial(_insert, []), n)) == n:
-            return v, rows
-    return None
+def spin_basis(gens: Sequence[Sequence[Sequence[int]]], n: int) -> list[tuple]:
+    """A standard basis of Q^n under the integer matrices `gens` (rows, on
+    columns): the words (j, i, w) as taken, w = gens[j] w_i for an earlier
+    word i, or (None, None, e_s) for a start vector: e_1, then, while the
+    spin is short, the first e_s outside it, until n are taken."""
+    made, rows, taken = [], [], []  # made: (j, i, w) for each word tried, i indexing made
+
+    def apply(j: int, times, c: int) -> int:
+        made.append((j, c, times(made[c][2])))
+        return len(made) - 1
+
+    ops = [partial(apply, j, _times(g)) for j, g in enumerate(gens)]
+    for s in range(n):
+        if len(taken) < n:
+            made.append((None, None, [int(r == s) for r in range(n)]))
+            taken += spin([len(made) - 1], ops, lambda c: _insert(rows, made[c][2]),
+                          n - len(taken))
+    at = {c: k for k, c in enumerate(taken)}
+    return [(j, at.get(i), w) for j, i, w in map(made.__getitem__, taken)]
 
 
 # ---------------------------------------------------------------------

@@ -16,11 +16,11 @@ rules that applies; a block cut by rule 5 goes through the same rules.
    of A_m is invertible over R as it is K(A_m, v) mod z (Nakayama), so v
    is cyclic for A(z) and the centralizer is R[A(z)], free of rank n over
    R (for m = 0, Z(A) = Q[A]; Gantmacher, The Theory of Matrices I,
-   Ch. VIII).  The lead is cyclic if `cyclic_vector` finds e_1 or the
-   all-ones vector cyclic, or if its characteristic polynomial is
-   square-free (n distinct roots, `distinct_root_count`, read off the
-   spectrum's Sturm chain), which certifies a cyclic vector where both of
-   those fail.
+   Ch. VIII).  The lead is cyclic if the spin of e_1, or else of the
+   all-ones vector, under it is full (`spin_dim`), or if its
+   characteristic polynomial is square-free (n distinct roots,
+   `distinct_root_count`, read off the spectrum's Sturm chain), which
+   certifies a cyclic vector where both of those fail.
 3. A single matrix (m = 0) whose non-rational roots are simple is
    Frobenius's, from its Jordan data alone (`jordan_data`, ranks only; no
    split, space or inverse): dim Z(A) is the sum over the eigenvalues of
@@ -29,30 +29,30 @@ rules that applies; a block cut by rule 5 goes through the same rules.
 4. For m >= 2, or a primary lead (one rational eigenvalue and no other
    root, or no rational eigenvalue: one component, read off the
    `rational_spectrum` kept on the lead), it is the nullity of the coupled
-   relations.  m >= 2 is not split: the off-diagonal blocks of C_{m-1}
-   need not vanish, and A_{m-1} multiplies them into the diagonal blocks
-   of the relation for k = 2.
+   relations, each a Sylvester operator X -> aX - Xb on row-major X with
+   a = b (`_sylvester`, 2n - 1 nonzeros per row, built entry by entry; it
+   serves commutants only).  m >= 2 is not split: the off-diagonal blocks
+   of C_{m-1} need not vanish, and A_{m-1} multiplies them into the
+   diagonal blocks of the relation for k = 2.
 5. Otherwise (m <= 1 and several primary components) it is the sum of the
    recursion over the components, on each one's diagonal blocks of the
    coefficients (`primary_components`).  A block's lead is primary, so it
    is not split again.
 
-Every relation is a Sylvester operator X -> aX - Xb on row-major X
-(`_sylvester`, 2n - 1 nonzeros per row, built entry by entry): ad A for
-commutants and B S - S A for intertwiners in `are_similar`, unless a
-slot x of `a` has a cyclic vector v; y is the slot of `b` beside it.  Then
-S x = y S fixes S by u = S v: S K = K(y, u) for the Krylov matrix K =
-K(x, v) with columns v, x v, ..., x^(n-1) v, so S = S_u = K(y, u) K^-1, and
-u -> S_u is injective.  As x K = K C for the companion matrix C of chi_x,
-S_u x = y S_u iff chi_x(y) u = 0; and S_u A = B S_u for another slot pair
-(A, B) iff, column by column of S_u A K = B K(y, u),
-B y^i u = sum_l A'[l, i] y^l u for each i < n, with A' = K^-1 A K.  So the
-u form a space Z, cut from Q^n by one relation at a time.  The powers
-y^l z of a basis z of Z are kept as integer rows (of (d y)^l z, d the lcm
-of the denominators of x and y), so a relation costs O(n^2 dim Z) and a
-kernel of n rows and dim Z columns, and the cutting stops once Z is 0.
-The S_u of a basis of Z span the intertwiners, and their RREF is the same
-canonical space as the Sylvester kernel.
+The intertwiners S A_j = B_j S of `are_similar` come from a standard basis
+of the module of `a` (Parker 1984; Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, ch. 7).  With d_j the lcm of the
+denominators of A_j and B_j, x_j = d_j A_j and y_j = d_j B_j, `spin_basis`
+spins e_1 under the x_j and, while the spin is short, the first e_s outside
+it: n words w_i, a basis W, each a start vector (g of them; g = 1 for an
+irreducible `a`) or x_j w_k for an earlier word.  S w_i = U_i(u) is the
+same word in the y_j applied to the image u_k of its start vector, so
+S = U(u) W^-1, which intertwines iff y_j U_i = U W^-1 x_j w_i for each
+x_j w_i that is no word.  So the u form a space Z, cut from Q^(g n) one relation at
+a time: not at all if its columns are zero, else by a kernel of n rows and
+dim Z columns, or to 0 if dim Z = 1.  The U(z) W^-1 of a basis of Z span
+the intertwiners; their RREF is the canonical kernel of the stacked
+Sylvester operators S -> B S - S A.
 
 `are_similar` walks a grid of combinations of that basis for an
 invertible S.  dim End(a), dim Hom(a, b) and dim End(b) are similarity
@@ -91,8 +91,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
-from math import gcd, lcm
+from itertools import chain, product
+from math import lcm
 
 from .errors import InternalError, PreconditionError
 from .exactla import (
@@ -100,7 +100,6 @@ from .exactla import (
     Mat,
     Subspace,
     conjugate_partition,
-    cyclic_vector,
     det,
     distinct_root_count,
     inverse,
@@ -111,6 +110,7 @@ from .exactla import (
     reduce_mod_prime,
     rref_nullspace,
     spin,
+    spin_basis,
     spin_dim,
     toeplitz_kernel,
 )
@@ -153,7 +153,8 @@ def _commutant_dim(coeffs: list[Mat]) -> int:
     lead, n = coeffs[0], coeffs[0].rows
     if lead.scalar_multiple_of_identity() is not None:
         return n * n + _commutant_dim(coeffs[1:])
-    if cyclic_vector(lead) or distinct_root_count(lead) == n:
+    if any(spin_dim(v, [lead]) == n for v in ([1] + [0] * (n - 1), [1] * n)) \
+            or distinct_root_count(lead) == n:
         return n * len(coeffs)
     if len(coeffs) == 1:  # Frobenius, if the non-rational roots are simple
         eigs, _ = jordan_data(lead)
@@ -310,56 +311,48 @@ def is_irreducible(t: MatrixTuple) -> bool:
 
 
 def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:
-    """The row-major S with S A = B S for every (A, B) in pairs: from a
-    cyclic vector v of the first non-scalar A that has one, as S_u for the
-    u = S v that meet the cyclic module's relations, else the kernel of the
-    stacked S -> B S - S A (module docstring)."""
-    for c, (x, y) in enumerate(pairs):
-        if x.scalar_multiple_of_identity() is None and (cyc := cyclic_vector(x)):
-            break
-    else:
-        return rref_nullspace(Mat.block([[_sylvester(y, x)] for x, y in pairs]))[1]
-    # K = K(d x, v) for d = lcm(x.den, y.den), from the Krylov rows of x.den x,
-    # and zs[s][l] = (d y)^l z_s, integral, for the basis z_s of Z, first Q^n
-    d = lcm(x.den, y.den)
-    kcols = [[(d // x.den) ** i * e for e in row] for i, row in enumerate(cyc[1])]
-    kinv = inverse(Mat.from_integers(kcols).transpose())
-    yd = y.scaled(d).num
-    zs = []
-    for s in range(n):
-        zs.append([[int(r == s) for r in range(n)]])
-        for _ in range(n - 1):
-            zs[-1].append([sum(map(operator.mul, row, zs[-1][-1])) for row in yd])
-    # b (d y)^i u = sum_l t_l (d y)^l u for t = K^-1 a K e_i; of x's own
-    # relations only i = n - 1, chi_x(y) u = 0, is not met by every u
-    for a, b, i in chain([(x, y, n - 1)], ((a, b, i) for j, (a, b) in enumerate(pairs)
-                                           if j != c for i in range(n))):
-        ak = [sum(map(operator.mul, row, kcols[i])) for row in a.num]
-        t = [sum(map(operator.mul, row, ak)) for row in kinv.num]  # over kinv.den a.den
-        cols = [[kinv.den * a.den * sum(map(operator.mul, row, ps[i]))
-                 - b.den * sum(map(operator.mul, t, es)) for row, es in zip(b.num, zip(*ps))]
-                for ps in zs]
-        if len(zs) == 1:  # one column: the relation holds iff it is zero
-            if any(cols[0]):
-                return Subspace.zero(n * n)
+    """The row-major S with S A = B S for every (A, B) in pairs, as U(u) W^-1
+    for the spin basis W of the A (module docstring)."""
+    xs = [x.num_over(lcm(x.den, y.den)) for x, y in pairs]
+    ys = [y.num_over(lcm(x.den, y.den)) for x, y in pairs]
+    words = spin_basis(xs, n)
+    winv = inverse(Mat.from_integers([w for *_, w in words]).transpose())
+
+    def times(m, v: list[int]) -> list[int]:
+        return [sum(map(operator.mul, row, v)) for row in m]
+
+    def images(u: list[int]) -> list[list[int]]:
+        """U(u): y_j U_i for the word x_j w_i, u's s-th block for the s-th start."""
+        cols, blocks = [], iter(u[s:s + n] for s in range(0, len(u), n))
+        for j, i, _ in words:
+            cols.append(next(blocks) if j is None else times(ys[j], cols[i]))
+        return cols
+
+    gn = n * sum(j is None for j, *_ in words)
+    zs = [[int(r == s) for r in range(gn)] for s in range(gn)]  # a basis of Z, integral
+    uss = [images(z) for z in zs]
+    # y_j U_i = U t for t = W^-1 x_j w_i, for each x_j w_i that is no word
+    taken = {(j, i) for j, i, _ in words}
+    for (i, (*_, w)), (j, x) in product(enumerate(words), enumerate(xs)):
+        if (j, i) in taken:
             continue
+        t = times(winv.num, times(x, w))  # over winv.den
+        cols = [[winv.den * e - sum(map(operator.mul, t, es))
+                 for e, es in zip(times(ys[j], us[i]), zip(*us))] for us in uss]
+        if not any(map(any, cols)):  # every z meets it
+            continue
+        if len(zs) == 1:  # one column, not zero: no z meets it
+            return Subspace.zero(n * n)
         _, ker = rref_nullspace(Mat.from_integers(zip(*cols), 1, len(zs)))
-        if ker.dim == len(zs):
-            continue
         if not ker.dim:
             return Subspace.zero(n * n)
-        new = []  # the powers of sum_s k_s z_s for each kernel row k, made primitive
-        for k in ker.basis.num:
-            ps = [[sum(map(operator.mul, k, es)) for es in zip(*(z[l] for z in zs))]
-                  for l in range(n)]
-            g = gcd(*ps[0])
-            new.append([[e // g for e in p] for p in ps] if g > 1 else ps)
-        zs = new
-    # S_u = K(d y, u) K^-1, whose row r is sum_l ((d y)^l u)[r] (row l of K^-1)
-    kinv_cols = list(zip(*kinv.num))
+        zs = [[sum(map(operator.mul, k, es)) for es in zip(*zs)] for k in ker.basis.num]
+        uss = [images(z) for z in zs]
+    # S = U W^-1, whose row r is sum_i U[r, i] (row i of W^-1)
+    winv_cols = list(zip(*winv.num))
     return Subspace.from_spanning(
-        [[sum(map(operator.mul, es, col)) for es in zip(*ps) for col in kinv_cols]
-         for ps in zs], n * n)
+        [[sum(map(operator.mul, es, col)) for es in zip(*us) for col in winv_cols]
+         for us in uss], n * n)
 
 
 def _weighted_grid(dim: int, top: int):
@@ -383,20 +376,19 @@ def _compositions(total: int, dim: int, top: int):
 def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     """Search for an invertible S with S A_j^(i) = B_j^(i) S for all slots.
 
-    The intertwiner space is exact and canonical (its RREF), from a cyclic
-    vector of a slot of `a` or else a Sylvester nullspace (module
-    docstring).  The invertibility search walks a deterministic grid of
-    rational combinations, n + 1 values per coordinate for the determinant
-    of degree n, which holds an invertible point whenever one exists.  If
-    `a` is irreducible, every intertwiner S != 0 is invertible (Schur:
-    ker S is a submodule of `a`), so the grid's first point, the first
-    basis vector, answers with one determinant.  If that point is
-    singular, dim End(a) and then dim End(b) are read, and the first that
-    differs from dim Hom(a, b) answers "no"; if neither does, a and b are
-    similar (module docstring) and the walk goes on to the first
-    invertible point.  Two
-    tuples with every coefficient zero are similar by S = I; a zero tuple
-    and a nonzero one have different skeletons once stripped.
+    The intertwiner space is exact and canonical (its RREF), from the spin
+    basis of the module of `a` (module docstring).  The invertibility
+    search walks a deterministic grid of rational combinations, n + 1
+    values per coordinate for the determinant of degree n, which holds an
+    invertible point whenever one exists.  If `a` is irreducible, every
+    intertwiner S != 0 is invertible (Schur: ker S is a submodule of `a`),
+    so the grid's first point, the first basis vector, answers with one
+    determinant.  If that point is singular, dim End(a) and then dim End(b)
+    are read, and the first that differs from dim Hom(a, b) answers "no";
+    if neither does, a and b are similar (module docstring) and the walk
+    goes on to the first invertible point.  Two tuples with every
+    coefficient zero are similar by S = I; a zero tuple and a nonzero one
+    have different skeletons once stripped.
     """
     if a.size != b.size:
         raise PreconditionError("tuples have different sizes")
@@ -418,11 +410,8 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     d = space.dim
     if d == 0:
         return None
-    den = space.basis.den
-    basis = [
-        Mat.from_integers([col[k * n:(k + 1) * n] for k in range(n)], den, n)
-        for col in space.basis.num
-    ]
+    basis = [Mat.from_integers([col[k * n:(k + 1) * n] for k in range(n)], space.basis.den, n)
+             for col in space.basis.num]
     # End(a), then End(b) only if End(a) has dimension d
     invariants = ([(x, x) for x, _ in pairs], [(y, y) for _, y in pairs])
     for k, coeffs in enumerate(_weighted_grid(d, n)):
