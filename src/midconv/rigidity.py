@@ -54,14 +54,21 @@ dim Z columns, or to 0 if dim Z = 1.  The U(z) W^-1 of a basis of Z span
 the intertwiners; their RREF is the canonical kernel of the stacked
 Sylvester operators S -> B S - S A.
 
-`are_similar` walks a grid of combinations of that basis for an
-invertible S.  dim End(a), dim Hom(a, b) and dim End(b) are similarity
-invariants, so one that differs is an exact "no"; equal ones make a and b
-similar over the algebraic closure (Byrnes and Gauger, Linear Multilinear
-Algebra 1977; Friedland, Adv. Math. 1983), hence over Q
-(Noether-Deuring), so the grid holds an invertible point.  The
-dimensions are read once, at the first singular point; a walk that ends
-without an invertible point despite them is an InternalError.
+`are_similar` looks for an invertible S among the combinations
+S_c = sum c_i S_i of that basis.  Its first point is the first basis vector,
+at one determinant; an irreducible `a` always answers there (Schur), and so
+does every pair that answered there before the draws below, with the same
+S and the same bytes.  If it is singular, dim End(a), dim Hom(a, b) and
+dim End(b) are read: they are similarity invariants, so one that differs is
+an exact "no"; equal ones make a and b similar over the algebraic closure
+(Byrnes and Gauger, Linear Multilinear Algebra 1977; Friedland, Adv. Math.
+1983), hence over Q (Noether-Deuring), so det S_c is a nonzero polynomial
+of degree n in c.  A c drawn uniformly from [0, 2^k)^d with 2^k > 2n is
+then a root with probability at most n / 2^k < 1/2 (Schwartz 1980; Zippel
+1979).  At most 64 such draws come from a fixed-seed random.Random, so the
+same pair gets the same S on every run, each certified by the exact
+determinant; 64 singular draws despite equal dimensions are an
+InternalError.
 
 `is_irreducible` decides by Norton's test (Parker 1984; Holt and Rees
 1994) when it can, in O(k n^3) for k generators.  It takes the first
@@ -89,6 +96,7 @@ but are both nilpotent mod p), so then the same spin over Q decides.
 from __future__ import annotations
 
 import operator
+import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
@@ -355,40 +363,20 @@ def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:
          for us in uss], n * n)
 
 
-def _weighted_grid(dim: int, top: int):
-    """All non-zero integer points of {0..top}^dim ordered by total sum,
-    then lexicographically."""
-    for total in range(1, dim * top + 1):
-        for point in _compositions(total, dim, top):
-            yield point
-
-
-def _compositions(total: int, dim: int, top: int):
-    if dim == 1:
-        if 0 <= total <= top:
-            yield (total,)
-        return
-    for first in range(min(total, top), -1, -1):
-        for rest in _compositions(total - first, dim - 1, top):
-            yield (first,) + rest
-
-
 def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     """Search for an invertible S with S A_j^(i) = B_j^(i) S for all slots.
 
     The intertwiner space is exact and canonical (its RREF), from the spin
-    basis of the module of `a` (module docstring).  The invertibility
-    search walks a deterministic grid of rational combinations, n + 1
-    values per coordinate for the determinant of degree n, which holds an
-    invertible point whenever one exists.  If `a` is irreducible, every
+    basis of the module of `a` (module docstring).  The first point is the
+    first basis vector, one determinant.  If `a` is irreducible, every
     intertwiner S != 0 is invertible (Schur: ker S is a submodule of `a`),
-    so the grid's first point, the first basis vector, answers with one
-    determinant.  If that point is singular, dim End(a) and then dim End(b)
-    are read, and the first that differs from dim Hom(a, b) answers "no";
-    if neither does, a and b are similar (module docstring) and the walk
-    goes on to the first invertible point.  Two tuples with every
-    coefficient zero are similar by S = I; a zero tuple and a nonzero one
-    have different skeletons once stripped.
+    so it answers there.  If that point is singular, dim End(a) and then
+    dim End(b) are read, and the first that differs from dim Hom(a, b)
+    answers "no"; if neither does, a and b are similar (module docstring),
+    and seeded combinations of the basis are drawn until one has a nonzero
+    determinant, at most 64 of them, each singular with probability below
+    1/2.  Two tuples with every coefficient zero are similar by S = I; a
+    zero tuple and a nonzero one have different skeletons once stripped.
     """
     if a.size != b.size:
         raise PreconditionError("tuples have different sizes")
@@ -410,18 +398,22 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
     d = space.dim
     if d == 0:
         return None
-    basis = [Mat.from_integers([col[k * n:(k + 1) * n] for k in range(n)], space.basis.den, n)
-             for col in space.basis.num]
+
+    def point(cs: list[int]) -> Mat:
+        """sum_i cs[i] times the i-th basis vector, as an n x n matrix."""
+        v = [sum(map(operator.mul, cs, col)) for col in zip(*space.basis.num)]
+        return Mat.from_integers([v[k * n:(k + 1) * n] for k in range(n)], space.basis.den, n)
+
+    if det(s := point([1] + [0] * (d - 1))) != 0:
+        return s
     # End(a), then End(b) only if End(a) has dimension d
-    invariants = ([(x, x) for x, _ in pairs], [(y, y) for _, y in pairs])
-    for k, coeffs in enumerate(_weighted_grid(d, n)):
-        s = Mat.zeros(n, n)
-        for c, m in zip(coeffs, basis):
-            if c:
-                s = s + m.scaled(c)
-        if det(s) != 0:
+    if any(_intertwiners(hom, n).dim != d
+           for hom in ([(x, x) for x, _ in pairs], [(y, y) for _, y in pairs])):
+        return None
+    # getrandbits only: randrange's output is not the same on every Python
+    draws, bits = random.Random(0), (2 * n).bit_length()
+    for _ in range(64):
+        if det(s := point([draws.getrandbits(bits) for _ in range(d)])) != 0:
             return s
-        if k == 0 and any(_intertwiners(hom, n).dim != d for hom in invariants):
-            return None
-    raise InternalError(f"no invertible intertwiner on the (n + 1)^{d} grid, although "
+    raise InternalError(f"no invertible intertwiner in 64 seeded draws, although "
                         f"End(a), Hom(a, b) and End(b) all have dimension {d}")

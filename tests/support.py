@@ -286,19 +286,13 @@ def commutant_dim_dense(t: MatrixTuple, i: int) -> int:
     return unknowns - naive_rank(rows)
 
 
-def similar_by_sweep(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
-    """Simultaneous similarity by the full grid sweep that `are_similar`
-    ran before it read Hom dimensions: the intertwiners S A = B S as the
-    canonical kernel of the relations on row-major S, assembled entry by
-    entry, and the first invertible combination of that basis with
-    coefficients in {0..n}^d, by total and then lexicographically from the
-    top, or None once every point is singular.  For tuples of one size and
-    skeleton, not all zero; it sweeps (n + 1)^d points on a "no", so keep d
-    small."""
+def intertwiner_basis(a: MatrixTuple, b: MatrixTuple) -> list[Mat]:
+    """The intertwiners S A = B S of the stripped pair as the canonical
+    kernel of the relations on row-major S, assembled entry by entry: its
+    basis vectors as n x n matrices.  For tuples of one size and skeleton,
+    not all zero."""
     a, b = strip_trivial(a), strip_trivial(b)
     n = a.size
-    if a == b:
-        return Mat.identity(n)
     rows = []
     for x, y in zip(a.slot_coeffs(), b.slot_coeffs()):
         for i in range(n):
@@ -309,8 +303,24 @@ def similar_by_sweep(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
                     row[i * n + k] -= x[k, j]       # (S A)[i,j] term S[i,k]
                 rows.append(row)
     _, space = rref_nullspace(Mat(rows))
-    basis = [Mat([row[k * n:(k + 1) * n] for k in range(n)]) for row in space.basis.data]
-    grid = sorted(product(range(n + 1), repeat=space.dim), key=lambda p: (sum(p), [-c for c in p]))
+    return [Mat([row[k * n:(k + 1) * n] for k in range(n)]) for row in space.basis.data]
+
+
+def similar_by_sweep(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
+    """Simultaneous similarity by the full grid sweep that `are_similar`
+    ran before it read Hom dimensions and drew seeded points: the first
+    invertible combination of `intertwiner_basis` with coefficients in
+    {0..n}^d, by total and then lexicographically from the top, or None
+    once every point is singular.  It decides `are_similar`'s answer on
+    every pair, and its S only where the first point, the first basis
+    vector, is invertible: past a singular one `are_similar` draws seeded
+    points.  For tuples of one size and skeleton, not all zero; it sweeps
+    (n + 1)^d points on a "no", so keep d small."""
+    n = a.size
+    if strip_trivial(a) == strip_trivial(b):
+        return Mat.identity(n)
+    basis = intertwiner_basis(a, b)
+    grid = sorted(product(range(n + 1), repeat=len(basis)), key=lambda p: (sum(p), [-c for c in p]))
     for point in grid[1:]:
         s = sum((m.scaled(c) for c, m in zip(point, basis) if c), Mat.zeros(n, n))
         if det(s) != 0:
@@ -466,6 +476,13 @@ def direct_sum(*blocks) -> Mat:
         rows += [[F(0)] * off + list(r) + [F(0)] * (n - off - b.rows) for r in b.data]
         off += b.rows
     return Mat(rows)
+
+
+def sum_of_copies(k: int) -> MatrixTuple:
+    """a^(+k): each slot of the irreducible 3 x 3 tuple
+    rand_tuple(rng(3), 3, 2, [1, 0, 0]), k times on the diagonal."""
+    a = rand_tuple(rng(3), 3, 2, [1, 0, 0])
+    return a.with_slot_coeffs([direct_sum(*[x] * k) for x in a.slot_coeffs()], 3 * k)
 
 
 def semisimple_rational(r: random.Random, n: int, pool=(-1, 0, 1, 2)) -> Mat:
