@@ -8,17 +8,20 @@ per matrix.  No floating point appears anywhere.  One elimination kernel,
 `_echelon`, runs a fraction-free (Bareiss) forward pass on integer rows,
 which keeps intermediate entries at determinant-minor size.  `rank` and
 `det` read its output directly, and `_kernel` (behind `rref_nullspace` and
-`toeplitz_kernel`) back-substitutes on it once per kernel vector.  `_rref`
-back-substitutes on its rows and returns them, not normalised, over one
-denominator: `inverse` and `Subspace.from_spanning` / `.sum` each
-normalise their result once.  `_insert` reduces a vector against stored
-integer rows with the same primitive row step.  `Fraction`s are scalars
-only (`m[i, j]`, eigenvalues, determinants); every basis is a `Mat`.
+`toeplitz_kernel`) back-substitutes on it once per kernel vector.  One
+loop, `_reduce`, clears an integer vector v at stored (pivot pc, row)
+pairs: p v - v[pc] row for p = row[pc], over its content, wherever v[pc]
+!= 0.  `_rref` runs it on each echelon row against the rows below it
+(zero at every pivot but their own), and `_over_lcm` puts rows over the
+lcm of their pivot entries for `inverse` and `Subspace.from_spanning` /
+`.sum` to normalise once.  `Fraction`s are scalars only (`m[i, j]`,
+eigenvalues, determinants); every basis is a `Mat`.
 
 One loop, `spin`, grows a spin: the smallest subspace that holds a start
 set and is mapped into itself by some operators.  Norton's test
-(`spin_dim`), the standard basis of a module (`spin_basis`) and both
-Burnside word spans run it, each with its own span.
+(`spin_dim`), the standard basis of a module (`spin_basis`) and the exact
+Burnside word span each grow an `IncrementalSpan` (`_reduce` plus
+append); the span mod p keeps its own rows over F_p.
 
 `charpoly` is multi-modular and certified.  With d_i the lcm of the
 denominators of row i of A, B = diag(d) A is integral and, for D = prod d_i,
@@ -60,7 +63,7 @@ lam one kernel chain (`_kernel_chain`), the kernels of (A - lam)^k until
 their dimensions stop growing, gives lam's Jordan partition and, as its
 last kernel, the generalized eigenspace.  `jordan_data` (every rational
 eigenvalue) and `jordan_partition` (one) need only the partitions, so
-they read each nullity from the rank of `_echelon`'s forward pass, with
+they read each nullity as n - `rank`, `_echelon`'s forward pass, with
 no back substitution and no `Subspace`; a simple eigenvalue is the block
 (1,) with no elimination at all.  Further matrices B come back cut into
 their diagonal blocks in the basis P that concatenates the components'
@@ -79,14 +82,14 @@ A `Subspace` is its reduced row echelon basis: the rows of the `Mat`
 so two subspaces are equal iff their fields are, and all downstream
 tie-breaking (quotient complements, canonical kernels) is deterministic.
 
-`Subspace.sum` keeps the left summand's echelon rows.  The right summand's
-rows are reduced at the left pivots by `_eliminate` (a left row is 0 at
-every other left pivot, so the order does not matter), `_rref` of the
-nonzero remainders gives the new rows, which are 0 at every left pivot,
-and each left row is cleared at the new pivots.  A left row is nonzero at
-a new pivot only right of its own pivot, so it stays 0 left of it, and the
-rows merged by pivot over one denominator are the canonical RREF of the
-sum: K + L(mu), say, costs the dim L(mu) rows, not K again.
+`Subspace.sum` keeps the left summand's echelon rows.  `_reduce` clears
+the right summand's rows at the left pivots (a left row is 0 at every
+other left pivot, so the order does not matter), `_rref` of the nonzero
+remainders gives the new rows, 0 at every left pivot, and `_reduce`
+clears each left row at the new pivots.  A left row is nonzero at a new
+pivot only right of its own pivot, so it stays 0 left of it, and the rows
+merged by pivot over one denominator are the canonical RREF of the sum:
+K + L(mu), say, costs the dim L(mu) rows, not K again.
 
 `_kernel` builds that basis of a kernel from one forward
 elimination of the columns of m in reverse order.  A kernel vector is
@@ -357,27 +360,36 @@ def _echelon(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]]
     return ints[:pr], piv_cols, sign
 
 
-def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
-    """p*v - v[pc]*row for the pivot p = row[pc], divided by its content,
-    so that column pc of the result is zero."""
-    p, f = row[pc], v[pc]
-    w = [p * a - f * b for a, b in zip(v, row)]
-    g = gcd(*w)
-    return [a // g for a in w] if g > 1 else w
+def _reduce(v: Sequence[int], rows: Iterable[tuple[int, Sequence[int]]]) -> Sequence[int]:
+    """v cleared at each stored (pivot pc, row) in turn where it is nonzero:
+    p*v - v[pc]*row for p = row[pc], divided by its content."""
+    for pc, row in rows:
+        if f := v[pc]:
+            p = row[pc]
+            w = [p * a - f * b for a, b in zip(v, row)]
+            g = gcd(*w)
+            v = [a // g for a in w] if g > 1 else w
+    return v
 
 
-def _rref(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list, int, tuple[int, ...]]:
-    """Reduced row echelon form of the given integer spanning rows (unique)
-    as integer rows over one denominator, each row's entry at its pivot,
-    not yet normalised; then that denominator and the pivot columns."""
+def _rref(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, Sequence[int]]]:
+    """(pivot, row) for each row of the (unique) RREF of the integer spanning
+    rows, last pivot first, each row an integer multiple of its RREF row:
+    each echelon row reduced against the rows below it (module docstring)."""
     ech, piv, _ = _echelon(rows, ncols)
-    for i in reversed(range(len(piv))):
-        pc = piv[i]
-        for k in range(i):
-            if ech[k][pc]:
-                ech[k] = _eliminate(ech[k], ech[i], pc)
-    den = lcm(*(row[pc] for row, pc in zip(ech, piv)))
-    return [[x * (den // row[pc]) for x in row] for row, pc in zip(ech, piv)], den, tuple(piv)
+    done: list[tuple[int, Sequence[int]]] = []
+    for pc, row in zip(reversed(piv), reversed(ech)):
+        done.append((pc, _reduce(row, done)))
+    return done
+
+
+def _over_lcm(rows: Iterable[tuple[int, Sequence[int]]]) -> tuple[list, int, tuple[int, ...]]:
+    """`_rref`'s rows in order of pivot as integer rows over the lcm of their
+    pivot entries, not yet normalised; then that denominator and the pivots."""
+    rows = sorted(rows, key=lambda t: t[0])
+    den = lcm(*(r[pc] for pc, r in rows))
+    return [r if r[pc] == den else [x * (den // r[pc]) for x in r] for pc, r in rows], \
+        den, tuple(pc for pc, _ in rows)
 
 
 def rank(m: Mat) -> int:
@@ -402,7 +414,7 @@ def inverse(m: Mat) -> Mat:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
     aug = [row + tuple(m.den if i == j else 0 for j in range(n)) for i, row in enumerate(m.num)]
-    r, den, piv = _rref(aug, 2 * n)
+    r, den, piv = _over_lcm(_rref(aug, 2 * n))
     if piv != tuple(range(n)):
         raise ValueError("matrix is singular")
     return Mat.from_integers([row[n:] for row in r], den, n)
@@ -434,7 +446,7 @@ class Subspace:
         vecs = Mat(vectors)
         if vecs.rows and vecs.cols != ambient_dim:
             raise ValueError("spanning vector has wrong length")
-        r, den, piv = _rref(vecs.num, ambient_dim)
+        r, den, piv = _over_lcm(_rref(vecs.num, ambient_dim))
         return Subspace(Mat.from_integers(r, den, ambient_dim), piv)
 
     @property
@@ -452,27 +464,12 @@ class Subspace:
         if c != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
         left = list(zip(self.pivot_rows, self.basis.num))
-        rest = []
-        for v in other.basis.num:
-            for pc, row in left:
-                if v[pc]:
-                    v = _eliminate(v, row, pc)
-            if any(v):
-                rest.append(v)
+        rest = [w for v in other.basis.num if any(w := _reduce(v, left))]
         if not rest:
             return self
-        new, _, new_piv = _rref(rest, c)
-        rows = dict(zip(new_piv, new))
-        for pc, u in left:
-            for q, r in zip(new_piv, new):
-                if u[q]:
-                    u = _eliminate(u, r, q)
-            rows[pc] = u
-        piv = sorted(rows)
-        den = lcm(*(rows[p][p] for p in piv))
-        return Subspace(Mat.from_integers(
-            [r if (r := rows[p])[p] == den else [x * (den // r[p]) for x in r] for p in piv],
-            den, c), tuple(piv))
+        new = _rref(rest, c)
+        r, den, piv = _over_lcm([(pc, _reduce(u, new)) for pc, u in left] + new)
+        return Subspace(Mat.from_integers(r, den, c), piv)
 
 
 def _kernel(rows: Sequence[Sequence[int]], c: int) -> tuple[list[list[int]], int, list[int], int]:
@@ -540,33 +537,25 @@ def toeplitz_kernel(coeffs: Sequence[Mat]) -> Subspace:
 
 
 class IncrementalSpan:
-    """Mutable echelon accumulator for growing a span vector by vector."""
+    """Mutable echelon accumulator for growing a span of integer vectors."""
 
     def __init__(self):
-        # (pivot, primitive integer row) in insertion order: each row is zero
-        # at the pivots of the rows before it, so one pass in this order
-        # reduces a vector; rows are never back-reduced
-        self._rows: list[tuple[int, list[int]]] = []
+        # (pivot, integer row) in insertion order: each row is zero at the
+        # pivots of the rows before it, so one `_reduce` in this order
+        # clears a vector; rows are never back-reduced
+        self._rows: list[tuple[int, Sequence[int]]] = []
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def add(self, vec: Sequence) -> bool:
-        """Insert vec (ints and Fractions); returns True iff it enlarged the span."""
-        return _insert(self._rows, list(Mat([vec]).num[0]))
-
-
-def _insert(rows: list[tuple[int, list[int]]], v: list[int]) -> bool:
-    """Reduce the integer vector v against `rows` (see `IncrementalSpan`)
-    and append it if a nonzero remainder is left; True iff it was."""
-    for pc, row in rows:
-        if v[pc]:
-            v = _eliminate(v, row, pc)
-    piv = next((i for i, x in enumerate(v) if x), None)
-    if piv is not None:
-        rows.append((piv, v))
-    return piv is not None
+    def add(self, vec: Sequence[int]) -> bool:
+        """Insert the integer vector vec; returns True iff it enlarged the span."""
+        v = _reduce(vec, self._rows)
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is not None:
+            self._rows.append((piv, v))
+        return piv is not None
 
 
 def spin(start: Sequence, ops: Sequence, add, target: int) -> list:
@@ -593,7 +582,8 @@ def _times(rows: Sequence[Sequence[int]]):
 def spin_dim(vec: Sequence[int], mats: Sequence[Mat]) -> int:
     """Dimension of the spin of the integer vector vec under mats acting on
     columns, by their integer rows (scaling by 1/den moves no subspace)."""
-    return len(spin([list(vec)], [_times(m.num) for m in mats], partial(_insert, []), len(vec)))
+    ops = [_times(m.num) for m in mats]
+    return len(spin([list(vec)], ops, IncrementalSpan().add, len(vec)))
 
 
 def spin_basis(gens: Sequence[Sequence[Sequence[int]]], n: int) -> list[tuple]:
@@ -601,7 +591,8 @@ def spin_basis(gens: Sequence[Sequence[Sequence[int]]], n: int) -> list[tuple]:
     columns): the words (j, i, w) as taken, w = gens[j] w_i for an earlier
     word i, or (None, None, e_s) for a start vector: e_1, then, while the
     spin is short, the first e_s outside it, until n are taken."""
-    made, rows, taken = [], [], []  # made: (j, i, w) for each word tried, i indexing made
+    span = IncrementalSpan()
+    made, taken = [], []  # made: (j, i, w) for each word tried, i indexing made
 
     def apply(j: int, times, c: int) -> int:
         made.append((j, c, times(made[c][2])))
@@ -611,7 +602,7 @@ def spin_basis(gens: Sequence[Sequence[Sequence[int]]], n: int) -> list[tuple]:
     for s in range(n):
         if len(taken) < n:
             made.append((None, None, [int(r == s) for r in range(n)]))
-            taken += spin([len(made) - 1], ops, lambda c: _insert(rows, made[c][2]),
+            taken += spin([len(made) - 1], ops, lambda c: span.add(made[c][2]),
                           n - len(taken))
     at = {c: k for k, c in enumerate(taken)}
     return [(j, at.get(i), w) for j, i, w in map(made.__getitem__, taken)]
@@ -921,7 +912,7 @@ def _kernel_chain(m: Mat, lam: Fraction, stop: int, spaces: bool = True
             ker = rref_nullspace(power)[1]
             nullities.append(ker.dim)
         else:
-            nullities.append(n - len(_echelon(power.num, n)[1]))
+            nullities.append(n - rank(power))
         if nullities[-1] in (stop, nullities[-2]):
             # blocks of size >= k: nullities[k] - nullities[k-1]
             return conjugate_partition([b - a for a, b in zip(nullities, nullities[1:])]), ker

@@ -55,7 +55,6 @@ from .rigidity import is_irreducible
 class PivotChoice:
     """Chosen eigenvalue block and inner eigenvalue of one point, and its pattern."""
 
-    point: int
     block: SpectralBlock
     inner: EigenData
     pattern: PointPattern
@@ -137,7 +136,7 @@ def choose_pivot(t: MatrixTuple) -> list[PivotChoice]:
             raise AssumptionViolated(str(e)) from e
         # max keeps the first of equal keys: the earlier block
         pat = st.pattern()
-        choices.append(max((PivotChoice(i, b, b.inner[0], pat) for b in st.blocks),
+        choices.append(max((PivotChoice(b, b.inner[0], pat) for b in st.blocks),
                            key=_pivot_rank))
     return choices
 

@@ -21,11 +21,12 @@ rules that applies; a block cut by rule 5 goes through the same rules.
    characteristic polynomial is square-free (n distinct roots,
    `distinct_root_count`, read off the spectrum's Sturm chain), which
    certifies a cyclic vector where both of those fail.
-3. A single matrix (m = 0) whose non-rational roots are simple is
-   Frobenius's, from its Jordan data alone (`jordan_data`, ranks only; no
-   split, space or inverse): dim Z(A) is the sum over the eigenvalues of
-   sum p_i^2 over the conjugate p of the eigenvalue's Jordan partition, so
-   each simple root adds 1.
+3. A single matrix (m = 0) whose non-rational roots are simple, as its
+   kept `rational_spectrum` and `distinct_root_count` tell before any
+   kernel chain runs, is Frobenius's, from its Jordan data alone
+   (`jordan_data`, ranks only; no split, space or inverse): dim Z(A) is
+   the sum over the eigenvalues of sum p_i^2 over the conjugate p of the
+   eigenvalue's Jordan partition, so each simple root adds 1.
 4. For m >= 2, or a primary lead (one rational eigenvalue and no other
    root, or no rational eigenvalue: one component, read off the
    `rational_spectrum` kept on the lead), it is the nullity of the coupled
@@ -165,9 +166,10 @@ def _commutant_dim(coeffs: list[Mat]) -> int:
             or distinct_root_count(lead) == n:
         return n * len(coeffs)
     if len(coeffs) == 1:  # Frobenius, if the non-rational roots are simple
-        eigs, _ = jordan_data(lead)
-        rest = n - sum(mult for _, mult, _ in eigs)
-        if distinct_root_count(lead) - len(eigs) == rest:
+        spec, _ = rational_spectrum(lead)
+        rest = n - sum(mult for _, mult in spec)
+        if distinct_root_count(lead) - len(spec) == rest:
+            eigs, _ = jordan_data(lead)
             return rest + sum(p * p for *_, part in eigs for p in conjugate_partition(part))
     if len(coeffs) <= 2:
         spec, full = rational_spectrum(lead)

@@ -169,7 +169,7 @@ def test_incremental_span_tracks_rank(rows, ncols):
     prev = 0
     for k, v in enumerate(rows, start=1):
         r = to_sympy(rows[:k], ncols).rank()
-        assert span.add(v) == (r > prev)
+        assert span.add(Mat([v]).num[0]) == (r > prev)
         assert span.dim == r
         prev = r
 

@@ -2,7 +2,6 @@
 
 import time
 from fractions import Fraction as F
-from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,8 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from midconv.errors import InternalError, PreconditionError
 from midconv import exactla, rigidity
 from midconv.exactla import (
+    IncrementalSpan,
     Mat,
-    _insert,
     _prime,
     det,
     inverse,
@@ -279,25 +278,29 @@ def _counting_sylvester(monkeypatch) -> list:
 
 
 SQRT2 = _companion(-2, 0)          # x^2 - 2
-# (matrix, dim Z, whether a Sylvester system is built, whether it is split)
+# (matrix, dim Z, whether a Sylvester system is built, whether it is split,
+# whether a ranks-only kernel chain runs)
 CENTRALIZER_CASES = [
-    (_companion(3, -1, 0, 2, 1), 5, False, False),                       # cyclic
-    (Mat([[F(1, 2), 1, 0], [0, F(-2, 3), 1], [F(5, 4), 0, 0]]), 3, False, False),
-    (support.direct_sum(_jordan(3, 2), [[2]], [[2]]), 9 + 1 + 1, False, False),  # (3, 1, 1) at 2
+    (_companion(3, -1, 0, 2, 1), 5, False, False, False),                # cyclic
+    (Mat([[F(1, 2), 1, 0], [0, F(-2, 3), 1], [F(5, 4), 0, 0]]), 3, False, False, False),
+    # (3, 1, 1) at 2
+    (support.direct_sum(_jordan(3, 2), [[2]], [[2]]), 9 + 1 + 1, False, False, True),
     # Jordan blocks (2, 2, 1) at 1 and a scalar block at 3: 3^2 + 2^2 + 2^2
-    (support.direct_sum(_jordan(2, 1), _jordan(2, 1), [[1]], Mat.diagonal([3, 3])), 17, False, False),
-    (support.direct_sum(_jordan(2, F(1, 2)), [[F(1, 2)]], [[F(-2, 3)]]), 5 + 1, False, False),
+    (support.direct_sum(_jordan(2, 1), _jordan(2, 1), [[1]], Mat.diagonal([3, 3])), 17,
+     False, False, True),
+    (support.direct_sum(_jordan(2, F(1, 2)), [[F(1, 2)]], [[F(-2, 3)]]), 5 + 1, False, False, True),
     # derogatory with no rational eigenvalue: one primary component, so
     # the Sylvester grid with no split
-    (support.direct_sum(SQRT2, SQRT2), 8, True, False),
-    (_companion(4, 0, -4, 0), 4, False, False),                          # (x^2 - 2)^2: cyclic
+    (support.direct_sum(SQRT2, SQRT2), 8, True, False, False),
+    (_companion(4, 0, -4, 0), 4, False, False, False),                   # (x^2 - 2)^2: cyclic
     # a rational part beside a square-free non-rational part: cyclic, and
     # with a second block at 1 Frobenius's 2^2 + 1^2 plus 4 simple roots
-    (support.direct_sum(_jordan(2, 1), SQRT2, _companion(-3, 0)), 6, False, False),
-    (support.direct_sum(_jordan(2, 1), [[1]], SQRT2, _companion(-3, 0)), 5 + 4, False, False),
+    (support.direct_sum(_jordan(2, 1), SQRT2, _companion(-3, 0)), 6, False, False, False),
+    (support.direct_sum(_jordan(2, 1), [[1]], SQRT2, _companion(-3, 0)), 5 + 4, False, False, True),
     # a repeated non-rational part beside a rational one: split, then the
-    # grid on the residual block
-    (support.direct_sum(_jordan(2, 1), SQRT2, SQRT2), 2 + 8, True, True),
+    # grid on the residual block; the spectrum shows the repeated root
+    # before any Jordan data, so no ranks-only chain runs
+    (support.direct_sum(_jordan(2, 1), SQRT2, SQRT2), 2 + 8, True, True, False),
 ]
 
 
@@ -306,8 +309,9 @@ def test_centralizer_dim_cases_match_dense_oracle(case, monkeypatch):
     # a single matrix builds a Sylvester system only when a non-rational
     # root is repeated, and is split, with an inverse, only when such a root
     # sits beside a rational eigenvalue; every other answer comes from its
-    # Jordan data
-    a, expected, sylvester, split = CENTRALIZER_CASES[case]
+    # Jordan data, whose ranks-only kernel chains (`exactla.rank`) run only
+    # once the spectrum shows every non-rational root simple
+    a, expected, sylvester, split, chain = CENTRALIZER_CASES[case]
     rng = support.rng(70 + case)
     p = support.unimodular(rng, a.rows)
     calls = _counting_sylvester(monkeypatch)
@@ -315,12 +319,16 @@ def test_centralizer_dim_cases_match_dense_oracle(case, monkeypatch):
     monkeypatch.setattr(rigidity, "primary_components",
                         lambda m, *mats: splits.append(m) or primary(m, *mats))
     monkeypatch.setattr(exactla, "inverse", lambda m: splits.append(m) or inv(m))
+    ranks, real_rank = [], exactla.rank
+    monkeypatch.setattr(exactla, "rank", lambda m: ranks.append(m) or real_rank(m))
     for m in (a, p * a * inverse(p)):
         assert centralizer_dim(m) == expected == support.centralizer_dim_dense(m)
         assert bool(calls) is sylvester
         assert bool(splits) is split
+        assert bool(ranks) is chain
         calls.clear()
         splits.clear()
+        ranks.clear()
 
 
 def _random_split_leads():
@@ -398,9 +406,10 @@ def test_split_lead_blocks_pay_no_second_spectrum_or_inverse(monkeypatch):
 
 
 def test_split_rational_block_reads_its_partition_from_the_split(monkeypatch):
-    # the same lead: Frobenius's rule takes the chain of 1 on the lead, the
-    # split one on m and one on m^T, and the rational block's `jordan_data`
-    # reads the partition (2, 1) kept with its one-root record, no fourth chain
+    # the same lead: Frobenius's rule takes no chain, as the spectrum shows
+    # the repeated non-rational root first; the split takes one on m and one
+    # on m^T, and the rational block's `jordan_data` reads the partition
+    # (2, 1) kept with its one-root record, no third chain
     a = support.direct_sum(_jordan(2, 1), [[1]], SQRT2, SQRT2)
     p = support.unimodular(support.rng(93), a.rows)
     m = p * a * inverse(p)
@@ -408,7 +417,7 @@ def test_split_rational_block_reads_its_partition_from_the_split(monkeypatch):
     monkeypatch.setattr(exactla, "_kernel_chain",
                         lambda *args, **kw: chains.append(args[1]) or real(*args, **kw))
     assert centralizer_dim(m) == 13
-    assert chains == [F(1)] * 3
+    assert chains == [F(1)] * 2
     (lam, part, _, (own,)), _ = exactla.primary_components(m, m)
     assert (lam, part) == (F(1), (2, 1)) and own._spectrum[4] == (2, 1)
     assert exactla.jordan_data(own) == ([(F(1), 3, (2, 1))], True)
@@ -471,15 +480,20 @@ def test_cyclic_vector_takes_all_ones_when_e1_fails(monkeypatch):
     assert centralizer_dim(_companion(1, 2, 3)) == 3 and asked == [([1, 0, 0], 3)]
 
 
-def test_jordan_data_come_from_the_primary_split_without_a_rank(monkeypatch):
-    # Frobenius's centralizer reads the partitions of `primary_components`,
-    # and a spectral type's inner blocks those of `jordan_data`, whose
-    # forward passes are no `rank` call
-    def no_rank(m):
-        raise AssertionError("rank called")
-
-    monkeypatch.setattr(exactla, "rank", no_rank)
-    assert centralizer_dim(Mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])) == 5
+def test_jordan_data_read_each_nullity_from_a_rank(monkeypatch):
+    # `jordan_data` reads each nullity of a kernel chain as n - `rank`, the
+    # forward pass only, with no back substitution: for Frobenius's
+    # centralizer on the whole matrix, and for a spectral type's inner
+    # blocks on the 2 x 2 block that the split of the irregular point's
+    # lead cuts from the residue (the split itself takes spaces)
+    ranks, kernels, real_kernel = [], [], exactla._kernel
+    monkeypatch.setattr(exactla, "rank", _counted(exactla.rank, ranks))
+    monkeypatch.setattr(exactla, "_kernel",
+                        lambda *args: kernels.append(args) or real_kernel(*args))
+    a = Mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    assert centralizer_dim(a) == 5
+    assert (ranks, kernels) == ([a, a * a], [])  # nullities 2, then 3
+    ranks.clear()
     t = make_tuple(
         3, infinity_point(1, [Mat.diagonal([0, 0, 1])]),
         [finite_point(0, 0, [Mat([[1, 1, 0], [0, 1, 0], [0, 0, 2]])])],
@@ -488,6 +502,7 @@ def test_jordan_data_come_from_the_primary_split_without_a_rank(monkeypatch):
     assert [(b.size, [e.jordan for e in b.inner]) for b in st0.blocks] \
         == [(2, [(2,)]), (1, [(1,)])]
     assert st0.pattern_str() == "(2,1)-((1,1),(1))"
+    assert [m.rows for m in ranks] == [2, 2] and kernels
 
 
 def _counted(op, calls):
@@ -503,19 +518,50 @@ def test_spin_under_one_op_is_krylov_up_to_the_first_rejected_vector():
 
     calls = []
     # stops at the target: three op calls, no fourth
-    assert spin([[1, 0, 0, 0]], [_counted(shift, calls)], partial(_insert, []), 4) \
+    assert spin([[1, 0, 0, 0]], [_counted(shift, calls)], IncrementalSpan().add, 4) \
         == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     assert len(calls) == 3
     calls.clear()
     # stops at the first rejected vector: 0 = shift(e4)
-    assert spin([[0, 1, 0, 0]], [_counted(shift, calls)], partial(_insert, []), 4) \
+    assert spin([[0, 1, 0, 0]], [_counted(shift, calls)], IncrementalSpan().add, 4) \
         == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     assert calls == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     # a rejected start vector spins nothing
-    assert spin([[0, 0, 0, 0]], [_counted(shift, calls)], partial(_insert, []), 4) == []
+    assert spin([[0, 0, 0, 0]], [_counted(shift, calls)], IncrementalSpan().add, 4) == []
     # the vectors as taken in, not reduced; [9, 4] = 5 [3, 2] - 6 [1, 1] is rejected
-    assert spin([[1, 1]], [lambda x: [3 * x[0], 2 * x[1]]], partial(_insert, []), 3) \
+    assert spin([[1, 1]], [lambda x: [3 * x[0], 2 * x[1]]], IncrementalSpan().add, 3) \
         == [[1, 1], [3, 2]]
+
+
+def test_every_exact_spin_grows_an_incremental_span(monkeypatch):
+    # Norton's spins (`spin_dim`), the spin basis behind the intertwiners
+    # and the exact Burnside search each clear their vectors through
+    # `IncrementalSpan.add`, on integer vectors
+    added, real = [], IncrementalSpan.add
+
+    def add(self, v):
+        took = real(self, v)
+        added.append((list(v), took))
+        return took
+
+    monkeypatch.setattr(IncrementalSpan, "add", add)
+    a = Mat.diagonal([1, 2, 3, 4])
+    assert spin_dim([1, 1, 1, 1], [a]) == 4
+    assert added == [([1, 1, 1, 1], True), ([1, 2, 3, 4], True), ([1, 4, 9, 16], True),
+                     ([1, 8, 27, 64], True)]
+    added.clear()
+    # each e_s is an eigenvector: taken, and its image rejected, but the last
+    words = exactla.spin_basis([a.num], 4)
+    assert [w for *_, w in words] == [[int(r == s) for r in range(4)] for s in range(4)]
+    assert [took for _, took in added] == [True, False] * 3 + [True]
+    added.clear()
+    # the rotation has no rational eigenvalue and spans only Q(i) mod p,
+    # so the exact search takes I and the derived residue, minus the
+    # rotation, and nothing else
+    rot = Mat([[0, -1], [1, 0]])
+    assert not is_irreducible(make_tuple(2, infinity_point(0, []), [finite_point(0, 0, [rot])]))
+    assert [v for v, took in added if took] == [[1, 0, 0, 1], [0, 1, -1, 0]]
+    assert not all(took for _, took in added)
 
 
 def test_cyclic_vector_applies_the_matrix_until_its_first_dependent_row(monkeypatch):
