@@ -18,10 +18,12 @@ lcm of their pivot entries for `inverse` and `Subspace.from_spanning` /
 eigenvalues, determinants); every basis is a `Mat`.
 
 One loop, `spin`, grows a spin: the smallest subspace that holds a start
-set and is mapped into itself by some operators.  Norton's test
-(`spin_dim`), the standard basis of a module (`spin_basis`) and the exact
-Burnside word span each grow an `IncrementalSpan` (`_reduce` plus
-append); the span mod p keeps its own rows over F_p.
+set and is mapped into itself by some operators.  Every spin reads the
+integer rows num = den A, by one product, `times`: scaling by den moves no
+span over Q, nor mod a prime dividing no den.  Norton's test (`spin_dim`),
+the standard basis of a module (`spin_basis`) and the exact Burnside word
+span each grow an `IncrementalSpan` (`_reduce` plus append); the span mod
+p keeps its own rows over F_p, of `reduce_mod_prime`'s num mod p.
 
 `charpoly` is multi-modular and certified.  With d_i the lcm of the
 denominators of row i of A, B = diag(d) A is integral and, for D = prod d_i,
@@ -574,15 +576,15 @@ def spin(start: Sequence, ops: Sequence, add, target: int) -> list:
     return taken
 
 
-def _times(rows: Sequence[Sequence[int]]):
-    """x -> rows x, on integer columns x."""
-    return lambda x: [sum(map(mul, r, x)) for r in rows]
+def times(rows: Iterable[Sequence[int]], x: Sequence[int]) -> list[int]:
+    """rows x, for integer rows and an integer column x."""
+    return [sum(map(mul, r, x)) for r in rows]
 
 
-def spin_dim(vec: Sequence[int], mats: Sequence[Mat]) -> int:
-    """Dimension of the spin of the integer vector vec under mats acting on
-    columns, by their integer rows (scaling by 1/den moves no subspace)."""
-    ops = [_times(m.num) for m in mats]
+def spin_dim(vec: Sequence[int], mats: Sequence[Sequence[Sequence[int]]]) -> int:
+    """Dimension of the spin of the integer vector vec under the integer
+    matrices mats (rows, on columns)."""
+    ops = [partial(times, m) for m in mats]
     return len(spin([list(vec)], ops, IncrementalSpan().add, len(vec)))
 
 
@@ -594,11 +596,11 @@ def spin_basis(gens: Sequence[Sequence[Sequence[int]]], n: int) -> list[tuple]:
     span = IncrementalSpan()
     made, taken = [], []  # made: (j, i, w) for each word tried, i indexing made
 
-    def apply(j: int, times, c: int) -> int:
-        made.append((j, c, times(made[c][2])))
+    def apply(j: int, c: int) -> int:
+        made.append((j, c, times(gens[j], made[c][2])))
         return len(made) - 1
 
-    ops = [partial(apply, j, _times(g)) for j, g in enumerate(gens)]
+    ops = [partial(apply, j) for j in range(len(gens))]
     for s in range(n):
         if len(taken) < n:
             made.append((None, None, [int(r == s) for r in range(n)]))
@@ -628,16 +630,11 @@ def _prime(k: int) -> int:
             return q
 
 
-def _rows_mod(dens: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """The integer rows over their denominators dens (prime to p), mod p."""
-    return [[x * di % p for x in r] for di, r in zip([pow(d, -1, p) for d in dens], rows)]
-
-
 def reduce_mod_prime(mats: Sequence[Mat]) -> tuple[int, list[list[list[int]]]]:
     """The first prime `_prime(k)` dividing no denominator of mats, and the
-    rows of each matrix mod that prime."""
+    integer rows of each matrix mod that prime: den A, a unit times A there."""
     p = next(p for p in map(_prime, count()) if all(m.den % p for m in mats))
-    return p, [_rows_mod([m.den] * m.rows, m.num, p) for m in mats]
+    return p, [[[x % p for x in r] for r in m.num] for m in mats]
 
 
 def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
@@ -690,7 +687,7 @@ def _charpoly_residues(m: Mat) -> tuple[list[int], int]:
     for p in map(_prime, count()):
         if any(d % p == 0 for d in dens):
             continue
-        a = _rows_mod(dens, rows, p)
+        a = [[x * di % p for x in r] for di, r in zip([pow(d, -1, p) for d in dens], rows)]
         dp, inv = delta % p, pow(modulus, -1, p)
         res = [x + modulus * ((c * dp - x) * inv % p)
                for x, c in zip(res, _charpoly_mod(a, p))]

@@ -37,6 +37,7 @@ from .exactla import (
     is_semisimple,
     jordan_data,
     primary_components,
+    rational_spectrum,
 )
 
 INFINITY = None  # location tag for the point at infinity
@@ -371,12 +372,13 @@ def semisimple_eigenspaces(a: Mat, not_semisimple: str, not_rational: str, *mats
     """(eigenvalue, multiplicity, blocks) of a semisimple a with a fully
     rational spectrum, sorted by eigenvalue, where blocks are the diagonal
     blocks of `mats` on the eigenspaces (`primary_components`);
-    PreconditionError with the given messages otherwise.  With every
-    eigenvalue rational, a is semisimple iff every Jordan partition is all
-    1s, so `is_semisimple` runs only for a spectrum that is not."""
-    comps = primary_components(a, *mats)
-    if comps and comps[-1][0] is None:
+    PreconditionError with the given messages otherwise, before any split
+    if the spectrum is not all rational.  With every eigenvalue rational, a
+    is semisimple iff its Jordan partitions are all 1s, so `is_semisimple`
+    runs only for a spectrum that is not."""
+    if not rational_spectrum(a)[1]:
         raise PreconditionError(not_rational if is_semisimple(a) else not_semisimple)
+    comps = primary_components(a, *mats)
     if any(jordan[0] > 1 for _, jordan, _, _ in comps):
         raise PreconditionError(not_semisimple)
     return sorted(((d, space.dim, blocks) for d, _, space, blocks in comps), key=lambda e: e[0])

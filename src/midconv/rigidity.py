@@ -75,28 +75,29 @@ InternalError.
 1994) when it can, in O(k n^3) for k generators.  It takes the first
 non-scalar generator theta with a rational eigenvalue lam whose eigenspace
 ker(theta - lam) is a line, spanned by v, and w spanning ker(theta^T - lam),
-and spins v under the generators and w under their transposes (scalar
-generators cannot enlarge a spin and are skipped).  A proper spin is an
-invariant subspace of M = Q^n or of its dual, so the answer is "no".  If
-both spins are full, M is irreducible (Norton's lemma), so End(M) is a
-division algebra D; ker(theta - lam) is a D-space of Q-dimension 1, so
-D = Q, and by density the algebra is M_n(Q): "yes", exactly Burnside's
-answer.
+and spins v under the generators' integer rows and w under their columns
+(scalar generators cannot enlarge a spin and are skipped).  A proper spin
+is an invariant subspace of M = Q^n or of its dual, so the answer is
+"no".  If both spins are full, M is irreducible (Norton's lemma), so
+End(M) is a division algebra D; ker(theta - lam) is a D-space of
+Q-dimension 1, so D = Q, and by density the algebra is M_n(Q): "yes",
+exactly Burnside's answer.
 
 With no such lam (the rotation [[0, -1], [1, 0]]; every multiplicity 2
 or more), it spins the Burnside words mod p (`spin`: 1 and the generators,
 then w g for each word w taken and each generator g), for the first
-`_prime(k)` dividing no denominator of a generator: every word is then
-p-integral.  n^2 words independent mod p are independent over Q, since a
-Q-relation scaled to p-integral coefficients, one a p-unit, would reduce
-to a relation mod p.  So a full span mod p certifies "yes".  A short one
+`_prime(k)` dividing no denominator of a generator, in the generators'
+integer rows d_j A_j (`_words_span`): a word in these is the word in the
+A_j times a unit mod p, so it is p-integral and spans as that word does.
+n^2 words independent mod p are independent over Q, since a Q-relation
+scaled to p-integral coefficients, one a p-unit, would reduce to a
+relation mod p.  So a full span mod p certifies "yes".  A short one
 proves nothing ([[0, 3p], [1, 0]] and [[0, -p], [1, 0]] generate M_2(Q)
 but are both nilpotent mod p), so then the same spin over Q decides.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -121,6 +122,7 @@ from .exactla import (
     spin,
     spin_basis,
     spin_dim,
+    times,
     toeplitz_kernel,
 )
 from .model import MatrixTuple, SpectralType, block_weight, semisimple_eigenspaces, strip_trivial
@@ -162,7 +164,7 @@ def _commutant_dim(coeffs: list[Mat]) -> int:
     lead, n = coeffs[0], coeffs[0].rows
     if lead.scalar_multiple_of_identity() is not None:
         return n * n + _commutant_dim(coeffs[1:])
-    if any(spin_dim(v, [lead]) == n for v in ([1] + [0] * (n - 1), [1] * n)) \
+    if any(spin_dim(v, [lead.num]) == n for v in ([1] + [0] * (n - 1), [1] * n)) \
             or distinct_root_count(lead) == n:
         return n * len(coeffs)
     if len(coeffs) == 1:  # Frobenius, if the non-rational roots are simple
@@ -260,13 +262,25 @@ def okubo_index(t_mat: Mat, a_mat: Mat) -> int:
     return total
 
 
+def _words_span(gens: list, n: int, add, p: int = 0) -> bool:
+    """Whether `add` takes n^2 Burnside words (module docstring), spun
+    row-major in the integer rows gens, mod p if p is nonzero."""
+    def right(cols: list[tuple[int, ...]], w: list[int]) -> list[int]:
+        wg = [x for i in range(0, n * n, n) for x in times(cols, w[i:i + n])]
+        return [x % p for x in wg] if p else wg
+
+    eye = [int(k % (n + 1) == 0) for k in range(n * n)]
+    start = [eye] + [list(chain.from_iterable(g)) for g in gens]
+    ops = [partial(right, list(zip(*g))) for g in gens]
+    return len(spin(start, ops, add, n * n)) == n * n
+
+
 def _spans_mod_p(gens: list[Mat], n: int) -> bool:
     """Whether the words in gens span n^2 dimensions mod p (module docstring)."""
     p, mods = reduce_mod_prime(gens)
     rows = []  # (pivot, row): 1 there and 0 at the pivots of earlier rows
 
-    def add(w: list[list[int]]) -> bool:
-        v = [x for r in w for x in r]
+    def add(v: list[int]) -> bool:
         for pc, r in rows:
             if c := v[pc] % p:
                 v = [a - c * b for a, b in zip(v, r)]
@@ -276,12 +290,7 @@ def _spans_mod_p(gens: list[Mat], n: int) -> bool:
             rows.append((piv, [x * inv % p for x in v]))
         return piv is not None
 
-    def times(cols: list[tuple[int, ...]], x: list[list[int]]) -> list[list[int]]:
-        return [[sum(map(operator.mul, xr, c)) % p for c in cols] for xr in x]
-
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    ops = [partial(times, list(zip(*g))) for g in mods]
-    return len(spin([eye] + mods, ops, add, n * n)) == n * n
+    return _words_span(mods, n, add, p)
 
 
 def _norton(gens: list[Mat], n: int) -> bool | None:
@@ -294,8 +303,8 @@ def _norton(gens: list[Mat], n: int) -> bool | None:
             _, ker = rref_nullspace(shifted)
             if ker.dim == 1:
                 _, coker = rref_nullspace(shifted.transpose())
-                return spin_dim(ker.basis.num[0], mats) == n \
-                    and spin_dim(coker.basis.num[0], [g.transpose() for g in mats]) == n
+                return spin_dim(ker.basis.num[0], [g.num for g in mats]) == n \
+                    and spin_dim(coker.basis.num[0], [list(zip(*g.num)) for g in mats]) == n
     return None
 
 
@@ -312,12 +321,7 @@ def is_irreducible(t: MatrixTuple) -> bool:
     gens = t.all_coeffs_with_residue()
     if (answer := _norton(gens, n)) is not None:
         return answer
-    if _spans_mod_p(gens, n):
-        return True
-    span = IncrementalSpan()
-    words = spin([Mat.identity(n)] + gens, [lambda x, g=g: x * g for g in gens],
-                 lambda m: span.add(list(chain.from_iterable(m.num))), n * n)
-    return len(words) == n * n
+    return _spans_mod_p(gens, n) or _words_span([g.num for g in gens], n, IncrementalSpan().add)
 
 
 def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:
@@ -327,9 +331,6 @@ def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:
     ys = [y.num_over(lcm(x.den, y.den)) for x, y in pairs]
     words = spin_basis(xs, n)
     winv = inverse(Mat.from_integers([w for *_, w in words]).transpose())
-
-    def times(m, v: list[int]) -> list[int]:
-        return [sum(map(operator.mul, row, v)) for row in m]
 
     def images(u: list[int]) -> list[list[int]]:
         """U(u): y_j U_i for the word x_j w_i, u's s-th block for the s-th start."""
@@ -347,8 +348,8 @@ def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:
         if (j, i) in taken:
             continue
         t = times(winv.num, times(x, w))  # over winv.den
-        cols = [[winv.den * e - sum(map(operator.mul, t, es))
-                 for e, es in zip(times(ys[j], us[i]), zip(*us))] for us in uss]
+        cols = [[winv.den * e - f for e, f in zip(times(ys[j], us[i]), times(zip(*us), t))]
+                for us in uss]
         if not any(map(any, cols)):  # every z meets it
             continue
         if len(zs) == 1:  # one column, not zero: no z meets it
@@ -356,13 +357,12 @@ def _intertwiners(pairs: list[tuple[Mat, Mat]], n: int) -> Subspace:
         _, ker = rref_nullspace(Mat.from_integers(zip(*cols), 1, len(zs)))
         if not ker.dim:
             return Subspace.zero(n * n)
-        zs = [[sum(map(operator.mul, k, es)) for es in zip(*zs)] for k in ker.basis.num]
+        zs = [times(zip(*zs), k) for k in ker.basis.num]
         uss = [images(z) for z in zs]
     # S = U W^-1, whose row r is sum_i U[r, i] (row i of W^-1)
     winv_cols = list(zip(*winv.num))
     return Subspace.from_spanning(
-        [[sum(map(operator.mul, es, col)) for es in zip(*us) for col in winv_cols]
-         for us in uss], n * n)
+        [[x for es in zip(*us) for x in times(winv_cols, es)] for us in uss], n * n)
 
 
 def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
@@ -403,7 +403,7 @@ def are_similar(a: MatrixTuple, b: MatrixTuple) -> Mat | None:
 
     def point(cs: list[int]) -> Mat:
         """sum_i cs[i] times the i-th basis vector, as an n x n matrix."""
-        v = [sum(map(operator.mul, cs, col)) for col in zip(*space.basis.num)]
+        v = times(zip(*space.basis.num), cs)
         return Mat.from_integers([v[k * n:(k + 1) * n] for k in range(n)], space.basis.den, n)
 
     if det(s := point([1] + [0] * (d - 1))) != 0:

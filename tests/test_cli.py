@@ -519,6 +519,29 @@ def test_cli_rejects_json_booleans_as_integers(doc, tmp_path, capsys):
     assert "integer" in capsys.readouterr().err
 
 
+def _without_t(doc):
+    del doc["finite"][0]["t"]
+    return doc
+
+
+def _renamed_keys(doc):
+    coeffs = doc["infinity"]["coeffs"]  # m = 1: one key, "1"
+    coeffs["0"] = coeffs.pop("1")
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "tuple file must contain a JSON object"),
+    (_without_t, "finite point 0: missing location 't'"),
+    (_renamed_keys, "infinity: coefficient keys must be exactly ['1']"),
+], ids=["not-an-object", "no-t", "wrong-key-names"])
+def test_cli_rejects_each_malformed_document_exit_2(edit, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(json.loads(dumps_tuple(HYP)))))
+    assert main(["idx", str(path)]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
 def test_cli_overlong_numbers_exit_2(tmp_path, capsys):
     doc = json.loads(dumps_tuple(HYP))
     doc["finite"][0]["t"] = "1" * 5000

@@ -149,8 +149,9 @@ def test_reduce_mod_prime_skips_primes_dividing_a_denominator():
     p0, p1 = _prime(0), _prime(1)
     p, (a, b) = reduce_mod_prime([Mat([[F(1, 2), -1]]), Mat([[F(3, p0), p0]])])
     assert p == p1
-    assert a == [[(p1 + 1) // 2, p1 - 1]] and b == [[3 * pow(p0, -1, p1) % p1, p0 % p1]]
-    assert reduce_mod_prime([Mat([[F(-1, 3)]])]) == (p0, [[[-pow(3, -1, p0) % p0]]])
+    # each matrix's own integer rows mod p: den A, a unit times A there
+    assert a == [[1, p1 - 2]] and b == [[3, p0 * p0 % p1]]
+    assert reduce_mod_prime([Mat([[F(-1, 3)]])]) == (p0, [[[p0 - 1]]])
 
 
 # ---------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,6 +62,27 @@ def test_validate_wrong_coefficient_count():
     bad = SingularPoint(F(0), 1, (Mat.identity(2),))
     with pytest.raises(ValidationError, match="coefficients"):
         MatrixTuple(2, infinity_point(0, []), (bad,))
+
+
+_ONE_POINT = (finite_point(0, 0, [Mat.identity(2)]),)
+
+
+@pytest.mark.parametrize("size, infinity, finite, message", [
+    (0, infinity_point(0, []), (), "matrix size must be at least 1"),
+    (2, finite_point(0, 0, [Mat.identity(2)]), (), "infinity slot holds a finite point"),
+    (2, infinity_point(0, []), _ONE_POINT + (infinity_point(0, []),),
+     "point 2: finite slot holds infinity"),
+    (2, SingularPoint(None, -1, ()), _ONE_POINT, "negative Poincare rank at infinity"),
+    (2, infinity_point(0, []), (SingularPoint(F(0), -1, ()),),
+     "point 1: negative Poincare rank"),
+    (2, SingularPoint(None, 1, ()), _ONE_POINT,
+     "point 0 (infinity): expected 1 coefficients, got 0"),
+], ids=["size-0", "finite-at-infinity", "infinity-in-finite-slot", "negative-rank-infinity",
+        "negative-rank-finite", "infinity-coefficient-count"])
+def test_validate_rejects_each_malformed_point(size, infinity, finite, message):
+    # tuples built directly, past every check of the file reader
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        MatrixTuple(size, infinity, finite)
 
 
 # ---------------------------------------------------------------------
@@ -411,6 +434,25 @@ def test_spectral_type_rejects_irrational():
         spectral_type(t, 0)
 
 
+@pytest.mark.parametrize("lead, message", [
+    (Mat([[1, 0, 0], [0, 0, 2], [0, 1, 0]]), "spectrum is not fully rational"),
+    (support.direct_sum(Mat([[1, 1], [0, 1]]), Mat([[0, 2], [1, 0]])), "is not semisimple"),
+], ids=["semisimple", "jordan-block"])
+def test_spectral_type_refuses_a_non_rational_lead_before_it_splits(lead, message, monkeypatch):
+    # 1 and +-sqrt(2), then J_2(1) beside +-sqrt(2): the kept spectrum
+    # refuses the lead, with the message `is_semisimple` chooses, before
+    # any primary split, so no inverse is taken (the split took one)
+    import midconv.exactla
+
+    inverses, real = [], midconv.exactla.inverse
+    monkeypatch.setattr(midconv.exactla, "inverse", lambda m: inverses.append(m) or real(m))
+    n = lead.rows
+    t = make_tuple(n, infinity_point(1, [lead]), [finite_point(0, 0, [Mat.identity(n)])])
+    with pytest.raises(PreconditionError, match=f"^point 0: leading coefficient {message}$"):
+        spectral_type(t, 0)
+    assert inverses == []
+
+
 def test_pattern_sums():
     st0 = spectral_type(HYP, 0)
     assert sum(nl for nl, _ in st0.pattern()) == HYP.size
@@ -440,6 +482,15 @@ def test_build_L_repeated_eigenvalue_jordan():
 def test_build_L_rejects_increasing():
     with pytest.raises(ValidationError):
         build_L([1, 2], [0, 0])
+
+
+@pytest.mark.parametrize("q, lambdas, message", [
+    ([1], [0, 1], "q and lambdas must have the same length"),
+    ([1, 0], [0, 1], "q must consist of positive integers"),
+], ids=["unequal-lengths", "part-below-1"])
+def test_build_L_rejects_malformed_parts(q, lambdas, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build_L(q, lambdas)
 
 
 def test_build_L_distinct_semisimple_equal_jordan_centralizer():

@@ -212,6 +212,19 @@ def test_reduce_takes_each_terminal_spectral_type_once(monkeypatch):
     assert trace.verdict.pattern.points == (((2, (1, 1)),),) * 4
 
 
+def test_cli_reduce_prints_the_terminal_verdict(tmp_path, capsys):
+    # the human output of a terminal tuple: its one size, then its pattern
+    # and label
+    path = str(tmp_path / "four.json")
+    write_tuple(path, _four_point_fuchsian())
+    assert main(["reduce", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "sizes: 2",
+        "terminal: {(1,1), (1,1), (1,1), (1,1)} -> "
+        "four singularities {(d,d), (d,d), (d,d), (d,d)}, d=1",
+    ]
+
+
 def test_mu_candidates_match_the_shifted_spectral_type(monkeypatch):
     # oracle: the candidates are the residue eigenvalues of the zero block of
     # spectral_type(shifted, 0), and mu maximizes dim L'(mu) over all of

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from midconv.errors import InternalError, PreconditionError
+from midconv.errors import InternalError, PreconditionError, ValidationError
 from midconv import exactla, rigidity
 from midconv.exactla import (
     IncrementalSpan,
@@ -184,7 +184,7 @@ def _cyclic_start(m: Mat) -> bool:
     """Whether rule 2 of `_commutant_dim` finds a start vector cyclic for m:
     e_1 first, then the all-ones vector."""
     n = m.rows
-    return any(spin_dim(v, [m]) == n for v in ([1] + [0] * (n - 1), [1] * n))
+    return any(spin_dim(v, [m.num]) == n for v in ([1] + [0] * (n - 1), [1] * n))
 
 
 def _cyclic_point(rng, n: int, rank: int) -> list[Mat]:
@@ -546,7 +546,7 @@ def test_every_exact_spin_grows_an_incremental_span(monkeypatch):
 
     monkeypatch.setattr(IncrementalSpan, "add", add)
     a = Mat.diagonal([1, 2, 3, 4])
-    assert spin_dim([1, 1, 1, 1], [a]) == 4
+    assert spin_dim([1, 1, 1, 1], [a.num]) == 4
     assert added == [([1, 1, 1, 1], True), ([1, 2, 3, 4], True), ([1, 4, 9, 16], True),
                      ([1, 8, 27, 64], True)]
     added.clear()
@@ -722,6 +722,12 @@ def test_index_from_spectral_four_point_fuchsian():
     assert index_from_spectral(types, 3, 2) == 0
 
 
+def test_index_from_spectral_rejects_a_type_of_another_size():
+    types = [spectral_type(HYP, i) for i in range(HYP.num_points)]
+    with pytest.raises(PreconditionError, match="^spectral type size differs from n$"):
+        index_from_spectral(types, 1, 3)
+
+
 def test_index_from_spectral_all_scalar():
     t = make_tuple(
         3, infinity_point(1, [Mat.diagonal([1, 1, 1])]),
@@ -774,6 +780,19 @@ def test_okubo_index_rejects_nonsemisimple():
         okubo_index(Mat([[0, 1], [0, 0]]), Mat.identity(2))
     with pytest.raises(PreconditionError):
         okubo_index(Mat.diagonal([0, 1]), Mat([[0, 1], [0, 0]]))
+
+
+@pytest.mark.parametrize("t_mat, a_mat", [
+    (Mat.identity(2), Mat.identity(3)),
+    (Mat.zeros(2, 3), Mat.zeros(2, 3)),
+    (Mat.identity(2), Mat.zeros(2, 3)),
+], ids=["unequal", "T-non-square", "A-non-square"])
+def test_okubo_forms_reject_unequal_or_non_square_shapes(t_mat, a_mat):
+    message = "^T and A must be square of equal size$"
+    with pytest.raises(PreconditionError, match=message):
+        okubo_index(t_mat, a_mat)
+    with pytest.raises(ValidationError, match=message):
+        from_okubo(t_mat, a_mat)
 
 
 # ---------------------------------------------------------------------
@@ -900,8 +919,8 @@ def test_irreducible_reducible_seen_only_by_the_dual_spin(monkeypatch):
     t = make_tuple(2, infinity_point(1, [theta]), [finite_point(0, 0, [Mat([[0, 1], [0, 0]])])])
     gens = t.all_coeffs_with_residue()
     assert gens[0] == theta
-    assert spin_dim([1, -1], gens) == 2
-    assert spin_dim([0, 1], [g.transpose() for g in gens]) == 1
+    assert spin_dim([1, -1], [g.num for g in gens]) == 2
+    assert spin_dim([0, 1], [g.transpose().num for g in gens]) == 1
     monkeypatch.setattr(rigidity, "_spans_mod_p", _no_mod_p_span)
     monkeypatch.setattr(rigidity, "IncrementalSpan", _NoExactSpan)
     assert not is_irreducible(t)
